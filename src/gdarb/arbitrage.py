@@ -100,12 +100,6 @@ class MarketVerdicts:
     window_caveat: bool = False
 
 
-def _window_of(model: NaturalScaleModel, radius: float):
-    lo = model.lo if np.isfinite(model.lo) else model.u0 - radius
-    hi = model.hi if np.isfinite(model.hi) else model.u0 + radius
-    return max(lo, model.u0 - radius), min(hi, model.u0 + radius)
-
-
 def _nu_ac_density(model: NaturalScaleModel, carrier: BorelSet) -> PiecewiseFn:
     """Density -r * q(x) * m_ac(x) as a catalog piecewise function.
 
@@ -146,7 +140,7 @@ def _nu_ac_density(model: NaturalScaleModel, carrier: BorelSet) -> PiecewiseFn:
 
 def build_nu(model: NaturalScaleModel, radius: float = DEFAULT_WINDOW) -> NuBundle:
     """Assemble the auxiliary signed measure and its decompositions."""
-    window = _window_of(model, radius)
+    window = model.window(radius)
     zs = zero_set(model, radius)
 
     density = None

@@ -7,13 +7,15 @@ measure through local times and the post-absorption clock).  Each step of
 the chain is split into a hold phase (state constant, clock running) and a
 jump phase (state moves, quadratic variation accrues); the split is what
 lets the domination checks distinguish local-time growth from
-quadratic-variation growth.
+quadratic-variation growth.  One function, ``_steps``, books every hold and
+jump, for single paths and for the ensemble alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,15 +25,7 @@ from .arbitrage import (
     build_theta,
     check_strategy_conditions,
 )
-from .chain import (
-    ABSORBING,
-    INTERIOR,
-    REFLECT_UP,
-    GridChain,
-    PathSample,
-    build_chain,
-    path_rng,
-)
+from .chain import ABSORBING, GridChain, PathSample, build_chain, path_rng
 from .model import DEFAULT_WINDOW, NaturalScaleModel
 
 __all__ = [
@@ -48,6 +42,8 @@ __all__ = [
 ]
 
 _ROUTE_FLOOR = 1e-8
+_BLOCK = 1024  # uniforms drawn per path at a time
+_MAX_ITERATIONS = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -59,8 +55,6 @@ class MCConfig:
     radius: float = DEFAULT_WINDOW
     tol: float = 1e-12
     tol_route: float = 0.05
-    block: int = 1024
-    max_iterations: int = 20_000_000
 
     def __post_init__(self):
         if self.n_paths <= 0:
@@ -124,7 +118,7 @@ class EnsembleStats:
 
 
 # ---------------------------------------------------------------------------
-# per-node tables shared by the single-path and ensemble evaluators
+# per-node tables and the hold/jump kernel
 # ---------------------------------------------------------------------------
 
 
@@ -135,8 +129,9 @@ class _NodeTables:
     q: np.ndarray
     qp: np.ndarray
     nu_ac: np.ndarray
-    atom_per_lt: np.ndarray  # nu({u}) / m_cell(u) at non-absorbing nodes
-    nu_abs: np.ndarray  # nu atom mass at absorbing nodes
+    # nu({u}) / m_cell(u) at inner nodes (per unit local time) and nu({u}) at
+    # absorbing nodes (per unit of the post-absorption clock)
+    atom: np.ndarray
     is_absorbing: np.ndarray
     stop_idx: int | None
 
@@ -158,8 +153,7 @@ def _node_tables(chain: GridChain, bundle: NuBundle, H: FeedbackStrategy) -> _No
             nu_ac = nu_ac * nu.carrier.contains(grid)
 
     is_abs = chain.node_type == ABSORBING
-    atom_per_lt = np.zeros(len(grid))
-    nu_abs = np.zeros(len(grid))
+    atom = np.zeros(len(grid))
     for a, mass in nu.atoms:
         if not (grid[0] - chain.h / 2 <= a <= grid[-1] + chain.h / 2):
             continue
@@ -167,11 +161,11 @@ def _node_tables(chain: GridChain, bundle: NuBundle, H: FeedbackStrategy) -> _No
         if abs(grid[i] - a) > chain.h * 1e-6:
             continue
         if is_abs[i]:
-            nu_abs[i] += mass
+            atom[i] += mass
         else:
             if chain.m_cell[i] <= 0:
                 raise ValueError(f"atom of nu at {a} sits on a cell with no speed mass")
-            atom_per_lt[i] += mass / chain.m_cell[i]
+            atom[i] += mass / chain.m_cell[i]
 
     stop_idx = None
     if H.stop_after_hitting is not None:
@@ -182,79 +176,85 @@ def _node_tables(chain: GridChain, bundle: NuBundle, H: FeedbackStrategy) -> _No
         q=q_val,
         qp=qp_val,
         nu_ac=nu_ac,
-        atom_per_lt=atom_per_lt,
-        nu_abs=nu_abs,
+        atom=atom,
         is_absorbing=is_abs,
         stop_idx=stop_idx,
     )
 
 
-def _discount_weight(r: float, disc0, disc1, t0, t1):
-    """Exact integral of exp(-r s) over the hold [t0, t1)."""
-    if r == 0.0:
-        return t1 - t0
-    return (disc0 - disc1) / r
+class _Steps(NamedTuple):
+    """Increments booked by each step: its hold, then its jump."""
+
+    int_hold: np.ndarray
+    cf_hold: np.ndarray
+    int_jump: np.ndarray
+    cf_jump: np.ndarray
+    dS: np.ndarray  # <S> growth of the jump
+    leak: np.ndarray  # H^2 d<S> of the jump: the martingale exposure of condition (i)
+    clock: np.ndarray  # |nu| growth where H agrees in sign with theta
+
+
+def _steps(tables: _NodeTables, r, h2, i, t0, t1, i_new, jump, act) -> _Steps:
+    """Book holds at nodes ``i`` over [t0, t1) and, where ``jump``, the move
+    to ``i_new`` at t1, by both routes.
+
+    The arrays run over the steps of one path or over the paths of one
+    ensemble iteration.  An absorbed path makes one more hold, at its
+    absorbing node up to the horizon; the atom column holds nu({u}) there,
+    so that hold books the post-absorption clock.
+    """
+    disc0 = np.exp(-r * t0)
+    disc1 = np.exp(-r * t1)
+    w = t1 - t0 if r == 0.0 else (disc0 - disc1) / r  # integral of exp(-r s) over the hold
+    Hv = tables.H[i] * act
+    q = tables.q[i]
+    qp = tables.qp[i]
+    atom = tables.atom[i]
+    nu_ac = tables.nu_ac[i]
+    return _Steps(
+        int_hold=Hv * q * (disc1 - disc0),
+        cf_hold=Hv * atom * w,
+        int_jump=np.where(jump, Hv * disc1 * (tables.q[i_new] - q), 0.0),
+        cf_jump=np.where(jump, Hv * disc0 * nu_ac * h2, 0.0),
+        dS=np.where(jump, (disc0 * qp) ** 2 * h2, 0.0),
+        leak=np.where(jump, (Hv * qp) ** 2 * h2, 0.0),
+        clock=(tables.theta[i] * Hv > 0.0)
+        * (np.abs(atom) * w + np.where(jump, np.abs(nu_ac) * h2, 0.0)),
+    )
 
 
 # ---------------------------------------------------------------------------
-# single-path phase decomposition
+# single paths
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _PathPhases:
-    """Per-step increments; arrays aligned with the steps taken before T."""
-
-    t_hold_end: np.ndarray
-    dV_int_hold: np.ndarray
-    dV_cf_hold: np.ndarray
-    dV_int_jump: np.ndarray
-    dV_cf_jump: np.ndarray
-    dU_jump: np.ndarray
-    dS_jump: np.ndarray
-    emp_cond_i: np.ndarray
 
 
 def _path_phases(
     path: PathSample, chain: GridChain, tables: _NodeTables, T: float
-) -> _PathPhases:
-    model = chain.model
-    r = model.rate
-    h2 = chain.h**2
-    states = path.states
-    times = path.times
-    t_next = np.append(times[1:], np.inf)
-
-    keep = times < T
-    i = states[keep]
-    t0 = times[keep]
-    t1 = np.minimum(t_next[keep], T)
-    has_jump = (t_next[keep] <= T) & (np.arange(len(states))[keep] < len(states) - 1)
-
-    act = np.ones(len(i), dtype=bool)
+) -> tuple[np.ndarray, _Steps]:
+    """(hold end times, booked increments) of the steps taken before T."""
+    n = int(np.searchsorted(path.times, T))  # holds that start before T
+    i = path.states[:n]
+    t0 = path.times[:n]
+    t_next = np.append(path.times[1:], np.inf)[:n]
+    t1 = np.minimum(t_next, T)
+    i_new = np.append(path.states[1:], 0)[:n]
+    act = np.ones(n, dtype=bool)
     if tables.stop_idx is not None:
         hits = np.nonzero(i == tables.stop_idx)[0]
-        first = hits[0] if len(hits) else len(i)
+        first = hits[0] if len(hits) else n
         act[first:] = False
+    jump = t_next <= T
+    return t1, _steps(tables, chain.model.rate, chain.h**2, i, t0, t1, i_new, jump, act)
 
-    disc0 = np.exp(-r * t0)
-    disc1 = np.exp(-r * t1)
-    w = _discount_weight(r, disc0, disc1, t0, t1)
-    Hv = tables.H[i] * act
 
-    dV_int_hold = Hv * tables.q[i] * (disc1 - disc0)
-    atom = np.where(tables.is_absorbing[i], tables.nu_abs[i] * w,
-                    tables.atom_per_lt[i] * w)
-    dV_cf_hold = Hv * atom
-
-    nxt = np.where(has_jump, np.append(states[1:], 0)[keep], i)
-    disc_jump = np.where(has_jump, disc1, 1.0)
-    dV_int_jump = np.where(has_jump, Hv * disc_jump * (tables.q[nxt] - tables.q[i]), 0.0)
-    dV_cf_jump = np.where(has_jump, Hv * disc0 * tables.nu_ac[i] * h2, 0.0)
-    dU = np.where(has_jump, h2, 0.0)
-    dS = np.where(has_jump, (disc0 * tables.qp[i]) ** 2 * h2, 0.0)
-    emp_i = np.where(has_jump, (Hv * tables.qp[i]) ** 2 * h2, 0.0)
-    return _PathPhases(t1, dV_int_hold, dV_cf_hold, dV_int_jump, dV_cf_jump, dU, dS, emp_i)
+def _value_series(path, chain, bundle, H, T, route) -> ValueSeries:
+    t1, st = _path_phases(path, chain, _node_tables(chain, bundle, H), T)
+    dv = st.int_hold + st.int_jump if route == "integral" else st.cf_hold + st.cf_jump
+    return ValueSeries(
+        times=np.concatenate([[0.0], t1]),
+        values=np.concatenate([[0.0], np.cumsum(dv)]),
+        route=route,
+    )
 
 
 def integral_value(
@@ -265,13 +265,7 @@ def integral_value(
     T: float,
 ) -> ValueSeries:
     """V_t = sum of H(u) dS over the step skeleton; exact for feedback H."""
-    ph = _path_phases(path, chain, _node_tables(chain, bundle, H), T)
-    dv = ph.dV_int_hold + ph.dV_int_jump
-    return ValueSeries(
-        times=np.concatenate([[0.0], ph.t_hold_end]),
-        values=np.concatenate([[0.0], np.cumsum(dv)]),
-        route="integral",
-    )
+    return _value_series(path, chain, bundle, H, T, "integral")
 
 
 def closed_form_value(
@@ -294,13 +288,7 @@ def closed_form_value(
             "closed-form value requires the strategy support to lie in the "
             "zero set of q' (deactivated martingale part)"
         )
-    ph = _path_phases(path, chain, _node_tables(chain, bundle, H), T)
-    dv = ph.dV_cf_hold + ph.dV_cf_jump
-    return ValueSeries(
-        times=np.concatenate([[0.0], ph.t_hold_end]),
-        values=np.concatenate([[0.0], np.cumsum(dv)]),
-        route="closed_form",
-    )
+    return _value_series(path, chain, bundle, H, T, "closed_form")
 
 
 def domination_check(
@@ -313,15 +301,15 @@ def domination_check(
 ) -> DominationReport:
     """(a) does the value only move when <U> moves; (b) does it ever move
     when <S> moves (a finite-variation value process never may)."""
-    ph = _path_phases(path, chain, _node_tables(chain, bundle, H), T)
+    _, st = _path_phases(path, chain, _node_tables(chain, bundle, H), T)
     if route == "closed_form":
-        hold, jump = ph.dV_cf_hold, ph.dV_cf_jump
+        hold, jump = st.cf_hold, st.cf_jump
     else:
-        hold, jump = ph.dV_int_hold, ph.dV_int_jump
+        hold, jump = st.int_hold, st.int_jump
     hold_nonzero = hold != 0.0
     jump_nonzero = jump != 0.0
     qv_dominated = not hold_nonzero.any()  # holds carry no <U> growth
-    qv_growth = bool(np.any(jump_nonzero & (ph.dS_jump != 0.0)))
+    qv_growth = bool(np.any(jump_nonzero & (st.dS != 0.0)))
     return DominationReport(
         qv_dominated=bool(qv_dominated),
         qv_growth_violation=qv_growth,
@@ -346,19 +334,17 @@ def run_ensemble(
 
     Path ``pid`` consumes the same uniform stream as
     ``sample_path(chain, T, seed, pid)``: one draw per executed step.
+    A path stays alive until its hold reaches T; once absorbed, its last
+    hold is the absorbing node's, which lasts to T.
     """
-    model = chain.model
-    r = model.rate
+    r = chain.model.rate
     T = config.T
     h2 = chain.h**2
     n = config.n_paths
     tables = _node_tables(chain, bundle, H)
     dt = chain.dt
-    node_type = chain.node_type
+    p_up = chain.p_up
     window_edge_arr = chain.window_edge
-    interior = node_type == INTERIOR
-    reflect_up = node_type == REFLECT_UP
-    disc_T = math.exp(-r * T)
     tracked = [chain.index_of(u) for u in track_nodes]
 
     idx = np.full(n, chain.start_idx, dtype=np.int64)
@@ -373,8 +359,8 @@ def run_ensemble(
     clock = np.zeros(n)
     emp_i = np.zeros(n)
     qv_s = np.zeros(n)
-    absorbed = np.zeros(n, dtype=bool)
-    t_abs = np.full(n, np.inf)
+    absorbed = tables.is_absorbing[idx].copy()  # started on an absorbing node
+    t_abs = np.where(absorbed, 0.0, np.inf)
     window_hit = np.zeros(n, dtype=bool)
     hold_nz_int = np.zeros(n, dtype=bool)
     hold_nz_cf = np.zeros(n, dtype=bool)
@@ -383,103 +369,60 @@ def run_ensemble(
     n_steps = np.zeros(n, dtype=np.int64)
     occ = np.zeros((n, len(tracked))) if tracked else None
 
-    alive = ~tables.is_absorbing[idx].copy()
-    if not alive.all():  # started on an absorbing node
-        absorbed[:] = True
-        t_abs[:] = 0.0
+    alive = np.ones(n, dtype=bool)
     gens = [path_rng(config.seed, pid) for pid in range(n)]
-    K = config.block
-    ublock = np.empty((n, K))
-    col = K
+    ublock = np.empty((n, _BLOCK))
+    col = _BLOCK
     iterations = 0
 
     while alive.any():
-        if col == K:
+        if col == _BLOCK:
             for pid in np.nonzero(alive)[0]:
-                ublock[pid] = gens[pid].random(K)
+                ublock[pid] = gens[pid].random(_BLOCK)
             col = 0
         a = np.nonzero(alive)[0]
         i = idx[a]
         t0 = t[a]
         t1 = t0 + dt[i]
-        crosses = t1 >= T
+        jump = t1 < T  # a hold that reaches T ends the path
         t1c = np.minimum(t1, T)
-        disc0 = np.exp(-r * t0)
-        disc1 = np.exp(-r * t1c)
-        w = _discount_weight(r, disc0, disc1, t0, t1c)
-        Hv = tables.H[i] * act[a]
-
-        # hold phase
-        dvi_h = Hv * tables.q[i] * (disc1 - disc0)
-        dvc_h = Hv * tables.atom_per_lt[i] * w
-
-        # jump phase (skipped when the hold crosses the horizon)
-        u01 = ublock[a, col]
+        i_new = i + np.where(ublock[a, col] < p_up[i], 1, -1)
         col += 1
-        step = np.where(
-            interior[i], np.where(u01 < 0.5, 1, -1), np.where(reflect_up[i], 1, -1)
-        )
-        j = ~crosses
-        i_new = i + step
-        dvi_j = np.where(j, Hv * disc1 * (tables.q[i_new] - tables.q[i]), 0.0)
-        dvc_j = np.where(j, Hv * disc0 * tables.nu_ac[i] * h2, 0.0)
-        dS = np.where(j, (disc0 * tables.qp[i]) ** 2 * h2, 0.0)
+        st = _steps(tables, r, h2, i, t0, t1c, i_new, jump, act[a])
 
-        v_int[a] += dvi_h + dvi_j
-        v_cf[a] += dvc_h + dvc_j
-        min_int[a] = np.minimum(min_int[a], np.minimum(dvi_h, np.where(j, dvi_j, 0.0)))
-        min_cf[a] = np.minimum(min_cf[a], np.minimum(dvc_h, np.where(j, dvc_j, 0.0)))
-        gate = tables.theta[i] * Hv > 0.0
-        clock[a] += gate * (np.abs(tables.atom_per_lt[i]) * w
-                            + np.where(j, np.abs(tables.nu_ac[i]) * h2, 0.0))
-        emp_i[a] += np.where(j, (Hv * tables.qp[i]) ** 2 * h2, 0.0)
-        qv_s[a] += dS
-        hold_nz_int[a] |= dvi_h != 0.0
-        hold_nz_cf[a] |= dvc_h != 0.0
-        lem_int[a] |= (dvi_j != 0.0) & (dS != 0.0)
-        lem_cf[a] |= (dvc_j != 0.0) & (dS != 0.0)
+        v_int[a] += st.int_hold + st.int_jump
+        v_cf[a] += st.cf_hold + st.cf_jump
+        min_int[a] = np.minimum(min_int[a], np.minimum(st.int_hold, st.int_jump))
+        min_cf[a] = np.minimum(min_cf[a], np.minimum(st.cf_hold, st.cf_jump))
+        clock[a] += st.clock
+        emp_i[a] += st.leak
+        qv_s[a] += st.dS
+        hold_nz_int[a] |= st.int_hold != 0.0
+        hold_nz_cf[a] |= st.cf_hold != 0.0
+        lem_int[a] |= (st.int_jump != 0.0) & (st.dS != 0.0)
+        lem_cf[a] |= (st.cf_jump != 0.0) & (st.dS != 0.0)
         n_steps[a] += 1
         for k, node in enumerate(tracked):
             at_node = i == node
             occ[a[at_node], k] += (t1c - t0)[at_node]
 
-        t[a] = np.where(crosses, T, t1)
-        idx[a] = np.where(j, i_new, i)
-        window_hit[a] |= j & window_edge_arr[i_new]
+        t[a] = np.where(jump, t1, T)
+        idx[a] = np.where(jump, i_new, i)
+        window_hit[a] |= jump & window_edge_arr[i_new]
 
         if tables.stop_idx is not None:
-            entered = j & (i_new == tables.stop_idx)
+            entered = jump & (i_new == tables.stop_idx)
             if entered.any():
                 act[a[entered]] = False
 
-        abs_now = j & tables.is_absorbing[i_new]
+        abs_now = jump & tables.is_absorbing[i_new]
         if abs_now.any():
-            p = a[abs_now]
-            ib = i_new[abs_now]
-            tb = t1[abs_now]
-            absorbed[p] = True
-            t_abs[p] = tb
-            Hb = tables.H[ib] * act[p]
-            db = np.exp(-r * tb)
-            w_tail = _discount_weight(r, db, disc_T, tb, T)
-            dint = Hb * tables.q[ib] * (disc_T - db)
-            dcf = Hb * tables.nu_abs[ib] * w_tail
-            v_int[p] += dint
-            v_cf[p] += dcf
-            min_int[p] = np.minimum(min_int[p], dint)
-            min_cf[p] = np.minimum(min_cf[p], dcf)
-            gate_b = tables.theta[ib] * Hb > 0.0
-            clock[p] += gate_b * np.abs(tables.nu_abs[ib]) * w_tail
-            hold_nz_int[p] |= dint != 0.0
-            hold_nz_cf[p] |= dcf != 0.0
-            if occ is not None:
-                for k, node in enumerate(tracked):
-                    sel = ib == node
-                    occ[p[sel], k] += T - tb[sel]
+            absorbed[a[abs_now]] = True
+            t_abs[a[abs_now]] = t1[abs_now]
 
-        alive[a] = ~(crosses | abs_now)
+        alive[a] = jump
         iterations += 1
-        if iterations >= config.max_iterations:
+        if iterations >= _MAX_ITERATIONS:
             raise RuntimeError("ensemble iteration budget exceeded")
 
     return EnsembleStats(
@@ -497,7 +440,7 @@ def run_ensemble(
         hold_nonzero_cf=hold_nz_cf,
         qv_growth_trigger_int=lem_int,
         qv_growth_trigger_cf=lem_cf,
-        n_steps=n_steps,
+        n_steps=n_steps - absorbed,  # an absorbing hold is no step: it draws nothing
         occupation=occ,
     )
 
@@ -590,6 +533,7 @@ def classify_ip(
             "p_negative_terminal": float(np.mean(v < 0.0)),
             "mean_terminal": float(np.mean(v)),
             "symbolic": symbolic,
+            "chain": chain,
             "stats": stats,
         },
     )

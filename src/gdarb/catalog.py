@@ -32,7 +32,6 @@ class CatalogEntry:
     build: Callable[..., NaturalScaleModel]
     expected_nu: Callable[..., SignedMeasure]
     expected_nip: Callable[..., bool]
-    value_descriptor: str  # absorbing-clock | local-time-atom | quadratic-variation
     sample_params: Callable[[np.random.Generator], dict]
     description: str = ""
 
@@ -313,7 +312,6 @@ def catalog() -> list[CatalogEntry]:
             build=es_model,
             expected_nu=es_expected_nu,
             expected_nip=lambda b=1.0, r=0.1, **_: r * b == 0.0,
-            value_descriptor="absorbing-clock",
             sample_params=_es_sample,
             description="geometric diffusion absorbed at a positive level",
         ),
@@ -323,7 +321,6 @@ def catalog() -> list[CatalogEntry]:
             build=reflected_model,
             expected_nu=reflected_expected_nu,
             expected_nip=lambda m1=0.0, r=0.1, **_: r * m1 == 0.5,
-            value_descriptor="local-time-atom",
             sample_params=lambda rng: dict(
                 mu=float(rng.uniform(-0.5, 0.5)),
                 sigma=float(rng.uniform(0.3, 1.5)),
@@ -339,7 +336,6 @@ def catalog() -> list[CatalogEntry]:
             build=bessel_model,
             expected_nu=bessel_expected_nu,
             expected_nip=lambda m1=1.0, r=0.1, **_: r * m1 == 0.0,
-            value_descriptor="local-time-atom",
             sample_params=lambda rng: dict(
                 delta=float(rng.uniform(0.2, 1.8)),
                 m1=float(rng.uniform(0.0, 3.0)),
@@ -354,7 +350,6 @@ def catalog() -> list[CatalogEntry]:
             build=sticky_model,
             expected_nu=sticky_expected_nu,
             expected_nip=lambda xi=0.5, rho=2.0, r=0.1, **_: r * xi * rho == 0.0,
-            value_descriptor="local-time-atom",
             sample_params=lambda rng: dict(
                 xi=float(rng.uniform(-2.0, 2.0)),
                 rho=float(rng.uniform(0.0, 3.0)),
@@ -368,8 +363,7 @@ def catalog() -> list[CatalogEntry]:
             defaults=dict(kappa=0.75, x0=0.0, r=0.1),
             build=skew_model,
             expected_nu=skew_expected_nu,
-            expected_nip=lambda **_: False,
-            value_descriptor="local-time-atom",
+            expected_nip=lambda kappa=0.75, **_: kappa == 0.5,
             sample_params=lambda rng: dict(
                 kappa=float(
                     rng.choice([rng.uniform(0.05, 0.45), rng.uniform(0.55, 0.95)])
@@ -385,7 +379,6 @@ def catalog() -> list[CatalogEntry]:
             build=fat_cantor_model,
             expected_nu=fat_cantor_expected_nu,
             expected_nip=lambda r=0.1, **_: r == 0.0,
-            value_descriptor="quadratic-variation",
             sample_params=lambda rng: dict(
                 depth=int(rng.integers(1, 7)),
                 u0=0.5,

@@ -49,6 +49,7 @@ class GridChain:
     dt: np.ndarray  # holding time per node (inf at absorbing nodes)
     m_cell: np.ndarray  # speed mass of the cell [u - h/2, u + h/2) per node
     node_type: np.ndarray  # INTERIOR / REFLECT_UP / REFLECT_DOWN / ABSORBING
+    p_up: np.ndarray  # move rule: a step goes up iff its uniform is below p_up[i]
     window_edge: np.ndarray  # True where reflection is a truncation artifact
     start_idx: int
     window: tuple[float, float]
@@ -78,10 +79,7 @@ def build_chain(
 ) -> GridChain:
     if h <= 0:
         raise ValueError("grid spacing must be positive")
-    lo_w = model.lo if np.isfinite(model.lo) else model.u0 - radius
-    hi_w = model.hi if np.isfinite(model.hi) else model.u0 + radius
-    lo_w = max(lo_w, model.u0 - radius)
-    hi_w = min(hi_w, model.u0 + radius)
+    lo_w, hi_w = model.window(radius)
 
     anchor = model.lo if (np.isfinite(model.lo) and model.left.included) else model.u0
     _require_on_grid(model.u0, anchor, h, "start point")
@@ -116,6 +114,9 @@ def build_chain(
     else:
         node_type[-1] = REFLECT_DOWN
         window_edge[-1] = not (right_real and model.right.is_reflecting)
+    # edges move inward (absorbing edges never move: their dt is infinite)
+    p_up = np.full(n, 0.5)
+    p_up[0], p_up[-1] = 1.0, 0.0
 
     m_ac = model.m_ac
     atom_mass = np.zeros(n)
@@ -161,6 +162,7 @@ def build_chain(
         dt=dt,
         m_cell=m_cell,
         node_type=node_type,
+        p_up=p_up,
         window_edge=window_edge,
         start_idx=start_idx,
         window=(float(grid[0]), float(grid[-1])),
@@ -192,6 +194,7 @@ def sample_path(
         raise ValueError("horizon must be positive")
     rng = path_rng(seed, path_id)
     dt = chain.dt
+    p_up = chain.p_up
     node_type = chain.node_type
     states = [chain.start_idx]
     times = [0.0]
@@ -211,13 +214,7 @@ def sample_path(
         # exactly one uniform is consumed per step at every node type so
         # per-path streams stay aligned with the ensemble engine
         t += dt[i]
-        kind = node_type[i]
-        if kind == INTERIOR:
-            i = i + 1 if u01 < 0.5 else i - 1
-        elif kind == REFLECT_UP:
-            i = i + 1
-        else:
-            i = i - 1
+        i += 1 if u01 < p_up[i] else -1
         states.append(i)
         times.append(t)
         if chain.window_edge[i]:

@@ -230,7 +230,7 @@ def _cmd_backtest(args) -> int:
         ]],
     )
 
-    chain = build_chain(model, args.h)
+    chain = report.details["chain"]
     rows = []
     has_cf = report.details["assessed_route"] == "closed_form"
     for pid in range(min(args.paths, _SERIES_PATHS)):

@@ -108,7 +108,6 @@ class NaturalScaleModel:
     u0: float = 0.0
     rate: float = 0.0
     q_prime: PiecewiseFn | None = None
-    q_second_ac: PiecewiseFn | None = None
 
     def __post_init__(self):
         if self.q_prime is None:
@@ -155,16 +154,9 @@ class NaturalScaleModel:
             out.append((self.hi, self.y_value(self.hi)))
         return out
 
-    def reflecting_boundaries(self) -> list[tuple[str, float]]:
-        out = []
-        if self.left.is_reflecting:
-            out.append(("left", self.lo))
-        if self.right.is_reflecting:
-            out.append(("right", self.hi))
-        return out
-
-    def interior(self) -> tuple[float, float]:
-        return self.lo, self.hi
+    def window(self, radius: float = DEFAULT_WINDOW) -> tuple[float, float]:
+        """Analysis window: the state space cut to [u0 - radius, u0 + radius]."""
+        return max(self.lo, self.u0 - radius), min(self.hi, self.u0 + radius)
 
 
 # -- inversion of scale segments ---------------------------------------
@@ -330,17 +322,9 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _window(model: NaturalScaleModel, radius: float = DEFAULT_WINDOW):
-    lo = model.lo if np.isfinite(model.lo) else model.u0 - radius
-    hi = model.hi if np.isfinite(model.hi) else model.u0 + radius
-    lo = max(lo, model.u0 - radius)
-    hi = min(hi, model.u0 + radius)
-    return lo, hi
-
-
 def validate(model: NaturalScaleModel, n_samples: int = 1000) -> ValidationReport:
     checks = []
-    lo, hi = _window(model)
+    lo, hi = model.window()
     # probe away from open endpoints, where speed densities may blow up
     pad_l = 1e-9 if model.left.included else 0.05 * (hi - lo)
     pad_r = 1e-9 if model.right.included else 0.05 * (hi - lo)
@@ -395,18 +379,11 @@ def validate(model: NaturalScaleModel, n_samples: int = 1000) -> ValidationRepor
         z = e + 1.0 if side == "left" else e - 1.0
         z = min(max(z, lo), hi)
         a, b = sorted((e, z))
-        total = 0.0
-        if model.q_second_ac is not None:
-            w = (
-                Affine(-a, 1.0) if side == "left" else Affine(b, -1.0)
-            )  # distance to the endpoint
-            absd = _abs_integral(model.q_second_ac, a, b, w if bspec.is_absorbing else None)
-            total += absd
-        total += sum(
+        total = float(sum(
             (abs(loc - e) if bspec.is_absorbing else 1.0) * abs(mass)
             for loc, mass in model.q_second_atoms
             if a <= loc <= b
-        )
+        ))
         label = "absorbing-boundary-integrability" if bspec.is_absorbing else "reflecting-boundary-finiteness"
         checks.append(CheckResult(f"{label}-{side}", bool(np.isfinite(total)), total))
 
@@ -420,23 +397,10 @@ def validate(model: NaturalScaleModel, n_samples: int = 1000) -> ValidationRepor
     return ValidationReport(tuple(checks))
 
 
-def _abs_integral(pw: PiecewiseFn, a: float, b: float, weight=None) -> float:
-    """Integral of |pw| (optionally times an affine weight) over [a, b]."""
-    cuts = sorted(set([a, b]) | {c for c in pw.sign_changes() if a < c < b})
-    total = 0.0
-    for x0, x1 in zip(cuts, cuts[1:]):
-        sgn = 1.0 if float(pw(0.5 * (x0 + x1))) >= 0 else -1.0
-        if weight is None:
-            total += sgn * pw.integrate(x0, x1)
-        else:
-            total += sgn * pw.integrate(x0, x1, c0=weight.intercept, c1=weight.slope)
-    return abs(total) if total < 0 else total
-
-
 def zero_set(model: NaturalScaleModel, radius: float = DEFAULT_WINDOW) -> BorelSet:
     """Exact {u in the open interior : q'_+(u) = 0}."""
     zs = model.q_prime.zero_set()
-    lo, hi = _window(model, radius)
+    lo, hi = model.window(radius)
     zs = zs.intersect(BorelSet.make([(lo, hi)]))
     endpoints = [e for e in (model.lo, model.hi) if np.isfinite(e)]
     return zs.without_points(endpoints)

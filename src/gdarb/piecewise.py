@@ -45,11 +45,6 @@ class Segment:
     def deriv(self, x, side: int = +1):
         raise NotImplementedError
 
-    def deriv2(self, x):
-        """Pointwise second derivative (a.e. density of the second-derivative
-        measure of this segment)."""
-        raise NotImplementedError
-
     def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
         """Integral of (c0 + c1*x) * f(x) over [lo, hi]."""
         return _quad_affine(self, lo, hi, c0, c1)
@@ -116,9 +111,6 @@ class Const(Segment):
     def deriv(self, x, side=+1):
         return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
 
-    def deriv2(self, x):
-        return self.deriv(x)
-
     def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
         return self.value * (c0 * (hi - lo) + 0.5 * c1 * (hi * hi - lo * lo))
 
@@ -153,9 +145,6 @@ class Affine(Segment):
         x = np.asarray(x, dtype=float)
         out = np.full(x.shape, float(self.slope))
         return out if out.shape else float(self.slope)
-
-    def deriv2(self, x):
-        return Const(0.0)(x)
 
     def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
         return Poly((self.intercept, self.slope)).integrate_affine(lo, hi, c0, c1)
@@ -201,10 +190,6 @@ class Poly(Segment):
     def deriv(self, x, side=+1):
         d = np.polynomial.polynomial.polyder(self.coeffs)
         return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), d)
-
-    def deriv2(self, x):
-        d2 = np.polynomial.polynomial.polyder(self.coeffs, 2)
-        return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), d2)
 
     def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
         prod = np.polynomial.polynomial.polymul(self.coeffs, (c0, c1))
@@ -273,15 +258,6 @@ class Power(Segment):
         with np.errstate(divide="ignore", invalid="ignore"):
             d = self.coeff * p * np.power(np.maximum(t, 0.0), p - 1.0) * self.side
         if p > 1.0:
-            d = np.where(t == 0.0, 0.0, d)
-        return d
-
-    def deriv2(self, x):
-        t = self._t(x)
-        p = self.exponent
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = self.coeff * p * (p - 1.0) * np.power(np.maximum(t, 0.0), p - 2.0)
-        if p > 2.0:
             d = np.where(t == 0.0, 0.0, d)
         return d
 
@@ -382,9 +358,6 @@ class Exponential(Segment):
     def deriv(self, x, side=+1):
         return self.coeff * self.rate * np.exp(self.rate * np.asarray(x, dtype=float))
 
-    def deriv2(self, x):
-        return self.coeff * self.rate**2 * np.exp(self.rate * np.asarray(x, dtype=float))
-
     def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
         a, b, c = self.coeff, self.rate, self.offset
         if b == 0.0:
@@ -446,9 +419,6 @@ class Log(Segment):
     def deriv(self, x, side=+1):
         return self.coeff / (np.asarray(x, dtype=float) - self.center)
 
-    def deriv2(self, x):
-        return -self.coeff / (np.asarray(x, dtype=float) - self.center) ** 2
-
     def scaled(self, c):
         return Log(self.coeff * c, self.scale, self.center, self.offset * c)
 
@@ -506,10 +476,6 @@ class DistToSet(Segment):
         eps = 1e-9
         x = np.asarray(x, dtype=float)
         return (self(x + side * eps) - self(x)) / (side * eps)
-
-    def deriv2(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.zeros_like(x) if x.shape else 0.0
 
     def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
         total = 0.0
@@ -614,9 +580,6 @@ class PiecewiseFn:
             out[mask] = np.asarray(self.segments[i].deriv(x_arr[mask], side), dtype=float)
         return _fix_scalar(out, x)
 
-    def deriv2(self, x):
-        return self._apply(x, lambda seg, v: seg.deriv2(v))
-
     def integrate(self, lo, hi, c0=1.0, c1=0.0):
         """Integral of (c0 + c1*x) f(x) over [lo, hi] (lo <= hi)."""
         if hi < lo:
@@ -662,12 +625,6 @@ class PiecewiseFn:
             a, b = self.breakpoints[i], self.breakpoints[i + 1]
             out = out.union(seg.zero_set(a, b))
         return out
-
-    def sign_changes(self) -> list[float]:
-        pts = []
-        for i, seg in enumerate(self.segments):
-            pts.extend(seg.sign_changes(self.breakpoints[i], self.breakpoints[i + 1]))
-        return sorted(set(pts))
 
     def derivative(self) -> "PiecewiseFn":
         return PiecewiseFn(

@@ -13,7 +13,7 @@ from gdarb.backtest import (
     run_ensemble,
 )
 from gdarb.borel import BorelSet
-from gdarb.chain import build_chain, sample_path
+from gdarb.chain import build_chain, occupation, sample_path
 
 
 def brownian_model(r=0.0):
@@ -183,12 +183,21 @@ def test_ensemble_matches_single_paths_absorbing():
     bundle, chain = _setup(model, 0.05, radius=5.0)
     theta = build_theta(bundle)
     cfg = MCConfig(n_paths=20, h=0.05, T=1.0, seed=2)
-    stats = run_ensemble(chain, bundle, theta, cfg)
+    b_node = float(chain.grid[0])  # the absorbing level
+    stats = run_ensemble(chain, bundle, theta, cfg, track_nodes=(b_node,))
+    assert stats.absorbed.any()
     for pid in range(20):
         p = sample_path(chain, T=1.0, seed=2, path_id=pid)
         vi = integral_value(p, chain, bundle, theta, T=1.0)
         assert stats.v_int[pid] == pytest.approx(vi.values[-1], abs=1e-12)
         assert stats.absorbed[pid] == (p.absorbed and p.absorption_time < np.inf)
+        # the absorbed tail: time at the absorbing node, absorption time and
+        # the smallest increment agree with the single-path accounting
+        occ = occupation(p, chain, T=1.0)[chain.index_of(b_node)]
+        assert stats.occupation[pid, 0] == pytest.approx(occ, abs=1e-12)
+        assert stats.absorption_times[pid] == p.absorption_time
+        min_inc = min(0.0, float(np.min(np.diff(vi.values))))
+        assert stats.min_inc_int[pid] == pytest.approx(min_inc, abs=1e-12)
 
 
 def test_ensemble_occupation_tracking():
@@ -196,8 +205,6 @@ def test_ensemble_occupation_tracking():
     bundle, chain = _setup(model, 0.05, radius=3.0)
     cfg = MCConfig(n_paths=30, h=0.05, T=1.0, seed=6)
     stats = run_ensemble(chain, bundle, FeedbackStrategy(), cfg, track_nodes=(0.0,))
-    from gdarb.chain import occupation
-
     i0 = chain.index_of(0.0)
     for pid in range(30):
         p = sample_path(chain, T=1.0, seed=6, path_id=pid)

@@ -34,6 +34,9 @@ def test_holding_times_brownian():
     assert np.allclose(chain.dt[interior], 0.01, rtol=0, atol=1e-14)
     # truncation edges reflect with the one-sided oracle value h^2
     assert chain.node_type[0] == REFLECT_UP and chain.node_type[-1] == REFLECT_DOWN
+    # fair coin inside, deterministic inward moves at the reflecting edges
+    assert np.all(chain.p_up[interior] == 0.5)
+    assert chain.p_up[0] == 1.0 and chain.p_up[-1] == 0.0
     assert chain.window_edge[0] and chain.window_edge[-1]
     assert chain.dt[0] == pytest.approx(0.01, abs=1e-14)
     assert chain.dt[-1] == pytest.approx(0.01, abs=1e-14)

@@ -143,6 +143,9 @@ def test_demo_pass_and_params(capsys):
     assert main(["demo", "bachelier-skew", "--param", "kappa=0.75"]) == 0
     out = capsys.readouterr().out
     assert "pass" in out
+    # kappa = 1/2 removes the skew atom: no increasing profit
+    assert main(["demo", "bachelier-skew", "--param", "kappa=0.5"]) == 0
+    assert "pass" in capsys.readouterr().out
     for name in (
         "engelbert-schmidt", "bs-reflected", "bessel-sticky",
         "bachelier-sticky", "fat-cantor",
