@@ -243,7 +243,7 @@ def _path_phases(
         hits = np.nonzero(i == tables.stop_idx)[0]
         first = hits[0] if len(hits) else n
         act[first:] = False
-    jump = t_next <= T
+    jump = t_next < T  # a hold that reaches T ends the path
     return t1, _steps(tables, chain.model.rate, chain.h**2, i, t0, t1, i_new, jump, act)
 
 

@@ -124,35 +124,30 @@ def build_chain(
         if grid[0] - h / 2 <= a <= grid[-1] + h / 2:
             atom_mass[int(round((a - grid[0]) / h))] += mass
 
-    dt = np.empty(n)
-    m_cell = np.empty(n)
-    for i, u in enumerate(grid):
-        # cell mass for the local time estimator
-        c_lo = max(u - h / 2, grid[0])
-        c_hi = min(u + h / 2, grid[-1])
-        m_cell[i] = m_ac.integrate(c_lo, c_hi) + atom_mass[i]
-
-        if node_type[i] == ABSORBING:
-            dt[i] = np.inf
-            continue
-        if node_type[i] == REFLECT_UP:
-            # expected hitting time of u + h from a reflecting wall at u
-            dt[i] = 2.0 * (
-                m_ac.integrate(u, u + h, c0=h + u, c1=-1.0) + h * atom_mass[i]
-            )
-        elif node_type[i] == REFLECT_DOWN:
-            dt[i] = 2.0 * (
-                m_ac.integrate(u - h, u, c0=h - u, c1=1.0) + h * atom_mass[i]
-            )
-        else:
-            # expected exit time of (u - h, u + h): tent-kernel integral
-            dt[i] = (
-                m_ac.integrate(u - h, u, c0=h - u, c1=1.0)
-                + m_ac.integrate(u, u + h, c0=h + u, c1=-1.0)
-                + h * atom_mass[i]
-            )
-        if not (np.isfinite(dt[i]) and dt[i] > 0):
-            raise ModelError(f"non-positive or infinite holding time at node {u}")
+    # cell masses for the local time estimator
+    m_cell = (
+        m_ac.integrate(np.maximum(grid - h / 2, grid[0]), np.minimum(grid + h / 2, grid[-1]))
+        + atom_mass
+    )
+    # the expected exit time of (u - h, u + h) is the tent-kernel integral,
+    # split at u into a left and a right half; an edge node keeps only its
+    # inward half, doubled (the hitting time of its neighbour from a
+    # reflecting wall), and an absorbing node none
+    holds = node_type != ABSORBING
+    left = np.zeros(n)
+    right = np.zeros(n)
+    on = holds & (node_type != REFLECT_UP)
+    u = grid[on]
+    left[on] = m_ac.integrate(u - h, u, c0=h - u, c1=1.0)
+    on = holds & (node_type != REFLECT_DOWN)
+    u = grid[on]
+    right[on] = m_ac.integrate(u, u + h, c0=h + u, c1=-1.0)
+    dt = left + right + h * atom_mass
+    dt[node_type != INTERIOR] *= 2.0
+    dt[~holds] = np.inf
+    bad = np.flatnonzero(holds & ~(np.isfinite(dt) & (dt > 0)))
+    if len(bad):
+        raise ModelError(f"non-positive or infinite holding time at node {grid[bad[0]]}")
 
     start_idx = int(round((model.u0 - grid[0]) / h))
     return GridChain(
@@ -217,10 +212,9 @@ def sample_path(
         i += 1 if u01 < p_up[i] else -1
         states.append(i)
         times.append(t)
-        if chain.window_edge[i]:
-            window_hit = True
-        if node_type[i] == ABSORBING:
-            absorbed = True
+        if t < T:  # a hold that reaches T ends the path: no move at T
+            window_hit |= bool(chain.window_edge[i])
+            absorbed = node_type[i] == ABSORBING
         steps += 1
         if steps >= max_steps:
             raise RuntimeError("step budget exceeded")
@@ -263,7 +257,7 @@ def local_time_total(path: PathSample, chain: GridChain, T: float) -> np.ndarray
 
 
 def qv_series(path: PathSample, chain: GridChain, T: float):
-    """(jump times, cumulative <U>, cumulative <S>) for jumps at or before T.
+    """(jump times, cumulative <U>, cumulative <S>) for jumps before T.
 
     Each executed jump of size h contributes h^2 to <U> and
     exp(-2 r t) q'_+(u)^2 h^2 to <S>, evaluated at the step's entry state.
@@ -274,7 +268,7 @@ def qv_series(path: PathSample, chain: GridChain, T: float):
     states = path.states
     njump = len(states) - 1
     jt = times[1 : njump + 1]
-    keep = jt <= T
+    keep = jt < T  # a hold that reaches T ends the path
     jt = jt[keep]
     entry_states = states[:njump][keep]
     entry_times = times[:njump][keep]
@@ -285,11 +279,11 @@ def qv_series(path: PathSample, chain: GridChain, T: float):
 
 
 def hitting_time(path: PathSample, chain: GridChain, x: float, T: float):
-    """(first time the path state equals x capped at T, hit flag)."""
+    """(first time before T that the path state equals x, True), or (T, False)."""
     idx = chain.index_of(x)
     mask = path.states == idx
     if mask.any():
         t = float(path.times[np.argmax(mask)])
-        if t <= T:
+        if t < T:
             return t, True
     return T, False

@@ -1,8 +1,8 @@
 """Piecewise functions built from a closed catalog of segment kinds.
 
 Each segment supports point evaluation, one-sided derivatives, exact
-integration against affine weights where a closed form exists (adaptive
-quadrature fallback otherwise), sign-change location, and zero sets.
+integration against affine weights in closed form (over arrays of limits
+and weights as well as scalars), sign-change location, and zero sets.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .borel import EMPTY, BorelSet
 
@@ -27,13 +26,8 @@ __all__ = [
     "QUAD_ABS_TOL",
 ]
 
-QUAD_ABS_TOL = 1e-10
+QUAD_ABS_TOL = 1e-10  # absolute tolerance of the quadrature in measures
 _ROOT_TOL = 1e-12
-
-
-def _quad_affine(f, lo, hi, c0, c1):
-    val, _ = quad(lambda x: (c0 + c1 * x) * f(x), lo, hi, epsabs=QUAD_ABS_TOL, limit=500)
-    return val
 
 
 class Segment:
@@ -46,8 +40,9 @@ class Segment:
         raise NotImplementedError
 
     def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
-        """Integral of (c0 + c1*x) * f(x) over [lo, hi]."""
-        return _quad_affine(self, lo, hi, c0, c1)
+        """Integral of (c0 + c1*x) * f(x) over [lo, hi]; the arguments may be
+        arrays, which broadcast against each other."""
+        raise NotImplementedError(f"{type(self).__name__} has no closed-form integral")
 
     def scaled(self, c: float) -> "Segment":
         raise NotImplementedError
@@ -192,10 +187,14 @@ class Poly(Segment):
         return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), d)
 
     def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
-        prod = np.polynomial.polynomial.polymul(self.coeffs, (c0, c1))
-        anti = np.polynomial.polynomial.polyint(prod)
-        pv = np.polynomial.polynomial.polyval
-        return float(pv(hi, anti) - pv(lo, anti))
+        pp = np.polynomial.polynomial
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+
+        def moment(coeffs):
+            anti = pp.polyint(coeffs)
+            return pp.polyval(hi, anti) - pp.polyval(lo, anti)
+
+        return c0 * moment(self.coeffs) + c1 * moment(pp.polymulx(self.coeffs))
 
     def scaled(self, c):
         return Poly(tuple(c * a for a in self.coeffs))
@@ -228,6 +227,37 @@ class Poly(Segment):
         if lead == 0:
             return float(self.coeffs[0]) if self.coeffs else 0.0
         return float(np.sign(self.coeffs[lead]) * (np.sign(x) ** lead) * np.inf)
+
+
+def _half_line(lo, hi, side, center, kind):
+    """Limits of t = side*(x - center) >= 0 for x in [lo, hi], sorted (which
+    absorbs the Jacobian sign of the substitution) and clipped at 0."""
+    ta = side * (np.asarray(lo, dtype=float) - center)
+    tb = side * (np.asarray(hi, dtype=float) - center)
+    t0, t1 = np.minimum(ta, tb), np.maximum(ta, tb)
+    if np.any(t0 < -1e-12):
+        raise ValueError(f"{kind} segment evaluated outside its half-line")
+    return np.maximum(t0, 0.0), t1
+
+
+def _power_integral(t0, t1, q):
+    """Integral of t**q over [t0, t1], 0 <= t0 <= t1 (t0 > 0 when q <= -1).
+
+    Every form is written in the gap t1 - t0, never as a difference of
+    antiderivatives, so short intervals far from 0 keep their relative
+    accuracy.
+    """
+    d = t1 - t0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if q == -2.0:
+            return d / (t0 * t1)
+        log_ratio = np.log1p(d / t0)  # log(t1 / t0)
+        if q == -1.0:
+            return log_ratio
+        e = q + 1.0
+        return np.where(
+            t0 > 0.0, np.power(t0, e) * np.expm1(e * log_ratio) / e, np.power(t1, e) / e
+        )
 
 
 @dataclass(frozen=True)
@@ -264,29 +294,14 @@ class Power(Segment):
     def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
         # substitute t = side*(x - center); x = center + side*t
         s, c, p, a, b = self.side, self.center, self.exponent, self.coeff, self.offset
-        t0, t1 = sorted((s * (lo - c), s * (hi - c)))
-        if t0 < -1e-12:
-            raise ValueError("power segment evaluated outside its half-line")
-        t0 = max(t0, 0.0)
+        t0, t1 = _half_line(lo, hi, s, c, "power")
+        if p <= -1.0 and np.any(t0 == 0.0):
+            raise ValueError("non-integrable power singularity")
         A = c0 + c1 * c
         B = c1 * s
-        if p in (-1.0, -2.0):
-            return _quad_affine(self, lo, hi, c0, c1)
-
-        def anti(t):
-            # integral of (A + B t)(a t^p + b) dt
-            if t == 0.0 and p < 0.0:
-                if p + 1.0 <= 0.0 and (A != 0.0 or a != 0.0):
-                    return -np.inf if a * A > 0 else np.inf
-            val = A * a * t ** (p + 1.0) / (p + 1.0)
-            val += B * a * t ** (p + 2.0) / (p + 2.0) if t > 0.0 else 0.0
-            val += A * b * t + 0.5 * B * b * t * t
-            return val
-
-        if t0 == 0.0 and p <= -1.0:
-            raise ValueError("non-integrable power singularity")
-        # sorting the limits already absorbs the Jacobian sign of t = s*(x-c)
-        return float(anti(t1) - anti(t0))
+        # integral of (A + B t)(a t^p + b) dt
+        power_part = A * _power_integral(t0, t1, p) + B * _power_integral(t0, t1, p + 1.0)
+        return a * power_part + b * (t1 - t0) * (A + 0.5 * B * (t0 + t1))
 
     def scaled(self, c):
         return Power(self.coeff * c, self.center, self.exponent, self.offset * c, self.side)
@@ -369,7 +384,7 @@ class Exponential(Segment):
             val += c * (c0 * x + 0.5 * c1 * x * x)
             return val
 
-        return float(anti(hi) - anti(lo))
+        return anti(np.asarray(hi, dtype=float)) - anti(np.asarray(lo, dtype=float))
 
     def scaled(self, c):
         return Exponential(self.coeff * c, self.rate, self.offset * c)
@@ -418,6 +433,26 @@ class Log(Segment):
 
     def deriv(self, x, side=+1):
         return self.coeff / (np.asarray(x, dtype=float) - self.center)
+
+    def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
+        # substitute t = side*(x - center) with side = sign(scale), so
+        # f = k log(lam t) + o with lam = |scale| and the weight is A + B t
+        k, c, o = self.coeff, self.center, self.offset
+        side, lam = np.sign(self.scale), abs(self.scale)
+        t0, t1 = _half_line(lo, hi, side, c, "log")
+        A = c0 + c1 * c
+        B = c1 * side
+        d = t1 - t0
+        log1 = np.log(lam * t1)
+        # t0 * log(t1/t0) and t0^2 * log(t1/t0), which vanish as t0 -> 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = np.log1p(d / t0)
+            tg = np.where(t0 > 0.0, t0 * g, 0.0)
+            ttg = np.where(t0 > 0.0, t0 * t0 * g, 0.0)
+        mid = 0.5 * (t0 + t1)
+        int_log = d * (log1 - 1.0) + tg  # integral of log(lam t)
+        int_tlog = d * mid * (log1 - 0.5) + 0.5 * ttg  # integral of t log(lam t)
+        return k * (A * int_log + B * int_tlog) + o * d * (A + B * mid)
 
     def scaled(self, c):
         return Log(self.coeff * c, self.scale, self.center, self.offset * c)
@@ -478,6 +513,13 @@ class DistToSet(Segment):
         return (self(x + side * eps) - self(x)) / (side * eps)
 
     def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
+        # the linear pieces depend on the limits, so each element is its own
+        # sum of pieces
+        args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lo, hi, c0, c1)))
+        out = [self._integrate_one(*map(float, v)) for v in zip(*(a.ravel() for a in args))]
+        return np.reshape(out, args[0].shape)
+
+    def _integrate_one(self, lo, hi, c0, c1):
         total = 0.0
         bps = self._pieces(lo, hi)
         for a, b in zip(bps, bps[1:]):
@@ -581,20 +623,30 @@ class PiecewiseFn:
         return _fix_scalar(out, x)
 
     def integrate(self, lo, hi, c0=1.0, c1=0.0):
-        """Integral of (c0 + c1*x) f(x) over [lo, hi] (lo <= hi)."""
-        if hi < lo:
-            return -self.integrate(hi, lo, c0, c1)
-        lo = max(lo, self.lo)
-        hi = min(hi, self.hi)
-        if hi <= lo:
-            return 0.0
-        total = 0.0
-        for i, seg in enumerate(self.segments):
-            a = max(lo, self.breakpoints[i])
-            b = min(hi, self.breakpoints[i + 1])
-            if b > a:
-                total += seg.integrate_affine(a, b, c0, c1)
-        return float(total)
+        """Integral of (c0 + c1*x) f(x) over [lo, hi]; hi < lo flips the sign.
+
+        The arguments broadcast against each other; all-scalar arguments
+        give a float.
+        """
+        scalar = all(np.ndim(v) == 0 for v in (lo, hi, c0, c1))
+        lo, hi, c0, c1 = np.broadcast_arrays(
+            *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (lo, hi, c0, c1))
+        )
+        sign = np.where(hi < lo, -1.0, 1.0)
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        total = np.zeros(lo.shape)
+        bps = self.breakpoints
+        # only the segments that some [lo, hi] meets
+        first = max(int(np.searchsorted(bps, lo.min(initial=np.inf), side="right")) - 1, 0)
+        last = min(int(np.searchsorted(bps, hi.max(initial=-np.inf))), len(self.segments))
+        for i in range(first, last):
+            a = np.maximum(lo, bps[i])
+            b = np.minimum(hi, bps[i + 1])
+            on = b > a
+            if on.any():
+                total[on] += self.segments[i].integrate_affine(a[on], b[on], c0[on], c1[on])
+        total = sign * total
+        return float(total[0]) if scalar else total
 
     def scaled(self, c):
         return PiecewiseFn(self.breakpoints, tuple(s.scaled(c) for s in self.segments))

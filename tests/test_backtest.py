@@ -13,7 +13,7 @@ from gdarb.backtest import (
     run_ensemble,
 )
 from gdarb.borel import BorelSet
-from gdarb.chain import build_chain, occupation, sample_path
+from gdarb.chain import build_chain, hitting_time, occupation, qv_series, sample_path
 
 
 def brownian_model(r=0.0):
@@ -198,6 +198,33 @@ def test_ensemble_matches_single_paths_absorbing():
         assert stats.absorption_times[pid] == p.absorption_time
         min_inc = min(0.0, float(np.min(np.diff(vi.values))))
         assert stats.min_inc_int[pid] == pytest.approx(min_inc, abs=1e-12)
+
+
+def test_hold_reaching_the_horizon_ends_the_path():
+    # h = 0.5 on Brownian motion: every holding time is exactly 0.25, so the
+    # second hold of every path ends exactly at T = 0.5; the move there is
+    # not taken, by the ensemble and along single paths alike
+    model = brownian_model(r=0.0)
+    bundle, chain = _setup(model, 0.5, radius=5.0)
+    assert np.all(chain.dt == 0.25)
+    unit = FeedbackStrategy(plus_set=BorelSet.make([(-5.0, 5.0)]))
+    cfg = MCConfig(n_paths=8, h=0.5, T=0.5, seed=3, radius=5.0)
+    stats = run_ensemble(chain, bundle, unit, cfg)
+    assert stats.v_int[0] == -0.5
+    for pid in range(8):
+        p = sample_path(chain, T=0.5, seed=3, path_id=pid)
+        assert p.times[-1] == 0.5
+        v = integral_value(p, chain, bundle, unit, T=0.5)
+        assert v.values[-1] == stats.v_int[pid]
+        assert v.times[-1] == 0.5
+        jump_times, _, qv_s = qv_series(p, chain, T=0.5)
+        assert np.all(jump_times < 0.5)
+        assert qv_s[-1] == stats.qv_s[pid]
+        report = domination_check(p, chain, bundle, unit, T=0.5, route="integral")
+        assert report.n_jump_nonzero == 1
+        # the node entered at T is not hit (unless the path was there before)
+        if p.states[-1] not in p.states[:-1]:
+            assert hitting_time(p, chain, chain.grid[p.states[-1]], T=0.5) == (0.5, False)
 
 
 def test_ensemble_occupation_tracking():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -16,6 +18,7 @@ from gdarb.chain import (
     sample_path,
 )
 from gdarb.model import ModelError
+from gdarb.piecewise import Const, PiecewiseFn
 
 
 def brownian_model(r=0.0):
@@ -97,6 +100,68 @@ def test_start_node():
     model = cat.reflected_model(mu=0.0, sigma=0.5, m1=0.0, u0=0.1, r=0.1)
     chain = build_chain(model, h=0.05, radius=1.0)
     assert chain.grid[chain.start_idx] == pytest.approx(0.1, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the array pass of build_chain against a per-node loop
+# ---------------------------------------------------------------------------
+
+
+def _per_node_tables(chain):
+    """(dt, m_cell) from scalar integrals, node by node."""
+    model, h, grid = chain.model, chain.h, chain.grid
+    m_ac = model.m_ac
+    atom_mass = np.zeros(len(grid))
+    for a, mass in model.m_atoms:
+        if grid[0] - h / 2 <= a <= grid[-1] + h / 2:
+            atom_mass[int(round((a - grid[0]) / h))] += mass
+    dt = np.empty(len(grid))
+    m_cell = np.empty(len(grid))
+    for i, u in enumerate(grid):
+        c_lo = max(u - h / 2, grid[0])
+        c_hi = min(u + h / 2, grid[-1])
+        m_cell[i] = m_ac.integrate(c_lo, c_hi) + atom_mass[i]
+        kind = chain.node_type[i]
+        if kind == ABSORBING:
+            dt[i] = np.inf
+        elif kind == REFLECT_UP:
+            dt[i] = 2.0 * (m_ac.integrate(u, u + h, c0=h + u, c1=-1.0) + h * atom_mass[i])
+        elif kind == REFLECT_DOWN:
+            dt[i] = 2.0 * (m_ac.integrate(u - h, u, c0=h - u, c1=1.0) + h * atom_mass[i])
+        else:
+            dt[i] = (
+                m_ac.integrate(u - h, u, c0=h - u, c1=1.0)
+                + m_ac.integrate(u, u + h, c0=h + u, c1=-1.0)
+                + h * atom_mass[i]
+            )
+    return dt, m_cell
+
+
+_CONST_DENSITY = ("bachelier-sticky", "bachelier-skew", "fat-cantor")
+
+
+@pytest.mark.parametrize("h", [0.05, 0.02])
+@pytest.mark.parametrize("name", [entry.name for entry in cat.catalog()])
+def test_build_chain_matches_per_node_loop(name, h):
+    chain = build_chain(cat.get_entry(name).build(), h)
+    dt, m_cell = _per_node_tables(chain)
+    if name in _CONST_DENSITY:
+        assert np.array_equal(chain.dt, dt)
+        assert np.array_equal(chain.m_cell, m_cell)
+    else:  # Power speed densities
+        assert np.array_equal(np.isinf(chain.dt), np.isinf(dt))
+        held = np.isfinite(dt)
+        np.testing.assert_allclose(chain.dt[held], dt[held], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(chain.m_cell, m_cell, rtol=1e-12, atol=0.0)
+
+
+def test_vanishing_speed_density_names_the_node():
+    # no speed mass on [0, 1]: the first node whose whole tent lies there
+    # holds for no time
+    gap = PiecewiseFn((-np.inf, 0.0, 1.0, np.inf), (Const(1.0), Const(0.0), Const(1.0)))
+    model = dataclasses.replace(brownian_model(), m_ac=gap)
+    with pytest.raises(ModelError, match=r"non-positive or infinite holding time at node 0\.1$"):
+        build_chain(model, h=0.1, radius=2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gdarb.borel import svc_set
@@ -26,6 +28,8 @@ SEGMENTS = [
     (Poly((1.0, 0.0, -2.0, 0.5)), -1.5, 1.5),
     (Power(2.0, 1.0, 1.5, -0.3, +1), 1.0, 4.0),
     (Power(1.0, 2.0, 2.0, 0.0, -1), -1.0, 2.0),
+    (Power(1.5, 0.5, -1.0, 0.2, +1), 1.0, 3.0),
+    (Power(0.8, 2.0, -2.0, -0.1, -1), -1.0, 1.5),
     (Exponential(1.2, -0.7, 0.4), -1.0, 2.0),
     (Log(0.8, 2.0, -1.0, 0.1), 0.0, 3.0),
 ]
@@ -33,10 +37,16 @@ SEGMENTS = [
 
 @pytest.mark.parametrize("seg,lo,hi", SEGMENTS)
 def test_integrate_affine_against_quadrature(seg, lo, hi):
-    for c0, c1 in [(1.0, 0.0), (0.3, -1.7), (0.0, 2.0)]:
+    weights = [(1.0, 0.0), (0.3, -1.7), (0.0, 2.0)]
+    for c0, c1 in weights:
         got = seg.integrate_affine(lo, hi, c0, c1)
         want = quad_oracle(seg, lo, hi, c0, c1)
         assert got == pytest.approx(want, abs=1e-8, rel=1e-8)
+    # one array call over limits and weights gives the scalar calls' numbers
+    los, his = [lo, 0.5 * (lo + hi), lo], [hi, hi, 0.5 * (lo + hi)]
+    c0s, c1s = zip(*weights)
+    got = seg.integrate_affine(np.array(los), np.array(his), np.array(c0s), np.array(c1s))
+    assert np.array_equal(got, [seg.integrate_affine(*args) for args in zip(los, his, c0s, c1s)])
 
 
 @pytest.mark.parametrize("seg,lo,hi", SEGMENTS)
@@ -51,6 +61,113 @@ def test_deriv_matches_finite_differences(seg, lo, hi):
 def test_scaled(seg, lo, hi):
     xs = np.linspace(lo, hi, 9)
     assert np.allclose(np.asarray(seg.scaled(-2.0)(xs)), -2.0 * np.asarray(seg(xs)))
+
+
+# ---------------------------------------------------------------------------
+# closed forms against tight quadrature, and arrays against scalars
+# ---------------------------------------------------------------------------
+
+
+def _num(lo, hi):
+    # subnormal draws only test underflow of the tolerance itself
+    return st.floats(lo, hi, allow_subnormal=False)
+
+
+def _num_or_zero(lo, hi):
+    # a zero offset or slope leaves the power or log term alone in the sum
+    return st.one_of(st.just(0.0), _num(lo, hi))
+
+
+# -1 and -2 have their own closed forms; the generic one must hold near them
+_EXPONENTS = st.one_of(st.sampled_from([-1.0, -2.0]), _num(-3.0, 3.0))
+
+
+@st.composite
+def _power_segments(draw):
+    seg = Power(
+        draw(_num(-3.0, 3.0)),
+        draw(_num(-2.0, 2.0)),
+        draw(_EXPONENTS),
+        draw(_num_or_zero(-2.0, 2.0)),
+        draw(st.sampled_from([+1, -1])),
+    )
+    return seg, seg.side, seg.center
+
+
+@st.composite
+def _log_segments(draw):
+    seg = Log(
+        draw(_num(-3.0, 3.0)),
+        draw(_num(0.2, 5.0)) * draw(st.sampled_from([1.0, -1.0])),
+        draw(_num(-2.0, 2.0)),
+        draw(_num_or_zero(-2.0, 2.0)),
+    )
+    return seg, int(np.sign(seg.scale)), seg.center
+
+
+_SEGMENTS = st.one_of(_power_segments(), _log_segments())
+
+
+@st.composite
+def _limits_and_weight(draw, side, center):
+    """[lo, hi] at distance >= 0.05 from the singular point, and (c0, c1)
+    with c0 + c1*x >= 0 on it."""
+    t0 = draw(_num(0.05, 50.0))
+    t1 = t0 * (1.0 + 10.0 ** draw(_num(-6.0, 1.0)))  # short gaps show cancellation
+    lo, hi = sorted((center + side * t0, center + side * t1))
+    c1 = draw(_num_or_zero(-2.0, 2.0))
+    c0 = max(-c1 * lo, -c1 * hi) + draw(_num(0.0, 2.0))
+    return lo, hi, c0, c1
+
+
+def _term_size(seg):
+    """x -> sum of the absolute values of the terms of seg(x)."""
+    if isinstance(seg, Power):
+        return Power(abs(seg.coeff), seg.center, seg.exponent, abs(seg.offset), seg.side)
+    return lambda x: abs(seg.coeff * np.log(seg.scale * (x - seg.center))) + abs(seg.offset)
+
+
+# quad warns of roundoff where the integral is small beside its terms; the
+# tolerance below is taken on the scale of the terms
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@settings(max_examples=500)  # few draws combine the terms that show cancellation
+@given(data=st.data(), case=_SEGMENTS)
+def test_integrate_affine_matches_tight_quadrature(data, case):
+    seg, side, center = case
+    lo, hi, c0, c1 = data.draw(_limits_and_weight(side, center))
+    got = float(seg.integrate_affine(lo, hi, c0, c1))
+    want, _ = quad(lambda x: (c0 + c1 * x) * seg(x), lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)
+    # relative to the integral of the integrand's terms in absolute value:
+    # the integrand itself, and so any method quad included, carries
+    # rounding of that size, and it stays meaningful where the weight or
+    # the segment vanishes inside [lo, hi]
+    size = _term_size(seg)
+    scale, _ = quad(lambda x: (abs(c0) + abs(c1 * x)) * size(x), lo, hi, epsrel=1e-8, limit=200)
+    assert abs(got - want) <= 1e-12 * scale
+
+
+@given(data=st.data(), case=_SEGMENTS, n=st.integers(1, 6))
+def test_integrate_affine_array_equals_scalar_calls(data, case, n):
+    seg, side, center = case
+    rows = [data.draw(_limits_and_weight(side, center)) for _ in range(n)]
+    lo, hi, c0, c1 = (np.array(col) for col in zip(*rows))
+    got = seg.integrate_affine(lo, hi, c0, c1)
+    want = [seg.integrate_affine(*row) for row in rows]
+    assert np.array_equal(got, want)
+    pw = PiecewiseFn.from_segment(seg, *sorted((center + side * 0.05, center + side * 551.0)))
+    assert np.array_equal(pw.integrate(lo, hi, c0, c1), [pw.integrate(*row) for row in rows])
+    assert type(pw.integrate(*rows[0])) is float
+
+
+def test_piecewise_integrate_arrays_span_segments_and_reverse():
+    f = make_pw()
+    lo = np.array([-1.0, -0.5, 0.2, 1.5, 2.0, -3.0])
+    hi = np.array([2.0, 1.5, 0.8, 0.5, 2.0, 5.0])
+    got = f.integrate(lo, hi, c0=1.0, c1=0.5)
+    assert np.array_equal(got, [f.integrate(a, b, 1.0, 0.5) for a, b in zip(lo, hi)])
+    assert got[3] == -f.integrate(0.5, 1.5, 1.0, 0.5)  # reversed limits
+    assert got[4] == 0.0
+    assert got[5] == got[0]  # the limits clip to the function's domain
 
 
 def test_power_inverse_sqrt_integral():
@@ -110,6 +227,9 @@ def test_dist_to_set_integrate_vs_quad():
     got = seg.integrate_affine(-0.5, 1.5, 0.7, 0.3)
     want = quad_oracle(lambda x: 2.0 * f.distance(x), -0.5, 1.5, 0.7, 0.3)
     assert got == pytest.approx(want, abs=1e-7)
+    los, his = np.array([-0.5, 0.2]), np.array([1.5, 0.9])
+    got = seg.integrate_affine(los, his, 0.7, 0.3)
+    assert np.array_equal(got, [seg.integrate_affine(a, b, 0.7, 0.3) for a, b in zip(los, his)])
 
 
 def test_derivative_segments():
