@@ -28,10 +28,10 @@ SEGMENTS = [
     (Poly((1.0, 0.0, -2.0, 0.5)), -1.5, 1.5),
     (Power(2.0, 1.0, 1.5, -0.3, +1), 1.0, 4.0),
     (Power(1.0, 2.0, 2.0, 0.0, -1), -1.0, 2.0),
-    (Power(1.5, 0.5, -1.0, 0.2, +1), 1.0, 3.0),
-    (Power(0.8, 2.0, -2.0, -0.1, -1), -1.0, 1.5),
     (Exponential(1.2, -0.7, 0.4), -1.0, 2.0),
     (Log(0.8, 2.0, -1.0, 0.1), 0.0, 3.0),
+    (Power(1.5, 0.5, -1.0, 0.2, +1), 1.0, 3.0),
+    (Power(0.8, 2.0, -2.0, -0.1, -1), -1.0, 1.5),
 ]
 
 
