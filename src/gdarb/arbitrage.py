@@ -196,9 +196,7 @@ def build_nu(model: NaturalScaleModel, radius: float = DEFAULT_WINDOW) -> NuBund
     )
 
 
-def market_verdicts(
-    model: NaturalScaleModel, bundle: NuBundle, radius: float = DEFAULT_WINDOW
-) -> MarketVerdicts:
+def market_verdicts(model: NaturalScaleModel, bundle: NuBundle) -> MarketVerdicts:
     window = BorelSet.make([bundle.window])
     nu = bundle.nu
 
@@ -277,7 +275,6 @@ def check_strategy_conditions(
     model: NaturalScaleModel,
     bundle: NuBundle,
     strategy: FeedbackStrategy,
-    radius: float = DEFAULT_WINDOW,
 ) -> ConditionReport:
     """Representation-level check of the deactivation and alignment
     conditions; the positivity condition is deferred to simulation."""

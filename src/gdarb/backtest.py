@@ -8,7 +8,10 @@ the chain is split into a hold phase (state constant, clock running) and a
 jump phase (state moves, quadratic variation accrues); the split is what
 lets the domination checks distinguish local-time growth from
 quadratic-variation growth.  One function, ``_steps``, books every hold and
-jump, for single paths and for the ensemble alike.
+jump.  The ensemble is a loop over path ids: each path comes from
+``chain.sample_path`` and is booked like a single path, so ensemble
+statistics equal the single-path routes' and do not depend on how many
+paths run.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .arbitrage import (
     build_theta,
     check_strategy_conditions,
 )
-from .chain import ABSORBING, GridChain, PathSample, build_chain, path_rng
+from .chain import ABSORBING, GridChain, PathSample, build_chain, sample_path
 from .model import DEFAULT_WINDOW, NaturalScaleModel
 
 __all__ = [
@@ -42,8 +45,6 @@ __all__ = [
 ]
 
 _ROUTE_FLOOR = 1e-8
-_BLOCK = 1024  # uniforms drawn per path at a time
-_MAX_ITERATIONS = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,6 @@ class _NodeTables:
     # nu({u}) / m_cell(u) at inner nodes (per unit local time) and nu({u}) at
     # absorbing nodes (per unit of the post-absorption clock)
     atom: np.ndarray
-    is_absorbing: np.ndarray
     stop_idx: int | None
 
 
@@ -177,7 +177,6 @@ def _node_tables(chain: GridChain, bundle: NuBundle, H: FeedbackStrategy) -> _No
         qp=qp_val,
         nu_ac=nu_ac,
         atom=atom,
-        is_absorbing=is_abs,
         stop_idx=stop_idx,
     )
 
@@ -198,10 +197,9 @@ def _steps(tables: _NodeTables, r, h2, i, t0, t1, i_new, jump, act) -> _Steps:
     """Book holds at nodes ``i`` over [t0, t1) and, where ``jump``, the move
     to ``i_new`` at t1, by both routes.
 
-    The arrays run over the steps of one path or over the paths of one
-    ensemble iteration.  An absorbed path makes one more hold, at its
-    absorbing node up to the horizon; the atom column holds nu({u}) there,
-    so that hold books the post-absorption clock.
+    The arrays run over the steps of one path.  An absorbed path makes one
+    more hold, at its absorbing node up to the horizon; the atom column holds
+    nu({u}) there, so that hold books the post-absorption clock.
     """
     disc0 = np.exp(-r * t0)
     disc1 = np.exp(-r * t1)
@@ -274,15 +272,13 @@ def closed_form_value(
     bundle: NuBundle,
     H: FeedbackStrategy,
     T: float,
-    model: NaturalScaleModel | None = None,
 ) -> ValueSeries:
     """Finite-variation representation of the value process.
 
     Only applies when the martingale part of the wealth dynamics is switched
     off; refuses strategies whose support leaves the zero set of q'.
     """
-    model = model or chain.model
-    report = check_strategy_conditions(model, bundle, H)
+    report = check_strategy_conditions(chain.model, bundle, H)
     if not report.condition_i:
         raise ValueError(
             "closed-form value requires the strategy support to lie in the "
@@ -319,8 +315,13 @@ def domination_check(
 
 
 # ---------------------------------------------------------------------------
-# vectorized ensemble
+# ensemble
 # ---------------------------------------------------------------------------
+
+
+def _total(x: np.ndarray) -> float:
+    """0.0 plus the increments, added in step order as the path accrues them."""
+    return 0.0 + x.cumsum()[-1] if len(x) else 0.0
 
 
 def run_ensemble(
@@ -330,119 +331,46 @@ def run_ensemble(
     config: MCConfig,
     track_nodes: tuple[float, ...] = (),
 ) -> EnsembleStats:
-    """Synchronous-step simulation of n_paths independent chains.
+    """Book n_paths independent paths of the chain, one path at a time.
 
-    Path ``pid`` consumes the same uniform stream as
-    ``sample_path(chain, T, seed, pid)``: one draw per executed step.
-    A path stays alive until its hold reaches T; once absorbed, its last
-    hold is the absorbing node's, which lasts to T.
+    Path ``pid`` is ``sample_path(chain, T, seed, pid)``, booked by the same
+    hold/jump kernel as the single-path routes; its sums run in step order
+    from 0.0.  No path's statistics depend on the other paths.  An absorbed
+    path's last hold is the absorbing node's, which lasts to T.
     """
-    r = chain.model.rate
     T = config.T
-    h2 = chain.h**2
-    n = config.n_paths
     tables = _node_tables(chain, bundle, H)
-    dt = chain.dt
-    p_up = chain.p_up
-    window_edge_arr = chain.window_edge
     tracked = [chain.index_of(u) for u in track_nodes]
-
-    idx = np.full(n, chain.start_idx, dtype=np.int64)
-    t = np.zeros(n)
-    act = np.ones(n, dtype=bool)
-    if tables.stop_idx is not None and chain.start_idx == tables.stop_idx:
-        act[:] = False
-    v_int = np.zeros(n)
-    v_cf = np.zeros(n)
-    min_int = np.zeros(n)
-    min_cf = np.zeros(n)
-    clock = np.zeros(n)
-    emp_i = np.zeros(n)
-    qv_s = np.zeros(n)
-    absorbed = tables.is_absorbing[idx].copy()  # started on an absorbing node
-    t_abs = np.where(absorbed, 0.0, np.inf)
-    window_hit = np.zeros(n, dtype=bool)
-    hold_nz_int = np.zeros(n, dtype=bool)
-    hold_nz_cf = np.zeros(n, dtype=bool)
-    lem_int = np.zeros(n, dtype=bool)
-    lem_cf = np.zeros(n, dtype=bool)
-    n_steps = np.zeros(n, dtype=np.int64)
-    occ = np.zeros((n, len(tracked))) if tracked else None
-
-    alive = np.ones(n, dtype=bool)
-    gens = [path_rng(config.seed, pid) for pid in range(n)]
-    ublock = np.empty((n, _BLOCK))
-    col = _BLOCK
-    iterations = 0
-
-    while alive.any():
-        if col == _BLOCK:
-            for pid in np.nonzero(alive)[0]:
-                ublock[pid] = gens[pid].random(_BLOCK)
-            col = 0
-        a = np.nonzero(alive)[0]
-        i = idx[a]
-        t0 = t[a]
-        t1 = t0 + dt[i]
-        jump = t1 < T  # a hold that reaches T ends the path
-        t1c = np.minimum(t1, T)
-        i_new = i + np.where(ublock[a, col] < p_up[i], 1, -1)
-        col += 1
-        st = _steps(tables, r, h2, i, t0, t1c, i_new, jump, act[a])
-
-        v_int[a] += st.int_hold + st.int_jump
-        v_cf[a] += st.cf_hold + st.cf_jump
-        min_int[a] = np.minimum(min_int[a], np.minimum(st.int_hold, st.int_jump))
-        min_cf[a] = np.minimum(min_cf[a], np.minimum(st.cf_hold, st.cf_jump))
-        clock[a] += st.clock
-        emp_i[a] += st.leak
-        qv_s[a] += st.dS
-        hold_nz_int[a] |= st.int_hold != 0.0
-        hold_nz_cf[a] |= st.cf_hold != 0.0
-        lem_int[a] |= (st.int_jump != 0.0) & (st.dS != 0.0)
-        lem_cf[a] |= (st.cf_jump != 0.0) & (st.dS != 0.0)
-        n_steps[a] += 1
-        for k, node in enumerate(tracked):
-            at_node = i == node
-            occ[a[at_node], k] += (t1c - t0)[at_node]
-
-        t[a] = np.where(jump, t1, T)
-        idx[a] = np.where(jump, i_new, i)
-        window_hit[a] |= jump & window_edge_arr[i_new]
-
-        if tables.stop_idx is not None:
-            entered = jump & (i_new == tables.stop_idx)
-            if entered.any():
-                act[a[entered]] = False
-
-        abs_now = jump & tables.is_absorbing[i_new]
-        if abs_now.any():
-            absorbed[a[abs_now]] = True
-            t_abs[a[abs_now]] = t1[abs_now]
-
-        alive[a] = jump
-        iterations += 1
-        if iterations >= _MAX_ITERATIONS:
-            raise RuntimeError("ensemble iteration budget exceeded")
-
-    return EnsembleStats(
-        v_int=v_int,
-        v_cf=v_cf,
-        min_inc_int=min_int,
-        min_inc_cf=min_cf,
-        clock=clock,
-        emp_cond_i=emp_i,
-        qv_s=qv_s,
-        absorbed=absorbed,
-        absorption_times=t_abs,
-        window_hit=window_hit,
-        hold_nonzero_int=hold_nz_int,
-        hold_nonzero_cf=hold_nz_cf,
-        qv_growth_trigger_int=lem_int,
-        qv_growth_trigger_cf=lem_cf,
-        n_steps=n_steps - absorbed,  # an absorbing hold is no step: it draws nothing
-        occupation=occ,
-    )
+    rows = []
+    for pid in range(config.n_paths):
+        path = sample_path(chain, T, config.seed, pid)
+        t1, st = _path_phases(path, chain, tables, T)
+        i = path.states[: len(t1)]
+        moves_s = st.dS != 0.0
+        rows.append({
+            "v_int": _total(st.int_hold + st.int_jump),
+            "v_cf": _total(st.cf_hold + st.cf_jump),
+            "min_inc_int": np.minimum(st.int_hold, st.int_jump).min(initial=0.0),
+            "min_inc_cf": np.minimum(st.cf_hold, st.cf_jump).min(initial=0.0),
+            "clock": _total(st.clock),
+            "emp_cond_i": _total(st.leak),
+            "qv_s": _total(st.dS),
+            "absorbed": path.absorbed,
+            "absorption_times": path.absorption_time,
+            "window_hit": path.window_hit,
+            "hold_nonzero_int": np.any(st.int_hold != 0.0),
+            "hold_nonzero_cf": np.any(st.cf_hold != 0.0),
+            "qv_growth_trigger_int": np.any((st.int_jump != 0.0) & moves_s),
+            "qv_growth_trigger_cf": np.any((st.cf_jump != 0.0) & moves_s),
+            "n_steps": len(path.states) - 1,  # an absorbing hold draws nothing
+            "occupation": [
+                _total((t1 - path.times[: len(t1)])[i == node]) for node in tracked
+            ],
+        })
+    stats = {key: np.array([row[key] for row in rows]) for key in rows[0]}
+    if not tracked:
+        stats["occupation"] = None
+    return EnsembleStats(**stats)
 
 
 # ---------------------------------------------------------------------------

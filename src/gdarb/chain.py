@@ -39,6 +39,11 @@ REFLECT_DOWN = 2  # right edge: deterministic move down
 ABSORBING = 3
 
 _COMMENSURATE_RTOL = 1e-6
+# steps one path may take: a booked step holds about 140 B of arrays, so a
+# path stays within about 300 MB
+_STEP_BUDGET = 2**21
+_DRAW = 4096  # uniforms drawn from a path's stream at a time
+_FIRST_BLOCK = 128  # steps tried after an edge; doubles while no edge comes
 
 
 @dataclass(frozen=True)
@@ -182,47 +187,67 @@ def path_rng(seed: int, path_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, path_id]))
 
 
-def sample_path(
-    chain: GridChain, T: float, seed: int, path_id: int = 0, max_steps: int = 10**8
-) -> PathSample:
+def sample_path(chain: GridChain, T: float, seed: int, path_id: int = 0) -> PathSample:
+    """One path of the chain on [0, T]; a hold that reaches T ends it.
+
+    Each step draws one uniform from the path's stream and goes up iff the
+    uniform is below ``p_up`` of the node it leaves.  Steps are taken in
+    blocks: inside the grid every move is a fair coin, so a block's
+    positions are one cumulative sum, cut at the first edge or absorbing
+    node and at the step whose hold reaches T; an edge's forced move is the
+    next block's first step.
+    """
     if T <= 0:
         raise ValueError("horizon must be positive")
     rng = path_rng(seed, path_id)
-    dt = chain.dt
-    p_up = chain.p_up
-    node_type = chain.node_type
-    states = [chain.start_idx]
-    times = [0.0]
-    t = 0.0
+    edge = chain.node_type != INTERIOR
     i = chain.start_idx
+    t = 0.0
+    states = [np.array([i])]
+    times = [np.array([0.0])]
     window_hit = bool(chain.window_edge[i])
-    absorbed = node_type[i] == ABSORBING
-    steps = 0
-    block = rng.random(4096)
-    bpos = 0
+    absorbed = bool(chain.node_type[i] == ABSORBING)
+    n_steps = 0
+    block = _FIRST_BLOCK
+    moves = np.empty(0, dtype=np.int64)
     while not absorbed and t < T:
-        if bpos == len(block):
-            block = rng.random(4096)
-            bpos = 0
-        u01 = block[bpos]
-        bpos += 1
-        # exactly one uniform is consumed per step at every node type so
-        # per-path streams stay aligned with the ensemble engine
-        t += dt[i]
-        i += 1 if u01 < p_up[i] else -1
-        states.append(i)
-        times.append(t)
-        if t < T:  # a hold that reaches T ends the path: no move at T
+        if len(moves) == 0:
+            u = rng.random(_DRAW)
+            moves = np.where(u < 0.5, 1, -1)
+        pos = moves[:block].cumsum()
+        # the first move leaves node i by its own rule
+        pos += i + (1 if u[0] < chain.p_up[i] else -1) - moves[0]
+        # hold end times, summed in step order; a +-1 walk meets an edge
+        # before it leaves the grid, so the clipped lookups only differ from
+        # the walk past the cut
+        held = np.empty(len(pos))
+        held[0] = t + chain.dt[i]
+        chain.dt.take(pos[:-1], mode="clip", out=held[1:])
+        held.cumsum(out=held)
+        # steps up to the first edge or absorbing node, or to the one whose
+        # hold reaches T
+        k = min(int(held.searchsorted(T)) + 1, len(pos))
+        at_edge = edge.take(pos[:k], mode="clip")
+        first = int(at_edge.argmax())
+        cut = bool(at_edge[first])
+        if cut:
+            k = first + 1
+        states.append(pos[:k])
+        times.append(held[:k])
+        u, moves = u[k:], moves[k:]
+        block = _FIRST_BLOCK if cut else 2 * block
+        n_steps += k
+        if n_steps > _STEP_BUDGET:
+            raise RuntimeError(f"step budget exceeded: a path may take {_STEP_BUDGET} steps")
+        i, t = int(pos[k - 1]), float(held[k - 1])
+        if t < T:
             window_hit |= bool(chain.window_edge[i])
-            absorbed = node_type[i] == ABSORBING
-        steps += 1
-        if steps >= max_steps:
-            raise RuntimeError("step budget exceeded")
+            absorbed = bool(chain.node_type[i] == ABSORBING)
     return PathSample(
-        times=np.array(times),
-        states=np.array(states, dtype=np.int64),
-        absorbed=bool(absorbed),
-        absorption_time=float(t) if absorbed else np.inf,
+        times=np.concatenate(times),
+        states=np.concatenate(states),
+        absorbed=absorbed,
+        absorption_time=t if absorbed else np.inf,
         window_hit=window_hit,
         seed=seed,
         path_id=path_id,

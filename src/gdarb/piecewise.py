@@ -27,7 +27,6 @@ __all__ = [
 ]
 
 QUAD_ABS_TOL = 1e-10  # absolute tolerance of the quadrature in measures
-_ROOT_TOL = 1e-12
 
 
 class Segment:
@@ -48,8 +47,8 @@ class Segment:
         raise NotImplementedError
 
     def sign_changes(self, lo, hi) -> list[float]:
-        """Interior points where f crosses zero, found to 1e-12."""
-        return _bisect_sign_changes(self, lo, hi)
+        """Interior points of (lo, hi) where f crosses zero."""
+        raise NotImplementedError(f"{type(self).__name__} has no closed-form sign changes")
 
     def zero_set(self, lo, hi) -> BorelSet:
         """Exact {f = 0} on [lo, hi]; raises if no closed form exists."""
@@ -67,31 +66,6 @@ class Segment:
         if np.isfinite(x):
             return float(self(x))
         raise NotImplementedError
-
-
-def _bisect_sign_changes(f, lo, hi, n=512):
-    if not np.isfinite(lo) or not np.isfinite(hi):
-        lo = max(lo, -1e6)
-        hi = min(hi, 1e6)
-    xs = np.linspace(lo, hi, n + 1)
-    vals = np.asarray(f(xs), dtype=float)
-    roots = []
-    for i in range(n):
-        a, b = xs[i], xs[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0 or fa * fb >= 0.0:
-            continue
-        while b - a > _ROOT_TOL:
-            m = 0.5 * (a + b)
-            fm = float(f(m))
-            if fm == 0.0:
-                a = b = m
-            elif fa * fm < 0.0:
-                b = m
-            else:
-                a, fa = m, fm
-        roots.append(0.5 * (a + b))
-    return roots
 
 
 @dataclass(frozen=True)
@@ -260,6 +234,11 @@ def _power_integral(t0, t1, q):
         )
 
 
+def _tail_integral(t0, q):
+    """Integral of t**q over [t0, inf)."""
+    return np.inf if q >= -1.0 else np.power(t0, q + 1.0) / -(q + 1.0)
+
+
 @dataclass(frozen=True)
 class Power(Segment):
     """f(x) = coeff * (side*(x - center))**exponent + offset.
@@ -299,9 +278,21 @@ class Power(Segment):
             raise ValueError("non-integrable power singularity")
         A = c0 + c1 * c
         B = c1 * s
+        to_inf = np.isinf(t1)
+        unbounded = to_inf.any()
+        if unbounded:
+            t1 = np.where(to_inf, t0, t1)
         # integral of (A + B t)(a t^p + b) dt
         power_part = A * _power_integral(t0, t1, p) + B * _power_integral(t0, t1, p + 1.0)
-        return a * power_part + b * (t1 - t0) * (A + 0.5 * B * (t0 + t1))
+        value = a * power_part + b * (t1 - t0) * (A + 0.5 * B * (t0 + t1))
+        if unbounded:
+            # over [t0, inf) each power of t has its own limit, and a term
+            # whose coefficient is 0 adds nothing
+            terms = ((a * A, p), (a * B, p + 1.0), (b * A, 0.0), (b * B, 1.0))
+            with np.errstate(invalid="ignore"):
+                tail = sum(np.where(k == 0.0, 0.0, k * _tail_integral(t0, q)) for k, q in terms)
+            value = np.where(to_inf, tail, value)
+        return value
 
     def scaled(self, c):
         return Power(self.coeff * c, self.center, self.exponent, self.offset * c, self.side)

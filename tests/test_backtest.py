@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gdarb import catalog as cat
+from gdarb import chain as chain_mod
 from gdarb.arbitrage import FeedbackStrategy, build_nu, build_theta, build_theta_bar
 from gdarb.backtest import (
     MCConfig,
@@ -237,6 +238,15 @@ def test_ensemble_occupation_tracking():
         p = sample_path(chain, T=1.0, seed=6, path_id=pid)
         occ = occupation(p, chain, T=1.0)[i0]
         assert stats.occupation[pid, 0] == pytest.approx(occ, abs=1e-12)
+
+
+def test_ensemble_step_budget(monkeypatch):
+    model = brownian_model()
+    bundle, chain = _setup(model, 0.05, radius=3.0)
+    monkeypatch.setattr(chain_mod, "_STEP_BUDGET", 100)  # a path takes about 400 steps
+    cfg = MCConfig(n_paths=3, h=0.05, T=1.0, seed=6)
+    with pytest.raises(RuntimeError, match="step budget exceeded.* 100 steps"):
+        run_ensemble(chain, bundle, FeedbackStrategy(), cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from gdarb import catalog as cat
+from gdarb import chain as chain_mod
 from gdarb.chain import (
     ABSORBING,
     INTERIOR,
@@ -14,6 +15,7 @@ from gdarb.chain import (
     hitting_time,
     local_time_total,
     occupation,
+    path_rng,
     qv_series,
     sample_path,
 )
@@ -167,6 +169,65 @@ def test_vanishing_speed_density_names_the_node():
 # ---------------------------------------------------------------------------
 # path sampling
 # ---------------------------------------------------------------------------
+
+
+def _per_step_path(chain, T, seed, path_id):
+    """(states, times, absorbed, absorption time, window hit), one step at a
+    time: each step draws one uniform and goes up iff it is below p_up of the
+    node it leaves; a hold that reaches T ends the path."""
+    rng = path_rng(seed, path_id)
+    i = chain.start_idx
+    t = 0.0
+    states, times = [i], [0.0]
+    window_hit = bool(chain.window_edge[i])
+    absorbed = chain.node_type[i] == ABSORBING
+    while not absorbed and t < T:
+        u01 = rng.random()
+        t += chain.dt[i]
+        i += 1 if u01 < chain.p_up[i] else -1
+        states.append(i)
+        times.append(t)
+        if t < T:
+            window_hit |= bool(chain.window_edge[i])
+            absorbed = chain.node_type[i] == ABSORBING
+    return states, times, absorbed, t if absorbed else np.inf, window_hit
+
+
+def _walker_cases():
+    for entry in cat.catalog():
+        for h in (0.05, 0.02):
+            # radius 1 keeps the window small, so blocks run past its edges
+            chain = build_chain(entry.build(), h, radius=1.0)
+            for T in (1.0, 3.0):
+                yield pytest.param(chain, T, range(20), id=f"{entry.name}-h{h}-T{T}")
+    # every hold is 0.25, so the second one ends exactly at T
+    yield pytest.param(
+        build_chain(brownian_model(), h=0.5, radius=5.0), 0.5, range(20), id="hold-ends-at-T"
+    )
+    es = build_chain(cat.get_entry("engelbert-schmidt").build(), h=0.05)
+    yield pytest.param(
+        dataclasses.replace(es, start_idx=0), 1.0, range(3), id="start-absorbed"
+    )
+
+
+@pytest.mark.parametrize("chain, T, path_ids", _walker_cases())
+def test_sample_path_matches_per_step_loop(chain, T, path_ids):
+    for pid in path_ids:
+        p = sample_path(chain, T, seed=0, path_id=pid)
+        states, times, absorbed, t_abs, window_hit = _per_step_path(chain, T, 0, pid)
+        assert np.array_equal(p.states, states)
+        assert np.array_equal(p.times, times)
+        assert (p.absorbed, p.absorption_time, p.window_hit) == (absorbed, t_abs, window_hit)
+
+
+def test_step_budget(monkeypatch):
+    chain = build_chain(brownian_model(), h=0.05, radius=2.0)
+    n_steps = len(sample_path(chain, T=1.0, seed=0).states) - 1
+    monkeypatch.setattr(chain_mod, "_STEP_BUDGET", n_steps)
+    assert len(sample_path(chain, T=1.0, seed=0).states) - 1 == n_steps
+    monkeypatch.setattr(chain_mod, "_STEP_BUDGET", n_steps - 1)
+    with pytest.raises(RuntimeError, match=f"step budget exceeded.* {n_steps - 1} steps"):
+        sample_path(chain, T=1.0, seed=0)
 
 
 def test_reproducibility_and_substreams():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gdarb import catalog as cat
 from gdarb.borel import BorelSet, svc_set
 from gdarb.measures import (
     SignedMeasure,
@@ -130,3 +131,16 @@ def test_is_zero_with_zero_density():
     assert m.is_zero
     m2 = SignedMeasure(density=PiecewiseFn.constant(0.1, 0.0, 1.0))
     assert not m2.is_zero
+
+
+@pytest.mark.parametrize(
+    "name, mass",
+    [
+        ("bs-reflected", 2.0),  # density 4 (u + 1)^-2
+        ("engelbert-schmidt", 2.0),
+        ("bessel-sticky", np.inf),  # constant density
+    ],
+)
+def test_speed_measure_of_a_half_line(name, mass):
+    model = cat.get_entry(name).build()
+    assert model.speed_measure()(BorelSet.make([(1.0, np.inf)])) == mass
