@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 _ROUTE_FLOOR = 1e-8
+# a value decrement or a leaked martingale exposure below this counts as zero
+_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,6 @@ class MCConfig:
     T: float = 1.0
     seed: int = 0
     radius: float = DEFAULT_WINDOW
-    tol: float = 1e-12
     tol_route: float = 0.05
 
     def __post_init__(self):
@@ -394,7 +395,7 @@ def classify_ip(
     min_inc = stats.min_inc_cf if has_cf else stats.min_inc_int
     n = config.n_paths
 
-    monotone_fraction = float(np.mean(min_inc >= -config.tol))
+    monotone_fraction = float(np.mean(min_inc >= -_TOL))
     p_pos = float(np.mean(v > 0.0))
     se = math.sqrt(p_pos * (1.0 - p_pos) / n)
     empirical_iii = float(np.mean(stats.clock > 0.0))
@@ -407,7 +408,7 @@ def classify_ip(
     exposure_share = float(np.mean(stats.emp_cond_i)) / max(
         float(np.mean(stats.qv_s)), _ROUTE_FLOOR
     )
-    emp_i_ok = emp_i_max <= config.tol or exposure_share <= 0.25
+    emp_i_ok = emp_i_max <= _TOL or exposure_share <= 0.25
 
     if has_cf:
         mean_cf = float(np.mean(stats.v_cf))

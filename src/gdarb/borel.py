@@ -8,7 +8,7 @@ exact for this class of sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +18,6 @@ __all__ = [
     "SVCSet",
     "svc_set",
     "svc_measure",
-    "distance_to_set",
     "EMPTY",
 ]
 
@@ -152,6 +151,10 @@ class BorelSet:
 
     @staticmethod
     def make(intervals=(), points=(), svc=None, excluded_points=()) -> "BorelSet":
+        # the svc part stays symbolic only while no interval overlaps its
+        # base; otherwise the measure would count the overlap twice
+        if svc is not None and any(lo < svc.base_hi and hi > svc.base_lo for lo, hi in intervals):
+            intervals, svc = list(intervals) + svc.to_intervals(), None
         ivs, degenerate = _merge_intervals(intervals)
         excl = set(float(p) for p in excluded_points)
         pts = (set(float(p) for p in points) | set(degenerate)) - excl
@@ -227,25 +230,14 @@ class BorelSet:
         excl = tuple(
             p for p in self.excluded_points if not other.contains(p)
         ) + tuple(p for p in other.excluded_points if not self.contains(p))
-        if self.svc is not None and other.svc is not None and self.svc != other.svc:
-            return BorelSet.make(
-                self._all_intervals() + other._all_intervals(),
-                self.points + other.points,
-                excluded_points=excl,
-            )
+        # one svc part stays symbolic; two different ones are expanded
         svc = self.svc or other.svc
-        a = self if self.svc is None else BorelSet(self.intervals, self.points)
-        b = other if other.svc is None else BorelSet(other.intervals, other.points)
-        # keep the svc part symbolic; fold any overlapping intervals in with it
-        # only when they are disjoint from it, else expand
-        ivs = list(a.intervals) + list(b.intervals)
-        if svc is not None and any(
-            lo < svc.base_hi and hi > svc.base_lo for lo, hi in ivs
-        ):
-            return BorelSet.make(
-                ivs + svc.to_intervals(), a.points + b.points, excluded_points=excl
-            )
-        return BorelSet.make(ivs, a.points + b.points, svc=svc, excluded_points=excl)
+        if self.svc is not None and other.svc is not None and self.svc != other.svc:
+            svc = None
+        ivs = []
+        for part in (self, other):
+            ivs += part.intervals if part.svc == svc else part._all_intervals()
+        return BorelSet.make(ivs, self.points + other.points, svc=svc, excluded_points=excl)
 
     def intersect(self, other: "BorelSet") -> "BorelSet":
         excl = self.excluded_points + other.excluded_points
@@ -319,7 +311,3 @@ def svc_set(depth: int, base_lo: float = 0.0, base_hi: float = 1.0) -> BorelSet:
         raise ValueError(f"depth {depth} exceeds the supported maximum {_MAX_SVC_DEPTH}")
     return BorelSet(svc=SVCSet(depth, base_lo, base_hi))
 
-
-def distance_to_set(x: float, s: BorelSet) -> float:
-    """inf_{y in S} |x - y| for a nonempty set S."""
-    return s.distance(x)

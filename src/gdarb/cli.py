@@ -90,19 +90,6 @@ def _load_model(args) -> tuple[NaturalScaleModel, str]:
     raise _UsageError("one of --model or --example is required")
 
 
-def _threads_cap() -> int:
-    raw = os.environ.get("GDARB_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise _UsageError(f"GDARB_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise _UsageError("GDARB_THREADS must be at least 1")
-    return n
-
-
 def _strategy(name: str, model, bundle) -> FeedbackStrategy:
     if name == "theta":
         return build_theta(bundle)
@@ -357,7 +344,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _threads_cap()
         if getattr(args, "paths", 1) < 1:
             raise _UsageError("--paths must be at least 1")
         if getattr(args, "h", 1.0) <= 0:

@@ -7,13 +7,12 @@ Jordan and Hahn decompositions are computed at the representation level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .borel import EMPTY, BorelSet
-from .piecewise import Affine, Const, PiecewiseFn, QUAD_ABS_TOL
+from .piecewise import PiecewiseFn
 
 __all__ = ["SignedMeasure", "ZERO_MEASURE", "jordan_hahn", "positive_set", "integrate"]
 
@@ -50,13 +49,7 @@ class SignedMeasure:
             return False
         if self.density is None or self.carrier is None or self.carrier.is_empty:
             return True
-        return self.density.zero_set().lebesgue() >= _carrier_length(self.carrier) - 1e-15
-
-    def atom_mass(self, loc: float) -> float:
-        for a, m in self.atoms:
-            if a == loc:
-                return m
-        return 0.0
+        return self.density.zero_set().lebesgue() >= self.carrier.lebesgue() - 1e-15
 
     def density_at(self, x):
         """Pointwise ac density (0 off the carrier)."""
@@ -67,32 +60,12 @@ class SignedMeasure:
         out = np.where(mask, vals, 0.0)
         return out if np.ndim(x) else float(out[0])
 
-    def scaled(self, c: float) -> "SignedMeasure":
-        return SignedMeasure(
-            None if self.density is None else self.density.scaled(c),
-            self.carrier,
-            tuple((a, c * m) for a, m in self.atoms),
-        )
-
-    def restricted(self, region: BorelSet) -> "SignedMeasure":
-        carrier = None if self.carrier is None else self.carrier.intersect(region)
-        atoms = tuple((a, m) for a, m in self.atoms if region.contains(a))
-        return SignedMeasure(self.density, carrier, atoms)
-
     def __call__(self, region: BorelSet) -> float:
         """Measure of the region."""
-        return integrate(self, None, region)
-
-    def total_variation(self, region: BorelSet) -> float:
-        pos, neg, _, _ = jordan_hahn(self)
-        return pos(region) + neg(region)
+        return integrate(self, region)
 
 
 ZERO_MEASURE = SignedMeasure()
-
-
-def _carrier_length(carrier: BorelSet) -> float:
-    return carrier.lebesgue()
 
 
 def positive_set(pw: PiecewiseFn, lo: float, hi: float) -> BorelSet:
@@ -164,64 +137,17 @@ def jordan_hahn(m: SignedMeasure, domain: tuple[float, float] | None = None):
     return pos, neg, n_plus, n_minus
 
 
-def _product_integral(weight: PiecewiseFn | None, density: PiecewiseFn, lo, hi) -> float:
-    """Integral of weight*density over [lo, hi] with closed forms where the
-    catalog allows and quadrature otherwise."""
-    if hi <= lo:
-        return 0.0
-    total = 0.0
-    cuts = sorted(
-        set([lo, hi])
-        | {b for b in density.breakpoints if lo < b < hi}
-        | ({b for b in weight.breakpoints if lo < b < hi} if weight is not None else set())
-    )
-    for a, b in zip(cuts, cuts[1:]):
-        if weight is None:
-            total += density.integrate(a, b)
-            continue
-        wseg = weight.segments[int(weight._seg_index(np.array([0.5 * (a + b)]))[0])]
-        if isinstance(wseg, Const):
-            total += density.integrate(a, b, c0=wseg.value)
-        elif isinstance(wseg, Affine):
-            total += density.integrate(a, b, c0=wseg.intercept, c1=wseg.slope)
-        else:
-            dseg = density.segments[
-                int(density._seg_index(np.array([0.5 * (a + b)]))[0])
-            ]
-            if isinstance(dseg, Const):
-                total += weight.integrate(a, b, c0=dseg.value)
-            elif isinstance(dseg, Affine):
-                total += weight.integrate(a, b, c0=dseg.intercept, c1=dseg.slope)
-            else:
-                val, err = quad(
-                    lambda x: float(weight(x)) * float(density(x)),
-                    a,
-                    b,
-                    epsabs=QUAD_ABS_TOL,
-                    limit=500,
-                )
-                if not np.isfinite(val):
-                    raise ArithmeticError(
-                        f"non-integrable weight*density on [{a}, {b}]"
-                    )
-                total += val
-    return total
-
-
-def integrate(
-    m: SignedMeasure, weight: PiecewiseFn | None, region: BorelSet | None = None
-) -> float:
-    """Integral of the weight (default 1) against the measure over the region
-    (default: everything)."""
+def integrate(m: SignedMeasure, region: BorelSet | None = None) -> float:
+    """Measure of the region (default: everything)."""
     total = 0.0
     if m.density is not None:
         support = m.carrier if region is None else m.carrier.intersect(region)
         for lo, hi in support._all_intervals():
             lo = max(lo, m.density.lo)
             hi = min(hi, m.density.hi)
-            total += _product_integral(weight, m.density, lo, hi)
+            if hi > lo:
+                total += m.density.integrate(lo, hi)
     for a, mass in m.atoms:
         if region is None or region.contains(a):
-            w = 1.0 if weight is None else float(weight(a))
-            total += w * mass
+            total += mass
     return float(total)

@@ -1,6 +1,6 @@
 """Piecewise functions built from a closed catalog of segment kinds.
 
-Each segment supports point evaluation, one-sided derivatives, exact
+Each segment supports point evaluation, a closed-form derivative, exact
 integration against affine weights in closed form (over arrays of limits
 and weights as well as scalars), sign-change location, and zero sets.
 """
@@ -23,19 +23,13 @@ __all__ = [
     "Log",
     "DistToSet",
     "PiecewiseFn",
-    "QUAD_ABS_TOL",
 ]
-
-QUAD_ABS_TOL = 1e-10  # absolute tolerance of the quadrature in measures
 
 
 class Segment:
     """Base class; subclasses are immutable value objects."""
 
     def __call__(self, x):
-        raise NotImplementedError
-
-    def deriv(self, x, side: int = +1):
         raise NotImplementedError
 
     def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
@@ -54,9 +48,6 @@ class Segment:
         """Exact {f = 0} on [lo, hi]; raises if no closed form exists."""
         raise NotImplementedError(f"{type(self).__name__} has no closed-form zero set")
 
-    def nondecreasing_on(self, lo, hi):
-        """True/False if a certificate exists, None when undecidable."""
-        return None
 
     def derivative_segment(self) -> "Segment":
         raise NotImplementedError(f"{type(self).__name__} has no closed-form derivative")
@@ -77,8 +68,6 @@ class Const(Segment):
         out = np.full(x.shape, float(self.value))
         return out if out.shape else float(self.value)
 
-    def deriv(self, x, side=+1):
-        return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
 
     def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
         return self.value * (c0 * (hi - lo) + 0.5 * c1 * (hi * hi - lo * lo))
@@ -92,8 +81,6 @@ class Const(Segment):
     def zero_set(self, lo, hi):
         return BorelSet.make([(lo, hi)]) if self.value == 0.0 else EMPTY
 
-    def nondecreasing_on(self, lo, hi):
-        return True
 
     def derivative_segment(self):
         return Const(0.0)
@@ -110,10 +97,6 @@ class Affine(Segment):
     def __call__(self, x):
         return self.intercept + self.slope * np.asarray(x, dtype=float)
 
-    def deriv(self, x, side=+1):
-        x = np.asarray(x, dtype=float)
-        out = np.full(x.shape, float(self.slope))
-        return out if out.shape else float(self.slope)
 
     def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
         return Poly((self.intercept, self.slope)).integrate_affine(lo, hi, c0, c1)
@@ -133,8 +116,6 @@ class Affine(Segment):
         root = -self.intercept / self.slope
         return BorelSet.make(points=[root]) if lo <= root <= hi else EMPTY
 
-    def nondecreasing_on(self, lo, hi):
-        return self.slope >= 0.0
 
     def derivative_segment(self):
         return Const(self.slope)
@@ -156,9 +137,6 @@ class Poly(Segment):
     def __call__(self, x):
         return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), self.coeffs)
 
-    def deriv(self, x, side=+1):
-        d = np.polynomial.polynomial.polyder(self.coeffs)
-        return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), d)
 
     def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
         pp = np.polynomial.polynomial
@@ -261,14 +239,6 @@ class Power(Segment):
             val = self.coeff * np.power(np.maximum(t, 0.0), self.exponent) + self.offset
         return val
 
-    def deriv(self, x, side=+1):
-        t = self._t(x)
-        p = self.exponent
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = self.coeff * p * np.power(np.maximum(t, 0.0), p - 1.0) * self.side
-        if p > 1.0:
-            d = np.where(t == 0.0, 0.0, d)
-        return d
 
     def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
         # substitute t = side*(x - center); x = center + side*t
@@ -319,10 +289,6 @@ class Power(Segment):
             pts = [p for p in pts if lo <= p <= hi]
         return BorelSet.make(points=pts)
 
-    def nondecreasing_on(self, lo, hi):
-        if self.coeff == 0.0:
-            return True
-        return self.coeff * self.exponent * self.side >= 0.0
 
     def derivative_segment(self):
         return Power(
@@ -361,8 +327,6 @@ class Exponential(Segment):
     def __call__(self, x):
         return self.coeff * np.exp(self.rate * np.asarray(x, dtype=float)) + self.offset
 
-    def deriv(self, x, side=+1):
-        return self.coeff * self.rate * np.exp(self.rate * np.asarray(x, dtype=float))
 
     def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
         a, b, c = self.coeff, self.rate, self.offset
@@ -394,8 +358,6 @@ class Exponential(Segment):
             return BorelSet.make([(lo, hi)])
         return BorelSet.make(points=[p for p in self.sign_changes(lo, hi)])
 
-    def nondecreasing_on(self, lo, hi):
-        return self.coeff * self.rate >= 0.0
 
     def derivative_segment(self):
         return Exponential(self.coeff * self.rate, self.rate, 0.0)
@@ -422,8 +384,6 @@ class Log(Segment):
         with np.errstate(divide="ignore", invalid="ignore"):
             return self.coeff * np.log(t) + self.offset
 
-    def deriv(self, x, side=+1):
-        return self.coeff / (np.asarray(x, dtype=float) - self.center)
 
     def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
         # substitute t = side*(x - center) with side = sign(scale), so
@@ -457,8 +417,6 @@ class Log(Segment):
     def zero_set(self, lo, hi):
         return BorelSet.make(points=self.sign_changes(lo, hi))
 
-    def nondecreasing_on(self, lo, hi):
-        return self.coeff * self.scale >= 0.0 if self.scale > 0 else None
 
     def derivative_segment(self):
         return Power(self.coeff, self.center, -1.0, 0.0, +1)
@@ -498,10 +456,6 @@ class DistToSet(Segment):
         out = np.array([self.target.distance(v) for v in arr]) * self.scale
         return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 
-    def deriv(self, x, side=+1):
-        eps = 1e-9
-        x = np.asarray(x, dtype=float)
-        return (self(x + side * eps) - self(x)) / (side * eps)
 
     def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
         # the linear pieces depend on the limits, so each element is its own
@@ -599,19 +553,6 @@ class PiecewiseFn:
     def __call__(self, x):
         return self._apply(x, lambda seg, v: seg(v))
 
-    def deriv(self, x, side: int = +1):
-        """One-sided derivative; at interior breakpoints the requested side's
-        segment is used."""
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = self._seg_index(x_arr)
-        if side < 0:
-            on_bp = np.isin(x_arr, self.breakpoints[1:-1])
-            idx = np.where(on_bp, np.maximum(idx - 1, 0), idx)
-        out = np.empty_like(x_arr)
-        for i in np.unique(idx):
-            mask = idx == i
-            out[mask] = np.asarray(self.segments[i].deriv(x_arr[mask], side), dtype=float)
-        return _fix_scalar(out, x)
 
     def integrate(self, lo, hi, c0=1.0, c1=0.0):
         """Integral of (c0 + c1*x) f(x) over [lo, hi]; hi < lo flips the sign.
@@ -680,24 +621,3 @@ class PiecewiseFn:
         if x >= self.hi:
             return self.segments[-1].limit(x)
         return float(self(x))
-
-    def nondecreasing_on(self, lo=None, hi=None, samples=1000):
-        """Certificate-or-sampling monotonicity check (non-strict)."""
-        lo = self.lo if lo is None else lo
-        hi = self.hi if hi is None else hi
-        for i, seg in enumerate(self.segments):
-            a = max(lo, self.breakpoints[i])
-            b = min(hi, self.breakpoints[i + 1])
-            if b <= a:
-                continue
-            cert = seg.nondecreasing_on(a, b)
-            if cert is False:
-                return False
-            if cert is None:
-                aa = max(a, -1e6)
-                bb = min(b, 1e6)
-                xs = np.linspace(aa, bb, samples)
-                if np.any(np.diff(np.asarray(seg(xs), dtype=float)) < -1e-12):
-                    return False
-        # continuity across breakpoints is the caller's concern
-        return True

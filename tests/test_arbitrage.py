@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -104,7 +106,7 @@ def test_nu_concentrated_on_zero_set(entry):
     bundle = build_nu(model)
     window = BorelSet.make([bundle.window])
     off = window.difference(bundle.n_qprime0)
-    pos_mass = abs(integrate(bundle.nu, None, off))
+    pos_mass = abs(integrate(bundle.nu, off))
     assert pos_mass <= 1e-10
 
 
@@ -124,13 +126,17 @@ def test_nu_atoms_affine_in_rate(entry):
 
 
 def test_verdict_boundary_reflected():
-    # the no-profit verdict flips exactly on the curve r * m1 = 1/2
-    for r in (0.05, 0.1, 0.25, 0.5, 1.0, 2.0):
+    # the no-profit verdict flips exactly on the curve r * m1 = 1/2, for
+    # every drift and volatility: there the boundary atom's two terms cancel
+    # although q' and y carry rounding
+    for r, mu, sigma in itertools.product(
+        (0.05, 0.1, 0.25, 0.5, 1.0, 2.0), (-0.3, 0.0, 0.1, 0.4), (0.3, 0.5, 0.7)
+    ):
         for m1 in (0.0, 0.2, 0.5 / r, 1.0 / r, 2.0):
-            model = cat.reflected_model(mu=0.0, sigma=0.5, m1=m1, u0=0.1, r=r)
+            model = cat.reflected_model(mu=mu, sigma=sigma, m1=m1, u0=0.1, r=r)
             bundle = build_nu(model)
             verdicts = market_verdicts(model, bundle)
-            assert verdicts.nip == (r * m1 == 0.5), (r, m1)
+            assert verdicts.nip == (r * m1 == 0.5), (r, mu, sigma, m1)
 
 
 def test_verdicts_reflected_instantaneous_zero_rate():

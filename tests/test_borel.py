@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gdarb.borel import EMPTY, BorelSet, SVCSet, distance_to_set, svc_measure, svc_set
+from gdarb.borel import EMPTY, BorelSet, SVCSet, svc_measure, svc_set
 
 
 def removed_mass_oracle(depth):
@@ -48,13 +50,13 @@ def test_svc_contains_matches_intervals():
 def test_svc_distance_first_gap_midpoint():
     # first removed gap has length 1/4, centered at 1/2
     s = svc_set(1)
-    assert distance_to_set(0.5, s) == pytest.approx(0.125, abs=1e-15)
+    assert s.distance(0.5) == pytest.approx(0.125, abs=1e-15)
 
 
 def test_svc_distance_outside():
     s = svc_set(4)
-    assert distance_to_set(-0.3, s) == pytest.approx(0.3, abs=1e-15)
-    assert distance_to_set(1.2, s) == pytest.approx(0.2, abs=1e-15)
+    assert s.distance(-0.3) == pytest.approx(0.3, abs=1e-15)
+    assert s.distance(1.2) == pytest.approx(0.2, abs=1e-15)
 
 
 def test_svc_distance_grid_oracle():
@@ -128,6 +130,12 @@ def test_borel_svc_algebra():
     comp = f.complement_within(0.0, 1.0)
     assert comp.lebesgue() == pytest.approx(1.0 - svc_measure(2), abs=1e-15)
     assert f.union(EMPTY).lebesgue() == pytest.approx(svc_measure(2), abs=1e-15)
+    # an interval overlapping the base expands the svc part; one that only
+    # touches the base leaves it symbolic
+    assert BorelSet.make([(-1.0, 2.0)], svc=SVCSet(3)).lebesgue() == 3.0
+    touching = BorelSet.make([(1.0, 2.0)], svc=SVCSet(3))
+    assert touching.svc == SVCSet(3)
+    assert touching.lebesgue() == 1.0 + svc_measure(3)
 
 
 def test_empty_set():
@@ -135,3 +143,34 @@ def test_empty_set():
     assert EMPTY.lebesgue() == 0.0
     with pytest.raises(ValueError):
         EMPTY.distance(0.0)
+
+
+# ---------------------------------------------------------------------------
+# measure identities of the set algebra, the svc part included
+# ---------------------------------------------------------------------------
+
+# quarter-grid coordinates make shared and touching endpoints likely
+_coord = st.one_of(st.integers(-12, 12).map(lambda k: k / 4), st.floats(-3.0, 3.0))
+_svc = st.builds(
+    lambda depth, lo, width: SVCSet(depth, lo, lo + width),
+    st.integers(1, 5),
+    _coord,
+    st.sampled_from([0.25, 1.0, 1.5, 2.0]),
+)
+_sets = st.builds(
+    BorelSet.make,
+    st.lists(st.tuples(_coord, _coord).map(sorted), max_size=3),
+    st.lists(_coord, max_size=2),
+    st.one_of(st.none(), _svc),
+)
+
+
+@settings(max_examples=300)
+@given(a=_sets, b=_sets, window=st.tuples(_coord, _coord).map(sorted))
+def test_measure_identities(a, b, window):
+    both = a.intersect(b).lebesgue()
+    assert a.union(b).lebesgue() + both == pytest.approx(a.lebesgue() + b.lebesgue(), abs=1e-12)
+    assert a.difference(b).lebesgue() + both == pytest.approx(a.lebesgue(), abs=1e-12)
+    lo, hi = window
+    inside = a.intersect(BorelSet.make([(lo, hi)])).lebesgue()
+    assert a.complement_within(lo, hi).lebesgue() + inside == pytest.approx(hi - lo, abs=1e-12)

@@ -1,8 +1,11 @@
 import csv
 import os
+import subprocess
+import sys
 
 import pytest
 
+import gdarb
 from gdarb.cli import main
 
 STICKY_FILE = """
@@ -146,6 +149,12 @@ def test_demo_pass_and_params(capsys):
     # kappa = 1/2 removes the skew atom: no increasing profit
     assert main(["demo", "bachelier-skew", "--param", "kappa=0.5"]) == 0
     assert "pass" in capsys.readouterr().out
+    # r * m1 = 1/2 exactly, away from mu = 0, sigma = 0.5: no increasing profit
+    assert main([
+        "demo", "bs-reflected", "--param", "mu=0.1", "--param", "sigma=0.7",
+        "--param", "r=0.25", "--param", "m1=2",
+    ]) == 0
+    assert "pass" in capsys.readouterr().out
     for name in (
         "engelbert-schmidt", "bs-reflected", "bessel-sticky",
         "bachelier-sticky", "fat-cantor",
@@ -170,10 +179,19 @@ def test_csv_full_precision(tmp_path):
     assert len(nu[0]["mass"].replace("-", "").replace(".", "").lstrip("0")) >= 15
 
 
-def test_threads_env_validated(tmp_path, monkeypatch):
-    monkeypatch.setenv("GDARB_THREADS", "zero")
-    rc = main(["--quiet", "--out", str(tmp_path), "analyze", "--example", "fat-cantor"])
-    assert rc == 2
-    monkeypatch.setenv("GDARB_THREADS", "2")
-    rc = main(["--quiet", "--out", str(tmp_path), "analyze", "--example", "fat-cantor"])
-    assert rc == 0
+def test_commands_load_no_scipy(tmp_path):
+    # scipy is a dependency of the tests and the benchmark only
+    script = (
+        "import sys\n"
+        "from gdarb.cli import main\n"
+        "out = ['--quiet', '--out', sys.argv[1]]\n"
+        "assert main(out + ['analyze', '--example', 'fat-cantor']) == 0\n"
+        "assert main(out + ['backtest', '--example', 'fat-cantor', '--h', '0.05']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gdarb.__file__))}
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert run.stdout.strip() == "[]"

@@ -10,7 +10,7 @@ from gdarb.measures import (
     jordan_hahn,
     positive_set,
 )
-from gdarb.piecewise import Affine, Const, Exponential, PiecewiseFn, Poly
+from gdarb.piecewise import Affine, PiecewiseFn, Poly
 
 
 def test_atom_dedupe_and_zero_drop():
@@ -20,22 +20,14 @@ def test_atom_dedupe_and_zero_drop():
 
 def test_lebesgue_unit_mass():
     m = SignedMeasure(density=PiecewiseFn.constant(1.0, 0.0, 1.0))
-    assert integrate(m, None, BorelSet.make([(0.0, 1.0)])) == pytest.approx(1.0)
-
-
-def test_atom_with_weight():
-    m = SignedMeasure(atoms=((2.0, -0.3),))
-    w = PiecewiseFn.from_segment(Exponential(1.0, -1.0, 0.0), -10.0, 10.0)
-    got = integrate(m, w, BorelSet.make(points=[2.0]))
-    assert got == pytest.approx(-0.3 * np.exp(-2.0), abs=1e-14)
+    assert integrate(m, BorelSet.make([(0.0, 1.0)])) == pytest.approx(1.0)
 
 
 def test_svc_region_riemann_oracle():
-    # density x, weight x, over the depth-2 SVC set
-    m = SignedMeasure(density=PiecewiseFn.from_segment(Affine(0.0, 1.0), 0.0, 1.0))
-    w = PiecewiseFn.from_segment(Affine(0.0, 1.0), 0.0, 1.0)
+    # density x^2 over the depth-2 SVC set
+    m = SignedMeasure(density=PiecewiseFn.from_segment(Poly((0.0, 0.0, 1.0)), 0.0, 1.0))
     region = svc_set(2)
-    got = integrate(m, w, region)
+    got = integrate(m, region)
     want = 0.0
     for lo, hi in region._all_intervals():
         xs = np.linspace(lo, hi, 20001)
@@ -77,8 +69,8 @@ def test_jordan_hahn_mixed_density():
     pw = PiecewiseFn.from_segment(Affine(0.0, 1.0), -1.0, 1.0)  # density x
     nu = SignedMeasure(density=pw, atoms=((2.0, -1.0),))
     pos, neg, n_plus, n_minus = jordan_hahn(nu, domain=(-1.0, 3.0))
-    assert integrate(pos, None) == pytest.approx(0.5, abs=1e-12)
-    assert integrate(neg, None) == pytest.approx(0.5 + 1.0, abs=1e-12)
+    assert integrate(pos) == pytest.approx(0.5, abs=1e-12)
+    assert integrate(neg) == pytest.approx(0.5 + 1.0, abs=1e-12)
     assert 0.5 in n_plus and -0.5 in n_minus and 2.0 in n_minus
 
 
@@ -96,25 +88,15 @@ def test_jordan_reconstruction_random():
         for _ in range(10):
             a, b = sorted(rng.uniform(-2, 2, 2))
             region = BorelSet.make([(a, b)])
-            lhs = integrate(nu, None, region)
-            rhs = integrate(pos, None, region) - integrate(neg, None, region)
+            lhs = integrate(nu, region)
+            rhs = integrate(pos, region) - integrate(neg, region)
             assert lhs == pytest.approx(rhs, abs=1e-9)
             # |nu|(A) = nu(A n N+) - nu(A n N-)
-            tv = integrate(pos, None, region) + integrate(neg, None, region)
-            split = integrate(nu, None, region.intersect(n_plus)) - integrate(
-                nu, None, region.intersect(n_minus)
+            tv = integrate(pos, region) + integrate(neg, region)
+            split = integrate(nu, region.intersect(n_plus)) - integrate(
+                nu, region.intersect(n_minus)
             )
             assert tv == pytest.approx(split, abs=1e-9)
-
-
-def test_restricted_and_scaled():
-    nu = SignedMeasure(
-        density=PiecewiseFn.constant(2.0, 0.0, 4.0), atoms=((1.0, 1.0), (3.0, -1.0))
-    )
-    r = nu.restricted(BorelSet.make([(0.0, 2.0)]))
-    assert integrate(r, None) == pytest.approx(4.0 + 1.0)
-    s = nu.scaled(-0.5)
-    assert integrate(s, None) == pytest.approx(-4.0)
 
 
 def test_total_variation():
@@ -123,7 +105,8 @@ def test_total_variation():
         atoms=((0.5, -2.0),),
     )
     region = BorelSet.make([(-1.0, 1.0)])
-    assert nu.total_variation(region) == pytest.approx(1.0 + 2.0, abs=1e-10)
+    pos, neg, _, _ = jordan_hahn(nu)
+    assert pos(region) + neg(region) == pytest.approx(1.0 + 2.0, abs=1e-10)
 
 
 def test_is_zero_with_zero_density():

@@ -54,7 +54,7 @@ def test_deriv_matches_finite_differences(seg, lo, hi):
     xs = np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 17)
     eps = 1e-7
     fd = (np.asarray(seg(xs + eps)) - np.asarray(seg(xs - eps))) / (2 * eps)
-    assert np.allclose(np.asarray(seg.deriv(xs)), fd, atol=1e-5, rtol=1e-5)
+    assert np.allclose(np.asarray(seg.derivative_segment()(xs)), fd, atol=1e-5, rtol=1e-5)
 
 
 @pytest.mark.parametrize("seg,lo,hi", SEGMENTS)
@@ -265,9 +265,12 @@ def test_piecewise_eval_vectorized():
 
 
 def test_piecewise_one_sided_deriv():
+    # the derivative takes a breakpoint's right segment (q'_+); the left
+    # segment holds the left derivative there
     f = PiecewiseFn((-1.0, 0.0, 1.0), (Affine(0.0, -1.0), Affine(0.0, 2.0)))
-    assert f.deriv(0.0, side=+1) == pytest.approx(2.0)
-    assert f.deriv(0.0, side=-1) == pytest.approx(-1.0)
+    d = f.derivative()
+    assert d(0.0) == 2.0
+    assert d.segments[0](0.0) == -1.0
 
 
 def test_piecewise_integrate_spans_segments():
@@ -291,8 +294,7 @@ def test_piecewise_derivative_and_monotone():
     d = f.derivative()
     assert d(-0.5) == pytest.approx(-1.0)
     assert d(1.5) == pytest.approx(1.0)
-    assert f.nondecreasing_on(0.0, 2.0) is True
-    assert f.nondecreasing_on(-1.0, 0.0) is False
+    assert np.all(d(np.linspace(0.0, 2.0, 21)) >= 0.0)
 
 
 def test_with_breakpoints_preserves_values():
