@@ -7,11 +7,13 @@ measure through local times and the post-absorption clock).  Each step of
 the chain is split into a hold phase (state constant, clock running) and a
 jump phase (state moves, quadratic variation accrues); the split is what
 lets the domination checks distinguish local-time growth from
-quadratic-variation growth.  One function, ``_steps``, books every hold and
-jump.  The ensemble is a loop over path ids: each path comes from
-``chain.sample_path`` and is booked like a single path, so ensemble
-statistics equal the single-path routes' and do not depend on how many
-paths run.
+quadratic-variation growth.  One lean kernel, ``_steps``, books every hold
+and jump of a path at once: one exp per step, one gather of the per-node
+rows and each product in a fixed order.  The ensemble is a loop over path
+ids: each path comes from ``chain.sample_path`` and is booked like a single
+path, so ensemble statistics equal the single-path routes' bit for bit and
+do not depend on how many paths run; the ensemble keeps only each path's
+sums, minima and flags.
 """
 
 from __future__ import annotations
@@ -124,16 +126,17 @@ class EnsembleStats:
 # ---------------------------------------------------------------------------
 
 
+# the rows _steps books, one column per step
+_INT_HOLD, _CF_HOLD, _INT_JUMP, _CF_JUMP, _DS, _LEAK, _CLOCK = range(7)
+
+
 @dataclass(frozen=True)
 class _NodeTables:
-    H: np.ndarray
-    theta: np.ndarray
-    q: np.ndarray
-    qp: np.ndarray
-    nu_ac: np.ndarray
-    # nu({u}) / m_cell(u) at inner nodes (per unit local time) and nu({u}) at
-    # absorbing nodes (per unit of the post-absorption clock)
-    atom: np.ndarray
+    # one column per node, rows: H, q, atom, q', nu_ac, and the clock's hold
+    # and jump rates [theta H > 0] |atom| and [theta H > 0] |nu_ac| h^2; atom
+    # is nu({u}) / m_cell(u) at inner nodes (per unit local time) and nu({u})
+    # at absorbing nodes (per unit of the post-absorption clock)
+    rows: np.ndarray
     stop_idx: int | None
 
 
@@ -143,8 +146,6 @@ def _node_tables(chain: GridChain, bundle: NuBundle, H: FeedbackStrategy) -> _No
     nu = bundle.nu
     H_val = np.asarray(H.evaluate(grid), dtype=float)
     theta_val = np.asarray(build_theta(bundle).evaluate(grid), dtype=float)
-    q_val = np.asarray(model.q(grid), dtype=float)
-    qp_val = np.asarray(model.q_prime(grid), dtype=float)
 
     if nu.density is None:
         nu_ac = np.zeros(len(grid))
@@ -171,55 +172,81 @@ def _node_tables(chain: GridChain, bundle: NuBundle, H: FeedbackStrategy) -> _No
     stop_idx = None
     if H.stop_after_hitting is not None:
         stop_idx = chain.index_of(H.stop_after_hitting)
-    return _NodeTables(
-        H=H_val,
-        theta=theta_val,
-        q=q_val,
-        qp=qp_val,
-        nu_ac=nu_ac,
-        atom=atom,
-        stop_idx=stop_idx,
-    )
+    clock_on = theta_val * H_val > 0.0  # H agrees in sign with theta
+    rows = np.stack([
+        H_val,
+        np.asarray(model.q(grid), dtype=float),
+        atom,
+        np.asarray(model.q_prime(grid), dtype=float),
+        nu_ac,
+        clock_on * np.abs(atom),
+        clock_on * (np.abs(nu_ac) * chain.h**2),
+    ])
+    return _NodeTables(rows=rows, stop_idx=stop_idx)
 
 
 class _Steps(NamedTuple):
-    """Increments booked by each step: its hold, then its jump."""
+    """What each step books: its hold, then its jump.
 
-    int_hold: np.ndarray
-    cf_hold: np.ndarray
-    int_jump: np.ndarray
-    cf_jump: np.ndarray
-    dS: np.ndarray  # <S> growth of the jump
-    leak: np.ndarray  # H^2 d<S> of the jump: the martingale exposure of condition (i)
-    clock: np.ndarray  # |nu| growth where H agrees in sign with theta
-
-
-def _steps(tables: _NodeTables, r, h2, i, t0, t1, i_new, jump, act) -> _Steps:
-    """Book holds at nodes ``i`` over [t0, t1) and, where ``jump``, the move
-    to ``i_new`` at t1, by both routes.
-
-    The arrays run over the steps of one path.  An absorbed path makes one
-    more hold, at its absorbing node up to the horizon; the atom column holds
-    nu({u}) there, so that hold books the post-absorption clock.
+    Step k holds over [t[k], t[k + 1]).  Column k of ``book`` holds its
+    increments in the rows ``_INT_HOLD``, ``_CF_HOLD``, ``_INT_JUMP``,
+    ``_CF_JUMP``, ``_DS`` (the <S> growth of the jump), ``_LEAK`` (H^2 d<S>
+    of the jump: the martingale exposure of condition (i)) and ``_CLOCK``
+    (|nu| growth where H agrees in sign with theta).
     """
-    disc0 = np.exp(-r * t0)
-    disc1 = np.exp(-r * t1)
-    w = t1 - t0 if r == 0.0 else (disc0 - disc1) / r  # integral of exp(-r s) over the hold
-    Hv = tables.H[i] * act
-    q = tables.q[i]
-    qp = tables.qp[i]
-    atom = tables.atom[i]
-    nu_ac = tables.nu_ac[i]
-    return _Steps(
-        int_hold=Hv * q * (disc1 - disc0),
-        cf_hold=Hv * atom * w,
-        int_jump=np.where(jump, Hv * disc1 * (tables.q[i_new] - q), 0.0),
-        cf_jump=np.where(jump, Hv * disc0 * nu_ac * h2, 0.0),
-        dS=np.where(jump, (disc0 * qp) ** 2 * h2, 0.0),
-        leak=np.where(jump, (Hv * qp) ** 2 * h2, 0.0),
-        clock=(tables.theta[i] * Hv > 0.0)
-        * (np.abs(atom) * w + np.where(jump, np.abs(nu_ac) * h2, 0.0)),
-    )
+
+    t: np.ndarray
+    book: np.ndarray
+
+
+def _steps(chain: GridChain, tables: _NodeTables, path: PathSample, T: float) -> _Steps:
+    """Book the holds and jumps ``path`` makes before T, by both routes.
+
+    Every hold that starts before T is booked; the last one ends at T and
+    makes no jump.  An absorbed path's last hold is at its absorbing node, up
+    to T; the atom row holds nu({u}) there, so that hold books the
+    post-absorption clock.  Each product is formed in the order its comment
+    gives, so a step books the same bits on every route.
+    """
+    r, h2 = chain.model.rate, chain.h**2
+    n = int(path.times.searchsorted(T))  # holds that start before T
+    i = path.states[:n]
+    t = np.empty(n + 1)
+    t[:n] = path.times[:n]
+    t[n] = T
+    disc = np.exp(t * -r)  # one exp per step: a hold ends where the next starts
+    disc0, disc1 = disc[:-1], disc[1:]
+    d_disc = disc1 - disc0
+    w = np.diff(t) if r == 0.0 else d_disc / -r  # integral of exp(-r s) over the hold
+    Hv, q, atom, qp, nu_ac, clock_hold, clock_jump = tables.rows.take(i, axis=1)
+    if tables.stop_idx is not None:  # H is off from the first visit on
+        hits = np.flatnonzero(i == tables.stop_idx)
+        if len(hits):
+            Hv[hits[0] :] *= 0.0
+            clock_hold[hits[0] :] = 0.0
+            clock_jump[hits[0] :] = 0.0
+
+    book = np.empty((7, n))
+    int_hold, cf_hold, int_jump, cf_jump, dS, leak, clock = book
+    np.multiply(Hv, q, out=int_hold)  # Hv q (disc1 - disc0)
+    int_hold *= d_disc
+    np.multiply(Hv, atom, out=cf_hold)  # Hv atom w
+    cf_hold *= w
+    np.multiply(Hv, disc1, out=int_jump)  # Hv disc1 (q_new - q)
+    int_jump[:-1] *= q[1:] - q[:-1]
+    np.multiply(Hv, disc0, out=cf_jump)  # Hv disc0 nu_ac h^2
+    cf_jump *= nu_ac
+    cf_jump *= h2
+    np.multiply(disc0, qp, out=dS)  # (disc0 q')^2 h^2
+    np.multiply(Hv, qp, out=leak)  # (Hv q')^2 h^2
+    np.square(book[_DS : _LEAK + 1], out=book[_DS : _LEAK + 1])
+    book[_DS : _LEAK + 1] *= h2
+    book[_INT_JUMP : _LEAK + 1, -1] = 0.0  # the last hold makes no jump
+    clock_jump[-1] = 0.0
+    # [theta Hv > 0] |atom| w + [theta Hv > 0] |nu_ac| h^2
+    np.multiply(clock_hold, w, out=clock)
+    clock += clock_jump
+    return _Steps(t=t, book=book)
 
 
 # ---------------------------------------------------------------------------
@@ -227,31 +254,16 @@ def _steps(tables: _NodeTables, r, h2, i, t0, t1, i_new, jump, act) -> _Steps:
 # ---------------------------------------------------------------------------
 
 
-def _path_phases(
-    path: PathSample, chain: GridChain, tables: _NodeTables, T: float
-) -> tuple[np.ndarray, _Steps]:
-    """(hold end times, booked increments) of the steps taken before T."""
-    n = int(np.searchsorted(path.times, T))  # holds that start before T
-    i = path.states[:n]
-    t0 = path.times[:n]
-    t_next = np.append(path.times[1:], np.inf)[:n]
-    t1 = np.minimum(t_next, T)
-    i_new = np.append(path.states[1:], 0)[:n]
-    act = np.ones(n, dtype=bool)
-    if tables.stop_idx is not None:
-        hits = np.nonzero(i == tables.stop_idx)[0]
-        first = hits[0] if len(hits) else n
-        act[first:] = False
-    jump = t_next < T  # a hold that reaches T ends the path
-    return t1, _steps(tables, chain.model.rate, chain.h**2, i, t0, t1, i_new, jump, act)
+# the (hold, jump) rows of each route
+_ROUTE_ROWS = {"integral": (_INT_HOLD, _INT_JUMP), "closed_form": (_CF_HOLD, _CF_JUMP)}
 
 
 def _value_series(path, chain, bundle, H, T, route) -> ValueSeries:
-    t1, st = _path_phases(path, chain, _node_tables(chain, bundle, H), T)
-    dv = st.int_hold + st.int_jump if route == "integral" else st.cf_hold + st.cf_jump
+    st = _steps(chain, _node_tables(chain, bundle, H), path, T)
+    hold, jump = _ROUTE_ROWS[route]
     return ValueSeries(
-        times=np.concatenate([[0.0], t1]),
-        values=np.concatenate([[0.0], np.cumsum(dv)]),
+        times=st.t,
+        values=np.concatenate([[0.0], np.cumsum(st.book[hold] + st.book[jump])]),
         route=route,
     )
 
@@ -298,15 +310,12 @@ def domination_check(
 ) -> DominationReport:
     """(a) does the value only move when <U> moves; (b) does it ever move
     when <S> moves (a finite-variation value process never may)."""
-    _, st = _path_phases(path, chain, _node_tables(chain, bundle, H), T)
-    if route == "closed_form":
-        hold, jump = st.cf_hold, st.cf_jump
-    else:
-        hold, jump = st.int_hold, st.int_jump
-    hold_nonzero = hold != 0.0
-    jump_nonzero = jump != 0.0
+    book = _steps(chain, _node_tables(chain, bundle, H), path, T).book
+    hold, jump = _ROUTE_ROWS["closed_form" if route == "closed_form" else "integral"]
+    hold_nonzero = book[hold] != 0.0
+    jump_nonzero = book[jump] != 0.0
     qv_dominated = not hold_nonzero.any()  # holds carry no <U> growth
-    qv_growth = bool(np.any(jump_nonzero & (st.dS != 0.0)))
+    qv_growth = bool(np.any(jump_nonzero & (book[_DS] != 0.0)))
     return DominationReport(
         qv_dominated=bool(qv_dominated),
         qv_growth_violation=qv_growth,
@@ -320,11 +329,6 @@ def domination_check(
 # ---------------------------------------------------------------------------
 
 
-def _total(x: np.ndarray) -> float:
-    """0.0 plus the increments, added in step order as the path accrues them."""
-    return 0.0 + x.cumsum()[-1] if len(x) else 0.0
-
-
 def run_ensemble(
     chain: GridChain,
     bundle: NuBundle,
@@ -335,43 +339,71 @@ def run_ensemble(
     """Book n_paths independent paths of the chain, one path at a time.
 
     Path ``pid`` is ``sample_path(chain, T, seed, pid)``, booked by the same
-    hold/jump kernel as the single-path routes; its sums run in step order
-    from 0.0.  No path's statistics depend on the other paths.  An absorbed
-    path's last hold is the absorbing node's, which lasts to T.
+    hold/jump kernel as the single-path routes.  Each sum runs in step
+    order from 0.0, as the path accrues it.  No path's statistics depend on
+    the other paths.  An absorbed path's last hold is the absorbing node's,
+    which lasts to T.
     """
     T = config.T
+    n_paths = config.n_paths
     tables = _node_tables(chain, bundle, H)
     tracked = [chain.index_of(u) for u in track_nodes]
-    rows = []
-    for pid in range(config.n_paths):
+    sums = np.empty((n_paths, 5))  # v_int, v_cf, then the rows _DS, _LEAK, _CLOCK
+    min_inc = np.empty((n_paths, 2))  # per route
+    flags = np.empty((n_paths, 4), dtype=bool)  # a hold nonzero, a jump nonzero where <S> moves
+    absorbed = np.empty(n_paths, dtype=bool)
+    absorption_times = np.empty(n_paths)
+    window_hit = np.empty(n_paths, dtype=bool)
+    n_steps = np.empty(n_paths, dtype=np.int64)
+    occupation = np.zeros((n_paths, len(tracked)))
+    for pid in range(n_paths):
         path = sample_path(chain, T, config.seed, pid)
-        t1, st = _path_phases(path, chain, tables, T)
-        i = path.states[: len(t1)]
-        moves_s = st.dS != 0.0
-        rows.append({
-            "v_int": _total(st.int_hold + st.int_jump),
-            "v_cf": _total(st.cf_hold + st.cf_jump),
-            "min_inc_int": np.minimum(st.int_hold, st.int_jump).min(initial=0.0),
-            "min_inc_cf": np.minimum(st.cf_hold, st.cf_jump).min(initial=0.0),
-            "clock": _total(st.clock),
-            "emp_cond_i": _total(st.leak),
-            "qv_s": _total(st.dS),
-            "absorbed": path.absorbed,
-            "absorption_times": path.absorption_time,
-            "window_hit": path.window_hit,
-            "hold_nonzero_int": np.any(st.int_hold != 0.0),
-            "hold_nonzero_cf": np.any(st.cf_hold != 0.0),
-            "qv_growth_trigger_int": np.any((st.int_jump != 0.0) & moves_s),
-            "qv_growth_trigger_cf": np.any((st.cf_jump != 0.0) & moves_s),
-            "n_steps": len(path.states) - 1,  # an absorbing hold draws nothing
-            "occupation": [
-                _total((t1 - path.times[: len(t1)])[i == node]) for node in tracked
-            ],
-        })
-    stats = {key: np.array([row[key] for row in rows]) for key in rows[0]}
-    if not tracked:
-        stats["occupation"] = None
-    return EnsembleStats(**stats)
+        st = _steps(chain, tables, path, T)
+        book = st.book
+        holds, jumps = book[_INT_HOLD : _CF_HOLD + 1], book[_INT_JUMP : _CF_JUMP + 1]
+        np.minimum(holds, jumps).min(axis=1, initial=0.0, out=min_inc[pid])
+        nonzero = book[: _DS + 1] != 0.0
+        nonzero[: _CF_HOLD + 1].any(axis=1, out=flags[pid, :2])
+        np.logical_and(nonzero[_INT_JUMP : _CF_JUMP + 1], nonzero[_DS]).any(
+            axis=1, out=flags[pid, 2:]
+        )
+        # einsum adds up the rows of a C-ordered (steps, 5) array one after
+        # another, so each column sums in step order
+        increments = np.empty((book.shape[1], 5))
+        np.add(holds, jumps, out=increments[:, :2].T)
+        increments[:, 2:].T[...] = book[_DS:]
+        np.einsum("ij->j", increments, out=sums[pid])
+        absorbed[pid] = path.absorbed
+        absorption_times[pid] = path.absorption_time
+        window_hit[pid] = path.window_hit
+        n_steps[pid] = len(path.states) - 1  # an absorbing hold draws nothing
+        if tracked:
+            held = np.diff(st.t)
+            at = path.states[: len(held)]
+            for j, node in enumerate(tracked):
+                at_node = held[at == node]
+                if len(at_node):
+                    occupation[pid, j] = at_node.cumsum()[-1]
+    sums += 0.0  # a sum starts from 0.0: one of zeros is 0.0, never -0.0
+    occupation += 0.0
+    return EnsembleStats(
+        v_int=sums[:, 0],
+        v_cf=sums[:, 1],
+        min_inc_int=min_inc[:, 0],
+        min_inc_cf=min_inc[:, 1],
+        clock=sums[:, 4],
+        emp_cond_i=sums[:, 3],
+        qv_s=sums[:, 2],
+        absorbed=absorbed,
+        absorption_times=absorption_times,
+        window_hit=window_hit,
+        hold_nonzero_int=flags[:, 0],
+        hold_nonzero_cf=flags[:, 1],
+        qv_growth_trigger_int=flags[:, 2],
+        qv_growth_trigger_cf=flags[:, 3],
+        n_steps=n_steps,
+        occupation=occupation if tracked else None,
+    )
 
 
 # ---------------------------------------------------------------------------

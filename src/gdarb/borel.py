@@ -152,9 +152,15 @@ class BorelSet:
     @staticmethod
     def make(intervals=(), points=(), svc=None, excluded_points=()) -> "BorelSet":
         # the svc part stays symbolic only while no interval overlaps its
-        # base; otherwise the measure would count the overlap twice
-        if svc is not None and any(lo < svc.base_hi and hi > svc.base_lo for lo, hi in intervals):
-            intervals, svc = list(intervals) + svc.to_intervals(), None
+        # base; otherwise the measure would count the overlap twice.  An
+        # interval that covers the whole base makes it redundant; one that
+        # covers a part makes it expand into intervals.
+        if svc is not None:
+            merged, _ = _merge_intervals(intervals)
+            if any(lo <= svc.base_lo and svc.base_hi <= hi for lo, hi in merged):
+                svc = None
+            elif any(lo < svc.base_hi and hi > svc.base_lo for lo, hi in merged):
+                intervals, svc = list(intervals) + svc.to_intervals(), None
         ivs, degenerate = _merge_intervals(intervals)
         excl = set(float(p) for p in excluded_points)
         pts = (set(float(p) for p in points) | set(degenerate)) - excl

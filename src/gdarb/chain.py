@@ -23,10 +23,6 @@ __all__ = [
     "build_chain",
     "sample_path",
     "path_rng",
-    "occupation",
-    "local_time_total",
-    "qv_series",
-    "hitting_time",
     "INTERIOR",
     "REFLECT_UP",
     "REFLECT_DOWN",
@@ -39,11 +35,16 @@ REFLECT_DOWN = 2  # right edge: deterministic move down
 ABSORBING = 3
 
 _COMMENSURATE_RTOL = 1e-6
-# steps one path may take: a booked step holds about 140 B of arrays, so a
-# path stays within about 300 MB
+# steps one path may take: booking a path in the ensemble peaks at about
+# 175 B of arrays per step (its states and times, the gathered node rows, the
+# kernel's book and the step-order sum columns), so a path stays within
+# about 370 MB
 _STEP_BUDGET = 2**21
-_DRAW = 4096  # uniforms drawn from a path's stream at a time
-_FIRST_BLOCK = 128  # steps tried after an edge; doubles while no edge comes
+# steps a block tries: at the start and after an edge cut, the steps left if
+# every hold were as long as the current node's, so that most paths take one
+# or two blocks; doubled while no edge comes; always within these bounds, so
+# that a short path draws few uniforms and a block stays in cache
+_BLOCK = (128, 4096)
 
 
 @dataclass(frozen=True)
@@ -187,20 +188,29 @@ def path_rng(seed: int, path_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, path_id]))
 
 
+def _first_block(dt: float, time_left: float) -> int:
+    lo, hi = _BLOCK
+    return int(min(max(time_left / dt + 1, lo), hi))
+
+
 def sample_path(chain: GridChain, T: float, seed: int, path_id: int = 0) -> PathSample:
     """One path of the chain on [0, T]; a hold that reaches T ends it.
 
     Each step draws one uniform from the path's stream and goes up iff the
     uniform is below ``p_up`` of the node it leaves.  Steps are taken in
-    blocks: inside the grid every move is a fair coin, so a block's
-    positions are one cumulative sum, cut at the first edge or absorbing
-    node and at the step whose hold reaches T; an edge's forced move is the
-    next block's first step.
+    blocks.  Every move is a fair coin except at the two edges, so a
+    block's free positions are one cumulative sum.  The nearer edge, when it
+    reflects and the block can reach it, is crossed inside the block in
+    closed form: the walk whose moves from the wall are forced inward is the
+    free walk plus twice the rounded-up half of its running overshoot past
+    the wall (Skorokhod reflection).  A block is cut at the step whose hold
+    reaches T and at the first visit to the other edge or to an absorbing
+    node.
     """
     if T <= 0:
         raise ValueError("horizon must be positive")
     rng = path_rng(seed, path_id)
-    edge = chain.node_type != INTERIOR
+    top = chain.n_nodes - 1
     i = chain.start_idx
     t = 0.0
     states = [np.array([i])]
@@ -208,38 +218,59 @@ def sample_path(chain: GridChain, T: float, seed: int, path_id: int = 0) -> Path
     window_hit = bool(chain.window_edge[i])
     absorbed = bool(chain.node_type[i] == ABSORBING)
     n_steps = 0
-    block = _FIRST_BLOCK
+    block = _first_block(chain.dt[i], T)
     moves = np.empty(0, dtype=np.int64)
     while not absorbed and t < T:
         if len(moves) == 0:
-            u = rng.random(_DRAW)
-            moves = np.where(u < 0.5, 1, -1)
+            moves = np.where(rng.random(block) < 0.5, 1, -1)
         pos = moves[:block].cumsum()
-        # the first move leaves node i by its own rule
-        pos += i + (1 if u[0] < chain.p_up[i] else -1) - moves[0]
-        # hold end times, summed in step order; a +-1 walk meets an edge
-        # before it leaves the grid, so the clipped lookups only differ from
-        # the walk past the cut
+        pos += i
+        # the edges the walk can visit before its last move (a visit at the
+        # last move ends the block anyway)
+        near, far = (0, top) if i <= top - i else (top, 0)
+        reach = [e for e in (near, far) if abs(e - i) < len(pos)]
+        wall = None
+        if near in reach and chain.node_type[near] != ABSORBING:
+            wall = reach.pop(0)
+            # with m the running minimum of the free walk's depth inside the
+            # wall, the reflected walk is 2 ceil(max(0, -m) / 2) further in
+            inward = 1 if wall == 0 else -1
+            lift = np.minimum.accumulate((pos - wall) * inward)
+            np.subtract(1, lift, out=lift)  # 2 ceil(-m / 2) = (1 - m) & -2
+            lift &= -2
+            np.maximum(lift, 0, out=lift)
+            lift *= inward
+            pos += lift
+        # hold end times, summed in step order; the walk meets an edge before
+        # it leaves the grid, so the clipped lookups only differ from it past
+        # the cut
         held = np.empty(len(pos))
         held[0] = t + chain.dt[i]
         chain.dt.take(pos[:-1], mode="clip", out=held[1:])
         held.cumsum(out=held)
-        # steps up to the first edge or absorbing node, or to the one whose
-        # hold reaches T
-        k = min(int(held.searchsorted(T)) + 1, len(pos))
-        at_edge = edge.take(pos[:k], mode="clip")
-        first = int(at_edge.argmax())
-        cut = bool(at_edge[first])
-        if cut:
-            k = first + 1
+        # steps up to the one whose hold reaches T, or to the first visit to an
+        # edge that is not crossed in closed form
+        before_T = int(held.searchsorted(T))
+        k = min(before_T + 1, len(pos))
+        cut = False
+        if reach:
+            at_edge = pos[:k] <= (-1 if wall == 0 else 0)  # a crossed wall cuts nothing
+            at_edge |= pos[:k] >= (top + 1 if wall == top else top)
+            first = int(at_edge.argmax())
+            cut = bool(at_edge[first])
+            if cut:
+                k = first + 1
+        if wall is not None and not window_hit and chain.window_edge[wall]:
+            # a visit to the crossed wall entered before T
+            window_hit = bool((pos[: min(k, before_T)] == wall).any())
         states.append(pos[:k])
         times.append(held[:k])
-        u, moves = u[k:], moves[k:]
-        block = _FIRST_BLOCK if cut else 2 * block
+        moves = moves[k:]
         n_steps += k
         if n_steps > _STEP_BUDGET:
             raise RuntimeError(f"step budget exceeded: a path may take {_STEP_BUDGET} steps")
         i, t = int(pos[k - 1]), float(held[k - 1])
+        block = _first_block(chain.dt[i], T - t) if cut else min(2 * block, _BLOCK[1])
         if t < T:
             window_hit |= bool(chain.window_edge[i])
             absorbed = bool(chain.node_type[i] == ABSORBING)
@@ -252,63 +283,3 @@ def sample_path(chain: GridChain, T: float, seed: int, path_id: int = 0) -> Path
         seed=seed,
         path_id=path_id,
     )
-
-
-def occupation(path: PathSample, chain: GridChain, T: float) -> np.ndarray:
-    """Seconds spent at each node on [0, T] (absorbed tail included)."""
-    occ = np.zeros(chain.n_nodes)
-    times = path.times
-    states = path.states
-    for k in range(len(states)):
-        t0 = times[k]
-        t1 = times[k + 1] if k + 1 < len(times) else np.inf
-        if t0 >= T:
-            break
-        occ[states[k]] += min(t1, T) - t0
-    return occ
-
-
-def local_time_total(path: PathSample, chain: GridChain, T: float) -> np.ndarray:
-    """Local time estimate per node at T: cell occupation / cell speed mass.
-
-    Nodes with zero cell mass get nan (no estimate possible there).
-    """
-    occ = occupation(path, chain, T)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = occ / chain.m_cell
-    out[(chain.m_cell == 0.0) & (occ == 0.0)] = 0.0
-    out[(chain.m_cell == 0.0) & (occ > 0.0)] = np.nan
-    return out
-
-
-def qv_series(path: PathSample, chain: GridChain, T: float):
-    """(jump times, cumulative <U>, cumulative <S>) for jumps before T.
-
-    Each executed jump of size h contributes h^2 to <U> and
-    exp(-2 r t) q'_+(u)^2 h^2 to <S>, evaluated at the step's entry state.
-    """
-    model = chain.model
-    h2 = chain.h**2
-    times = path.times
-    states = path.states
-    njump = len(states) - 1
-    jt = times[1 : njump + 1]
-    keep = jt < T  # a hold that reaches T ends the path
-    jt = jt[keep]
-    entry_states = states[:njump][keep]
-    entry_times = times[:njump][keep]
-    qp = np.asarray(model.q_prime(chain.grid[entry_states]), dtype=float)
-    dU = np.full(len(jt), h2)
-    dS = np.exp(-2.0 * model.rate * entry_times) * qp**2 * h2
-    return jt, np.cumsum(dU), np.cumsum(dS)
-
-
-def hitting_time(path: PathSample, chain: GridChain, x: float, T: float):
-    """(first time before T that the path state equals x, True), or (T, False)."""
-    idx = chain.index_of(x)
-    mask = path.states == idx
-    if mask.any():
-        t = float(path.times[np.argmax(mask)])
-        if t < T:
-            return t, True
-    return T, False

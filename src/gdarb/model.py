@@ -178,13 +178,17 @@ def _invert_segment(seg: Segment, name: str) -> Segment:
         a, c, p, b, side = seg.coeff, seg.center, seg.exponent, seg.offset, seg.side
         if a == 0.0 or p == 0.0:
             raise ModelError(f"scale segment {name} is constant, not invertible")
-        return Power(
-            side * abs(a) ** (-1.0 / p),
-            b,
-            1.0 / p,
-            c,
-            +1 if a > 0 else -1,
-        )
+        try:
+            coeff = side * abs(a) ** (-1.0 / p)
+        except OverflowError:
+            coeff = np.inf
+        if coeff == 0.0 or np.isinf(coeff):
+            raise UnsupportedModelError(
+                f"scale segment {name}: exponent {p:.6g} is nearly logarithmic, and "
+                f"the inverse scale's coefficient {abs(a):.6g}**{-1.0 / p:.6g} is out "
+                "of floating-point range"
+            )
+        return Power(coeff, b, 1.0 / p, c, +1 if a > 0 else -1)
     if isinstance(seg, Log):
         # s(x) = c*log(sc*(x - ce)) + off  =>  x = ce + exp((u-off)/c)/sc
         c, sc, ce, off = seg.coeff, seg.scale, seg.center, seg.offset

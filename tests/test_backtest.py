@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gdarb import backtest
 from gdarb import catalog as cat
 from gdarb import chain as chain_mod
 from gdarb.arbitrage import FeedbackStrategy, build_nu, build_theta, build_theta_bar
@@ -14,7 +15,8 @@ from gdarb.backtest import (
     run_ensemble,
 )
 from gdarb.borel import BorelSet
-from gdarb.chain import build_chain, hitting_time, occupation, qv_series, sample_path
+from gdarb.chain import build_chain, sample_path
+from path_oracles import hitting_time, occupation, qv_series
 
 
 def brownian_model(r=0.0):
@@ -226,6 +228,35 @@ def test_hold_reaching_the_horizon_ends_the_path():
         # the node entered at T is not hit (unless the path was there before)
         if p.states[-1] not in p.states[:-1]:
             assert hitting_time(p, chain, chain.grid[p.states[-1]], T=0.5) == (0.5, False)
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in cat.catalog()])
+def test_ensemble_sums_in_step_order(name):
+    # every ensemble sum equals the running sum of the single path's
+    # increments, bit for bit, and the extremes and flags match too
+    model = cat.get_entry(name).build()
+    bundle, chain = _setup(model, 0.05, radius=3.0)
+    theta = build_theta(bundle)
+    unit = FeedbackStrategy(plus_set=BorelSet.make([chain.window]))
+    for H in (theta, unit):
+        cfg = MCConfig(n_paths=10, h=0.05, T=1.0, seed=17)
+        stats = run_ensemble(chain, bundle, H, cfg)
+        tables = backtest._node_tables(chain, bundle, H)
+        for pid in range(cfg.n_paths):
+            book = backtest._steps(chain, tables, sample_path(chain, 1.0, 17, pid), 1.0).book
+            int_hold, cf_hold, int_jump, cf_jump, dS, leak, clock = book
+            for total, inc in (
+                (stats.v_int, int_hold + int_jump),
+                (stats.v_cf, cf_hold + cf_jump),
+                (stats.qv_s, dS),
+                (stats.emp_cond_i, leak),
+                (stats.clock, clock),
+            ):
+                assert total[pid] == 0.0 + np.cumsum(inc)[-1]
+            assert stats.min_inc_int[pid] == min(0.0, np.minimum(int_hold, int_jump).min())
+            assert stats.min_inc_cf[pid] == min(0.0, np.minimum(cf_hold, cf_jump).min())
+            assert stats.hold_nonzero_cf[pid] == np.any(cf_hold != 0.0)
+            assert stats.qv_growth_trigger_int[pid] == np.any((int_jump != 0.0) & (dS != 0.0))
 
 
 def test_ensemble_occupation_tracking():

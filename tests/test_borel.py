@@ -133,6 +133,10 @@ def test_borel_svc_algebra():
     # an interval overlapping the base expands the svc part; one that only
     # touches the base leaves it symbolic
     assert BorelSet.make([(-1.0, 2.0)], svc=SVCSet(3)).lebesgue() == 3.0
+    # an interval covering the whole base drops the svc part, at any depth
+    covered = BorelSet.make([(-1.0, 2.0)], svc=SVCSet(25))
+    assert covered.svc is None and covered.lebesgue() == 3.0
+    assert BorelSet.make([(-1.0, 0.5), (0.5, 2.0)], svc=SVCSet(25)).lebesgue() == 3.0
     touching = BorelSet.make([(1.0, 2.0)], svc=SVCSet(3))
     assert touching.svc == SVCSet(3)
     assert touching.lebesgue() == 1.0 + svc_measure(3)

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gdarb import catalog as cat
@@ -11,16 +13,14 @@ from gdarb.chain import (
     INTERIOR,
     REFLECT_DOWN,
     REFLECT_UP,
+    GridChain,
     build_chain,
-    hitting_time,
-    local_time_total,
-    occupation,
     path_rng,
-    qv_series,
     sample_path,
 )
 from gdarb.model import ModelError
 from gdarb.piecewise import Const, PiecewiseFn
+from path_oracles import hitting_time, local_time_total, occupation, qv_series
 
 
 def brownian_model(r=0.0):
@@ -215,6 +215,59 @@ def test_sample_path_matches_per_step_loop(chain, T, path_ids):
     for pid in path_ids:
         p = sample_path(chain, T, seed=0, path_id=pid)
         states, times, absorbed, t_abs, window_hit = _per_step_path(chain, T, 0, pid)
+        assert np.array_equal(p.states, states)
+        assert np.array_equal(p.times, times)
+        assert (p.absorbed, p.absorption_time, p.window_hit) == (absorbed, t_abs, window_hit)
+
+
+_EDGES = ("real", "window", "absorbing")
+
+
+@settings(max_examples=200)
+@given(
+    n=st.integers(3, 12) | st.integers(13, 80),
+    left=st.sampled_from(_EDGES),
+    right=st.sampled_from(_EDGES),
+    offset=st.integers(0, 5),
+    from_right=st.booleans(),
+    h=st.sampled_from([0.02, 0.05, 0.1]),
+    T=st.floats(0.01, 2.0),
+    n_holds=st.sampled_from([4, 30, 500]),
+    dt_seed=st.integers(0, 2**32 - 1),
+    first_id=st.integers(0, 2**20),
+)
+def test_sample_path_crosses_walls_like_per_step_loop(
+    n, left, right, offset, from_right, h, T, n_holds, dt_seed, first_id
+):
+    # small chains with reflecting (real or window-edge) or absorbing edges,
+    # started 0-5 nodes from one of them, so blocks cross and revisit walls;
+    # about n_holds holds of a mean length fill [0, T]
+    dt = 2 * T / n_holds * np.random.default_rng(dt_seed).uniform(0.05, 0.95, n)
+    node_type = np.full(n, INTERIOR, dtype=np.int8)
+    node_type[0], node_type[-1] = REFLECT_UP, REFLECT_DOWN
+    p_up = np.full(n, 0.5)
+    p_up[0], p_up[-1] = 1.0, 0.0
+    window_edge = np.zeros(n, dtype=bool)
+    for idx, kind in ((0, left), (n - 1, right)):
+        if kind == "absorbing":
+            node_type[idx], dt[idx] = ABSORBING, np.inf
+        window_edge[idx] = kind == "window"
+    grid = h * np.arange(n)
+    chain = GridChain(
+        model=brownian_model(),
+        h=h,
+        grid=grid,
+        dt=dt,
+        m_cell=np.full(n, h),
+        node_type=node_type,
+        p_up=p_up,
+        window_edge=window_edge,
+        start_idx=max(n - 1 - offset, 0) if from_right else min(offset, n - 1),
+        window=(float(grid[0]), float(grid[-1])),
+    )
+    for pid in range(first_id, first_id + 5):
+        p = sample_path(chain, T, seed=5, path_id=pid)
+        states, times, absorbed, t_abs, window_hit = _per_step_path(chain, T, 5, pid)
         assert np.array_equal(p.states, states)
         assert np.array_equal(p.times, times)
         assert (p.absorbed, p.absorption_time, p.window_hit) == (absorbed, t_abs, window_hit)

@@ -142,6 +142,22 @@ def test_missing_model_file_error(tmp_path):
     assert rc == 1
 
 
+def test_near_log_scale_exponent_error(tmp_path, capsys):
+    # scale exponent 1 - 2 mu / sigma^2 = 0.0038: the inverse scale's
+    # coefficient leaves the floating-point range
+    rc = main([
+        "--quiet", "--out", str(tmp_path),
+        "analyze", "--example", "engelbert-schmidt",
+        "--param", "b=1.6902693389045986", "--param", "sigma=0.9399568618956795",
+        "--param", "mu=0.4400759307384653", "--param", "x0=2.278524078106555",
+        "--param", "r=0.2947695586816791",
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "exponent 0.00381094 is nearly logarithmic" in err
+    assert not (tmp_path / "verdicts.csv").exists()
+
+
 def test_demo_pass_and_params(capsys):
     assert main(["demo", "bachelier-skew", "--param", "kappa=0.75"]) == 0
     out = capsys.readouterr().out

@@ -194,6 +194,25 @@ def test_unsupported_scale_segment():
         to_natural_scale(bad)
 
 
+@pytest.mark.parametrize("coeff", [1e-3, 262.4])
+def test_near_log_scale_exponent_unsupported(coeff):
+    # inverting x^0.0038 needs coeff^(-262): it overflows for the small
+    # coefficient and underflows to 0 for the large one
+    spec = brownian_spec()
+    near_log = DiffusionSpec(
+        lo=0.0,
+        hi=np.inf,
+        left=spec.left,
+        right=spec.right,
+        scale=PiecewiseFn.from_segment(Power(coeff, 0.0, 0.0038), 0.0, np.inf),
+        speed=SignedMeasure(density=PiecewiseFn.constant(1.0, 0.0, np.inf)),
+        start=1.0,
+        rate=0.0,
+    )
+    with pytest.raises(UnsupportedModelError, match="exponent 0.0038 is nearly logarithmic"):
+        to_natural_scale(near_log)
+
+
 def test_catalog_has_six_entries():
     assert len(cat.catalog()) == 6
     assert {e.name for e in cat.catalog()} == {
