@@ -15,12 +15,7 @@ import numpy as np
 
 from .borel import EMPTY, BorelSet
 from .measures import SignedMeasure, jordan_hahn, positive_set
-from .model import (
-    DEFAULT_WINDOW,
-    NaturalScaleModel,
-    UnsupportedModelError,
-    zero_set,
-)
+from .model import NaturalScaleModel, UnsupportedModelError, zero_set
 from .piecewise import Const, PiecewiseFn
 
 __all__ = [
@@ -109,16 +104,10 @@ def _nu_ac_density(model: NaturalScaleModel, carrier: BorelSet) -> PiecewiseFn:
     carrier of positive measure).
     """
     r = model.rate
-    q = model.q
-    m = model.m_ac
-    extra_q = [b for b in m.breakpoints if np.isfinite(b)]
-    extra_m = [b for b in q.breakpoints if np.isfinite(b)]
-    q = q.with_breakpoints(extra_q)
-    m = m.with_breakpoints(extra_m)
-    # align partitions
-    bps = sorted(set(q.breakpoints) | set(m.breakpoints))
-    q = q.with_breakpoints([b for b in bps if np.isfinite(b)])
-    m = m.with_breakpoints([b for b in bps if np.isfinite(b)])
+    # align the partitions on the union of their finite breakpoints
+    cuts = [b for b in {*model.q.breakpoints, *model.m_ac.breakpoints} if np.isfinite(b)]
+    q = model.q.with_breakpoints(cuts)
+    m = model.m_ac.with_breakpoints(cuts)
     segs = []
     for i, (qseg, mseg) in enumerate(zip(q.segments, m.segments)):
         a, b = q.breakpoints[i], q.breakpoints[i + 1]
@@ -148,10 +137,10 @@ def _net_mass(t1: float, t2: float) -> float:
     return 0.0 if abs(d) <= 64 * np.finfo(float).eps * (abs(t1) + abs(t2)) else d
 
 
-def build_nu(model: NaturalScaleModel, radius: float = DEFAULT_WINDOW) -> NuBundle:
+def build_nu(model: NaturalScaleModel) -> NuBundle:
     """Assemble the auxiliary signed measure and its decompositions."""
-    window = model.window(radius)
-    zs = zero_set(model, radius)
+    window = model.window()
+    zs = zero_set(model)
 
     density = None
     carrier = None
@@ -164,8 +153,6 @@ def build_nu(model: NaturalScaleModel, radius: float = DEFAULT_WINDOW) -> NuBund
         {a for a, _ in model.q_second_atoms} | {a for a, _ in model.m_atoms if model.lo < a < model.hi}
     )
     for a in interior_locs:
-        if not model.lo < a < model.hi:
-            continue
         qsi = next((m for loc, m in model.q_second_atoms if loc == a), 0.0)
         msi = model.m_atom_mass(a)
         mass = _net_mass(0.5 * qsi, model.rate * float(model.q(a)) * msi)
@@ -188,7 +175,6 @@ def build_nu(model: NaturalScaleModel, radius: float = DEFAULT_WINDOW) -> NuBund
     _, _, n_plus, n_minus = jordan_hahn(nu, domain=window)
 
     n_si = BorelSet.make(points=[a for a, m in nu.atoms if model.lo < a < model.hi])
-    boundary_pts = [e for e in (model.lo, model.hi) if np.isfinite(e)]
     included_pts = [
         e
         for e, spec in ((model.lo, model.left), (model.hi, model.right))

@@ -31,7 +31,7 @@ from .arbitrage import (
     check_strategy_conditions,
 )
 from .chain import ABSORBING, GridChain, PathSample, build_chain, sample_path
-from .model import DEFAULT_WINDOW, NaturalScaleModel
+from .model import NaturalScaleModel
 
 __all__ = [
     "MCConfig",
@@ -57,7 +57,6 @@ class MCConfig:
     h: float = 0.005
     T: float = 1.0
     seed: int = 0
-    radius: float = DEFAULT_WINDOW
     tol_route: float = 0.05
 
     def __post_init__(self):
@@ -419,7 +418,7 @@ def classify_ip(
 ) -> IPReport:
     """Decide empirically whether H generates an increasing profit."""
     symbolic = check_strategy_conditions(model, bundle, H)
-    chain = build_chain(model, config.h, config.radius)
+    chain = build_chain(model, config.h)
     stats = run_ensemble(chain, bundle, H, config)
 
     has_cf = symbolic.condition_i

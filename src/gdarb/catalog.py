@@ -35,10 +35,6 @@ class CatalogEntry:
     sample_params: Callable[[np.random.Generator], dict]
     description: str = ""
 
-    def model(self, **overrides) -> NaturalScaleModel:
-        params = {**self.defaults, **overrides}
-        return self.build(**params)
-
     def params(self, **overrides) -> dict:
         return {**self.defaults, **overrides}
 

@@ -54,8 +54,9 @@ class GridChain:
     grid: np.ndarray  # node positions, increasing, uniform spacing h
     dt: np.ndarray  # holding time per node (inf at absorbing nodes)
     m_cell: np.ndarray  # speed mass of the cell [u - h/2, u + h/2) per node
-    node_type: np.ndarray  # INTERIOR / REFLECT_UP / REFLECT_DOWN / ABSORBING
-    p_up: np.ndarray  # move rule: a step goes up iff its uniform is below p_up[i]
+    # the move rule: INTERIOR nodes step up or down on a fair coin,
+    # REFLECT_UP / REFLECT_DOWN edges step inward, ABSORBING nodes never move
+    node_type: np.ndarray
     window_edge: np.ndarray  # True where reflection is a truncation artifact
     start_idx: int
     window: tuple[float, float]
@@ -120,9 +121,6 @@ def build_chain(
     else:
         node_type[-1] = REFLECT_DOWN
         window_edge[-1] = not (right_real and model.right.is_reflecting)
-    # edges move inward (absorbing edges never move: their dt is infinite)
-    p_up = np.full(n, 0.5)
-    p_up[0], p_up[-1] = 1.0, 0.0
 
     m_ac = model.m_ac
     atom_mass = np.zeros(n)
@@ -163,7 +161,6 @@ def build_chain(
         dt=dt,
         m_cell=m_cell,
         node_type=node_type,
-        p_up=p_up,
         window_edge=window_edge,
         start_idx=start_idx,
         window=(float(grid[0]), float(grid[-1])),
@@ -197,15 +194,15 @@ def sample_path(chain: GridChain, T: float, seed: int, path_id: int = 0) -> Path
     """One path of the chain on [0, T]; a hold that reaches T ends it.
 
     Each step draws one uniform from the path's stream and goes up iff the
-    uniform is below ``p_up`` of the node it leaves.  Steps are taken in
-    blocks.  Every move is a fair coin except at the two edges, so a
-    block's free positions are one cumulative sum.  The nearer edge, when it
-    reflects and the block can reach it, is crossed inside the block in
-    closed form: the walk whose moves from the wall are forced inward is the
-    free walk plus twice the rounded-up half of its running overshoot past
-    the wall (Skorokhod reflection).  A block is cut at the step whose hold
-    reaches T and at the first visit to the other edge or to an absorbing
-    node.
+    uniform is below 1/2, except at a reflecting edge, whose step goes
+    inward whatever it draws.  Steps are taken in blocks.  Every move is a
+    fair coin except at the two edges, so a block's free positions are one
+    cumulative sum.  The nearer edge, when it reflects and the block can
+    reach it, is crossed inside the block in closed form: the walk whose
+    moves from the wall are forced inward is the free walk plus twice the
+    rounded-up half of its running overshoot past the wall (Skorokhod
+    reflection).  A block is cut at the step whose hold reaches T and at the
+    first visit to the other edge or to an absorbing node.
     """
     if T <= 0:
         raise ValueError("horizon must be positive")

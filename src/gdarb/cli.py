@@ -264,9 +264,7 @@ def _cmd_demo(args) -> int:
             print(f"atom mismatch at {loc}", file=sys.stderr)
     lo, hi = bundle.window
     xs = np.linspace(max(lo, -10.0), min(hi, 10.0), 501)
-    built_d = np.array([bundle.nu.density_at(float(x)) for x in xs])
-    exp_d = np.array([expected.density_at(float(x)) for x in xs])
-    if np.max(np.abs(built_d - exp_d)) > 1e-10:
+    if np.max(np.abs(bundle.nu.density_at(xs) - expected.density_at(xs))) > 1e-10:
         ok = False
         print("density mismatch", file=sys.stderr)
     if verdicts.nip != entry.expected_nip(**params):

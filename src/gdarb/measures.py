@@ -69,7 +69,11 @@ ZERO_MEASURE = SignedMeasure()
 
 
 def positive_set(pw: PiecewiseFn, lo: float, hi: float) -> BorelSet:
-    """Closure of {x in [lo, hi] : pw(x) > 0} as a BorelSet."""
+    """Closure of {x in [lo, hi] : pw(x) > 0} as a BorelSet.
+
+    Each segment is cut at the points and interval edges of its zero set;
+    between two cuts it keeps one sign, read at the midpoint.
+    """
     lo = max(lo, pw.lo)
     hi = min(hi, pw.hi)
     if hi <= lo:
@@ -80,13 +84,10 @@ def positive_set(pw: PiecewiseFn, lo: float, hi: float) -> BorelSet:
         b = min(hi, pw.breakpoints[i + 1])
         if b <= a:
             continue
-        cuts.add(a)
-        cuts.add(b)
-        cuts.update(seg.sign_changes(a, b))
         zs = seg.zero_set(a, b)
+        cuts.update((a, b, *zs.points))
         for za, zb in zs.intervals:
-            cuts.add(max(za, a))
-            cuts.add(min(zb, b))
+            cuts.update((max(za, a), min(zb, b)))
     cuts = sorted(c for c in cuts if lo <= c <= hi)
     pieces = []
     for a, b in zip(cuts, cuts[1:]):

@@ -326,7 +326,7 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
 
-def validate(model: NaturalScaleModel, n_samples: int = 1000) -> ValidationReport:
+def validate(model: NaturalScaleModel) -> ValidationReport:
     checks = []
     lo, hi = model.window()
     # probe away from open endpoints, where speed densities may blow up
@@ -334,7 +334,7 @@ def validate(model: NaturalScaleModel, n_samples: int = 1000) -> ValidationRepor
     pad_r = 1e-9 if model.right.included else 0.05 * (hi - lo)
     lo, hi = lo + pad_l, hi - pad_r
     pad = 1e-9 * max(1.0, hi - lo)
-    xs = np.linspace(lo + pad, hi - pad, n_samples)
+    xs = np.linspace(lo + pad, hi - pad, 1000)
 
     qv = np.asarray(model.q(xs), dtype=float)
     nondec = bool(np.all(np.diff(qv) >= -1e-12))
@@ -401,10 +401,10 @@ def validate(model: NaturalScaleModel, n_samples: int = 1000) -> ValidationRepor
     return ValidationReport(tuple(checks))
 
 
-def zero_set(model: NaturalScaleModel, radius: float = DEFAULT_WINDOW) -> BorelSet:
-    """Exact {u in the open interior : q'_+(u) = 0}."""
+def zero_set(model: NaturalScaleModel) -> BorelSet:
+    """Exact {u in the open interior : q'_+(u) = 0}, within the analysis window."""
     zs = model.q_prime.zero_set()
-    lo, hi = model.window(radius)
+    lo, hi = model.window()
     zs = zs.intersect(BorelSet.make([(lo, hi)]))
     endpoints = [e for e in (model.lo, model.hi) if np.isfinite(e)]
     return zs.without_points(endpoints)

@@ -2,7 +2,8 @@
 
 Each segment supports point evaluation, a closed-form derivative, exact
 integration against affine weights in closed form (over arrays of limits
-and weights as well as scalars), sign-change location, and zero sets.
+and weights as well as scalars), and an exact zero set, which is also where
+``measures.positive_set`` cuts a segment to find its sign.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ class Segment:
     def scaled(self, c: float) -> "Segment":
         raise NotImplementedError
 
-    def sign_changes(self, lo, hi) -> list[float]:
-        """Interior points of (lo, hi) where f crosses zero."""
-        raise NotImplementedError(f"{type(self).__name__} has no closed-form sign changes")
-
     def zero_set(self, lo, hi) -> BorelSet:
         """Exact {f = 0} on [lo, hi]; raises if no closed form exists."""
         raise NotImplementedError(f"{type(self).__name__} has no closed-form zero set")
@@ -75,9 +72,6 @@ class Const(Segment):
     def scaled(self, c):
         return Const(self.value * c)
 
-    def sign_changes(self, lo, hi):
-        return []
-
     def zero_set(self, lo, hi):
         return BorelSet.make([(lo, hi)]) if self.value == 0.0 else EMPTY
 
@@ -103,12 +97,6 @@ class Affine(Segment):
 
     def scaled(self, c):
         return Affine(self.intercept * c, self.slope * c)
-
-    def sign_changes(self, lo, hi):
-        if self.slope == 0.0:
-            return []
-        root = -self.intercept / self.slope
-        return [root] if lo < root < hi else []
 
     def zero_set(self, lo, hi):
         if self.slope == 0.0:
@@ -150,14 +138,6 @@ class Poly(Segment):
 
     def scaled(self, c):
         return Poly(tuple(c * a for a in self.coeffs))
-
-    def sign_changes(self, lo, hi):
-        roots = np.polynomial.polynomial.polyroots(self.coeffs)
-        out = []
-        for rt in roots:
-            if abs(rt.imag) < 1e-12 and lo < rt.real < hi:
-                out.append(float(rt.real))
-        return sorted(set(out))
 
     def zero_set(self, lo, hi):
         if all(a == 0.0 for a in self.coeffs):
@@ -267,27 +247,16 @@ class Power(Segment):
     def scaled(self, c):
         return Power(self.coeff * c, self.center, self.exponent, self.offset * c, self.side)
 
-    def sign_changes(self, lo, hi):
-        if self.coeff == 0.0 or self.offset == 0.0:
-            return []
-        ratio = -self.offset / self.coeff
-        if ratio <= 0.0:
-            return []
-        t = ratio ** (1.0 / self.exponent)
-        x = self.center + self.side * t
-        return [x] if lo < x < hi else []
-
     def zero_set(self, lo, hi):
-        pts = []
         if self.offset == 0.0:
             if self.coeff == 0.0:
                 return BorelSet.make([(lo, hi)])
-            if self.exponent > 0.0 and lo <= self.center <= hi:
-                pts.append(self.center)
+            x = self.center if self.exponent > 0.0 else np.nan
+        elif self.coeff == 0.0 or -self.offset / self.coeff <= 0.0:
+            x = np.nan
         else:
-            pts = self.sign_changes(lo - 1e-300, hi + 1e-300)
-            pts = [p for p in pts if lo <= p <= hi]
-        return BorelSet.make(points=pts)
+            x = self.center + self.side * (-self.offset / self.coeff) ** (1.0 / self.exponent)
+        return BorelSet.make(points=[x] if lo <= x <= hi else [])
 
 
     def derivative_segment(self):
@@ -344,19 +313,14 @@ class Exponential(Segment):
     def scaled(self, c):
         return Exponential(self.coeff * c, self.rate, self.offset * c)
 
-    def sign_changes(self, lo, hi):
-        if self.coeff == 0.0 or self.offset == 0.0 or self.rate == 0.0:
-            return []
-        ratio = -self.offset / self.coeff
-        if ratio <= 0.0:
-            return []
-        x = np.log(ratio) / self.rate
-        return [float(x)] if lo < x < hi else []
-
     def zero_set(self, lo, hi):
-        if self.coeff == 0.0 and self.offset == 0.0:
+        a, b, c = self.coeff, self.rate, self.offset
+        if a == 0.0 and c == 0.0:
             return BorelSet.make([(lo, hi)])
-        return BorelSet.make(points=[p for p in self.sign_changes(lo, hi)])
+        if a == 0.0 or c == 0.0 or b == 0.0 or -c / a <= 0.0:
+            return EMPTY
+        x = float(np.log(-c / a) / b)
+        return BorelSet.make(points=[x] if lo < x < hi else [])
 
 
     def derivative_segment(self):
@@ -408,14 +372,11 @@ class Log(Segment):
     def scaled(self, c):
         return Log(self.coeff * c, self.scale, self.center, self.offset * c)
 
-    def sign_changes(self, lo, hi):
-        if self.coeff == 0.0:
-            return []
-        x = self.center + np.exp(-self.offset / self.coeff) / self.scale
-        return [float(x)] if lo < x < hi else []
-
     def zero_set(self, lo, hi):
-        return BorelSet.make(points=self.sign_changes(lo, hi))
+        if self.coeff == 0.0:
+            return EMPTY
+        x = float(self.center + np.exp(-self.offset / self.coeff) / self.scale)
+        return BorelSet.make(points=[x] if lo < x < hi else [])
 
 
     def derivative_segment(self):
@@ -478,9 +439,6 @@ class DistToSet(Segment):
 
     def scaled(self, c):
         return DistToSet(self.target, self.scale * c)
-
-    def sign_changes(self, lo, hi):
-        return []
 
     def zero_set(self, lo, hi):
         window = BorelSet.make([(lo, hi)])

@@ -225,7 +225,7 @@ def test_criterion_6_nip_nullity():
 def test_criterion_7_local_time_calibration():
     model = cat.sticky_model(xi=0.5, rho=0.0, x0=0.0, r=0.0)
     bundle = build_nu(model)
-    chain = build_chain(model, BUDGET.h, BUDGET.radius)
+    chain = build_chain(model, BUDGET.h)
     stats = run_ensemble(chain, bundle, FeedbackStrategy(), BUDGET, track_nodes=(0.0,))
     i0 = chain.index_of(0.0)
     est = float(np.mean(stats.occupation[:, 0])) / chain.m_cell[i0]
@@ -261,7 +261,7 @@ def test_criterion_9_domination(mc_runs):
     # quadratic-variation strategy on the flat-set example: growth only at jumps
     fc = mc_runs["fat-cantor"]
     theta_bar = build_theta_bar(fc["model"], fc["bundle"])
-    chain = build_chain(fc["model"], BUDGET.h, BUDGET.radius)
+    chain = build_chain(fc["model"], BUDGET.h)
     same = np.array_equal(
         np.asarray(fc["theta"].evaluate(chain.grid)),
         np.asarray(theta_bar.evaluate(chain.grid)),

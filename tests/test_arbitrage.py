@@ -102,7 +102,7 @@ def test_expected_nu_regression(entry):
 
 @pytest.mark.parametrize("entry", cat.catalog(), ids=lambda e: e.name)
 def test_nu_concentrated_on_zero_set(entry):
-    model = entry.model()
+    model = entry.build()
     bundle = build_nu(model)
     window = BorelSet.make([bundle.window])
     off = window.difference(bundle.n_qprime0)
@@ -201,7 +201,7 @@ def test_theta_bar_zero_for_atomic_nu():
 
 def test_conditions_theta_passes():
     for entry in cat.catalog():
-        model = entry.model()
+        model = entry.build()
         bundle = build_nu(model)
         if bundle.nu.is_zero:
             continue

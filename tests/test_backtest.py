@@ -211,7 +211,7 @@ def test_hold_reaching_the_horizon_ends_the_path():
     bundle, chain = _setup(model, 0.5, radius=5.0)
     assert np.all(chain.dt == 0.25)
     unit = FeedbackStrategy(plus_set=BorelSet.make([(-5.0, 5.0)]))
-    cfg = MCConfig(n_paths=8, h=0.5, T=0.5, seed=3, radius=5.0)
+    cfg = MCConfig(n_paths=8, h=0.5, T=0.5, seed=3)
     stats = run_ensemble(chain, bundle, unit, cfg)
     assert stats.v_int[0] == -0.5
     for pid in range(8):
@@ -289,7 +289,7 @@ def test_classify_skew_increasing_profit():
     model = cat.skew_model(kappa=0.75, x0=0.0, r=0.1)
     bundle = build_nu(model)
     theta = build_theta(bundle)
-    cfg = MCConfig(n_paths=400, h=0.01, T=1.0, seed=8, radius=10.0)
+    cfg = MCConfig(n_paths=400, h=0.01, T=1.0, seed=8)
     report = classify_ip(model, bundle, theta, cfg)
     assert report.verdict == "increasing_profit"
     assert report.condition_i_ok and report.condition_ii_ok
@@ -304,7 +304,7 @@ def test_classify_nip_market_not():
     model = cat.reflected_model(mu=0.0, sigma=0.5, m1=2.0, u0=0.1, r=0.25)
     bundle = build_nu(model)
     theta = build_theta(bundle)
-    cfg = MCConfig(n_paths=100, h=0.02, T=1.0, seed=9, radius=5.0)
+    cfg = MCConfig(n_paths=100, h=0.02, T=1.0, seed=9)
     report = classify_ip(model, bundle, theta, cfg)
     assert report.verdict == "not"
     assert np.all(report.details["v_cf"] == 0.0)
@@ -315,7 +315,7 @@ def test_classify_minus_theta_not():
     model = cat.sticky_model(xi=0.5, rho=2.0, x0=0.5, r=0.1)
     bundle = build_nu(model)
     theta = build_theta(bundle)
-    cfg = MCConfig(n_paths=200, h=0.02, T=1.0, seed=10, radius=10.0)
+    cfg = MCConfig(n_paths=200, h=0.02, T=1.0, seed=10)
     report = classify_ip(model, bundle, theta.scaled(-1.0), cfg)
     assert report.verdict == "not"
     assert not report.condition_ii_ok
@@ -328,7 +328,7 @@ def test_classify_constant_strategy_not():
     model = cat.skew_model(kappa=0.75, x0=0.0, r=0.1)
     bundle = build_nu(model)
     H = FeedbackStrategy(plus_set=BorelSet.make([(-50.0, 50.0)]))
-    cfg = MCConfig(n_paths=100, h=0.02, T=1.0, seed=11, radius=5.0)
+    cfg = MCConfig(n_paths=100, h=0.02, T=1.0, seed=11)
     report = classify_ip(model, bundle, H, cfg)
     assert report.verdict == "not"
     assert not report.condition_i_ok
@@ -340,7 +340,7 @@ def test_empirical_condition_i_zero_on_flat_support():
     model = cat.fat_cantor_model(depth=3, u0=0.5, r=0.1)
     bundle = build_nu(model)
     theta = build_theta(bundle)
-    cfg = MCConfig(n_paths=50, h=0.01, T=0.5, seed=12, radius=3.0)
+    cfg = MCConfig(n_paths=50, h=0.01, T=0.5, seed=12)
     report = classify_ip(model, bundle, theta, cfg)
     # q' vanishes identically on the support, so the leak is exactly zero
     assert report.details["empirical_condition_i_max"] == 0.0

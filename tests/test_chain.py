@@ -39,9 +39,6 @@ def test_holding_times_brownian():
     assert np.allclose(chain.dt[interior], 0.01, rtol=0, atol=1e-14)
     # truncation edges reflect with the one-sided oracle value h^2
     assert chain.node_type[0] == REFLECT_UP and chain.node_type[-1] == REFLECT_DOWN
-    # fair coin inside, deterministic inward moves at the reflecting edges
-    assert np.all(chain.p_up[interior] == 0.5)
-    assert chain.p_up[0] == 1.0 and chain.p_up[-1] == 0.0
     assert chain.window_edge[0] and chain.window_edge[-1]
     assert chain.dt[0] == pytest.approx(0.01, abs=1e-14)
     assert chain.dt[-1] == pytest.approx(0.01, abs=1e-14)
@@ -173,8 +170,9 @@ def test_vanishing_speed_density_names_the_node():
 
 def _per_step_path(chain, T, seed, path_id):
     """(states, times, absorbed, absorption time, window hit), one step at a
-    time: each step draws one uniform and goes up iff it is below p_up of the
-    node it leaves; a hold that reaches T ends the path."""
+    time: each step draws one uniform; a reflecting edge steps inward, any
+    other node goes up iff the uniform is below 1/2; a hold that reaches T
+    ends the path."""
     rng = path_rng(seed, path_id)
     i = chain.start_idx
     t = 0.0
@@ -184,7 +182,8 @@ def _per_step_path(chain, T, seed, path_id):
     while not absorbed and t < T:
         u01 = rng.random()
         t += chain.dt[i]
-        i += 1 if u01 < chain.p_up[i] else -1
+        kind = chain.node_type[i]
+        i += 1 if kind == REFLECT_UP or (kind != REFLECT_DOWN and u01 < 0.5) else -1
         states.append(i)
         times.append(t)
         if t < T:
@@ -245,8 +244,6 @@ def test_sample_path_crosses_walls_like_per_step_loop(
     dt = 2 * T / n_holds * np.random.default_rng(dt_seed).uniform(0.05, 0.95, n)
     node_type = np.full(n, INTERIOR, dtype=np.int8)
     node_type[0], node_type[-1] = REFLECT_UP, REFLECT_DOWN
-    p_up = np.full(n, 0.5)
-    p_up[0], p_up[-1] = 1.0, 0.0
     window_edge = np.zeros(n, dtype=bool)
     for idx, kind in ((0, left), (n - 1, right)):
         if kind == "absorbing":
@@ -260,7 +257,6 @@ def test_sample_path_crosses_walls_like_per_step_loop(
         dt=dt,
         m_cell=np.full(n, h),
         node_type=node_type,
-        p_up=p_up,
         window_edge=window_edge,
         start_idx=max(n - 1 - offset, 0) if from_right else min(offset, n - 1),
         window=(float(grid[0]), float(grid[-1])),

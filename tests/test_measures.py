@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdarb import catalog as cat
 from gdarb.borel import BorelSet, svc_set
@@ -10,7 +12,7 @@ from gdarb.measures import (
     jordan_hahn,
     positive_set,
 )
-from gdarb.piecewise import Affine, PiecewiseFn, Poly
+from gdarb.piecewise import Affine, Const, Exponential, Log, PiecewiseFn, Poly, Power
 
 
 def test_atom_dedupe_and_zero_drop():
@@ -39,6 +41,56 @@ def test_positive_set():
     pw = PiecewiseFn.from_segment(Poly((-1.0, 0.0, 1.0)), -2.0, 2.0)  # x^2 - 1
     ps = positive_set(pw, -2.0, 2.0)
     assert ps.intervals == ((-2.0, -1.0), (1.0, 2.0))
+
+
+def _coef(draw):
+    # exact zeros make constant, one-term and identically zero segments
+    return draw(st.just(0.0) | st.floats(-3.0, 3.0, allow_subnormal=False))
+
+
+@st.composite
+def _segment_on(draw, a, b):
+    """A segment of one of six kinds, valid on [a, b]: a power or log
+    segment's half-line starts at a (or ends at b) or a gap beyond it."""
+    kind = draw(st.sampled_from(["const", "affine", "poly", "power", "exp", "log"]))
+    if kind == "const":
+        return Const(_coef(draw))
+    if kind == "affine":
+        return Affine(_coef(draw), _coef(draw))
+    if kind == "poly":
+        return Poly(tuple(_coef(draw) for _ in range(draw(st.integers(1, 5)))))
+    if kind == "exp":
+        return Exponential(_coef(draw), _coef(draw), _coef(draw))
+    side = draw(st.sampled_from([1, -1]))
+    center = (a if side == 1 else b) - side * draw(st.just(0.0) | st.floats(0.0, 1.0))
+    if kind == "power":
+        exponent = draw(st.sampled_from([-2.0, -1.0, 1.0, 2.0, 3.0]) | st.floats(0.1, 3.0))
+        exponent *= draw(st.sampled_from([1.0, -1.0]))
+        return Power(_coef(draw), center, exponent, _coef(draw), side)
+    return Log(_coef(draw), side * draw(st.floats(0.2, 5.0)), center, _coef(draw))
+
+
+@st.composite
+def _piecewise_fns(draw):
+    n = draw(st.integers(1, 4))
+    cuts = np.cumsum([draw(st.floats(0.05, 3.0)) for _ in range(n + 1)]) - 4.0
+    bps = tuple(float(c) for c in cuts)
+    return PiecewiseFn(bps, tuple(draw(_segment_on(a, b)) for a, b in zip(bps, bps[1:])))
+
+
+@settings(max_examples=300)
+@given(pw=_piecewise_fns())
+def test_positive_set_matches_sign(pw):
+    # cutting each segment at its zero set finds every sign change: away
+    # from breakpoints and from values too close to 0 to have a sign, the
+    # closure of {f > 0} holds x exactly when f(x) > 0
+    xs = np.linspace(pw.lo, pw.hi, 401)[1:-1]
+    xs = xs[np.min(np.abs(xs[:, None] - np.array(pw.breakpoints)), axis=1) > 1e-9]
+    with np.errstate(all="ignore"):
+        fx = np.asarray(pw(xs))
+        inside = positive_set(pw, pw.lo, pw.hi).contains(xs)
+    clear = np.isfinite(fx) & (np.abs(fx) > 1e-6)
+    assert np.array_equal(inside[clear], fx[clear] > 0.0)
 
 
 def test_jordan_hahn_positive_atom():

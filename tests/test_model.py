@@ -102,7 +102,7 @@ def test_es_model_log_scale_branch():
 
 @pytest.mark.parametrize("entry", cat.catalog(), ids=lambda e: e.name)
 def test_catalog_q_roundtrip(entry):
-    model = entry.model()
+    model = entry.build()
     lo = max(model.lo, model.u0 - 5.0)
     hi = min(model.hi, model.u0 + 5.0)
     us = np.linspace(lo + 1e-9, hi, 1000)
@@ -114,7 +114,7 @@ def test_catalog_q_roundtrip(entry):
 
 @pytest.mark.parametrize("entry", cat.catalog(), ids=lambda e: e.name)
 def test_catalog_validates(entry):
-    report = validate(entry.model())
+    report = validate(entry.build())
     assert report.ok, [c.name for c in report.failures]
 
 

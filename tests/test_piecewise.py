@@ -199,14 +199,14 @@ def test_power_zero_set_at_center():
 
 def test_sign_changes_bisection():
     seg = Exponential(1.0, 1.0, -np.e)  # root at x = 1
-    roots = seg.sign_changes(0.0, 2.0)
+    roots = seg.zero_set(0.0, 2.0).points
     assert len(roots) == 1
     assert roots[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_poly_sign_changes():
     seg = Poly((-1.0, 0.0, 1.0))  # x^2 - 1
-    assert seg.sign_changes(-2.0, 2.0) == pytest.approx([-1.0, 1.0])
+    assert seg.zero_set(-2.0, 2.0).points == pytest.approx((-1.0, 1.0))
 
 
 def test_dist_to_set_segment():
