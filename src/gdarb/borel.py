@@ -2,8 +2,8 @@
 
 A set is stored as a disjoint union of closed intervals, isolated points,
 and at most one Smith-Volterra-Cantor ("fat Cantor") component.  All
-operations (Lebesgue measure, membership, distance, boolean algebra) are
-exact for this class of sets.
+operations (Lebesgue measure, membership, boolean algebra) are exact for
+this class of sets.
 """
 
 from __future__ import annotations
@@ -102,26 +102,6 @@ class SVCSet:
             length = half
         return inside if inside.shape else bool(inside)
 
-    def distance(self, x: float) -> float:
-        """Distance to the nearest retained point (exact at finite depth)."""
-        if x <= self.base_lo:
-            return self.base_lo - x
-        if x >= self.base_hi:
-            return x - self.base_hi
-        z = (x - self.base_lo) / self.scale
-        lo, length = 0.0, 1.0
-        for k in range(1, self.depth + 1):
-            gap = 4.0**-k
-            half = (length - gap) / 2.0
-            if z <= lo + half:
-                length = half
-            elif z >= lo + length - half:
-                lo, length = lo + length - half, half
-            else:
-                # inside the removed middle gap; edges are retained
-                return self.scale * min(z - (lo + half), (lo + length - half) - z)
-        return 0.0
-
 
 def _merge_intervals(ivs):
     ivs = sorted((lo, hi) for lo, hi in ivs if hi >= lo)
@@ -141,7 +121,7 @@ class BorelSet:
     """Disjoint union of closed intervals, points, and an optional SVC part.
 
     ``excluded_points`` removes finitely many points from membership tests;
-    it never affects measure or distance (which refer to the closure).
+    it never affects measure (which refers to the closure).
     """
 
     intervals: tuple[tuple[float, float], ...] = ()
@@ -210,18 +190,6 @@ class BorelSet:
 
     def __contains__(self, x) -> bool:
         return bool(self.contains(x))
-
-    def distance(self, x: float) -> float:
-        if self.is_empty:
-            raise ValueError("distance to the empty set is undefined")
-        best = np.inf
-        for lo, hi in self.intervals:
-            best = min(best, 0.0 if lo <= x <= hi else min(abs(x - lo), abs(x - hi)))
-        for p in self.points:
-            best = min(best, abs(x - p))
-        if self.svc is not None:
-            best = min(best, self.svc.distance(x))
-        return float(best)
 
     # -- algebra ---------------------------------------------------------
 

@@ -227,11 +227,10 @@ def skew_expected_nu(kappa=0.75, **_) -> SignedMeasure:
 # -- Brownian motion whose inverse scale is flat on a fat Cantor set ----
 
 
-def fat_cantor_q(depth=4) -> tuple[PiecewiseFn, PiecewiseFn, BorelSet]:
-    """(q, q', F): q(u) = integral of dist(., F) from 0 to u."""
+def fat_cantor_q(depth=4) -> tuple[PiecewiseFn, BorelSet]:
+    """(q, F): q(u) = integral of dist(., F) from 0 to u, so q' = dist(., F)
+    vanishes exactly on F."""
     f_set = svc_set(depth)
-    from .piecewise import DistToSet
-
     ivs = f_set._all_intervals()  # retained closed intervals, sorted
     bps = [-np.inf, 0.0]
     segs = [Poly((0.0, 0.0, -0.5))]  # q(u) = -u^2/2 for u <= 0
@@ -255,17 +254,13 @@ def fat_cantor_q(depth=4) -> tuple[PiecewiseFn, PiecewiseFn, BorelSet]:
         segs.append(Const(acc))
     bps.append(np.inf)
     segs.append(Power(0.5, last_hi, 2.0, acc, +1))
-    q = PiecewiseFn(tuple(bps), tuple(segs))
-    q_prime = PiecewiseFn(
-        (-np.inf, 0.0, 1.0, np.inf),
-        (Affine(0.0, -1.0), DistToSet(f_set), Affine(-1.0, 1.0)),
-    )
-    return q, q_prime, f_set
+    return PiecewiseFn(tuple(bps), tuple(segs)), f_set
 
 
 def fat_cantor_model(depth=4, u0=0.5, r=0.1) -> NaturalScaleModel:
-    depth = int(depth)
-    q, q_prime, _ = fat_cantor_q(depth)
+    if not float(depth).is_integer():
+        raise ValueError(f"depth must be an integer, got {depth!r}")
+    q, _ = fat_cantor_q(int(depth))
     return NaturalScaleModel(
         lo=-np.inf,
         hi=np.inf,
@@ -275,14 +270,13 @@ def fat_cantor_model(depth=4, u0=0.5, r=0.1) -> NaturalScaleModel:
         m_ac=PiecewiseFn.constant(1.0, -np.inf, np.inf),
         u0=u0,
         rate=r,
-        q_prime=q_prime,
     )
 
 
 def fat_cantor_expected_nu(depth=4, r=0.1, **_) -> SignedMeasure:
     if r == 0.0:
         return ZERO_MEASURE
-    q, _, f_set = fat_cantor_q(int(depth))
+    q, f_set = fat_cantor_q(int(depth))
     return SignedMeasure(density=q.scaled(-r), carrier=f_set)
 
 

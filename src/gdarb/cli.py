@@ -71,6 +71,23 @@ def _parse_params(pairs: list[str]) -> dict:
     return out
 
 
+def _build_example(name: str, pairs) -> tuple[cat.CatalogEntry, dict, NaturalScaleModel]:
+    """The catalog entry, its parameters with the --param overrides, and its
+    model.  A parameter the entry does not take or rejects is a usage
+    error; a model error from valid parameters is not."""
+    try:
+        entry = cat.get_entry(name)
+    except KeyError as exc:
+        raise _UsageError(str(exc)) from None
+    params = entry.params(**_parse_params(pairs or []))
+    try:
+        return entry, params, entry.build(**params)
+    except ModelError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise _UsageError(f"bad parameter for {entry.name}: {exc}") from None
+
+
 def _load_model(args) -> tuple[NaturalScaleModel, str]:
     if getattr(args, "model", None) and getattr(args, "example", None):
         raise _UsageError("--model and --example are mutually exclusive")
@@ -78,15 +95,8 @@ def _load_model(args) -> tuple[NaturalScaleModel, str]:
         spec = parse_model_file(args.model)
         return to_natural_scale(spec), os.path.basename(args.model)
     if getattr(args, "example", None):
-        try:
-            entry = cat.get_entry(args.example)
-        except KeyError as exc:
-            raise _UsageError(str(exc)) from None
-        params = _parse_params(args.param or [])
-        try:
-            return entry.build(**entry.params(**params)), entry.name
-        except TypeError as exc:
-            raise _UsageError(f"bad parameter for {entry.name}: {exc}") from None
+        entry, _, model = _build_example(args.example, args.param)
+        return model, entry.name
     raise _UsageError("one of --model or --example is required")
 
 
@@ -243,12 +253,7 @@ def _cmd_backtest(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    try:
-        entry = cat.get_entry(args.name)
-    except KeyError as exc:
-        raise _UsageError(str(exc)) from None
-    params = entry.params(**_parse_params(args.param or []))
-    model = entry.build(**params)
+    entry, params, model = _build_example(args.name, args.param)
     if not _validate_or_fail(model, args.quiet):
         return 1
     bundle = build_nu(model)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .borel import EMPTY, BorelSet
+from .borel import BorelSet
 from .measures import SignedMeasure
 from .piecewise import (
     Affine,
@@ -92,10 +92,10 @@ class DiffusionSpec:
 class NaturalScaleModel:
     """Canonical model in U = s(Y) coordinates on E = s(J).
 
-    ``q`` is the inverse scale; ``q_prime`` defaults to its per-segment
-    derivative but may be supplied explicitly (needed when q' has an exact
-    zero set, such as a distance-to-set segment, that the derivative of the
-    stored q representation cannot expose).
+    ``q`` is the inverse scale.  ``q_prime`` is its per-segment derivative,
+    so q'(u) reads the segment to the right of a breakpoint (q'_+), and
+    ``q_second_atoms`` holds the jumps of q' at interior breakpoints, the
+    atoms of q''.  Both are derived once, when the model is built.
     """
 
     lo: float
@@ -107,33 +107,33 @@ class NaturalScaleModel:
     m_atoms: tuple[tuple[float, float], ...] = ()
     u0: float = 0.0
     rate: float = 0.0
-    q_prime: PiecewiseFn | None = None
+    q_prime: PiecewiseFn = field(init=False)
+    q_second_atoms: tuple[tuple[float, float], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        if self.q_prime is None:
-            object.__setattr__(self, "q_prime", self.q.derivative())
+        qp = self.q.derivative()
+        object.__setattr__(self, "q_prime", qp)
+        interior = [
+            (a, left)
+            for a, left in zip(qp.breakpoints[1:-1], qp.segments)
+            if self.lo < a < self.hi
+        ]
+        right = qp(np.array([a for a, _ in interior], dtype=float))
+        atoms = []
+        for (a, left), r in zip(interior, right):
+            jump = float(r) - float(left(a))
+            if abs(jump) > _KINK_TOL:
+                atoms.append((float(a), jump))
+        object.__setattr__(self, "q_second_atoms", tuple(atoms))
 
     # -- derived structure ----------------------------------------------
-
-    @property
-    def q_second_atoms(self) -> tuple[tuple[float, float], ...]:
-        """Atoms of q'' at interior breakpoints: jumps of q'."""
-        out = []
-        for a in self.q_prime.breakpoints[1:-1]:
-            if not (self.lo < a < self.hi):
-                continue
-            jump = float(self.q_prime(a)) - float(self._q_prime_left(a))
-            if abs(jump) > _KINK_TOL:
-                out.append((float(a), jump))
-        return tuple(out)
 
     def _q_prime_left(self, a: float) -> float:
         idx = int(np.searchsorted(self.q_prime.breakpoints, a, side="left")) - 1
         idx = max(0, min(idx, len(self.q_prime.segments) - 1))
         return float(self.q_prime.segments[idx](a))
-
-    def speed_measure(self) -> SignedMeasure:
-        return SignedMeasure(density=self.m_ac, atoms=self.m_atoms)
 
     def m_atom_mass(self, u: float) -> float:
         for a, mass in self.m_atoms:
@@ -347,12 +347,9 @@ def validate(model: NaturalScaleModel) -> ValidationReport:
     checks.append(CheckResult("q-increasing-overall", strict, qv[-1] - qv[0]))
 
     qp = np.asarray(model.q_prime(xs), dtype=float)
-    bp_vals = [
-        float(model.q_prime(b))
-        for b in model.q_prime.breakpoints
-        if np.isfinite(b) and lo <= b <= hi
-    ]
-    qp_ok = bool(np.all(qp >= -1e-12)) and all(v >= -1e-12 for v in bp_vals)
+    bps = np.array(model.q_prime.breakpoints)
+    bp_vals = model.q_prime(bps[np.isfinite(bps) & (lo <= bps) & (bps <= hi)])
+    qp_ok = bool(np.all(qp >= -1e-12)) and bool(np.all(bp_vals >= -1e-12))
     checks.append(CheckResult("q-prime-nonnegative", qp_ok, float(np.min(qp))))
 
     mv = np.asarray(model.m_ac(xs), dtype=float)
@@ -360,10 +357,14 @@ def validate(model: NaturalScaleModel) -> ValidationReport:
     checks.append(CheckResult("speed-nonnegative", m_ok, float(np.min(mv))))
 
     # every compact interior interval carries positive finite mass
-    speed = model.speed_measure()
-    masses = []
-    for a, b in zip(np.linspace(lo, hi, 6)[:-1], np.linspace(lo, hi, 6)[1:]):
-        masses.append(speed(BorelSet.make([(a + pad, b - pad)])))
+    edges = np.linspace(lo, hi, 6)
+    cell_lo, cell_hi = edges[:-1] + pad, edges[1:] - pad
+    ac_lo = np.maximum(cell_lo, model.m_ac.lo)
+    ac_hi = np.maximum(np.minimum(cell_hi, model.m_ac.hi), ac_lo)
+    masses = model.m_ac.integrate(ac_lo, ac_hi)
+    for a, mass in model.m_atoms:
+        masses = masses + np.where((cell_lo <= a) & (a <= cell_hi), mass, 0.0)
+    masses = masses.tolist()
     pos_ok = all(np.isfinite(m) and m > 0 for m in masses)
     checks.append(
         CheckResult("speed-positive-on-compacts", pos_ok, float(min(masses)))

@@ -1,9 +1,12 @@
-"""Piecewise functions built from a closed catalog of segment kinds.
+"""Piecewise functions built from a closed catalog of six segment kinds:
+``Const``, ``Affine``, ``Poly``, ``Power``, ``Exponential`` and ``Log``.
 
 Each segment supports point evaluation, a closed-form derivative, exact
 integration against affine weights in closed form (over arrays of limits
 and weights as well as scalars), and an exact zero set, which is also where
-``measures.positive_set`` cuts a segment to find its sign.
+``measures.positive_set`` cuts a segment to find its sign.  A segment that
+is identically 0 has the whole interval as its zero set, and a nonzero
+constant one has none.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ __all__ = [
     "Power",
     "Exponential",
     "Log",
-    "DistToSet",
     "PiecewiseFn",
 ]
 
@@ -248,11 +250,13 @@ class Power(Segment):
         return Power(self.coeff * c, self.center, self.exponent, self.offset * c, self.side)
 
     def zero_set(self, lo, hi):
+        if self.exponent == 0.0:
+            return Const(self.coeff + self.offset).zero_set(lo, hi)
+        if self.coeff == 0.0:
+            return Const(self.offset).zero_set(lo, hi)
         if self.offset == 0.0:
-            if self.coeff == 0.0:
-                return BorelSet.make([(lo, hi)])
             x = self.center if self.exponent > 0.0 else np.nan
-        elif self.coeff == 0.0 or -self.offset / self.coeff <= 0.0:
+        elif -self.offset / self.coeff <= 0.0:
             x = np.nan
         else:
             x = self.center + self.side * (-self.offset / self.coeff) ** (1.0 / self.exponent)
@@ -315,9 +319,11 @@ class Exponential(Segment):
 
     def zero_set(self, lo, hi):
         a, b, c = self.coeff, self.rate, self.offset
-        if a == 0.0 and c == 0.0:
-            return BorelSet.make([(lo, hi)])
-        if a == 0.0 or c == 0.0 or b == 0.0 or -c / a <= 0.0:
+        if b == 0.0:
+            return Const(a + c).zero_set(lo, hi)
+        if a == 0.0:
+            return Const(c).zero_set(lo, hi)
+        if c == 0.0 or -c / a <= 0.0:
             return EMPTY
         x = float(np.log(-c / a) / b)
         return BorelSet.make(points=[x] if lo < x < hi else [])
@@ -374,7 +380,7 @@ class Log(Segment):
 
     def zero_set(self, lo, hi):
         if self.coeff == 0.0:
-            return EMPTY
+            return Const(self.offset).zero_set(lo, hi)
         x = float(self.center + np.exp(-self.offset / self.coeff) / self.scale)
         return BorelSet.make(points=[x] if lo < x < hi else [])
 
@@ -388,66 +394,6 @@ class Log(Segment):
                 return float(-np.sign(self.coeff) * np.inf)
             return float(self(x))
         return float(np.sign(self.coeff) * np.inf) if self.coeff != 0.0 else self.offset
-
-
-@dataclass(frozen=True)
-class DistToSet(Segment):
-    """f(x) = scale * dist(x, F) for a nonempty BorelSet F."""
-
-    target: BorelSet
-    scale: float = 1.0
-
-    def _pieces(self, lo, hi):
-        """Breakpoints and linear pieces of the distance function on [lo, hi]."""
-        ivs = sorted(self.target._all_intervals() + [(p, p) for p in self.target.points])
-        bps = set([lo, hi])
-        for a, b in ivs:
-            for p in (a, b):
-                if lo < p < hi:
-                    bps.add(p)
-        # gap midpoints are kinks too
-        for (a0, b0), (a1, b1) in zip(ivs, ivs[1:]):
-            m = 0.5 * (b0 + a1)
-            if lo < m < hi:
-                bps.add(m)
-        return sorted(bps)
-
-    def __call__(self, x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.array([self.target.distance(v) for v in arr]) * self.scale
-        return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
-
-
-    def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
-        # the linear pieces depend on the limits, so each element is its own
-        # sum of pieces
-        args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lo, hi, c0, c1)))
-        out = [self._integrate_one(*map(float, v)) for v in zip(*(a.ravel() for a in args))]
-        return np.reshape(out, args[0].shape)
-
-    def _integrate_one(self, lo, hi, c0, c1):
-        total = 0.0
-        bps = self._pieces(lo, hi)
-        for a, b in zip(bps, bps[1:]):
-            m = 0.5 * (a + b)
-            fm = self.target.distance(m) * self.scale
-            fa = self.target.distance(a) * self.scale
-            slope = 0.0 if b == a else (fm - fa) / (m - a)
-            seg = Affine(fa - slope * a, slope)
-            total += seg.integrate_affine(a, b, c0, c1)
-        return total
-
-    def scaled(self, c):
-        return DistToSet(self.target, self.scale * c)
-
-    def zero_set(self, lo, hi):
-        window = BorelSet.make([(lo, hi)])
-        return self.target.intersect(window)
-
-    def limit(self, x):
-        if np.isfinite(x):
-            return float(self.target.distance(x) * self.scale)
-        return float(np.inf * np.sign(self.scale)) if self.scale != 0.0 else 0.0
 
 
 def _fix_scalar(val, x):
@@ -562,11 +508,12 @@ class PiecewiseFn:
         return PiecewiseFn(tuple(pts), tuple(segs))
 
     def zero_set(self) -> BorelSet:
-        out = EMPTY
-        for i, seg in enumerate(self.segments):
-            a, b = self.breakpoints[i], self.breakpoints[i + 1]
-            out = out.union(seg.zero_set(a, b))
-        return out
+        bps = self.breakpoints
+        parts = [seg.zero_set(a, b) for seg, a, b in zip(self.segments, bps, bps[1:])]
+        return BorelSet.make(
+            [iv for part in parts for iv in part.intervals],
+            [x for part in parts for x in part.points],
+        )
 
     def derivative(self) -> "PiecewiseFn":
         return PiecewiseFn(

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gdarb import catalog as cat
 from gdarb.borel import EMPTY, BorelSet, SVCSet, svc_measure, svc_set
 
 
@@ -47,35 +48,41 @@ def test_svc_contains_matches_intervals():
     assert np.array_equal(s.contains(xs), brute)
 
 
+def dist_oracle(f_set, x):
+    """Brute-force distance from x to the retained intervals of f_set."""
+    return min(max(lo - x, 0.0) + max(x - hi, 0.0) for lo, hi in f_set._all_intervals())
+
+
+# the fat-cantor q' is the distance to its set F = svc_set(depth)
+
+
 def test_svc_distance_first_gap_midpoint():
     # first removed gap has length 1/4, centered at 1/2
-    s = svc_set(1)
-    assert s.distance(0.5) == pytest.approx(0.125, abs=1e-15)
+    qp = cat.fat_cantor_model(depth=1).q_prime
+    assert qp(0.5) == pytest.approx(0.125, abs=1e-15)
 
 
 def test_svc_distance_outside():
-    s = svc_set(4)
-    assert s.distance(-0.3) == pytest.approx(0.3, abs=1e-15)
-    assert s.distance(1.2) == pytest.approx(0.2, abs=1e-15)
+    qp = cat.fat_cantor_model(depth=4).q_prime
+    assert qp(-0.3) == pytest.approx(0.3, abs=1e-15)
+    assert qp(1.2) == pytest.approx(0.2, abs=1e-15)
 
 
 def test_svc_distance_grid_oracle():
-    s = SVCSet(2)
-    ivs = s.to_intervals()
+    qp = cat.fat_cantor_model(depth=2).q_prime
+    s = svc_set(2)
     rng = np.random.default_rng(7)
     for x in rng.uniform(-0.2, 1.2, 200):
-        brute = min(
-            0.0 if lo <= x <= hi else min(abs(x - lo), abs(x - hi)) for lo, hi in ivs
-        )
-        assert s.distance(x) == pytest.approx(brute, abs=1e-14)
+        assert qp(x) == pytest.approx(dist_oracle(s, x), abs=1e-14)
 
 
 def test_distance_zero_iff_member():
+    qp = cat.fat_cantor_model(depth=3).q_prime
     s = svc_set(3)
     rng = np.random.default_rng(11)
     for x in rng.uniform(0.0, 1.0, 500):
         member = bool(s.contains(x))
-        assert (s.distance(x) == 0.0) == member
+        assert (qp(x) == 0.0) == member
 
 
 def test_svc_depth_validation():
@@ -145,8 +152,6 @@ def test_borel_svc_algebra():
 def test_empty_set():
     assert EMPTY.is_empty
     assert EMPTY.lebesgue() == 0.0
-    with pytest.raises(ValueError):
-        EMPTY.distance(0.0)
 
 
 # ---------------------------------------------------------------------------

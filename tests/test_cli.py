@@ -129,12 +129,20 @@ def test_missing_model_usage_error(tmp_path):
     assert rc == 2
 
 
-def test_bad_param_usage_error(tmp_path):
-    rc = main([
-        "--quiet", "--out", str(tmp_path),
-        "analyze", "--example", "bachelier-skew", "--param", "zeta=1",
-    ])
-    assert rc == 2
+def test_bad_param_usage_error(tmp_path, capsys):
+    # an unknown or rejected catalog parameter is a usage error under both
+    # analyze and demo, and a non-integer depth is not truncated
+    for argv in (
+        ["analyze", "--example", "bachelier-skew", "--param", "zeta=1"],
+        ["demo", "bachelier-skew", "--param", "zeta=1"],
+        ["analyze", "--example", "bachelier-skew", "--param", "kappa=1.5"],
+        ["demo", "bachelier-skew", "--param", "kappa=1.5"],
+        ["analyze", "--example", "fat-cantor", "--param", "depth=2.5"],
+        ["demo", "fat-cantor", "--param", "depth=2.5"],
+    ):
+        assert main(["--quiet", "--out", str(tmp_path), *argv]) == 2, argv
+        assert "usage error: bad parameter for" in capsys.readouterr().err
+    assert not (tmp_path / "verdicts.csv").exists()
 
 
 def test_missing_model_file_error(tmp_path):

@@ -71,11 +71,30 @@ def _segment_on(draw, a, b):
 
 
 @st.composite
-def _piecewise_fns(draw):
+def _constant_segment_on(draw, a, b):
+    """A Const, Exponential, Log or Power segment that is constant on [a, b]
+    (rate, log coefficient or exponent 0), and often identically 0."""
+    kind = draw(st.sampled_from(["const", "exp", "log", "power"]))
+    value, coeff = _coef(draw), _coef(draw)
+    side = draw(st.sampled_from([1, -1]))
+    center = (a if side == 1 else b) - side * draw(st.just(0.0) | st.floats(0.0, 1.0))
+    if kind == "const":
+        return Const(value)
+    if kind == "exp":
+        return Exponential(coeff, 0.0, value - coeff)
+    if kind == "log":
+        return Log(0.0, side * draw(st.floats(0.2, 5.0)), center, value)
+    if draw(st.booleans()):
+        return Power(coeff, center, 0.0, value - coeff, side)
+    return Power(0.0, center, draw(st.floats(-3.0, 3.0)), value, side)
+
+
+@st.composite
+def _piecewise_fns(draw, segment_on=_segment_on):
     n = draw(st.integers(1, 4))
     cuts = np.cumsum([draw(st.floats(0.05, 3.0)) for _ in range(n + 1)]) - 4.0
     bps = tuple(float(c) for c in cuts)
-    return PiecewiseFn(bps, tuple(draw(_segment_on(a, b)) for a, b in zip(bps, bps[1:])))
+    return PiecewiseFn(bps, tuple(draw(segment_on(a, b)) for a, b in zip(bps, bps[1:])))
 
 
 @settings(max_examples=300)
@@ -91,6 +110,22 @@ def test_positive_set_matches_sign(pw):
         inside = positive_set(pw, pw.lo, pw.hi).contains(xs)
     clear = np.isfinite(fx) & (np.abs(fx) > 1e-6)
     assert np.array_equal(inside[clear], fx[clear] > 0.0)
+
+
+@settings(max_examples=300)
+@given(pw=_piecewise_fns(lambda a, b: _segment_on(a, b) | _constant_segment_on(a, b)))
+def test_piecewise_zero_set_matches_values(pw):
+    # away from breakpoints and from the isolated roots, which are rounded,
+    # x is in the zero set exactly when f(x) == 0: an identically zero
+    # segment of any kind contributes its whole interval
+    zs = pw.zero_set()
+    xs = np.linspace(pw.lo, pw.hi, 401)[1:-1]
+    far = np.array(pw.breakpoints + zs.points)
+    xs = xs[np.min(np.abs(xs[:, None] - far), axis=1) > 1e-9]
+    with np.errstate(all="ignore"):
+        fx = np.asarray(pw(xs))
+    finite = np.isfinite(fx)
+    assert np.array_equal(zs.contains(xs)[finite], fx[finite] == 0.0)
 
 
 def test_jordan_hahn_positive_atom():
@@ -178,4 +213,5 @@ def test_is_zero_with_zero_density():
 )
 def test_speed_measure_of_a_half_line(name, mass):
     model = cat.get_entry(name).build()
-    assert model.speed_measure()(BorelSet.make([(1.0, np.inf)])) == mass
+    speed = SignedMeasure(density=model.m_ac, atoms=model.m_atoms)
+    assert speed(BorelSet.make([(1.0, np.inf)])) == mass

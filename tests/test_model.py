@@ -167,15 +167,38 @@ def test_zero_set_fat_cantor():
     assert 0.5 not in zs
 
 
+def dist_oracle(f_set, x):
+    """Brute-force distance from x to the retained intervals of f_set."""
+    ivs = np.array(f_set._all_intervals())
+    x = np.asarray(x, dtype=float)[..., None]
+    d = np.maximum(ivs[:, 0] - x, 0.0) + np.maximum(x - ivs[:, 1], 0.0)
+    return d.min(axis=-1)
+
+
 def test_fat_cantor_q_matches_numeric_integral():
-    q, q_prime, f_set = cat.fat_cantor_q(3)
+    q, f_set = cat.fat_cantor_q(3)
+    q_prime = cat.fat_cantor_model(depth=3).q_prime
     us = np.linspace(-0.5, 1.5, 41)
     for u in us:
         grid = np.linspace(0.0, u, 4001) if u != 0 else np.array([0.0, 0.0])
-        dvals = np.array([f_set.distance(z) for z in grid])
-        want = np.trapezoid(dvals, grid)
+        want = np.trapezoid(dist_oracle(f_set, grid), grid)
         assert float(q(u)) == pytest.approx(want, abs=5e-7)
-        assert float(q_prime(u)) == pytest.approx(f_set.distance(u), abs=1e-14)
+        assert float(q_prime(u)) == pytest.approx(dist_oracle(f_set, u), abs=1e-14)
+
+
+def test_fat_cantor_depth6_q_prime_has_no_kinks():
+    # q' = dist(., F) is continuous, so q'' has no atoms at the 192
+    # interior breakpoints of the depth-6 q
+    m = cat.fat_cantor_model(depth=6, u0=0.5, r=0.1)
+    assert len(m.q_prime.breakpoints) == 193
+    assert m.q_second_atoms == ()
+    assert validate(m).ok
+
+
+def test_fat_cantor_rejects_non_integer_depth():
+    with pytest.raises(ValueError, match="depth must be an integer"):
+        cat.fat_cantor_model(depth=2.5)
+    assert cat.fat_cantor_model(depth=2.0) == cat.fat_cantor_model(depth=2)
 
 
 def test_unsupported_scale_segment():

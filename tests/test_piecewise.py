@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from gdarb.borel import svc_set
+from gdarb import catalog as cat
+from gdarb.borel import BorelSet
+from gdarb.measures import SignedMeasure
 from gdarb.piecewise import (
     Affine,
     Const,
-    DistToSet,
     Exponential,
     Log,
     PiecewiseFn,
@@ -197,6 +198,18 @@ def test_power_zero_set_at_center():
     assert zs.points == (0.5,)
 
 
+def test_constant_segment_zero_sets():
+    # rate, log coefficient or exponent 0: the whole interval when the
+    # constant is 0, nothing otherwise
+    zeros = [Exponential(1.0, 0.0, -1.0), Log(0.0, 1.0, 0.0, 0.0), Power(1.0, 0.0, 0.0, -1.0)]
+    for seg in zeros:
+        assert seg.zero_set(0.1, 1.0) == BorelSet.make([(0.1, 1.0)])
+        assert SignedMeasure(PiecewiseFn.from_segment(seg, 0.1, 1.0)).is_zero
+    nonzeros = [Exponential(1.0, 0.0, 1.0), Log(0.0, 1.0, 0.0, 2.0), Power(1.0, 0.0, 0.0, 1.0)]
+    for seg in nonzeros:
+        assert seg.zero_set(0.1, 1.0).is_empty
+
+
 def test_sign_changes_bisection():
     seg = Exponential(1.0, 1.0, -np.e)  # root at x = 1
     roots = seg.zero_set(0.0, 2.0).points
@@ -209,27 +222,35 @@ def test_poly_sign_changes():
     assert seg.zero_set(-2.0, 2.0).points == pytest.approx((-1.0, 1.0))
 
 
+def dist_oracle(f_set, x):
+    """Brute-force distance from x to the retained intervals of f_set."""
+    ivs = np.array(f_set._all_intervals())
+    x = np.asarray(x, dtype=float)[..., None]
+    d = np.maximum(ivs[:, 0] - x, 0.0) + np.maximum(x - ivs[:, 1], 0.0)
+    return d.min(axis=-1)
+
+
 def test_dist_to_set_segment():
-    f = svc_set(1)  # [0, 3/8] u [5/8, 1]
-    seg = DistToSet(f)
-    assert seg(0.5) == pytest.approx(0.125)
-    assert float(np.asarray(seg(np.array([0.2]))[0])) == 0.0
+    # the fat-cantor q' is dist(., F), F = [0, 3/8] u [5/8, 1] at depth 1
+    qp = cat.fat_cantor_model(depth=1).q_prime
+    assert qp(0.5) == pytest.approx(0.125)
+    assert float(np.asarray(qp(np.array([0.2])))[0]) == 0.0
     # integral over the gap: two triangles of base 1/8, height 1/8
-    got = seg.integrate_affine(0.375, 0.625)
+    got = qp.integrate(0.375, 0.625)
     assert got == pytest.approx(2 * 0.5 * 0.125 * 0.125, abs=1e-12)
-    zs = seg.zero_set(0.0, 1.0)
+    zs = qp.restricted(0.0, 1.0).zero_set()
     assert zs.lebesgue() == pytest.approx(0.75, abs=1e-15)
 
 
 def test_dist_to_set_integrate_vs_quad():
-    f = svc_set(2)
-    seg = DistToSet(f, scale=2.0)
-    got = seg.integrate_affine(-0.5, 1.5, 0.7, 0.3)
-    want = quad_oracle(lambda x: 2.0 * f.distance(x), -0.5, 1.5, 0.7, 0.3)
+    _, f = cat.fat_cantor_q(2)
+    seg = cat.fat_cantor_model(depth=2).q_prime.scaled(2.0)
+    got = seg.integrate(-0.5, 1.5, 0.7, 0.3)
+    want = quad_oracle(lambda x: 2.0 * dist_oracle(f, x), -0.5, 1.5, 0.7, 0.3)
     assert got == pytest.approx(want, abs=1e-7)
     los, his = np.array([-0.5, 0.2]), np.array([1.5, 0.9])
-    got = seg.integrate_affine(los, his, 0.7, 0.3)
-    assert np.array_equal(got, [seg.integrate_affine(a, b, 0.7, 0.3) for a, b in zip(los, his)])
+    got = seg.integrate(los, his, 0.7, 0.3)
+    assert np.array_equal(got, [seg.integrate(a, b, 0.7, 0.3) for a, b in zip(los, his)])
 
 
 def test_derivative_segments():
