@@ -19,6 +19,7 @@ sums, minima and flags.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -39,6 +40,7 @@ __all__ = [
     "EnsembleStats",
     "DominationReport",
     "IPReport",
+    "value_series",
     "integral_value",
     "closed_form_value",
     "run_ensemble",
@@ -257,14 +259,31 @@ def _steps(chain: GridChain, tables: _NodeTables, path: PathSample, T: float) ->
 _ROUTE_ROWS = {"integral": (_INT_HOLD, _INT_JUMP), "closed_form": (_CF_HOLD, _CF_JUMP)}
 
 
-def _value_series(path, chain, bundle, H, T, route) -> ValueSeries:
-    st = _steps(chain, _node_tables(chain, bundle, H), path, T)
-    hold, jump = _ROUTE_ROWS[route]
-    return ValueSeries(
-        times=st.t,
-        values=np.concatenate([[0.0], np.cumsum(st.book[hold] + st.book[jump])]),
-        route=route,
-    )
+def value_series(
+    paths: Iterable[PathSample],
+    chain: GridChain,
+    bundle: NuBundle,
+    H: FeedbackStrategy,
+    T: float,
+    routes: tuple[str, ...],
+) -> Iterator[tuple[ValueSeries, ...]]:
+    """Yield each path's value series on [0, T], one per route in ``routes``.
+
+    Every path is booked against one set of node tables, built when the
+    first series is asked for; each path is taken from ``paths`` only after
+    the previous one's series are yielded.  The routes are not checked
+    against the strategy: the closed-form route is the value process only
+    where condition (i) holds (see ``closed_form_value``).
+    """
+    tables = _node_tables(chain, bundle, H)
+    for path in paths:
+        st = _steps(chain, tables, path, T)
+        series = []
+        for route in routes:
+            hold, jump = _ROUTE_ROWS[route]
+            values = np.concatenate([[0.0], np.cumsum(st.book[hold] + st.book[jump])])
+            series.append(ValueSeries(times=st.t, values=values, route=route))
+        yield tuple(series)
 
 
 def integral_value(
@@ -275,7 +294,8 @@ def integral_value(
     T: float,
 ) -> ValueSeries:
     """V_t = sum of H(u) dS over the step skeleton; exact for feedback H."""
-    return _value_series(path, chain, bundle, H, T, "integral")
+    (series,) = next(value_series([path], chain, bundle, H, T, ("integral",)))
+    return series
 
 
 def closed_form_value(
@@ -296,7 +316,8 @@ def closed_form_value(
             "closed-form value requires the strategy support to lie in the "
             "zero set of q' (deactivated martingale part)"
         )
-    return _value_series(path, chain, bundle, H, T, "closed_form")
+    (series,) = next(value_series([path], chain, bundle, H, T, ("closed_form",)))
+    return series
 
 
 def domination_check(

@@ -23,6 +23,7 @@ __all__ = [
     "build_chain",
     "sample_path",
     "path_rng",
+    "StepBudgetError",
     "INTERIOR",
     "REFLECT_UP",
     "REFLECT_DOWN",
@@ -45,6 +46,10 @@ _STEP_BUDGET = 2**21
 # or two blocks; doubled while no edge comes; always within these bounds, so
 # that a short path draws few uniforms and a block stays in cache
 _BLOCK = (128, 4096)
+
+
+class StepBudgetError(RuntimeError):
+    """A path would take more than the step budget allows."""
 
 
 @dataclass(frozen=True)
@@ -265,7 +270,7 @@ def sample_path(chain: GridChain, T: float, seed: int, path_id: int = 0) -> Path
         moves = moves[k:]
         n_steps += k
         if n_steps > _STEP_BUDGET:
-            raise RuntimeError(f"step budget exceeded: a path may take {_STEP_BUDGET} steps")
+            raise StepBudgetError(f"step budget exceeded: a path may take {_STEP_BUDGET} steps")
         i, t = int(pos[k - 1]), float(held[k - 1])
         block = _first_block(chain.dt[i], T - t) if cut else min(2 * block, _BLOCK[1])
         if t < T:

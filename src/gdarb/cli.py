@@ -7,13 +7,22 @@ Commands:
             value_series.csv (long format, one row per sampled point)
   demo      run the closed-form regression for a catalog example
 
-Exit status: 0 success, 1 check failure, 2 usage error.
+paths.csv and value_series.csv are streamed: each path's rows are formatted
+from its column arrays in one pass and written before the next path is
+sampled, so memory does not grow with --paths.  They are written under a
+temporary name and moved into place once complete, so a failed command
+leaves no partial file.  The one-row tables and nu_report.csv, whose
+descriptor may hold commas, go through csv.writer.
+
+Exit status: 0 success, 1 check failure or exhausted step budget, 2 usage
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import os
 import sys
 
@@ -27,9 +36,9 @@ from .arbitrage import (
     build_theta_bar,
     market_verdicts,
 )
-from .backtest import MCConfig, classify_ip, closed_form_value, integral_value
+from .backtest import MCConfig, classify_ip, value_series
 from .borel import BorelSet
-from .chain import build_chain, sample_path
+from .chain import StepBudgetError, build_chain, sample_path
 from .model import ModelError, NaturalScaleModel, to_natural_scale, validate
 from .modelfile import parse_model_file
 
@@ -52,6 +61,31 @@ def _write_csv(path: str, header: list[str], rows: list[list]):
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+def _chunk(row: str, *columns: np.ndarray) -> str:
+    """One row of the %-template ``row`` per entry of the columns, formatted
+    in one pass.  ``%.17g`` writes a float as ``_fmt`` does, ``-0``,
+    ``inf`` and ``nan`` included."""
+    fields = itertools.chain.from_iterable(zip(*(c.tolist() for c in columns)))
+    return (row * len(columns[0])) % tuple(fields)
+
+
+def _write_streamed(path: str, header: list[str], chunks):
+    """Write the header, then each chunk as it is made, to a temporary name,
+    and move the file onto ``path`` once the last chunk is written; if making
+    or writing a chunk fails, delete the file."""
+    part = path + ".part"
+    fh = open(part, "w", newline="", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(",".join(header) + "\n")
+            for chunk in chunks:
+                fh.write(chunk)
+    except BaseException:
+        os.remove(part)
+        raise
+    os.replace(part, path)
 
 
 class _UsageError(Exception):
@@ -183,17 +217,17 @@ def _cmd_simulate(args) -> int:
     if not _validate_or_fail(model, args.quiet):
         return 1
     chain = build_chain(model, args.h)
-    rows = []
-    for pid in range(args.paths):
-        p = sample_path(chain, T=args.T, seed=args.seed, path_id=pid)
-        for k in range(len(p.states)):
-            rows.append([pid, k, p.times[k], chain.grid[p.states[k]]])
-    os.makedirs(args.out, exist_ok=True)
-    _write_csv(
-        os.path.join(args.out, "paths.csv"),
-        ["path_id", "step", "t", "u"],
-        rows,
+    paths = (
+        sample_path(chain, T=args.T, seed=args.seed, path_id=pid) for pid in range(args.paths)
     )
+    chunks = (
+        _chunk(
+            f"{pid},%d,%.17g,%.17g\n", np.arange(len(p.states)), p.times, chain.grid[p.states]
+        )
+        for pid, p in enumerate(paths)
+    )
+    os.makedirs(args.out, exist_ok=True)
+    _write_streamed(os.path.join(args.out, "paths.csv"), ["path_id", "step", "t", "u"], chunks)
     if not args.quiet:
         print(f"{name}: wrote {args.paths} paths (h={_fmt(args.h)}, T={_fmt(args.T)})")
     return 0
@@ -228,20 +262,20 @@ def _cmd_backtest(args) -> int:
     )
 
     chain = report.details["chain"]
-    rows = []
-    has_cf = report.details["assessed_route"] == "closed_form"
-    for pid in range(min(args.paths, _SERIES_PATHS)):
-        p = sample_path(chain, T=args.T, seed=args.seed, path_id=pid)
-        series = [integral_value(p, chain, bundle, H, T=args.T)]
-        if has_cf:
-            series.append(closed_form_value(p, chain, bundle, H, T=args.T))
-        for s in series:
-            for t, v in zip(s.times, s.values):
-                rows.append([pid, t, v, s.route])
-    _write_csv(
-        os.path.join(args.out, "value_series.csv"),
-        ["path_id", "t", "value", "route"],
-        rows,
+    routes = ("integral",)
+    if report.details["assessed_route"] == "closed_form":
+        routes += ("closed_form",)
+    paths = (
+        sample_path(chain, T=args.T, seed=args.seed, path_id=pid)
+        for pid in range(min(args.paths, _SERIES_PATHS))
+    )
+    chunks = (
+        _chunk(f"{pid},%.17g,%.17g,{s.route}\n", s.times, s.values)
+        for pid, series in enumerate(value_series(paths, chain, bundle, H, args.T, routes))
+        for s in series
+    )
+    _write_streamed(
+        os.path.join(args.out, "value_series.csv"), ["path_id", "t", "value", "route"], chunks
     )
     if not args.quiet:
         print(
@@ -357,7 +391,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ModelError, KeyError, FileNotFoundError) as exc:
+    except (ModelError, StepBudgetError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

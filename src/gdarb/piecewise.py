@@ -144,9 +144,18 @@ class Poly(Segment):
     def zero_set(self, lo, hi):
         if all(a == 0.0 for a in self.coeffs):
             return BorelSet.make([(lo, hi)])
+        # a leading term below the rounding of the largest term anywhere on
+        # [lo, hi] moves no value there, but dividing by its coefficient can
+        # throw every root of the companion matrix off: drop such terms
+        c = np.asarray(self.coeffs, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            size = np.abs(c) * max(1.0, abs(lo), abs(hi)) ** np.arange(len(c))
+        n = len(c)
+        while size[n - 1] < np.finfo(float).eps * size.max():
+            n -= 1
         pts = [
             float(rt.real)
-            for rt in np.polynomial.polynomial.polyroots(self.coeffs)
+            for rt in np.polynomial.polynomial.polyroots(c[:n])
             if abs(rt.imag) < 1e-12 and lo <= rt.real <= hi
         ]
         return BorelSet.make(points=pts)

@@ -4,7 +4,13 @@ import pytest
 from gdarb import backtest
 from gdarb import catalog as cat
 from gdarb import chain as chain_mod
-from gdarb.arbitrage import FeedbackStrategy, build_nu, build_theta, build_theta_bar
+from gdarb.arbitrage import (
+    FeedbackStrategy,
+    build_nu,
+    build_theta,
+    build_theta_bar,
+    check_strategy_conditions,
+)
 from gdarb.backtest import (
     MCConfig,
     ValueSeries,
@@ -13,6 +19,7 @@ from gdarb.backtest import (
     domination_check,
     integral_value,
     run_ensemble,
+    value_series,
 )
 from gdarb.borel import BorelSet
 from gdarb.chain import build_chain, sample_path
@@ -160,6 +167,42 @@ def test_domination_local_time_strategy():
     assert not rep.qv_dominated
     assert not rep.qv_growth_violation
     assert rep.n_hold_nonzero > 0 and rep.n_jump_nonzero == 0
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in cat.catalog()])
+def test_value_series_matches_single_paths(name, monkeypatch):
+    # booking several paths against one set of node tables gives each path's
+    # single-path series bit for bit, and builds the tables once per call
+    model = cat.get_entry(name).build()
+    bundle, chain = _setup(model, 0.05)
+    theta = build_theta(bundle)
+    unit = FeedbackStrategy(plus_set=BorelSet.make([bundle.window]))
+    paths = [sample_path(chain, T=1.0, seed=23, path_id=pid) for pid in range(10)]
+    node_tables = backtest._node_tables
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return node_tables(*args)
+
+    for H in (theta, unit):
+        singles = [[integral_value(p, chain, bundle, H, T=1.0)] for p in paths]
+        routes = ("integral",)
+        if check_strategy_conditions(model, bundle, H).condition_i:
+            routes += ("closed_form",)
+            for p, single in zip(paths, singles):
+                single.append(closed_form_value(p, chain, bundle, H, T=1.0))
+        builds.clear()
+        with monkeypatch.context() as m:
+            m.setattr(backtest, "_node_tables", counted)
+            batch = list(value_series(paths, chain, bundle, H, 1.0, routes))
+        assert len(builds) == 1
+        assert len(batch) == len(paths)
+        for got, want in zip(batch, singles):
+            assert [s.route for s in got] == list(routes)
+            for g, w in zip(got, want, strict=True):
+                assert np.array_equal(g.times, w.times)
+                assert np.array_equal(g.values, w.values)
 
 
 # ---------------------------------------------------------------------------

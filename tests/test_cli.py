@@ -3,10 +3,20 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gdarb
+from gdarb import catalog as cat
+from gdarb import chain as chain_mod
+from gdarb import cli
+from gdarb.arbitrage import build_nu, build_theta, check_strategy_conditions
+from gdarb.backtest import closed_form_value, integral_value
+from gdarb.chain import build_chain, sample_path
 from gdarb.cli import main
+from csv_oracle import csv_bytes
 
 STICKY_FILE = """
 [state_space]
@@ -219,3 +229,111 @@ def test_commands_load_no_scipy(tmp_path):
         env=env, capture_output=True, text=True, check=True,
     )
     assert run.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# streamed paths.csv and value_series.csv
+# ---------------------------------------------------------------------------
+
+MARKETS = [entry.name for entry in cat.catalog()]
+_doubles = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+# -0, the infinities, nan, the smallest subnormal, the smallest normal and
+# values that need all 17 digits, next to ids and steps beyond 32 bits
+_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308,
+          0.1 + 0.2, 1 / 3, 1e23, -1.7976931348623157e308]
+
+
+@settings(max_examples=300)
+@given(
+    pid=st.integers(0, 2**63),
+    first_step=st.integers(0, 2**62),
+    columns=st.lists(st.tuples(_doubles, _doubles), min_size=1, max_size=30),
+    route=st.sampled_from(["integral", "closed_form"]),
+)
+@example(pid=2**31 + 7, first_step=2**31 - 2, columns=list(zip(_EDGES, _EDGES[::-1])),
+         route="closed_form")
+def test_chunk_matches_row_writer(pid, first_step, columns, route):
+    # one %-format pass over a path's columns writes the bytes the row
+    # writer writes for its rows
+    t = np.array([a for a, _ in columns])
+    u = np.array([b for _, b in columns])
+    steps = np.arange(first_step, first_step + len(columns), dtype=np.uint64)
+
+    def as_file(header, chunk):
+        return (",".join(header) + "\n" + chunk).encode("utf-8")
+
+    header = ["path_id", "step", "t", "u"]
+    rows = [[pid, int(k), a, b] for k, a, b in zip(steps, t, u)]
+    chunk = cli._chunk(f"{pid},%d,%.17g,%.17g\n", steps, t, u)
+    assert as_file(header, chunk) == csv_bytes(header, rows)
+
+    header = ["path_id", "t", "value", "route"]
+    rows = [[pid, a, b, route] for a, b in zip(t, u)]
+    chunk = cli._chunk(f"{pid},%.17g,%.17g,{route}\n", t, u)
+    assert as_file(header, chunk) == csv_bytes(header, rows)
+
+
+@pytest.mark.parametrize("name", MARKETS)
+def test_streamed_csvs_match_row_writer(tmp_path, name):
+    # simulate and backtest write, byte for byte, the rows the row writer
+    # makes of single sampled paths and their single-path value series
+    base = ["--quiet", "--out", str(tmp_path)]
+    run = ["--example", name, "--h", "0.05"]
+    assert main(base + ["simulate", *run, "--paths", "10"]) == 0
+    assert main(base + ["backtest", *run]) == 0
+
+    model = cat.get_entry(name).build()
+    chain = build_chain(model, 0.05)
+    paths = [sample_path(chain, T=1.0, seed=0, path_id=pid) for pid in range(10)]
+    rows = [
+        [pid, k, p.times[k], chain.grid[p.states[k]]]
+        for pid, p in enumerate(paths)
+        for k in range(len(p.states))
+    ]
+    expected = csv_bytes(["path_id", "step", "t", "u"], rows)
+    assert (tmp_path / "paths.csv").read_bytes() == expected
+
+    bundle = build_nu(model)
+    theta = build_theta(bundle)
+    routes = [integral_value]
+    if check_strategy_conditions(model, bundle, theta).condition_i:
+        routes.append(closed_form_value)
+    rows = [
+        [pid, t, v, s.route]
+        for pid, p in enumerate(paths)
+        for s in (route(p, chain, bundle, theta, T=1.0) for route in routes)
+        for t, v in zip(s.times, s.values)
+    ]
+    expected = csv_bytes(["path_id", "t", "value", "route"], rows)
+    assert (tmp_path / "value_series.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("command", ["simulate", "backtest"])
+def test_step_budget_error_leaves_no_csv(tmp_path, monkeypatch, capsys, command):
+    # a path takes about 400 steps here
+    monkeypatch.setattr(chain_mod, "_STEP_BUDGET", 50)
+    rc = main([
+        "--quiet", "--out", str(tmp_path),
+        command, "--example", "bachelier-sticky", "--h", "0.05",
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: step budget exceeded: a path may take 50 steps\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_simulate_removes_written_paths(tmp_path, monkeypatch, capsys):
+    # path 0 fits the budget and its rows are written before a later path
+    # exceeds it; the partial file is removed
+    chain = build_chain(cat.get_entry("bachelier-sticky").build(), 0.05)
+    steps = [len(sample_path(chain, T=1.0, seed=1, path_id=pid).states) - 1 for pid in range(2)]
+    assert steps[0] < steps[1]
+    monkeypatch.setattr(chain_mod, "_STEP_BUDGET", steps[0])
+    rc = main([
+        "--quiet", "--out", str(tmp_path),
+        "simulate", "--example", "bachelier-sticky", "--h", "0.05", "--paths", "2",
+        "--seed", "1",
+    ])
+    assert rc == 1
+    assert "error: step budget exceeded" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

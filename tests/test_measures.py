@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gdarb import catalog as cat
@@ -99,6 +99,10 @@ def _piecewise_fns(draw, segment_on=_segment_on):
 
 @settings(max_examples=300)
 @given(pw=_piecewise_fns())
+# a leading coefficient at the smallest normal double once lost the roots +-1
+@example(pw=PiecewiseFn(
+    (-3.0, -2.0, 0.0), (Const(0.0), Poly((1.0, 0.0, -1.0, 2.2250738585072014e-308)))
+))
 def test_positive_set_matches_sign(pw):
     # cutting each segment at its zero set finds every sign change: away
     # from breakpoints and from values too close to 0 to have a sign, the

@@ -220,6 +220,9 @@ def test_sign_changes_bisection():
 def test_poly_sign_changes():
     seg = Poly((-1.0, 0.0, 1.0))  # x^2 - 1
     assert seg.zero_set(-2.0, 2.0).points == pytest.approx((-1.0, 1.0))
+    # a leading term far below rounding on the interval keeps the roots
+    seg = Poly((1.0, 0.0, -1.0, 2.2250738585072014e-308))
+    assert seg.zero_set(-2.0, 2.0).points == pytest.approx((-1.0, 1.0))
 
 
 def dist_oracle(f_set, x):
