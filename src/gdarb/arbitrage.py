@@ -61,10 +61,10 @@ class FeedbackStrategy:
 
     def evaluate(self, u):
         u = np.asarray(u, dtype=float)
-        plus = self.plus_set.contains(np.atleast_1d(u)).astype(float)
-        minus = self.minus_set.contains(np.atleast_1d(u)).astype(float)
+        plus = np.asarray(self.plus_set.contains(u), dtype=float)
+        minus = np.asarray(self.minus_set.contains(u), dtype=float)
         out = self.gain * (plus - minus)
-        return out.reshape(u.shape) if u.shape else float(out[0])
+        return out if u.shape else float(out)
 
     @property
     def support(self) -> BorelSet:
@@ -287,12 +287,11 @@ def check_strategy_conditions(
     theta = build_theta(bundle)
     cond_ii = True
     details = {"lambda_support_off_zero_set": lam_bad}
-    for a, mass in bundle.nu.atoms:
-        th = theta.evaluate(a)
-        hv = strategy.evaluate(a)
-        if th * hv < 0:
+    locs = np.array([a for a, _ in bundle.nu.atoms])
+    for a, th_hv in zip(locs.tolist(), theta.evaluate(locs) * strategy.evaluate(locs)):
+        if th_hv < 0:
             cond_ii = False
-            details[f"atom_misaligned_at_{a}"] = th * hv
+            details[f"atom_misaligned_at_{a}"] = float(th_hv)
     if bundle.nu.density is not None:
         conflict = theta.plus_set.intersect(strategy.minus_set).intersect(
             bundle.nu.carrier

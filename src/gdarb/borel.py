@@ -3,7 +3,9 @@
 A set is stored as a disjoint union of closed intervals, isolated points,
 and at most one Smith-Volterra-Cantor ("fat Cantor") component.  All
 operations (Lebesgue measure, membership, boolean algebra) are exact for
-this class of sets.
+this class of sets.  Membership has one rule, ``BorelSet._member``: one
+``searchsorted`` over the merged intervals and the points, then the SVC part
+and the exclusions; every query and operation asks it once per operand.
 """
 
 from __future__ import annotations
@@ -116,6 +118,14 @@ def _merge_intervals(ivs):
     )
 
 
+def _in_any(x: np.ndarray, ivs) -> np.ndarray:
+    """Whether each entry of x lies in one of the disjoint closed intervals:
+    the last interval to start at or before x ends at or after it."""
+    ivs = sorted(ivs)
+    ends = np.array([np.nan] + [b for _, b in ivs])  # nan: none starts before x
+    return x <= ends[np.array([a for a, _ in ivs]).searchsorted(x, "right")]
+
+
 @dataclass(frozen=True)
 class BorelSet:
     """Disjoint union of closed intervals, points, and an optional SVC part.
@@ -135,32 +145,21 @@ class BorelSet:
         # base; otherwise the measure would count the overlap twice.  An
         # interval that covers the whole base makes it redundant; one that
         # covers a part makes it expand into intervals.
-        if svc is not None:
-            merged, _ = _merge_intervals(intervals)
-            if any(lo <= svc.base_lo and svc.base_hi <= hi for lo, hi in merged):
-                svc = None
-            elif any(lo < svc.base_hi and hi > svc.base_lo for lo, hi in merged):
-                intervals, svc = list(intervals) + svc.to_intervals(), None
         ivs, degenerate = _merge_intervals(intervals)
+        if svc is not None:
+            if any(lo <= svc.base_lo and svc.base_hi <= hi for lo, hi in ivs):
+                svc = None
+            elif any(lo < svc.base_hi and hi > svc.base_lo for lo, hi in ivs):
+                ivs, degenerate = _merge_intervals(list(intervals) + svc.to_intervals())
+                svc = None
         excl = set(float(p) for p in excluded_points)
-        pts = (set(float(p) for p in points) | set(degenerate)) - excl
-        pts = tuple(
-            sorted(
-                p
-                for p in pts
-                if not any(lo <= p <= hi for lo, hi in ivs)
-                and not (svc is not None and svc.contains(p))
-            )
-        )
-        # keep only exclusions that actually puncture the set
-        excl = tuple(
-            sorted(
-                p
-                for p in excl
-                if any(lo <= p <= hi for lo, hi in ivs)
-                or (svc is not None and bool(svc.contains(p)))
-            )
-        )
+        pts = tuple(sorted((set(float(p) for p in points) | set(degenerate)) - excl))
+        excl = tuple(sorted(excl))
+        if pts or excl:
+            # points the rest covers are dropped; exclusions it does not
+            # cover puncture nothing and are dropped too
+            core = BorelSet(ivs, (), svc)
+            pts, excl = core._select(pts, False), core._select(excl, True)
         return BorelSet(ivs, pts, svc, excl)
 
     # -- queries ---------------------------------------------------------
@@ -175,17 +174,25 @@ class BorelSet:
             total += self.svc.measure()
         return float(total)
 
+    def _member(self, x: np.ndarray) -> np.ndarray:
+        """Membership of each entry of the 1-d float array x; a point is a
+        degenerate interval."""
+        res = _in_any(x, self.intervals + tuple(zip(self.points, self.points)))
+        if self.svc is not None:
+            res |= self.svc.contains(x)
+        if self.excluded_points:
+            res &= ~_in_any(x, tuple(zip(self.excluded_points, self.excluded_points)))
+        return res
+
+    def _select(self, pts: tuple[float, ...], inside: bool) -> tuple[float, ...]:
+        """The points that are in this set (``inside``) or are not."""
+        empty = not pts or self.is_empty
+        hits = [False] * len(pts) if empty else self._member(np.array(pts))
+        return tuple(p for p, m in zip(pts, hits) if m == inside)
+
     def contains(self, x):
         x = np.asarray(x, dtype=float)
-        res = np.zeros(x.shape, dtype=bool)
-        for lo, hi in self.intervals:
-            res |= (x >= lo) & (x <= hi)
-        for p in self.points:
-            res |= x == p
-        if self.svc is not None:
-            res |= self.svc.contains(np.atleast_1d(x)).reshape(x.shape)
-        for p in self.excluded_points:
-            res &= x != p
+        res = self._member(x.reshape(-1)).reshape(x.shape)
         return res if res.shape else bool(res)
 
     def __contains__(self, x) -> bool:
@@ -201,9 +208,9 @@ class BorelSet:
 
     def union(self, other: "BorelSet") -> "BorelSet":
         # a point excluded from one side is in the union iff the other side has it
-        excl = tuple(
-            p for p in self.excluded_points if not other.contains(p)
-        ) + tuple(p for p in other.excluded_points if not self.contains(p))
+        excl = other._select(self.excluded_points, False) + self._select(
+            other.excluded_points, False
+        )
         # one svc part stays symbolic; two different ones are expanded
         svc = self.svc or other.svc
         if self.svc is not None and other.svc is not None and self.svc != other.svc:
@@ -222,18 +229,16 @@ class BorelSet:
             return BorelSet.make(
                 rest.intervals, rest.points, svc=self.svc, excluded_points=excl
             )
-        a_ivs = self._all_intervals()
-        b_ivs = other._all_intervals()
-        ivs = []
-        for lo1, hi1 in a_ivs:
-            for lo2, hi2 in b_ivs:
-                lo, hi = max(lo1, lo2), min(hi1, hi2)
-                if lo < hi:
-                    ivs.append((lo, hi))
-                elif lo == hi:
-                    ivs.append((lo, lo))
-        pts = [p for p in self.points if other.contains(p)]
-        pts += [p for p in other.points if self.contains(p)]
+        # both lists are sorted, and their intervals at most touch: walk
+        # them together, stepping past whichever interval ends first
+        a, b = sorted(self._all_intervals()), sorted(other._all_intervals())
+        ivs, i, j = [], 0, 0
+        while i < len(a) and j < len(b):
+            lo, hi = max(a[i][0], b[j][0]), min(a[i][1], b[j][1])
+            if lo <= hi:
+                ivs.append((lo, hi))
+            i, j = i + (a[i][1] <= b[j][1]), j + (b[j][1] <= a[i][1])
+        pts = other._select(self.points, True) + self._select(other.points, True)
         return BorelSet.make(ivs, pts, excluded_points=excl)
 
     def complement_within(self, lo: float, hi: float) -> "BorelSet":
@@ -241,14 +246,9 @@ class BorelSet:
         ivs = sorted(
             (max(a, lo), min(b, hi)) for a, b in self._all_intervals() if b > lo and a < hi
         )
-        out = []
-        cur = lo
-        for a, b in ivs:
-            if a > cur:
-                out.append((cur, a))
-            cur = max(cur, b)
-        if cur < hi:
-            out.append((cur, hi))
+        # the gaps between consecutive intervals, which at most touch
+        ends = [lo, *(e for iv in ivs for e in iv), hi]
+        out = [(a, b) for a, b in zip(ends[::2], ends[1::2]) if a < b]
         # isolated points of this set are not in the complement
         excl = tuple(p for p in self.points if lo <= p <= hi)
         return BorelSet.make(out, excluded_points=excl)
@@ -257,20 +257,19 @@ class BorelSet:
         if other.is_empty:
             return self
         if not self.intervals and self.svc is None:
-            pts = tuple(p for p in self.points if not other.contains(p))
-            return BorelSet.make(points=pts)
-        lo = min([iv[0] for iv in self._all_intervals()] + list(self.points))
-        hi = max([iv[1] for iv in self._all_intervals()] + list(self.points))
+            return BorelSet.make(points=other._select(self.points, False))
+        ends = [e for iv in self._all_intervals() for e in iv] + list(self.points)
+        lo, hi = min(ends), max(ends)
         return self.intersect(other.complement_within(lo - 1.0, hi + 1.0))
 
     def without_points(self, points) -> "BorelSet":
         """Drop finitely many points from membership (measure unchanged)."""
-        pts = tuple(p for p in self.points if p not in set(points))
+        drop = set(points)
         return BorelSet(
             self.intervals,
-            pts,
+            tuple(p for p in self.points if p not in drop),
             self.svc,
-            tuple(sorted(set(self.excluded_points) | set(points))),
+            tuple(sorted(set(self.excluded_points) | drop)),
         )
 
 

@@ -39,10 +39,6 @@ class CatalogEntry:
         return {**self.defaults, **overrides}
 
 
-def _drop_zero_atoms(atoms):
-    return tuple((a, m) for a, m in atoms if m != 0.0)
-
-
 # -- exponential-drift SDE market with an absorbing boundary ------------
 
 
@@ -80,7 +76,7 @@ def es_model(**params) -> NaturalScaleModel:
 
 
 def es_expected_nu(b=1.0, r=0.1, **_) -> SignedMeasure:
-    return SignedMeasure(atoms=_drop_zero_atoms(((0.0, -r * b),)))
+    return SignedMeasure(atoms=((0.0, -r * b),))
 
 
 # -- geometric model with (sticky) reflection at 1 ----------------------
@@ -124,7 +120,7 @@ def reflected_model(**params) -> NaturalScaleModel:
 
 
 def reflected_expected_nu(m1=0.0, r=0.1, **_) -> SignedMeasure:
-    return SignedMeasure(atoms=_drop_zero_atoms(((0.0, 0.5 - r * m1),)))
+    return SignedMeasure(atoms=((0.0, 0.5 - r * m1),))
 
 
 # -- shifted low-dimension squared-radial process with sticky reflection
@@ -159,7 +155,7 @@ def bessel_model(**params) -> NaturalScaleModel:
 
 
 def bessel_expected_nu(m1=1.0, r=0.1, **_) -> SignedMeasure:
-    return SignedMeasure(atoms=_drop_zero_atoms(((0.0, -r * m1),)))
+    return SignedMeasure(atoms=((0.0, -r * m1),))
 
 
 # -- arithmetic model with a sticky point -------------------------------
@@ -188,7 +184,7 @@ def sticky_model(**params) -> NaturalScaleModel:
 
 
 def sticky_expected_nu(xi=0.5, rho=2.0, r=0.1, **_) -> SignedMeasure:
-    return SignedMeasure(atoms=_drop_zero_atoms(((xi, -r * xi * rho),)))
+    return SignedMeasure(atoms=((xi, -r * xi * rho),))
 
 
 # -- arithmetic model with a skew point at zero -------------------------
@@ -221,7 +217,7 @@ def skew_model(**params) -> NaturalScaleModel:
 
 def skew_expected_nu(kappa=0.75, **_) -> SignedMeasure:
     mass = (2.0 * kappa - 1.0) / (2.0 * kappa * (1.0 - kappa))
-    return SignedMeasure(atoms=_drop_zero_atoms(((0.0, mass),)))
+    return SignedMeasure(atoms=((0.0, mass),))
 
 
 # -- Brownian motion whose inverse scale is flat on a fat Cantor set ----

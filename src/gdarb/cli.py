@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
+import math
 import os
 import sys
 
@@ -99,9 +100,12 @@ def _parse_params(pairs: list[str]) -> dict:
             raise _UsageError(f"--param needs key=value, got {pair!r}")
         key, value = pair.split("=", 1)
         try:
-            out[key.strip()] = float(value)
+            number = float(value)
         except ValueError:
             raise _UsageError(f"--param {key}: not a number: {value!r}") from None
+        if not math.isfinite(number):
+            raise _UsageError(f"--param {key}: not a finite number: {value!r}")
+        out[key.strip()] = number
     return out
 
 
@@ -383,10 +387,11 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "paths", 1) < 1:
             raise _UsageError("--paths must be at least 1")
-        if getattr(args, "h", 1.0) <= 0:
-            raise _UsageError("--h must be positive")
-        if getattr(args, "T", 1.0) <= 0:
-            raise _UsageError("--T must be positive")
+        for flag in ("h", "T"):
+            if not 0 < getattr(args, flag, 1.0) < math.inf:
+                raise _UsageError(f"--{flag} must be positive and finite")
+        if not getattr(args, "tol_route", 0.0) >= 0:
+            raise _UsageError("--tol-route must be nonnegative")
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -54,11 +54,9 @@ class SignedMeasure:
     def density_at(self, x):
         """Pointwise ac density (0 off the carrier)."""
         if self.density is None:
-            return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
-        vals = np.asarray(self.density(np.atleast_1d(np.asarray(x, dtype=float))))
-        mask = self.carrier.contains(np.atleast_1d(np.asarray(x, dtype=float)))
-        out = np.where(mask, vals, 0.0)
-        return out if np.ndim(x) else float(out[0])
+            return np.zeros(np.shape(x)) if np.ndim(x) else 0.0
+        out = np.where(self.carrier.contains(x), self.density(x), 0.0)
+        return out if np.ndim(x) else float(out)
 
     def __call__(self, region: BorelSet) -> float:
         """Measure of the region."""
@@ -71,8 +69,11 @@ ZERO_MEASURE = SignedMeasure()
 def positive_set(pw: PiecewiseFn, lo: float, hi: float) -> BorelSet:
     """Closure of {x in [lo, hi] : pw(x) > 0} as a BorelSet.
 
-    Each segment is cut at the points and interval edges of its zero set;
-    between two cuts it keeps one sign, read at the midpoint.
+    The one rule: each segment is cut at the points and interval edges of
+    its zero set, and between two cuts it keeps one sign, the sign at the
+    midpoint.  All midpoints are read in one call of ``pw``, and the edges
+    of the positive pieces in one more; an edge where pw vanishes belongs
+    to the zero set and is excluded.
     """
     lo = max(lo, pw.lo)
     hi = min(hi, pw.hi)
@@ -89,16 +90,11 @@ def positive_set(pw: PiecewiseFn, lo: float, hi: float) -> BorelSet:
         for za, zb in zs.intervals:
             cuts.update((max(za, a), min(zb, b)))
     cuts = sorted(c for c in cuts if lo <= c <= hi)
-    pieces = []
-    for a, b in zip(cuts, cuts[1:]):
-        if float(pw(0.5 * (a + b))) > 0.0:
-            pieces.append((a, b))
-    out = BorelSet.make(pieces)
-    # interval endpoints where the density vanishes belong to the zero set
-    zero_edges = [
-        p for iv in out.intervals for p in iv if float(pw(p)) == 0.0
-    ]
-    return out.without_points(zero_edges) if zero_edges else out
+    c = np.array(cuts)
+    positive = pw(0.5 * (c[:-1] + c[1:])) > 0.0
+    out = BorelSet.make([(a, b) for a, b, pos in zip(cuts, cuts[1:], positive) if pos])
+    edges = [p for iv in out.intervals for p in iv]
+    return out.without_points([p for p, v in zip(edges, pw(np.array(edges))) if v == 0.0])
 
 
 def jordan_hahn(m: SignedMeasure, domain: tuple[float, float] | None = None):

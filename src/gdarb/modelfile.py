@@ -210,6 +210,8 @@ def parse_model_text(text: str) -> DiffusionSpec:
     rate_text, rate_line = _take(mk, "rate", "market")
     x0 = _parse_number(x0_text, x0_line)
     rate = _parse_number(rate_text, rate_line)
+    if not math.isfinite(rate):
+        raise ModelFileError("rate must be finite", rate_line)
     if not lo <= x0 <= hi or not math.isfinite(x0):
         raise ModelFileError("x0 must lie in the state space", x0_line)
 

@@ -11,6 +11,7 @@ constant one has none.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,19 +145,31 @@ class Poly(Segment):
     def zero_set(self, lo, hi):
         if all(a == 0.0 for a in self.coeffs):
             return BorelSet.make([(lo, hi)])
-        # a leading term below the rounding of the largest term anywhere on
-        # [lo, hi] moves no value there, but dividing by its coefficient can
-        # throw every root of the companion matrix off: drop such terms
+        # a leading term below the rounding of the largest term wherever the
+        # roots lie moves no value there, but dividing by it can throw every
+        # root of the companion matrix off: drop such terms.  Over an
+        # unbounded [lo, hi] the scale grows to Fujiwara's bound on the roots
+        # left, and the largest roots of the whole polynomial join them
+        pp = np.polynomial.polynomial
         c = np.asarray(self.coeffs, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            size = np.abs(c) * max(1.0, abs(lo), abs(hi)) ** np.arange(len(c))
-        n = len(c)
-        while size[n - 1] < np.finfo(float).eps * size.max():
-            n -= 1
+        unbounded = not (np.isfinite(lo) and np.isfinite(hi))
+        scale = max([1.0] + [abs(e) for e in (lo, hi) if np.isfinite(e)])
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            while True:
+                size = np.abs(c) * scale ** np.arange(len(c))
+                n = len(c)
+                while size[n - 1] < np.finfo(float).eps * size.max():
+                    n -= 1
+                lead = np.abs(c[: n - 1] / c[n - 1]) ** (1.0 / np.arange(n - 1, 0, -1))
+                bound = 2.0 * lead.max(initial=0.0)
+                if not (unbounded and bound > scale):
+                    break
+                scale = bound
+        roots = list(pp.polyroots(c[:n]))
+        if unbounded and n < len(c):
+            roots += sorted(pp.polyroots(c), key=abs)[n - 1 :]
         pts = [
-            float(rt.real)
-            for rt in np.polynomial.polynomial.polyroots(c[:n])
-            if abs(rt.imag) < 1e-12 and lo <= rt.real <= hi
+            float(rt.real) for rt in roots if abs(rt.imag) < 1e-12 and lo <= rt.real <= hi
         ]
         return BorelSet.make(points=pts)
 
@@ -405,20 +418,15 @@ class Log(Segment):
         return float(np.sign(self.coeff) * np.inf) if self.coeff != 0.0 else self.offset
 
 
-def _fix_scalar(val, x):
-    if np.ndim(x) == 0:
-        arr = np.asarray(val)
-        return float(arr) if arr.shape == () else float(arr.reshape(-1)[0])
-    return np.asarray(val, dtype=float).reshape(np.shape(x))
-
-
 @dataclass(frozen=True)
 class PiecewiseFn:
     """A function assembled from catalog segments on consecutive intervals.
 
     ``breakpoints`` has one more entry than ``segments`` and may start/end
-    with +-inf.  Evaluation at an interior breakpoint uses the segment to
-    its right.
+    with +-inf.  One piece lookup serves every call: x belongs to the last
+    segment whose left breakpoint is <= x (the end segments reach past the
+    ends), found by ``bisect`` for a scalar, which gives a float, and by one
+    ``searchsorted`` for an array, whose entries each segment evaluates at once.
     """
 
     breakpoints: tuple[float, ...]
@@ -446,26 +454,22 @@ class PiecewiseFn:
     def hi(self):
         return self.breakpoints[-1]
 
-    def _seg_index(self, x):
-        idx = np.searchsorted(self.breakpoints, x, side="right") - 1
-        return np.clip(idx, 0, len(self.segments) - 1)
-
-    def _apply(self, x, fn):
-        if np.ndim(x) == 0:
-            xf = float(x)
-            seg = self.segments[int(self._seg_index(xf))]
-            return float(np.asarray(fn(seg, xf), dtype=float).reshape(-1)[0])
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = self._seg_index(x_arr)
-        out = np.empty_like(x_arr)
-        for i in np.unique(idx):
-            mask = idx == i
-            out[mask] = np.asarray(fn(self.segments[i], x_arr[mask]), dtype=float)
-        return _fix_scalar(out, x)
+    def _piece(self, x: float) -> Segment:
+        # the index of x's piece is the number of interior breakpoints <= x
+        bps = self.breakpoints
+        return self.segments[bisect_right(bps, x, 1, len(bps) - 1) - 1]
 
     def __call__(self, x):
-        return self._apply(x, lambda seg, v: seg(v))
-
+        if np.ndim(x) == 0:
+            return float(self._piece(float(x))(float(x)))
+        segs = self.segments
+        x = np.asarray(x, dtype=float)
+        idx = np.searchsorted(self.breakpoints[1:-1], x, side="right")
+        out = np.empty_like(x)
+        for i in np.flatnonzero(np.bincount(idx.reshape(-1), minlength=len(segs))):
+            on = idx == i
+            out[on] = segs[i](x[on])
+        return out
 
     def integrate(self, lo, hi, c0=1.0, c1=0.0):
         """Integral of (c0 + c1*x) f(x) over [lo, hi]; hi < lo flips the sign.
@@ -511,10 +515,7 @@ class PiecewiseFn:
     def with_breakpoints(self, extra) -> "PiecewiseFn":
         """Refine the partition by inserting breakpoints (same function)."""
         pts = sorted(set(self.breakpoints) | {p for p in extra if self.lo < p < self.hi})
-        segs = []
-        for a in pts[:-1]:
-            segs.append(self.segments[int(self._seg_index(np.array([a]))[0])])
-        return PiecewiseFn(tuple(pts), tuple(segs))
+        return PiecewiseFn(tuple(pts), tuple(self._piece(a) for a in pts[:-1]))
 
     def zero_set(self) -> BorelSet:
         bps = self.breakpoints

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import borel_oracle
 from gdarb import catalog as cat
 from gdarb.borel import EMPTY, BorelSet, SVCSet, svc_measure, svc_set
 
@@ -183,3 +184,57 @@ def test_measure_identities(a, b, window):
     lo, hi = window
     inside = a.intersect(BorelSet.make([(lo, hi)])).lebesgue()
     assert a.complement_within(lo, hi).lebesgue() + inside == pytest.approx(hi - lo, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the one membership rule against the interval-by-interval oracle
+# ---------------------------------------------------------------------------
+
+_quarter = st.integers(-12, 12).map(lambda k: k / 4)
+_parts = st.tuples(
+    st.lists(st.tuples(_quarter, _quarter).map(sorted), max_size=4),
+    st.lists(_quarter, max_size=3),
+    st.one_of(
+        st.none(),
+        st.builds(
+            lambda depth, lo, width: SVCSet(depth, lo, lo + width),
+            st.integers(1, 4),
+            _quarter,
+            st.sampled_from([0.25, 1.0, 1.5, 2.0]),
+        ),
+    ),
+    st.lists(_quarter, max_size=3),
+)
+
+
+def _fields(s):
+    return repr((s.intervals, s.points, s.svc, s.excluded_points))
+
+
+def _same_set(new, old, probes):
+    assert _fields(new) == _fields(old)
+    # the probes cover the eighth grid and every interval end, the svc
+    # part's included
+    xs = np.concatenate([probes, [e for iv in old._all_intervals() for e in iv]])
+    got = new.contains(xs)
+    assert got.dtype == bool and np.array_equal(got, old.contains(xs))
+    for x in xs[::5]:
+        got = new.contains(x)
+        assert type(got) is bool and got == old.contains(x)
+
+
+@settings(max_examples=400)
+@given(a=_parts, b=_parts, window=st.tuples(_quarter, _quarter).map(sorted),
+       drop=st.lists(_quarter, max_size=3))
+def test_algebra_matches_oracle(a, b, window, drop):
+    probes = np.arange(-4 * 8, 4 * 8 + 1) / 8
+    new_a, new_b = BorelSet.make(*a), BorelSet.make(*b)
+    old_a, old_b = borel_oracle.BorelSet.make(*a), borel_oracle.BorelSet.make(*b)
+    _same_set(new_a, old_a, probes)
+    _same_set(new_b, old_b, probes)
+    _same_set(new_a.union(new_b), old_a.union(old_b), probes)
+    _same_set(new_a.intersect(new_b), old_a.intersect(old_b), probes)
+    _same_set(new_a.difference(new_b), old_a.difference(old_b), probes)
+    _same_set(new_b.difference(new_a), old_b.difference(old_a), probes)
+    _same_set(new_a.complement_within(*window), old_a.complement_within(*window), probes)
+    _same_set(new_a.without_points(drop), old_a.without_points(drop), probes)

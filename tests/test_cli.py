@@ -17,6 +17,7 @@ from gdarb.backtest import closed_form_value, integral_value
 from gdarb.chain import build_chain, sample_path
 from gdarb.cli import main
 from csv_oracle import csv_bytes
+from test_modelfile import STICKY
 
 STICKY_FILE = """
 [state_space]
@@ -153,6 +154,40 @@ def test_bad_param_usage_error(tmp_path, capsys):
         assert main(["--quiet", "--out", str(tmp_path), *argv]) == 2, argv
         assert "usage error: bad parameter for" in capsys.readouterr().err
     assert not (tmp_path / "verdicts.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # an infinite rate zeroed the -inf atom of nu: nip=true, exit 0
+        ["analyze", "--example", "bachelier-sticky", "--param", "r=inf"],
+        ["demo", "bachelier-sticky", "--param", "r=-inf"],
+        # a nan rate wrote abs_nu_total=nan
+        ["analyze", "--example", "bachelier-sticky", "--param", "r=nan"],
+        # a nan grid spacing or horizon ended in a traceback
+        ["simulate", "--example", "bachelier-sticky", "--h", "nan"],
+        ["backtest", "--example", "bachelier-sticky", "--h", "inf"],
+        ["simulate", "--example", "bachelier-sticky", "--T", "nan"],
+        ["backtest", "--example", "bachelier-sticky", "--T", "inf"],
+        # a nan or negative tolerance made every verdict inconclusive
+        ["backtest", "--example", "bachelier-sticky", "--tol-route", "nan"],
+        ["backtest", "--example", "bachelier-sticky", "--tol-route", "-1"],
+    ],
+)
+def test_non_finite_input_usage_error(tmp_path, capsys, argv):
+    assert main(["--quiet", "--out", str(tmp_path), *argv]) == 2
+    assert "usage error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_model_file_infinite_rate_error(tmp_path, capsys):
+    model = tmp_path / "sticky.gdm"
+    model.write_text(STICKY.replace("rate = 0.05", "rate = inf"))
+    out = tmp_path / "out"
+    assert main(["--quiet", "--out", str(out), "analyze", "--model", str(model)]) == 1
+    line = STICKY.splitlines().index("rate = 0.05") + 1
+    assert f"error: line {line}: rate must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_model_file_error(tmp_path):

@@ -117,6 +117,23 @@ def test_positive_set_matches_sign(pw):
 
 
 @settings(max_examples=300)
+@given(pw=_piecewise_fns())
+def test_piecewise_scalar_calls_equal_array_calls(pw):
+    # one piece lookup: a scalar call gives, bit for bit, the entry of an
+    # array call, at the breakpoints, between them and beyond both ends
+    xs = np.concatenate([
+        np.linspace(pw.lo - 0.5, pw.hi + 0.5, 51), pw.breakpoints, [-0.0, 0.0, np.nan]
+    ])
+    with np.errstate(all="ignore"):
+        whole = pw(xs)
+        one_by_one = np.array([pw(x) for x in xs])
+        rows = pw(np.stack([xs[::-1], xs]))
+    assert type(pw(xs[0])) is float and rows.shape == (2, len(xs))
+    assert np.array_equal(whole.view(np.uint64), one_by_one.view(np.uint64))
+    assert np.array_equal(rows[1].view(np.uint64), whole.view(np.uint64))
+
+
+@settings(max_examples=300)
 @given(pw=_piecewise_fns(lambda a, b: _segment_on(a, b) | _constant_segment_on(a, b)))
 def test_piecewise_zero_set_matches_values(pw):
     # away from breakpoints and from the isolated roots, which are rounded,

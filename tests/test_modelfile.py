@@ -135,6 +135,15 @@ def test_error_carries_line_number():
     assert f"line {line}" in str(exc.value)
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_rate_must_be_finite(value):
+    # an infinite rate once zeroed the -inf atom of nu and read as no profit
+    bad = STICKY.replace("rate = 0.05", f"rate = {value}")
+    with pytest.raises(ModelFileError, match="rate must be finite") as exc:
+        parse_model_text(bad)
+    assert f"line {bad.splitlines().index(f'rate = {value}') + 1}" in str(exc.value)
+
+
 def test_missing_section_and_key():
     with pytest.raises(ModelFileError, match=r"missing section \[market\]"):
         parse_model_text(BROWNIAN.replace("[market]\nx0 = 0\nrate = 0", ""))

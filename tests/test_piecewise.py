@@ -225,6 +225,20 @@ def test_poly_sign_changes():
     assert seg.zero_set(-2.0, 2.0).points == pytest.approx((-1.0, 1.0))
 
 
+@pytest.mark.parametrize("lo, hi", [(-np.inf, np.inf), (-2.0, np.inf), (-np.inf, 2.0)])
+def test_poly_tiny_leading_term_unbounded(lo, hi):
+    # over an unbounded interval the tiny leading term makes a third root
+    # near 1 / 2.2e-308, and the roots +-1 must survive beside it
+    seg = Poly((1.0, 0.0, -1.0, 2.2250738585072014e-308))
+    want = [x for x in (-1.0, 1.0, 1.0 / 2.2250738585072014e-308) if lo <= x <= hi]
+    assert seg.zero_set(lo, hi).points == pytest.approx(want, rel=1e-12)
+    # a polynomial with no negligible term keeps the roots of the whole
+    # polynomial
+    seg = Poly((-1.0, 0.0, 1.0))
+    want = [x for x in (-1.0, 1.0) if lo <= x <= hi]
+    assert seg.zero_set(lo, hi).points == pytest.approx(want)
+
+
 def dist_oracle(f_set, x):
     """Brute-force distance from x to the retained intervals of f_set."""
     ivs = np.array(f_set._all_intervals())
