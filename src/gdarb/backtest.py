@@ -7,13 +7,14 @@ measure through local times and the post-absorption clock).  Each step of
 the chain is split into a hold phase (state constant, clock running) and a
 jump phase (state moves, quadratic variation accrues); the split is what
 lets the domination checks distinguish local-time growth from
-quadratic-variation growth.  One lean kernel, ``_steps``, books every hold
-and jump of a path at once: one exp per step, one gather of the per-node
-rows and each product in a fixed order.  The ensemble is a loop over path
-ids: each path comes from ``chain.sample_path`` and is booked like a single
-path, so ensemble statistics equal the single-path routes' bit for bit and
-do not depend on how many paths run; the ensemble keeps only each path's
-sums, minima and flags.
+quadratic-variation growth.  One group kernel, ``_steps``, books a block of
+holds of many paths at once, one row per path: one exp per hold, one gather
+of the per-node rows and each product in a fixed order.  The ensemble
+books the rounds of the group walker (``chain._walk``) and carries each
+path's sums from round to round in step order; a single path is a block of
+one row.  A path's statistics are therefore the same bit for bit however
+the paths are grouped into rounds, and equal the single-path routes'; the
+ensemble keeps only each path's sums, minima and flags.
 """
 
 from __future__ import annotations
@@ -31,7 +32,16 @@ from .arbitrage import (
     build_theta,
     check_strategy_conditions,
 )
-from .chain import ABSORBING, GridChain, PathSample, build_chain, sample_path
+from .chain import (
+    ABSORBING,
+    GridChain,
+    PathSample,
+    _check_seed,
+    _Round,
+    _round_cells,
+    _walk,
+    build_chain,
+)
 from .model import NaturalScaleModel
 
 __all__ = [
@@ -51,6 +61,9 @@ __all__ = [
 _ROUTE_FLOOR = 1e-8
 # a value decrement or a leaked martingale exposure below this counts as zero
 _TOL = 1e-12
+# holds summed per einsum call in an ensemble round: the step-order array
+# stays small
+_SUM_CELLS = 2**12
 
 
 @dataclass(frozen=True)
@@ -66,6 +79,7 @@ class MCConfig:
             raise ValueError("n_paths must be positive")
         if self.h <= 0 or self.T <= 0:
             raise ValueError("h and T must be positive")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -127,18 +141,37 @@ class EnsembleStats:
 # ---------------------------------------------------------------------------
 
 
-# the rows _steps books, one column per step
+# the rows _steps books, one column per hold
 _INT_HOLD, _CF_HOLD, _INT_JUMP, _CF_JUMP, _DS, _LEAK, _CLOCK = range(7)
 
 
 @dataclass(frozen=True)
 class _NodeTables:
-    # one column per node, rows: H, q, atom, q', nu_ac, and the clock's hold
-    # and jump rates [theta H > 0] |atom| and [theta H > 0] |nu_ac| h^2; atom
-    # is nu({u}) / m_cell(u) at inner nodes (per unit local time) and nu({u})
-    # at absorbing nodes (per unit of the post-absorption clock)
+    # one column per node, rows: q, atom, the clock's jump rate
+    # [theta H > 0] |nu_ac| h^2, nu_ac, q', H and the clock's hold rate
+    # [theta H > 0] |atom|, in the order _steps overwrites them with its book;
+    # atom is nu({u}) / m_cell(u) at inner nodes (per unit local time) and
+    # nu({u}) at absorbing nodes (per unit of the post-absorption clock); the
+    # last column, one past the grid, is all zeros
     rows: np.ndarray
     stop_idx: int | None
+
+
+class _Scratch:
+    """Flat arrays that the views of each block reuse.  A flat holds
+    ``per_cell`` entries for each of ``cells`` cells, the most a block
+    holds, so that blocks fault in no fresh pages and every ensemble
+    allocates the same sizes, which the next one gets back."""
+
+    def __init__(self, cells: int):
+        self.cells = cells
+        self._flat: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, shape: tuple[int, ...], dtype=float, per_cell=1) -> np.ndarray:
+        flat = self._flat.get(name)
+        if flat is None:
+            flat = self._flat[name] = np.empty(per_cell * self.cells, dtype=dtype)
+        return flat[: math.prod(shape)].reshape(shape)
 
 
 def _node_tables(chain: GridChain, bundle: NuBundle, H: FeedbackStrategy) -> _NodeTables:
@@ -175,79 +208,127 @@ def _node_tables(chain: GridChain, bundle: NuBundle, H: FeedbackStrategy) -> _No
         stop_idx = chain.index_of(H.stop_after_hitting)
     clock_on = theta_val * H_val > 0.0  # H agrees in sign with theta
     rows = np.stack([
-        H_val,
         np.asarray(model.q(grid), dtype=float),
         atom,
-        np.asarray(model.q_prime(grid), dtype=float),
-        nu_ac,
-        clock_on * np.abs(atom),
         clock_on * (np.abs(nu_ac) * chain.h**2),
+        nu_ac,
+        np.asarray(model.q_prime(grid), dtype=float),
+        H_val,
+        clock_on * np.abs(atom),
     ])
-    return _NodeTables(rows=rows, stop_idx=stop_idx)
+    return _NodeTables(rows=np.pad(rows, ((0, 0), (0, 1))), stop_idx=stop_idx)
 
 
 class _Steps(NamedTuple):
-    """What each step books: its hold, then its jump.
+    """What each hold books: the hold, then its jump.
 
-    Step k holds over [t[k], t[k + 1]).  Column k of ``book`` holds its
-    increments in the rows ``_INT_HOLD``, ``_CF_HOLD``, ``_INT_JUMP``,
-    ``_CF_JUMP``, ``_DS`` (the <S> growth of the jump), ``_LEAK`` (H^2 d<S>
-    of the jump: the martingale exposure of condition (i)) and ``_CLOCK``
-    (|nu| growth where H agrees in sign with theta).
+    ``book[:, r, c]`` holds the increments of row r's hold c in the rows
+    ``_INT_HOLD``, ``_CF_HOLD``, ``_INT_JUMP``, ``_CF_JUMP``, ``_DS`` (the <S>
+    growth of the jump), ``_LEAK`` (H^2 d<S> of the jump: the martingale
+    exposure of condition (i)) and ``_CLOCK`` (|nu| growth where H agrees in
+    sign with theta); a hold past the row's last books zeros.  ``nodes`` are
+    the hold nodes, one past the grid after the row's last hold, and
+    ``stopped`` says which rows have visited the strategy's stop node.
     """
 
-    t: np.ndarray
     book: np.ndarray
+    nodes: np.ndarray
+    stopped: np.ndarray
 
 
-def _steps(chain: GridChain, tables: _NodeTables, path: PathSample, T: float) -> _Steps:
-    """Book the holds and jumps ``path`` makes before T, by both routes.
+def _steps(
+    chain: GridChain,
+    tables: _NodeTables,
+    nodes: np.ndarray,
+    times: np.ndarray,
+    T: float,
+    n_hold: np.ndarray,
+    final: np.ndarray,
+    stopped: np.ndarray,
+    scratch: _Scratch,
+) -> _Steps:
+    """Book the holds and jumps of a block of rows, by both routes.
 
-    Every hold that starts before T is booked; the last one ends at T and
-    makes no jump.  An absorbed path's last hold is at its absorbing node, up
-    to T; the atom row holds nu({u}) there, so that hold books the
-    post-absorption clock.  Each product is formed in the order its comment
-    gives, so a step books the same bits on every route.
+    Row r holds at ``nodes[r, c]`` from ``times[r, c]`` to ``times[r, c + 1]``
+    (capped at T) and then jumps to ``nodes[r, c + 1]``, for c < n_hold[r];
+    where ``final[r]``, its last hold makes no jump.  An absorbed path's last
+    hold is at its absorbing node, up to T; the atom row holds nu({u})
+    there, so that hold books the post-absorption clock.  ``stopped`` says
+    which rows visited the stop node in an earlier block.  Each product is
+    formed in the order its comment gives, so a hold books the same bits
+    whatever block it is in.  The returned arrays are views of ``scratch``.
     """
     r, h2 = chain.model.rate, chain.h**2
-    n = int(path.times.searchsorted(T))  # holds that start before T
-    i = path.states[:n]
-    t = np.empty(n + 1)
-    t[:n] = path.times[:n]
-    t[n] = T
-    disc = np.exp(t * -r)  # one exp per step: a hold ends where the next starts
-    disc0, disc1 = disc[:-1], disc[1:]
-    d_disc = disc1 - disc0
-    w = np.diff(t) if r == 0.0 else d_disc / -r  # integral of exp(-r s) over the hold
-    Hv, q, atom, qp, nu_ac, clock_hold, clock_jump = tables.rows.take(i, axis=1)
-    if tables.stop_idx is not None:  # H is off from the first visit on
-        hits = np.flatnonzero(i == tables.stop_idx)
-        if len(hits):
-            Hv[hits[0] :] *= 0.0
-            clock_hold[hits[0] :] = 0.0
-            clock_jump[hits[0] :] = 0.0
-
-    book = np.empty((7, n))
+    R, B = n_hold.shape[0], nodes.shape[1] - 1
+    i = scratch("nodes", (R, B), np.intp)
+    np.copyto(i, nodes[:, :B])
+    short = np.flatnonzero(n_hold < B)
+    if len(short):
+        i[short] = np.where(np.arange(B) < n_hold[short, None], i[short], chain.n_nodes)
+    # every node row is overwritten by the increment booked in its place,
+    # after its last read; the column one past the grid is all zeros
+    book = tables.rows.take(i, axis=1, mode="clip", out=scratch("book", (7, R, B), per_cell=7))
+    q, atom, clock_jump, nu_ac, qp, Hv, clock_hold = book
     int_hold, cf_hold, int_jump, cf_jump, dS, leak, clock = book
+    if tables.stop_idx is not None:  # H is off from the first visit on
+        off = np.logical_or.accumulate(i == tables.stop_idx, axis=1)
+        off |= stopped[:, None]
+        stopped = off[:, -1]
+        np.multiply(Hv, 0.0, out=Hv, where=off)
+        clock_hold[off] = 0.0
+        clock_jump[off] = 0.0
+
+    # the scratch "pair" holds temporaries only
+    w, dq = scratch("pair", (2, R, B), per_cell=2)
+    disc = np.minimum(times, T, out=scratch("disc", times.shape))
+    if r == 0.0:
+        np.subtract(disc[:, 1:], disc[:, :-1], out=w)  # the integral of exp(-r s)
+    disc *= -r
+    np.exp(disc, out=disc)  # one exp per hold: a hold ends where the next starts
+    disc0, disc1 = disc[:, :-1], disc[:, 1:]
+    tables.rows[0].take(nodes[:, 1:], mode="clip", out=dq)
+    dq -= q  # q_new - q
     np.multiply(Hv, q, out=int_hold)  # Hv q (disc1 - disc0)
-    int_hold *= d_disc
+    if r == 0.0:
+        int_hold *= 0.0  # disc1 - disc0 is 1.0 - 1.0
+    else:
+        np.subtract(disc1, disc0, out=w)
+        int_hold *= w
+        w /= -r  # the integral of exp(-r s) over the hold
     np.multiply(Hv, atom, out=cf_hold)  # Hv atom w
     cf_hold *= w
-    np.multiply(Hv, disc1, out=int_jump)  # Hv disc1 (q_new - q)
-    int_jump[:-1] *= q[1:] - q[:-1]
-    np.multiply(Hv, disc0, out=cf_jump)  # Hv disc0 nu_ac h^2
-    cf_jump *= nu_ac
-    cf_jump *= h2
-    np.multiply(disc0, qp, out=dS)  # (disc0 q')^2 h^2
-    np.multiply(Hv, qp, out=leak)  # (Hv q')^2 h^2
-    np.square(book[_DS : _LEAK + 1], out=book[_DS : _LEAK + 1])
-    book[_DS : _LEAK + 1] *= h2
-    book[_INT_JUMP : _LEAK + 1, -1] = 0.0  # the last hold makes no jump
-    clock_jump[-1] = 0.0
+    last = np.flatnonzero(final)
+    at = n_hold[last] - 1
+    clock_jump[last, at] = 0.0  # the last hold makes no jump
     # [theta Hv > 0] |atom| w + [theta Hv > 0] |nu_ac| h^2
     np.multiply(clock_hold, w, out=clock)
     clock += clock_jump
-    return _Steps(t=t, book=book)
+    np.multiply(Hv, disc1, out=int_jump)  # Hv disc1 (q_new - q)
+    int_jump *= dq
+    np.multiply(Hv, disc0, out=dq)  # Hv disc0 nu_ac h^2
+    np.multiply(dq, nu_ac, out=cf_jump)
+    cf_jump *= h2
+    np.multiply(Hv, qp, out=leak)  # (Hv q')^2 h^2
+    np.multiply(disc0, qp, out=dS)  # (disc0 q')^2 h^2
+    np.square(book[_DS : _LEAK + 1], out=book[_DS : _LEAK + 1])
+    book[_DS : _LEAK + 1] *= h2
+    book[_INT_JUMP : _LEAK + 1, last, at] = 0.0
+    return _Steps(book=book, nodes=i, stopped=stopped)
+
+
+def _book_path(
+    chain: GridChain, tables: _NodeTables, path: PathSample, T: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The hold boundaries of ``path`` on [0, T] and the (7, holds) book of
+    its holds, booked as a block of one row."""
+    n = int(path.times.searchsorted(T))  # holds that start before T
+    nodes = path.states[: n + 1]
+    if len(nodes) == n:  # absorbed: the last hold enters nothing
+        nodes = np.append(nodes, nodes[-1])
+    t = np.append(path.times[:n], T)
+    one = np.ones(1, dtype=bool)
+    st = _steps(chain, tables, nodes[None], t[None], T, np.array([n]), one, ~one, _Scratch(n + 1))
+    return t, st.book[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -269,20 +350,21 @@ def value_series(
 ) -> Iterator[tuple[ValueSeries, ...]]:
     """Yield each path's value series on [0, T], one per route in ``routes``.
 
-    Every path is booked against one set of node tables, built when the
-    first series is asked for; each path is taken from ``paths`` only after
-    the previous one's series are yielded.  The routes are not checked
-    against the strategy: the closed-form route is the value process only
-    where condition (i) holds (see ``closed_form_value``).
+    Every path is booked by the group kernel as a block of one row, against
+    one set of node tables built when the first series is asked for; each
+    path is taken from ``paths`` only after the previous one's series are
+    yielded.  The routes are not checked against the strategy: the
+    closed-form route is the value process only where condition (i) holds
+    (see ``closed_form_value``).
     """
     tables = _node_tables(chain, bundle, H)
     for path in paths:
-        st = _steps(chain, tables, path, T)
+        t, book = _book_path(chain, tables, path, T)
         series = []
         for route in routes:
             hold, jump = _ROUTE_ROWS[route]
-            values = np.concatenate([[0.0], np.cumsum(st.book[hold] + st.book[jump])])
-            series.append(ValueSeries(times=st.t, values=values, route=route))
+            values = np.concatenate([[0.0], np.cumsum(book[hold] + book[jump])])
+            series.append(ValueSeries(times=t, values=values, route=route))
         yield tuple(series)
 
 
@@ -330,7 +412,7 @@ def domination_check(
 ) -> DominationReport:
     """(a) does the value only move when <U> moves; (b) does it ever move
     when <S> moves (a finite-variation value process never may)."""
-    book = _steps(chain, _node_tables(chain, bundle, H), path, T).book
+    _, book = _book_path(chain, _node_tables(chain, bundle, H), path, T)
     hold, jump = _ROUTE_ROWS["closed_form" if route == "closed_form" else "integral"]
     hold_nonzero = book[hold] != 0.0
     jump_nonzero = book[jump] != 0.0
@@ -349,6 +431,58 @@ def domination_check(
 # ---------------------------------------------------------------------------
 
 
+def _book_round(
+    chain: GridChain,
+    tables: _NodeTables,
+    rnd: _Round,
+    T: float,
+    tracked: list[int],
+    scratch: _Scratch,
+    sums: np.ndarray,
+    min_inc: np.ndarray,
+    flags: np.ndarray,
+    stopped: np.ndarray,
+):
+    """Book a round of the group walker and add it to its paths' sums,
+    minima and flags.  No view of ``scratch`` outlives the call, so a
+    scratch array that grows frees its pages first."""
+    pid = rnd.pid
+    st = _steps(
+        chain, tables, rnd.nodes, rnd.times, T, rnd.n_hold, rnd.final, stopped[pid], scratch
+    )
+    stopped[pid] = st.stopped
+    book = st.book
+    _, R, B = book.shape
+    K = sums.shape[1]
+    holds, jumps = book[_INT_HOLD : _CF_HOLD + 1], book[_INT_JUMP : _CF_JUMP + 1]
+    low = np.minimum(holds, jumps, out=scratch("pair", (2, R, B), per_cell=2)).min(axis=2)
+    min_inc[pid] = np.minimum(min_inc[pid], low.T)
+    nonzero = scratch("nonzero", (5, R, B), bool, per_cell=5)
+    np.not_equal(book[: _DS + 1], 0.0, out=nonzero)
+    flags[pid, :2] |= nonzero[: _CF_HOLD + 1].any(axis=2).T
+    nonzero[_INT_JUMP : _CF_JUMP + 1] &= nonzero[_DS]
+    flags[pid, 2:] |= nonzero[_INT_JUMP : _CF_JUMP + 1].any(axis=2).T
+    holds += jumps  # the value increments
+    if tracked:
+        t = np.minimum(rnd.times, T)
+        held = np.subtract(t[:, 1:], t[:, :-1], out=jumps[0])
+    # einsum adds up the rows of a C-ordered (holds + 1, K R) array one after
+    # another, so each column sums in step order; row 0 carries the sums of
+    # the path's earlier holds.  The holds go in chunks of about _SUM_CELLS.
+    total = sums[pid].T
+    n = max(_SUM_CELLS // R, 1)
+    for c in range(0, B, n):
+        cols, m = slice(c, c + n), min(n, B - c)
+        increments = scratch("increments", (m + 1, K, R), per_cell=K)
+        increments[0] = total
+        increments[1:, :2] = holds[:, :, cols].transpose(2, 0, 1)
+        increments[1:, 2:5] = book[_DS:, :, cols].transpose(2, 0, 1)
+        for j, node in enumerate(tracked):
+            np.multiply(held[:, cols], st.nodes[:, cols] == node, out=increments[1:, 5 + j].T)
+        total = np.einsum("ij->j", increments.reshape(m + 1, K * R)).reshape(K, R)
+    sums[pid] = total.T
+
+
 def run_ensemble(
     chain: GridChain,
     bundle: NuBundle,
@@ -356,56 +490,42 @@ def run_ensemble(
     config: MCConfig,
     track_nodes: tuple[float, ...] = (),
 ) -> EnsembleStats:
-    """Book n_paths independent paths of the chain, one path at a time.
+    """Book n_paths independent paths of the chain, many paths per round.
 
-    Path ``pid`` is ``sample_path(chain, T, seed, pid)``, booked by the same
-    hold/jump kernel as the single-path routes.  Each sum runs in step
-    order from 0.0, as the path accrues it.  No path's statistics depend on
-    the other paths.  An absorbed path's last hold is the absorbing node's,
-    which lasts to T.
+    The group walker (``chain._walk``) advances rows of paths in rounds, and
+    the group kernel books each round's holds.  Path ``pid`` is
+    ``sample_path(chain, T, seed, pid)`` and each of its sums runs in step
+    order from 0.0 across rounds, so no path's statistics depend on the
+    other paths, on the rows that share its rounds or on where its rounds
+    end: they equal the single-path routes' bit for bit.  An absorbed path's
+    last hold is the absorbing node's, which lasts to T.
     """
     T = config.T
     n_paths = config.n_paths
     tables = _node_tables(chain, bundle, H)
     tracked = [chain.index_of(u) for u in track_nodes]
-    sums = np.empty((n_paths, 5))  # v_int, v_cf, then the rows _DS, _LEAK, _CLOCK
-    min_inc = np.empty((n_paths, 2))  # per route
-    flags = np.empty((n_paths, 4), dtype=bool)  # a hold nonzero, a jump nonzero where <S> moves
+    K = 5 + len(tracked)
+    # v_int, v_cf, the rows _DS, _LEAK, _CLOCK, then the time at each tracked node
+    sums = np.zeros((n_paths, K))
+    min_inc = np.zeros((n_paths, 2))  # per route
+    flags = np.zeros((n_paths, 4), dtype=bool)  # a hold nonzero, a jump nonzero where <S> moves
+    stopped = np.zeros(n_paths, dtype=bool)
     absorbed = np.empty(n_paths, dtype=bool)
     absorption_times = np.empty(n_paths)
     window_hit = np.empty(n_paths, dtype=bool)
     n_steps = np.empty(n_paths, dtype=np.int64)
-    occupation = np.zeros((n_paths, len(tracked)))
-    for pid in range(n_paths):
-        path = sample_path(chain, T, config.seed, pid)
-        st = _steps(chain, tables, path, T)
-        book = st.book
-        holds, jumps = book[_INT_HOLD : _CF_HOLD + 1], book[_INT_JUMP : _CF_JUMP + 1]
-        np.minimum(holds, jumps).min(axis=1, initial=0.0, out=min_inc[pid])
-        nonzero = book[: _DS + 1] != 0.0
-        nonzero[: _CF_HOLD + 1].any(axis=1, out=flags[pid, :2])
-        np.logical_and(nonzero[_INT_JUMP : _CF_JUMP + 1], nonzero[_DS]).any(
-            axis=1, out=flags[pid, 2:]
-        )
-        # einsum adds up the rows of a C-ordered (steps, 5) array one after
-        # another, so each column sums in step order
-        increments = np.empty((book.shape[1], 5))
-        np.add(holds, jumps, out=increments[:, :2].T)
-        increments[:, 2:].T[...] = book[_DS:]
-        np.einsum("ij->j", increments, out=sums[pid])
-        absorbed[pid] = path.absorbed
-        absorption_times[pid] = path.absorption_time
-        window_hit[pid] = path.window_hit
-        n_steps[pid] = len(path.states) - 1  # an absorbing hold draws nothing
-        if tracked:
-            held = np.diff(st.t)
-            at = path.states[: len(held)]
-            for j, node in enumerate(tracked):
-                at_node = held[at == node]
-                if len(at_node):
-                    occupation[pid, j] = at_node.cumsum()[-1]
+    scratch = _Scratch(_round_cells())
+    for rnd in _walk(chain, T, config.seed, range(n_paths)):
+        _book_round(chain, tables, rnd, T, tracked, scratch, sums, min_inc, flags, stopped)
+        f = rnd.final
+        done = rnd.pid[f]
+        absorbed[done] = rnd.absorbed[f]
+        last = rnd.times[f, rnd.n_hold[f] - 1]  # the absorbing hold's start
+        absorption_times[done] = np.where(rnd.absorbed[f], last, np.inf)
+        window_hit[done] = rnd.window_hit[f]
+        n_steps[done] = rnd.n_steps[f]
     sums += 0.0  # a sum starts from 0.0: one of zeros is 0.0, never -0.0
-    occupation += 0.0
+    occupation = sums[:, 5:]
     return EnsembleStats(
         v_int=sums[:, 0],
         v_cf=sums[:, 1],

@@ -7,11 +7,20 @@ tent-kernel integral against the speed measure.  Reflecting endpoints jump
 inward with probability one; absorbing endpoints are terminal.  Holding
 times make the chain's occupation measure match the speed measure, which
 is what every estimator here relies on.
+
+Paths are walked in groups: one walker (``_walk``) advances many paths per
+numpy call, as the rows of a block of moves, and hands each block to its
+caller; ``sample_path`` is a group of one.  Path ``pid`` draws its moves
+from its own counter-based stream, ``Philox(key=[seed, pid])``, and move n
+uses the n-th draw of that stream however the paths are grouped, so every
+path is the same bit for bit whether it is walked alone or with others.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,16 +45,21 @@ REFLECT_DOWN = 2  # right edge: deterministic move down
 ABSORBING = 3
 
 _COMMENSURATE_RTOL = 1e-6
-# steps one path may take: booking a path in the ensemble peaks at about
-# 175 B of arrays per step (its states and times, the gathered node rows, the
-# kernel's book and the step-order sum columns), so a path stays within
-# about 370 MB
+# steps one path may take: booking a sampled path on its own peaks at about
+# 120 B of arrays per step (its states and times, the gathered node rows and
+# the kernel's book; tracemalloc, 200k steps), so a path stays within about
+# 250 MB; the ensemble's rounds do not grow with the path
 _STEP_BUDGET = 2**21
-# steps a block tries: at the start and after an edge cut, the steps left if
-# every hold were as long as the current node's, so that most paths take one
-# or two blocks; doubled while no edge comes; always within these bounds, so
-# that a short path draws few uniforms and a block stays in cache
-_BLOCK = (128, 4096)
+# moves one round of the group walker takes over all its rows, past the
+# cuts included
+_CELLS = 12288
+# moves a row takes in a round: the steps left if every hold were as long as
+# the current node's, the most over the round's rows, within these bounds;
+# a fresh path's estimate sets how many rows share the cells, and rounds
+# with fewer rows than that take up to _CELLS // rows moves
+_BLOCK = (128, 1024)
+# a raw 64-bit draw below this is a uniform below 1/2
+_HALF = np.uint64(2**63)
 
 
 class StepBudgetError(RuntimeError):
@@ -185,14 +199,198 @@ class PathSample:
     path_id: int
 
 
+def _round_cells() -> int:
+    """The most cells, moves and start column, a round of the walker holds."""
+    return _CELLS + _CELLS // _BLOCK[0]
+
+
+def _check_seed(seed: int):
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+
+
 def path_rng(seed: int, path_id: int) -> np.random.Generator:
-    """Counter-based substream: independent across path ids, reproducible."""
+    """Counter-based substream: independent across path ids, reproducible.
+
+    Step n of path ``path_id`` goes up iff the n-th ``random()`` of this
+    stream is below 1/2."""
     return np.random.Generator(np.random.Philox(key=[seed, path_id]))
 
 
-def _first_block(dt: float, time_left: float) -> int:
+class _Round(NamedTuple):
+    """One round of the group walker: row r advances path ``pid[r]``.
+
+    Row r holds at ``nodes[r, c]`` from ``times[r, c]`` to ``times[r, c + 1]``
+    for c < ``n_hold[r]``, and its next round starts at ``nodes[r, n_hold[r]]``
+    at ``times[r, n_hold[r]]``; entries past those are not part of the path.
+    A path's final hold is the one that reaches T (an absorbing node holds
+    forever).  ``window_hit`` and ``n_steps`` (the path's recorded moves)
+    count up to the end of the round.
+    """
+
+    pid: np.ndarray  # (R,)
+    nodes: np.ndarray  # (R, B + 1)
+    times: np.ndarray  # (R, B + 1)
+    n_hold: np.ndarray  # (R,)
+    final: np.ndarray  # (R,) the path ends with this round's last hold
+    absorbed: np.ndarray  # (R,) that hold is at an absorbing node
+    window_hit: np.ndarray  # (R,)
+    n_steps: np.ndarray  # (R,)
+
+
+def _walk(chain: GridChain, T: float, seed: int, path_ids: range) -> Iterator[_Round]:
+    """Walk the paths ``path_ids`` in rounds, many paths per numpy call.
+
+    A round is a (rows, moves) block within the cell budget ``_CELLS``;
+    rows whose path ended take the next path ids.  Each row takes the same
+    number of moves from its own stream, ``Philox(key=[seed, pid])``, through
+    a per-row generator that is re-keyed for each path and keeps the row's
+    unused draws for its next round.  Every move is a fair coin
+    except at the two edges, so a row's free positions are one cumulative
+    sum.  The row's nearer edge, when it reflects and the row can reach it,
+    is crossed in closed form: the walk whose moves from the wall are forced
+    inward is the free walk plus twice the rounded-up half of its running
+    overshoot past the wall (Skorokhod reflection).  A row stops at its first
+    hold that reaches T (an absorbing node holds forever) and before its
+    first visit to a farther reflecting edge, where its next round starts.
+    Move n of a path is the n-th draw of its stream whatever the rows,
+    rounds or moves per round, so a path does not depend on the others.
+    """
+    top = chain.n_nodes - 1
+    dt, window_edge = chain.dt, chain.window_edge
+    absorbing = chain.node_type == ABSORBING
+    can_absorb = bool(absorbing.any())
+    start = chain.start_idx
     lo, hi = _BLOCK
-    return int(min(max(time_left / dt + 1, lo), hi))
+    rows_max = max(_CELLS // int(min(max(T / dt[start] + 2, lo), hi)), 1)
+    zeros = np.zeros(4, dtype=np.uint64)
+    no_draws = np.empty(0, dtype=bool)
+    # a fresh stream: counter 0, no buffered output
+    rekey = {
+        "bit_generator": "Philox",
+        "state": {"counter": zeros, "key": zeros[:2]},
+        "buffer": zeros,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    spare: list[np.random.Philox] = []
+    # the rows in flight, first R entries: path id, node and time the row
+    # goes on from, its window hit, its recorded moves, generator and draws
+    R = taken = 0
+    pid = np.empty(rows_max, dtype=np.int64)
+    node = np.empty(rows_max, dtype=np.int64)
+    t = np.empty(rows_max)
+    window_hit = np.empty(rows_max, dtype=bool)
+    n_steps = np.empty(rows_max, dtype=np.int64)
+    gens: list[np.random.Philox] = []
+    draws: list[np.ndarray] = []
+    # the rounds' arrays are views of these, so that rounds reuse their pages
+    cells = _round_cells()
+    up_flat = np.empty(cells, dtype=bool)
+    nodes_flat = np.empty(cells, dtype=np.int64)
+    lift_flat = np.empty(cells, dtype=np.int64)
+    times_flat = np.empty(cells)
+    while True:
+        fresh = path_ids[taken : taken + rows_max - R]
+        if len(fresh):
+            for p in fresh:
+                gen = spare.pop() if spare else np.random.Philox(0)
+                rekey["state"]["key"] = np.array([seed, p], dtype=np.uint64)
+                gen.state = rekey
+                gens.append(gen)
+                draws.append(no_draws)
+            taken += len(fresh)
+            new = slice(R, R + len(fresh))
+            pid[new], node[new], t[new] = fresh, start, 0.0
+            window_hit[new], n_steps[new] = window_edge[start], 0
+            R += len(fresh)
+        if R == 0:
+            return
+        B = int(min(max(((T - t[:R]) / dt[node[:R]]).max() + 2, lo), _CELLS // R))
+        rows = np.arange(R)
+
+        for r, (gen, d) in enumerate(zip(gens, draws)):
+            if len(d) < B:  # draw ahead, so that a row draws about every other round
+                more = gen.random_raw(2 * B - len(d)) < _HALF
+                draws[r] = np.concatenate([d, more]) if len(d) else more
+        up = np.concatenate([d[:B] for d in draws], out=up_flat[: R * B]).reshape(R, B)
+        nodes = nodes_flat[: R * (B + 1)].reshape(R, B + 1)
+        np.multiply(up, 2, out=nodes[:, 1:])
+        nodes[:, 1:] -= 1
+        nodes[:, 0] = node[:R]
+        np.cumsum(nodes, axis=1, out=nodes)
+
+        cut = reached = rows[:0]
+        at = nodes[:, 0]
+        if at.min() < B or at.max() > top - B:  # a row can reach an edge
+            near_lo = at <= top - at
+            near = np.where(near_lo, 0, top)
+            far = top - near
+            # rows whose walk can pass the nearer edge, and rows whose walk
+            # can visit the farther one before its last move
+            wall = np.flatnonzero(~absorbing[near] & (np.abs(near - at) < B))
+            cut = np.flatnonzero(~absorbing[far] & (np.abs(far - at) < B))
+            if len(wall):
+                walk = nodes[wall, 1:] if len(wall) < R else nodes[:, 1:]
+                # with m the running minimum of the free walk's depth inside
+                # the wall, the reflected walk is 2 ceil(max(0, -m) / 2)
+                # further in
+                inward = np.where(near_lo[wall], 1, -1)[:, None]
+                lift = lift_flat[: walk.size].reshape(walk.shape)
+                np.subtract(walk, near[wall, None], out=lift)
+                lift *= inward
+                np.minimum.accumulate(lift, axis=1, out=lift)
+                reached = wall[lift[:, -1] <= 0]  # rows whose walk met the wall
+                np.subtract(1, lift, out=lift)  # 2 ceil(-m / 2) = (1 - m) & -2
+                lift &= -2
+                np.maximum(lift, 0, out=lift)
+                lift *= inward
+                walk += lift
+                if len(wall) < R:
+                    nodes[wall, 1:] = walk
+
+        # entry times, summed in step order; a row meets an edge before it
+        # leaves the grid, so the clipped lookups only differ past its cut
+        times = times_flat[: R * (B + 1)].reshape(R, B + 1)
+        times[:, 0] = t[:R]
+        dt.take(nodes[:, :B], mode="clip", out=times[:, 1:])
+        np.cumsum(times, axis=1, out=times)
+        before_T = np.add.reduce(times[:, 1:] < T, axis=1)  # holds ending before T
+        n_hold = np.minimum(before_T + 1, B)
+        final = before_T < B
+        if len(cut):
+            visit = nodes[cut, 1:B] == far[cut, None]
+            first = visit.argmax(axis=1)
+            first = np.where(visit[rows[: len(cut)], first], first + 1, B)
+            final[cut] &= before_T[cut] < first
+            n_hold[cut] = np.minimum(n_hold[cut], first)
+        absorbed = final & absorbing[nodes[rows, n_hold - 1]] if can_absorb else final & False
+        hit = window_hit[:R]
+        hit |= window_edge[at]
+        if len(reached):
+            reached = reached[~hit[reached] & window_edge[near[reached]]]
+        if len(reached):
+            # visits to a crossed wall that start a hold of the round
+            at_wall = nodes[reached, :B] == near[reached, None]
+            at_wall &= np.arange(B) < n_hold[reached, None]
+            hit[reached] = at_wall.any(axis=1)
+        moves = n_steps[:R]
+        moves += n_hold - absorbed
+        if moves.max() > _STEP_BUDGET:
+            raise StepBudgetError(f"step budget exceeded: a path may take {_STEP_BUDGET} steps")
+        yield _Round(pid[:R], nodes, times, n_hold, final, absorbed, hit, moves)
+
+        if taken == len(path_ids) and final.all():
+            return
+        done = final.tolist()
+        spare += [gen for gen, end in zip(gens, done) if end]
+        gens = [gen for gen, end in zip(gens, done) if not end]
+        draws = [d[n:] for d, n, end in zip(draws, n_hold.tolist(), done) if not end]
+        go = np.flatnonzero(~final)
+        R = len(go)
+        node[:R], t[:R] = nodes[go, n_hold[go]], times[go, n_hold[go]]
+        pid[:R], window_hit[:R], n_steps[:R] = pid[go], hit[go], moves[go]
 
 
 def sample_path(chain: GridChain, T: float, seed: int, path_id: int = 0) -> PathSample:
@@ -200,88 +398,25 @@ def sample_path(chain: GridChain, T: float, seed: int, path_id: int = 0) -> Path
 
     Each step draws one uniform from the path's stream and goes up iff the
     uniform is below 1/2, except at a reflecting edge, whose step goes
-    inward whatever it draws.  Steps are taken in blocks.  Every move is a
-    fair coin except at the two edges, so a block's free positions are one
-    cumulative sum.  The nearer edge, when it reflects and the block can
-    reach it, is crossed inside the block in closed form: the walk whose
-    moves from the wall are forced inward is the free walk plus twice the
-    rounded-up half of its running overshoot past the wall (Skorokhod
-    reflection).  A block is cut at the step whose hold reaches T and at the
-    first visit to the other edge or to an absorbing node.
+    inward whatever it draws.  The path is the one row of a group walk
+    (``_walk``), so it equals the ensemble's path of the same id bit for bit.
     """
     if T <= 0:
         raise ValueError("horizon must be positive")
-    rng = path_rng(seed, path_id)
-    top = chain.n_nodes - 1
-    i = chain.start_idx
-    t = 0.0
-    states = [np.array([i])]
+    _check_seed(seed)
+    states = [np.array([chain.start_idx])]
     times = [np.array([0.0])]
-    window_hit = bool(chain.window_edge[i])
-    absorbed = bool(chain.node_type[i] == ABSORBING)
-    n_steps = 0
-    block = _first_block(chain.dt[i], T)
-    moves = np.empty(0, dtype=np.int64)
-    while not absorbed and t < T:
-        if len(moves) == 0:
-            moves = np.where(rng.random(block) < 0.5, 1, -1)
-        pos = moves[:block].cumsum()
-        pos += i
-        # the edges the walk can visit before its last move (a visit at the
-        # last move ends the block anyway)
-        near, far = (0, top) if i <= top - i else (top, 0)
-        reach = [e for e in (near, far) if abs(e - i) < len(pos)]
-        wall = None
-        if near in reach and chain.node_type[near] != ABSORBING:
-            wall = reach.pop(0)
-            # with m the running minimum of the free walk's depth inside the
-            # wall, the reflected walk is 2 ceil(max(0, -m) / 2) further in
-            inward = 1 if wall == 0 else -1
-            lift = np.minimum.accumulate((pos - wall) * inward)
-            np.subtract(1, lift, out=lift)  # 2 ceil(-m / 2) = (1 - m) & -2
-            lift &= -2
-            np.maximum(lift, 0, out=lift)
-            lift *= inward
-            pos += lift
-        # hold end times, summed in step order; the walk meets an edge before
-        # it leaves the grid, so the clipped lookups only differ from it past
-        # the cut
-        held = np.empty(len(pos))
-        held[0] = t + chain.dt[i]
-        chain.dt.take(pos[:-1], mode="clip", out=held[1:])
-        held.cumsum(out=held)
-        # steps up to the one whose hold reaches T, or to the first visit to an
-        # edge that is not crossed in closed form
-        before_T = int(held.searchsorted(T))
-        k = min(before_T + 1, len(pos))
-        cut = False
-        if reach:
-            at_edge = pos[:k] <= (-1 if wall == 0 else 0)  # a crossed wall cuts nothing
-            at_edge |= pos[:k] >= (top + 1 if wall == top else top)
-            first = int(at_edge.argmax())
-            cut = bool(at_edge[first])
-            if cut:
-                k = first + 1
-        if wall is not None and not window_hit and chain.window_edge[wall]:
-            # a visit to the crossed wall entered before T
-            window_hit = bool((pos[: min(k, before_T)] == wall).any())
-        states.append(pos[:k])
-        times.append(held[:k])
-        moves = moves[k:]
-        n_steps += k
-        if n_steps > _STEP_BUDGET:
-            raise StepBudgetError(f"step budget exceeded: a path may take {_STEP_BUDGET} steps")
-        i, t = int(pos[k - 1]), float(held[k - 1])
-        block = _first_block(chain.dt[i], T - t) if cut else min(2 * block, _BLOCK[1])
-        if t < T:
-            window_hit |= bool(chain.window_edge[i])
-            absorbed = bool(chain.node_type[i] == ABSORBING)
+    for rnd in _walk(chain, T, seed, range(path_id, path_id + 1)):
+        k = rnd.n_hold[0] - rnd.absorbed[0]  # an absorbing hold enters nothing
+        states.append(rnd.nodes[0, 1 : k + 1].copy())  # the walker reuses its buffers
+        times.append(rnd.times[0, 1 : k + 1].copy())
+    absorbed = bool(rnd.absorbed[0])
     return PathSample(
         times=np.concatenate(times),
         states=np.concatenate(states),
         absorbed=absorbed,
-        absorption_time=t if absorbed else np.inf,
-        window_hit=window_hit,
+        absorption_time=float(rnd.times[0, rnd.n_hold[0] - 1]) if absorbed else np.inf,
+        window_hit=bool(rnd.window_hit[0]),
         seed=seed,
         path_id=path_id,
     )

@@ -392,6 +392,8 @@ def main(argv=None) -> int:
                 raise _UsageError(f"--{flag} must be positive and finite")
         if not getattr(args, "tol_route", 0.0) >= 0:
             raise _UsageError("--tol-route must be nonnegative")
+        if not 0 <= getattr(args, "seed", 0) < 2**64:
+            raise _UsageError("--seed must be in [0, 2**64)")
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

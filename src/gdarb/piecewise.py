@@ -462,14 +462,20 @@ class PiecewiseFn:
     def __call__(self, x):
         if np.ndim(x) == 0:
             return float(self._piece(float(x))(float(x)))
-        segs = self.segments
         x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.breakpoints[1:-1], x, side="right")
-        out = np.empty_like(x)
-        for i in np.flatnonzero(np.bincount(idx.reshape(-1), minlength=len(segs))):
-            on = idx == i
-            out[on] = segs[i](x[on])
-        return out
+        flat = x.reshape(-1)
+        idx = np.searchsorted(self.breakpoints[1:-1], flat, side="right")
+        # one stable sort lines up the points of each piece in one run
+        order = np.argsort(idx, kind="stable")
+        ends = np.searchsorted(idx[order], np.arange(len(self.segments)), side="right")
+        out = np.empty_like(flat)
+        start = 0
+        for seg, end in zip(self.segments, ends.tolist()):
+            if end > start:
+                run = order[start:end]
+                out[run] = seg(flat[run])
+            start = end
+        return out.reshape(x.shape)
 
     def integrate(self, lo, hi, c0=1.0, c1=0.0):
         """Integral of (c0 + c1*x) f(x) over [lo, hi]; hi < lo flips the sign.

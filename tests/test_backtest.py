@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdarb import backtest
 from gdarb import catalog as cat
@@ -23,6 +25,7 @@ from gdarb.backtest import (
 )
 from gdarb.borel import BorelSet
 from gdarb.chain import build_chain, sample_path
+from gdarb.model import ModelError
 from path_oracles import hitting_time, occupation, qv_series
 
 
@@ -286,7 +289,7 @@ def test_ensemble_sums_in_step_order(name):
         stats = run_ensemble(chain, bundle, H, cfg)
         tables = backtest._node_tables(chain, bundle, H)
         for pid in range(cfg.n_paths):
-            book = backtest._steps(chain, tables, sample_path(chain, 1.0, 17, pid), 1.0).book
+            _, book = backtest._book_path(chain, tables, sample_path(chain, 1.0, 17, pid), 1.0)
             int_hold, cf_hold, int_jump, cf_jump, dS, leak, clock = book
             for total, inc in (
                 (stats.v_int, int_hold + int_jump),
@@ -302,6 +305,76 @@ def test_ensemble_sums_in_step_order(name):
             assert stats.qv_growth_trigger_int[pid] == np.any((int_jump != 0.0) & (dS != 0.0))
 
 
+_SUMS = ("v_int", "v_cf", "qv_s", "emp_cond_i", "clock")
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in cat.catalog()])
+@settings(max_examples=8)
+@given(
+    draw=st.none() | st.integers(0, 2**32 - 1),
+    h=st.sampled_from([0.05, 0.02]),
+    T=st.sampled_from([0.3, 1.0, 2.0]),
+    n_paths=st.integers(1, 40),
+    strategy=st.sampled_from(["theta", "unit", "stopped"]),
+    stop_offset=st.integers(-3, 3),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_ensemble_does_not_depend_on_batching(
+    name, draw, h, T, n_paths, strategy, stop_offset, seed
+):
+    # one batching against another: the default rounds, rounds of one row
+    # and 128 moves, and each path booked alone give the same bits
+    entry = cat.get_entry(name)
+    params = entry.params()
+    if draw is not None:
+        params = entry.sample_params(np.random.default_rng(draw))
+    try:
+        bundle, chain = _setup(entry.build(**params), h, radius=3.0)
+    except ModelError:  # a drawn start or atom off the grid: the defaults, at the drawn rate
+        bundle, chain = _setup(entry.build(**entry.params(r=params["r"])), h, radius=3.0)
+    theta = build_theta(bundle)
+    node = float(chain.grid[np.clip(chain.start_idx + stop_offset, 0, chain.n_nodes - 1)])
+    H = {
+        "theta": theta,
+        "unit": FeedbackStrategy(plus_set=BorelSet.make([chain.window])),
+        "stopped": FeedbackStrategy(theta.plus_set, theta.minus_set, stop_after_hitting=node),
+    }[strategy]
+    track = (float(chain.grid[chain.start_idx]), float(chain.grid[0]), node)
+    cfg = MCConfig(n_paths=n_paths, h=h, T=T, seed=seed)
+    stats = run_ensemble(chain, bundle, H, cfg, track_nodes=track)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chain_mod, "_CELLS", 128)
+        one_row = run_ensemble(chain, bundle, H, cfg, track_nodes=track)
+    for field in stats.__dataclass_fields__:
+        assert np.array_equal(getattr(stats, field), getattr(one_row, field)), field
+    for field in _SUMS:
+        bits = getattr(stats, field).view(np.uint64)
+        assert np.array_equal(bits, getattr(one_row, field).view(np.uint64)), field
+
+    tables = backtest._node_tables(chain, bundle, H)
+    alone = {field: np.empty(n_paths) for field in _SUMS}
+    for pid in range(n_paths):
+        p = sample_path(chain, T, seed, pid)
+        _, book = backtest._book_path(chain, tables, p, T)
+        int_hold, cf_hold, int_jump, cf_jump, dS, leak, clock = book
+        for field, inc in zip(_SUMS, (int_hold + int_jump, cf_hold + cf_jump, dS, leak, clock)):
+            alone[field][pid] = 0.0 + np.cumsum(inc)[-1]
+        assert stats.min_inc_int[pid] == min(0.0, np.minimum(int_hold, int_jump).min())
+        assert stats.min_inc_cf[pid] == min(0.0, np.minimum(cf_hold, cf_jump).min())
+        assert stats.hold_nonzero_int[pid] == np.any(int_hold != 0.0)
+        assert stats.hold_nonzero_cf[pid] == np.any(cf_hold != 0.0)
+        assert stats.qv_growth_trigger_int[pid] == np.any((int_jump != 0.0) & (dS != 0.0))
+        assert stats.qv_growth_trigger_cf[pid] == np.any((cf_jump != 0.0) & (dS != 0.0))
+        assert stats.absorbed[pid] == p.absorbed
+        assert stats.absorption_times[pid] == p.absorption_time
+        assert stats.window_hit[pid] == p.window_hit
+        assert stats.n_steps[pid] == len(p.states) - 1
+        occ = occupation(p, chain, T)
+        assert np.array_equal(stats.occupation[pid], occ[[chain.index_of(u) for u in track]])
+    for field in _SUMS:
+        assert np.array_equal(getattr(stats, field).view(np.uint64), alone[field].view(np.uint64))
+
+
 def test_ensemble_occupation_tracking():
     model = brownian_model()
     bundle, chain = _setup(model, 0.05, radius=3.0)
@@ -312,6 +385,16 @@ def test_ensemble_occupation_tracking():
         p = sample_path(chain, T=1.0, seed=6, path_id=pid)
         occ = occupation(p, chain, T=1.0)[i0]
         assert stats.occupation[pid, 0] == pytest.approx(occ, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [2**64, -1])
+def test_seed_outside_uint64_rejected(seed):
+    chain = build_chain(brownian_model(), h=0.05, radius=2.0)
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        MCConfig(n_paths=1, h=0.05, T=1.0, seed=seed)
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        sample_path(chain, T=1.0, seed=seed)
+    assert len(sample_path(chain, T=0.1, seed=2**64 - 1).states) > 1
 
 
 def test_ensemble_step_budget(monkeypatch):

@@ -180,6 +180,22 @@ def test_non_finite_input_usage_error(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("seed", [2**64, -1])
+@pytest.mark.parametrize("command", ["simulate", "backtest"])
+def test_seed_outside_uint64_usage_error(tmp_path, capsys, command, seed):
+    # a seed of 2**64 ended in an OverflowError traceback
+    argv = [command, "--example", "bachelier-sticky", "--h", "0.05", "--paths", "1"]
+    assert main(["--quiet", "--out", str(tmp_path), *argv, "--seed", str(seed)]) == 2
+    assert "usage error: --seed must be in [0, 2**64)" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["simulate", "backtest"])
+def test_largest_seed_runs(tmp_path, command):
+    argv = [command, "--example", "bachelier-sticky", "--h", "0.05", "--paths", "2"]
+    assert main(["--quiet", "--out", str(tmp_path), *argv, "--seed", str(2**64 - 1)]) == 0
+
+
 def test_model_file_infinite_rate_error(tmp_path, capsys):
     model = tmp_path / "sticky.gdm"
     model.write_text(STICKY.replace("rate = 0.05", "rate = inf"))

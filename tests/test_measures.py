@@ -118,6 +118,8 @@ def test_positive_set_matches_sign(pw):
 
 @settings(max_examples=300)
 @given(pw=_piecewise_fns())
+# many pieces: the depth-6 fat-Cantor q' has 192
+@example(pw=cat.fat_cantor_model(depth=6).q_prime.restricted(-0.5, 1.5))
 def test_piecewise_scalar_calls_equal_array_calls(pw):
     # one piece lookup: a scalar call gives, bit for bit, the entry of an
     # array call, at the breakpoints, between them and beyond both ends
