@@ -33,6 +33,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NuBundle:
+    """``nu`` and everything its one Jordan-Hahn decomposition gives: the
+    Hahn sets, the Jordan parts of its ac part, and the canonical strategy
+    theta.  ``build_nu`` makes it; the verdicts, theta-bar, the strategy
+    checks and the backtest's node tables read it and decompose nothing."""
+
     nu: SignedMeasure
     n_plus: BorelSet
     n_minus: BorelSet
@@ -40,6 +45,9 @@ class NuBundle:
     n_qprime0: BorelSet  # boundary images + n_si + interior {q'_+ = 0}
     qprime_zero: BorelSet  # interior {q'_+ = 0} alone
     window: tuple[float, float]
+    nu_ac_plus: SignedMeasure  # Jordan parts of nu's ac part, on the window
+    nu_ac_minus: SignedMeasure
+    theta: FeedbackStrategy
 
 
 @dataclass(frozen=True)
@@ -172,7 +180,7 @@ def build_nu(model: NaturalScaleModel) -> NuBundle:
         atoms.append((e, mass))
 
     nu = SignedMeasure(density=density, carrier=carrier, atoms=tuple(atoms))
-    _, _, n_plus, n_minus = jordan_hahn(nu, domain=window)
+    pos, neg, n_plus, n_minus = jordan_hahn(nu, domain=window)
 
     n_si = BorelSet.make(points=[a for a, m in nu.atoms if model.lo < a < model.hi])
     included_pts = [
@@ -181,6 +189,11 @@ def build_nu(model: NaturalScaleModel) -> NuBundle:
         if np.isfinite(e) and spec.included
     ]
     n_qprime0 = BorelSet.make(points=included_pts).union(n_si).union(zs)
+    theta = FeedbackStrategy()
+    if not nu.is_zero:
+        theta = FeedbackStrategy(
+            plus_set=n_plus.intersect(n_qprime0), minus_set=n_minus.intersect(n_qprime0)
+        )
 
     return NuBundle(
         nu=nu,
@@ -190,20 +203,25 @@ def build_nu(model: NaturalScaleModel) -> NuBundle:
         n_qprime0=n_qprime0,
         qprime_zero=zs,
         window=window,
+        nu_ac_plus=SignedMeasure(pos.density, pos.carrier),
+        nu_ac_minus=SignedMeasure(neg.density, neg.carrier),
+        theta=theta,
     )
 
 
 def market_verdicts(model: NaturalScaleModel, bundle: NuBundle) -> MarketVerdicts:
+    """The three market-level verdicts and the numbers they rest on.
+
+    |nu_ac|(window) is read from the Jordan parts that ``build_nu`` kept;
+    the only sign pass here is the positive side of the speed density.
+    """
     window = BorelSet.make([bundle.window])
     nu = bundle.nu
 
     atom_tv = sum(abs(m) for _, m in nu.atoms)
     ac_tv = 0.0
     if nu.density is not None:
-        pos, neg, _, _ = jordan_hahn(
-            SignedMeasure(density=nu.density, carrier=nu.carrier), domain=bundle.window
-        )
-        ac_tv = pos(window) + neg(window)
+        ac_tv = bundle.nu_ac_plus(window) + bundle.nu_ac_minus(window)
     tv = atom_tv + ac_tv
     nip = tv == 0.0
 
@@ -233,12 +251,9 @@ def market_verdicts(model: NaturalScaleModel, bundle: NuBundle) -> MarketVerdict
 
 
 def build_theta(bundle: NuBundle) -> FeedbackStrategy:
-    if bundle.nu.is_zero:
-        return FeedbackStrategy()
-    return FeedbackStrategy(
-        plus_set=bundle.n_plus.intersect(bundle.n_qprime0),
-        minus_set=bundle.n_minus.intersect(bundle.n_qprime0),
-    )
+    """The canonical strategy theta: +1 on N_plus and -1 on N_minus within
+    ``n_qprime0``, and 0 when nu = 0; ``build_nu`` builds it once per bundle."""
+    return bundle.theta
 
 
 def build_theta_bar(model: NaturalScaleModel, bundle: NuBundle) -> FeedbackStrategy:
@@ -284,7 +299,7 @@ def check_strategy_conditions(
     cond_i = lam_bad == 0.0
 
     # (ii): theta * H >= 0 on the carrier of |nu|
-    theta = build_theta(bundle)
+    theta = bundle.theta
     cond_ii = True
     details = {"lambda_support_off_zero_set": lam_bad}
     locs = np.array([a for a, _ in bundle.nu.atoms])

@@ -29,7 +29,6 @@ import numpy as np
 from .arbitrage import (
     FeedbackStrategy,
     NuBundle,
-    build_theta,
     check_strategy_conditions,
 )
 from .chain import (
@@ -179,7 +178,7 @@ def _node_tables(chain: GridChain, bundle: NuBundle, H: FeedbackStrategy) -> _No
     model = chain.model
     nu = bundle.nu
     H_val = np.asarray(H.evaluate(grid), dtype=float)
-    theta_val = np.asarray(build_theta(bundle).evaluate(grid), dtype=float)
+    theta_val = np.asarray(bundle.theta.evaluate(grid), dtype=float)
 
     if nu.density is None:
         nu_ac = np.zeros(len(grid))

@@ -2,19 +2,32 @@
 
 The ac part is a catalog density restricted to a Borel carrier set, so
 densities supported on a fat Cantor set stay exactly representable.  The
-Jordan and Hahn decompositions are computed at the representation level.
+Jordan and Hahn decompositions are computed at the representation level,
+from one sign pass over the density (``sign_sets``): each segment is cut at
+its zero set once, and both {f > 0} and {f < 0} are read from the same
+midpoints.  ``arbitrage.build_nu`` decomposes ``nu`` once this way and keeps
+the parts in its bundle; ``positive_set`` is the pass cut to the positive
+side, for a density whose negative side nobody reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .borel import EMPTY, BorelSet
 from .piecewise import PiecewiseFn
 
-__all__ = ["SignedMeasure", "ZERO_MEASURE", "jordan_hahn", "positive_set", "integrate"]
+__all__ = [
+    "SignedMeasure",
+    "ZERO_MEASURE",
+    "jordan_hahn",
+    "sign_sets",
+    "positive_set",
+    "integrate",
+]
 
 _ATOM_TOL = 0.0  # atoms with exactly zero mass are dropped
 
@@ -43,13 +56,15 @@ class SignedMeasure:
             lo, hi = self.density.lo, self.density.hi
             object.__setattr__(self, "carrier", BorelSet.make([(lo, hi)]))
 
-    @property
+    @cached_property
     def is_zero(self) -> bool:
+        """No atoms, and the density vanishes on the carrier up to a
+        Lebesgue-null set; computed once per measure."""
         if self.atoms:
             return False
         if self.density is None or self.carrier is None or self.carrier.is_empty:
             return True
-        return self.density.zero_set().lebesgue() >= self.carrier.lebesgue() - 1e-15
+        return self.carrier.difference(self.density.zero_set()).lebesgue() == 0.0
 
     def density_at(self, x):
         """Pointwise ac density (0 off the carrier)."""
@@ -66,19 +81,19 @@ class SignedMeasure:
 ZERO_MEASURE = SignedMeasure()
 
 
-def positive_set(pw: PiecewiseFn, lo: float, hi: float) -> BorelSet:
-    """Closure of {x in [lo, hi] : pw(x) > 0} as a BorelSet.
+def _sign_pass(pw: PiecewiseFn, lo: float, hi: float, signs: tuple[float, ...]):
+    """Closure of {x in [lo, hi] : s * pw(x) > 0} for each s in ``signs``.
 
     The one rule: each segment is cut at the points and interval edges of
     its zero set, and between two cuts it keeps one sign, the sign at the
-    midpoint.  All midpoints are read in one call of ``pw``, and the edges
-    of the positive pieces in one more; an edge where pw vanishes belongs
-    to the zero set and is excluded.
+    midpoint.  The midpoints and the cuts are read in one call of ``pw``; a
+    cut where pw vanishes belongs to the zero set, so an edge of a piece
+    there is excluded.
     """
     lo = max(lo, pw.lo)
     hi = min(hi, pw.hi)
     if hi <= lo:
-        return EMPTY
+        return (EMPTY,) * len(signs)
     cuts = {lo, hi}
     for i, seg in enumerate(pw.segments):
         a = max(lo, pw.breakpoints[i])
@@ -91,10 +106,29 @@ def positive_set(pw: PiecewiseFn, lo: float, hi: float) -> BorelSet:
             cuts.update((max(za, a), min(zb, b)))
     cuts = sorted(c for c in cuts if lo <= c <= hi)
     c = np.array(cuts)
-    positive = pw(0.5 * (c[:-1] + c[1:])) > 0.0
-    out = BorelSet.make([(a, b) for a, b, pos in zip(cuts, cuts[1:], positive) if pos])
-    edges = [p for iv in out.intervals for p in iv]
-    return out.without_points([p for p, v in zip(edges, pw(np.array(edges))) if v == 0.0])
+    values = pw(np.concatenate([0.5 * (c[:-1] + c[1:]), c])).tolist()
+    mid = values[: len(cuts) - 1]
+    zeros = {p for p, v in zip(cuts, values[len(cuts) - 1 :]) if v == 0.0}
+    out = []
+    for s in signs:
+        part = BorelSet.make([(a, b) for a, b, v in zip(cuts, cuts[1:], mid) if s * v > 0.0])
+        out.append(part.without_points([p for iv in part.intervals for p in iv if p in zeros]))
+    return tuple(out)
+
+
+def sign_sets(pw: PiecewiseFn, lo: float, hi: float) -> tuple[BorelSet, BorelSet]:
+    """Closures of {pw > 0} and {pw < 0} in [lo, hi], from one sign pass."""
+    return _sign_pass(pw, lo, hi, (1.0, -1.0))
+
+
+def positive_set(pw: PiecewiseFn, lo: float, hi: float) -> BorelSet:
+    """Closure of {x in [lo, hi] : pw(x) > 0} as a BorelSet.
+
+    The sign pass of ``sign_sets`` with the negative side left out: use it
+    where only {pw > 0} is read, as for the speed density in
+    ``arbitrage.market_verdicts``.
+    """
+    return _sign_pass(pw, lo, hi, (1.0,))[0]
 
 
 def jordan_hahn(m: SignedMeasure, domain: tuple[float, float] | None = None):
@@ -102,6 +136,8 @@ def jordan_hahn(m: SignedMeasure, domain: tuple[float, float] | None = None):
 
     Convention: zero-density regions go to N_minus.  N_minus is the
     complement of N_plus within the domain (density interval by default).
+    The density's two sides come from one ``sign_sets`` pass.
+    ``arbitrage.build_nu`` calls this once per market and keeps the parts.
     """
     if m.density is not None:
         lo, hi = m.density.lo, m.density.hi
@@ -116,8 +152,7 @@ def jordan_hahn(m: SignedMeasure, domain: tuple[float, float] | None = None):
     pos_atoms = tuple((a, mass) for a, mass in m.atoms if mass > 0)
     neg_atoms = tuple((a, -mass) for a, mass in m.atoms if mass < 0)
     if m.density is not None:
-        dens_plus = positive_set(m.density, lo, hi).intersect(m.carrier)
-        dens_minus = positive_set(m.density.scaled(-1.0), lo, hi).intersect(m.carrier)
+        dens_plus, dens_minus = (s.intersect(m.carrier) for s in sign_sets(m.density, lo, hi))
     else:
         dens_plus = dens_minus = EMPTY
     n_plus = dens_plus.union(BorelSet.make(points=[a for a, _ in pos_atoms]))
@@ -135,15 +170,20 @@ def jordan_hahn(m: SignedMeasure, domain: tuple[float, float] | None = None):
 
 
 def integrate(m: SignedMeasure, region: BorelSet | None = None) -> float:
-    """Measure of the region (default: everything)."""
+    """Measure of the region (default: everything).
+
+    The density is integrated over all the support's intervals in one array
+    call, and the pieces are added in the intervals' order.
+    """
     total = 0.0
     if m.density is not None:
         support = m.carrier if region is None else m.carrier.intersect(region)
-        for lo, hi in support._all_intervals():
-            lo = max(lo, m.density.lo)
-            hi = min(hi, m.density.hi)
-            if hi > lo:
-                total += m.density.integrate(lo, hi)
+        ivs = np.array(support._all_intervals(), dtype=float).reshape(-1, 2)
+        lo = np.maximum(ivs[:, 0], m.density.lo)
+        hi = np.minimum(ivs[:, 1], m.density.hi)
+        on = hi > lo
+        for piece in m.density.integrate(lo[on], hi[on]).tolist():
+            total += piece
     for a, mass in m.atoms:
         if region is None or region.contains(a):
             total += mass

@@ -370,6 +370,26 @@ def validate(model: NaturalScaleModel) -> ValidationReport:
         CheckResult("speed-positive-on-compacts", pos_ok, float(min(masses)))
     )
 
+    # the speed measure charges every open interval, and atoms charge only
+    # their points: {m_ac = 0} may hold points of the window, no interval
+    w_lo, w_hi = model.window()
+    bps = model.m_ac.breakpoints
+    gaps = [
+        iv
+        for seg, a, b in zip(model.m_ac.segments, bps, bps[1:])
+        if min(b, w_hi) > max(a, w_lo)
+        for iv in seg.zero_set(max(a, w_lo), min(b, w_hi)).intervals
+    ]
+    checks.append(
+        CheckResult(
+            "speed-charges-every-interval",
+            not gaps,
+            float(sum(b - a for a, b in gaps)),
+            "intervals of {m_ac = 0} in the window: "
+            + (", ".join(f"[{a:.17g}, {b:.17g}]" for a, b in gaps) or "none"),
+        )
+    )
+
     # start point placement
     interior = model.lo < model.u0 < model.hi
     at_reflecting = (model.u0 == model.lo and model.left.is_reflecting) or (

@@ -14,7 +14,8 @@ from gdarb.arbitrage import (
 )
 from gdarb.borel import BorelSet, svc_measure
 from gdarb.measures import integrate
-from gdarb.model import to_natural_scale
+from gdarb.model import BoundarySpec, NaturalScaleModel, to_natural_scale, validate
+from gdarb.piecewise import Const, PiecewiseFn, Poly
 
 
 def nu_matches(built, expected, lo=-10.0, hi=10.0, tol=1e-10):
@@ -245,6 +246,41 @@ def test_nip_implies_theta_zero():
     bundle = build_nu(model)
     assert market_verdicts(model, bundle).nip
     assert build_theta(bundle).is_zero
+
+
+def test_nu_nontrivial_despite_zero_piece_outside_window():
+    # q = 0 on [-200, -100], far outside the window, once outweighed the
+    # carrier [0, 1]: nu = 0 read True, and theta and theta-bar were zero
+    model = NaturalScaleModel(
+        lo=-np.inf,
+        hi=np.inf,
+        left=BoundarySpec("left"),
+        right=BoundarySpec("right"),
+        q=PiecewiseFn(
+            (-np.inf, -200.0, -100.0, -50.0, 0.0, 1.0, np.inf),
+            (
+                Poly((-20000.0, -200.0, -0.5)),
+                Const(0.0),
+                Poly((2.0, 0.04, 0.0002)),
+                Poly((1.0, 0.0, -0.0002)),
+                Const(1.0),
+                Poly((1.5, -1.0, 0.5)),
+            ),
+        ),
+        m_ac=PiecewiseFn.constant(1.0),
+        u0=0.5,
+        rate=0.1,
+    )
+    assert validate(model).ok and model.q_second_atoms == ()
+    bundle = build_nu(model)
+    verdicts = market_verdicts(model, bundle)
+    assert not verdicts.nip
+    assert verdicts.evidence["abs_nu_total"] == pytest.approx(0.1, rel=1e-12)
+    assert not bundle.nu.is_zero
+    theta = build_theta(bundle)
+    assert theta.minus_set == BorelSet.make([(0.0, 1.0)]) and theta.plus_set.is_empty
+    assert build_theta_bar(model, bundle) == theta
+    assert check_strategy_conditions(model, bundle, theta).ok
 
 
 def test_qvip_implies_theta_bar_nonzero():

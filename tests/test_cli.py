@@ -206,6 +206,22 @@ def test_model_file_infinite_rate_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_model_file_speed_gap_fails_validation(tmp_path, capsys):
+    # the speed density vanishes on [2, 12]: no regular diffusion
+    model = tmp_path / "gap.gdm"
+    model.write_text(STICKY_FILE.replace(
+        "breakpoints = -inf, inf\nsegment1 = const 1\natom1 = 0.5 2",
+        "breakpoints = -inf, 2, 12, inf\nsegment1 = const 1\nsegment2 = const 0\n"
+        "segment3 = const 1",
+    ).replace("x0 = 0.5", "x0 = 0"))
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "analyze", "--model", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert "validation failed: speed-charges-every-interval" in err
+    assert "[2, 12]" in err
+    assert not out.exists()
+
+
 def test_missing_model_file_error(tmp_path):
     rc = main(["--quiet", "--out", str(tmp_path), "analyze", "--model", "/no/such.gdm"])
     assert rc == 1

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from gdarb.model import (
     validate,
     zero_set,
 )
-from gdarb.piecewise import Affine, Const, PiecewiseFn, Power
+from gdarb.piecewise import Affine, Const, PiecewiseFn, Poly, Power
 
 
 def brownian_spec():
@@ -142,6 +144,29 @@ def test_validate_catches_decreasing_q():
     assert not report.ok
     names = [c.name for c in report.failures]
     assert "q-prime-nonnegative" in names
+
+
+def test_validate_catches_speed_gap():
+    # a regular diffusion's speed measure charges every open interval; an
+    # atom inside the gap does not fill it
+    m = NaturalScaleModel(
+        lo=-np.inf,
+        hi=np.inf,
+        left=BoundarySpec("left"),
+        right=BoundarySpec("right"),
+        q=PiecewiseFn.from_segment(Affine(0.0, 1.0), -np.inf, np.inf),
+        m_ac=PiecewiseFn((-np.inf, 2.0, 12.0, np.inf), (Const(1.0), Const(0.0), Const(1.0))),
+        m_atoms=((5.0, 1.0),),
+        u0=0.0,
+        rate=0.1,
+    )
+    report = validate(m)
+    assert [c.name for c in report.failures] == ["speed-charges-every-interval"]
+    assert report.failures[0].value == 10.0
+    assert "[2, 12]" in report.failures[0].detail
+    # an isolated zero of the density is allowed
+    isolated = PiecewiseFn.from_segment(Poly((0.0, 0.0, 1.0)), -np.inf, np.inf)
+    assert validate(dataclasses.replace(m, m_ac=isolated, m_atoms=())).ok
 
 
 def test_zero_set_identity_empty():
