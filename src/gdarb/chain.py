@@ -10,7 +10,9 @@ is what every estimator here relies on.
 
 Paths are walked in groups: one walker (``_walk``) advances many paths per
 numpy call, as the rows of a block of moves, and hands each block to its
-caller; ``sample_path`` is a group of one.  Path ``pid`` draws its moves
+caller.  ``sample_paths`` records whole paths from those blocks and yields
+them in id order, holding at most one group of consecutive ids at a time;
+``sample_path`` is its one-id case.  Path ``pid`` draws its moves
 from its own counter-based stream, ``Philox(key=[seed, pid])``, and move n
 uses the n-th draw of that stream however the paths are grouped, so every
 path is the same bit for bit whether it is walked alone or with others.
@@ -31,6 +33,7 @@ __all__ = [
     "PathSample",
     "build_chain",
     "sample_path",
+    "sample_paths",
     "path_rng",
     "StepBudgetError",
     "INTERIOR",
@@ -58,6 +61,9 @@ _CELLS = 12288
 # a fresh path's estimate sets how many rows share the cells, and rounds
 # with fewer rows than that take up to _CELLS // rows moves
 _BLOCK = (128, 1024)
+# consecutive ids ``sample_paths`` walks as one group: the most rows a round
+# holds, so that the recorded paths in memory do not grow with the ids asked for
+_GROUP = _CELLS // _BLOCK[0]
 # a raw 64-bit draw below this is a uniform below 1/2
 _HALF = np.uint64(2**63)
 
@@ -393,30 +399,60 @@ def _walk(chain: GridChain, T: float, seed: int, path_ids: range) -> Iterator[_R
         pid[:R], window_hit[:R], n_steps[:R] = pid[go], hit[go], moves[go]
 
 
+def sample_paths(
+    chain: GridChain, T: float, seed: int, path_ids: range
+) -> Iterator[PathSample]:
+    """Yield the paths ``path_ids`` of the chain on [0, T], in id order.
+
+    The ids are walked by ``_walk`` in groups of ``_GROUP`` consecutive
+    ids, many paths per numpy call; a finished path is yielded as soon as
+    every lower id of its group has been, so at most one group of paths is
+    held at a time, however many ids are asked for.  Each path equals
+    ``sample_path(chain, T, seed, pid)`` and the ensemble's path of the
+    same id bit for bit.  The arguments are checked when the first path is
+    asked for.
+    """
+    if T <= 0:
+        raise ValueError("horizon must be positive")
+    _check_seed(seed)
+    first_state, first_time = np.array([chain.start_idx]), np.array([0.0])
+    for g in range(0, len(path_ids), _GROUP):
+        group = path_ids[g : g + _GROUP]
+        pending = iter(group)
+        want = next(pending)
+        pieces: dict[int, tuple[list, list]] = {}
+        done: dict[int, PathSample] = {}
+        for rnd in _walk(chain, T, seed, group):
+            ends = (rnd.n_hold - rnd.absorbed).tolist()  # an absorbing hold enters nothing
+            for r, (pid, k) in enumerate(zip(rnd.pid.tolist(), ends)):
+                states, times = pieces.setdefault(pid, ([first_state], [first_time]))
+                states.append(rnd.nodes[r, 1 : k + 1].copy())  # the walker reuses its buffers
+                times.append(rnd.times[r, 1 : k + 1].copy())
+            for r in np.flatnonzero(rnd.final).tolist():
+                pid = int(rnd.pid[r])
+                states, times = pieces.pop(pid)
+                absorbed = bool(rnd.absorbed[r])
+                done[pid] = PathSample(
+                    times=np.concatenate(times),
+                    states=np.concatenate(states),
+                    absorbed=absorbed,
+                    absorption_time=float(rnd.times[r, rnd.n_hold[r] - 1]) if absorbed else np.inf,
+                    window_hit=bool(rnd.window_hit[r]),
+                    seed=seed,
+                    path_id=pid,
+                )
+            while want in done:
+                yield done.pop(want)
+                want = next(pending, None)
+
+
 def sample_path(chain: GridChain, T: float, seed: int, path_id: int = 0) -> PathSample:
     """One path of the chain on [0, T]; a hold that reaches T ends it.
 
     Each step draws one uniform from the path's stream and goes up iff the
     uniform is below 1/2, except at a reflecting edge, whose step goes
-    inward whatever it draws.  The path is the one row of a group walk
-    (``_walk``), so it equals the ensemble's path of the same id bit for bit.
+    inward whatever it draws.  The path is the one-id case of
+    ``sample_paths``.
     """
-    if T <= 0:
-        raise ValueError("horizon must be positive")
-    _check_seed(seed)
-    states = [np.array([chain.start_idx])]
-    times = [np.array([0.0])]
-    for rnd in _walk(chain, T, seed, range(path_id, path_id + 1)):
-        k = rnd.n_hold[0] - rnd.absorbed[0]  # an absorbing hold enters nothing
-        states.append(rnd.nodes[0, 1 : k + 1].copy())  # the walker reuses its buffers
-        times.append(rnd.times[0, 1 : k + 1].copy())
-    absorbed = bool(rnd.absorbed[0])
-    return PathSample(
-        times=np.concatenate(times),
-        states=np.concatenate(states),
-        absorbed=absorbed,
-        absorption_time=float(rnd.times[0, rnd.n_hold[0] - 1]) if absorbed else np.inf,
-        window_hit=bool(rnd.window_hit[0]),
-        seed=seed,
-        path_id=path_id,
-    )
+    (path,) = sample_paths(chain, T, seed, range(path_id, path_id + 1))
+    return path

@@ -7,12 +7,15 @@ Commands:
             value_series.csv (long format, one row per sampled point)
   demo      run the closed-form regression for a catalog example
 
-paths.csv and value_series.csv are streamed: each path's rows are formatted
-from its column arrays in one pass and written before the next path is
-sampled, so memory does not grow with --paths.  They are written under a
-temporary name and moved into place once complete, so a failed command
-leaves no partial file.  The one-row tables and nu_report.csv, whose
-descriptor may hold commas, go through csv.writer.
+paths.csv and value_series.csv are streamed: the recorded paths are walked
+as groups of consecutive ids (``chain.sample_paths``), and each path's rows
+are formatted from its column arrays in one pass and written as soon as the
+paths before it are, so memory does not grow with --paths.  paths.csv takes
+its grid positions from a table of the grid's nodes formatted once per
+command.  Both files are written under a temporary name and moved into
+place once complete, so a failed command leaves no partial file.  The
+one-row tables and nu_report.csv, whose descriptor may hold commas, go
+through csv.writer.  The parser is built once per process.
 
 Exit status: 0 success, 1 check failure or exhausted step budget, 2 usage
 error.
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import math
 import os
@@ -39,7 +43,7 @@ from .arbitrage import (
 )
 from .backtest import MCConfig, classify_ip, value_series
 from .borel import BorelSet
-from .chain import StepBudgetError, build_chain, sample_path
+from .chain import StepBudgetError, build_chain, sample_paths
 from .model import ModelError, NaturalScaleModel, to_natural_scale, validate
 from .modelfile import parse_model_file
 
@@ -221,14 +225,11 @@ def _cmd_simulate(args) -> int:
     if not _validate_or_fail(model, args.quiet):
         return 1
     chain = build_chain(model, args.h)
-    paths = (
-        sample_path(chain, T=args.T, seed=args.seed, path_id=pid) for pid in range(args.paths)
-    )
+    # each node's position formatted once, as _chunk's %.17g would
+    u = np.array(["%.17g" % x for x in chain.grid.tolist()], dtype=object)
     chunks = (
-        _chunk(
-            f"{pid},%d,%.17g,%.17g\n", np.arange(len(p.states)), p.times, chain.grid[p.states]
-        )
-        for pid, p in enumerate(paths)
+        _chunk(f"{p.path_id},%d,%.17g,%s\n", np.arange(len(p.states)), p.times, u[p.states])
+        for p in sample_paths(chain, args.T, args.seed, range(args.paths))
     )
     os.makedirs(args.out, exist_ok=True)
     _write_streamed(os.path.join(args.out, "paths.csv"), ["path_id", "step", "t", "u"], chunks)
@@ -269,10 +270,7 @@ def _cmd_backtest(args) -> int:
     routes = ("integral",)
     if report.details["assessed_route"] == "closed_form":
         routes += ("closed_form",)
-    paths = (
-        sample_path(chain, T=args.T, seed=args.seed, path_id=pid)
-        for pid in range(min(args.paths, _SERIES_PATHS))
-    )
+    paths = sample_paths(chain, args.T, args.seed, range(min(args.paths, _SERIES_PATHS)))
     chunks = (
         _chunk(f"{pid},%.17g,%.17g,{s.route}\n", s.times, s.values)
         for pid, series in enumerate(value_series(paths, chain, bundle, H, args.T, routes))
@@ -345,7 +343,10 @@ def _add_run_args(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0, help="random seed")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused:
+    parsing leaves it unchanged, and each call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="gdarb",
         description="increasing-profit analysis for one-dimensional diffusion markets",

@@ -11,6 +11,7 @@ constant one has none.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -311,6 +312,26 @@ class Power(Segment):
         return float(self.offset)
 
 
+# 1 / (k! (k + 2)), the Taylor coefficients of the integral of t exp(z t) over
+# [0, 1]; 17 terms reach double precision for |z| < 1/2
+_EXP_T_SERIES = np.array([1.0 / (math.factorial(k) * (k + 2)) for k in range(17)])
+
+
+def _exp_moments(z):
+    """The integrals of exp(z t) and t exp(z t) over t in [0, 1], z <= 0.
+
+    The second is a series near 0, where its closed form
+    (exp(z) - first) / z cancels."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first = np.where(z == 0.0, 1.0, np.expm1(z) / z)
+        second = np.where(
+            z > -0.5,
+            np.polynomial.polynomial.polyval(z, _EXP_T_SERIES),
+            (np.exp(z) - first) / z,
+        )
+    return first, second
+
+
 @dataclass(frozen=True)
 class Exponential(Segment):
     """f(x) = coeff * exp(rate * x) + offset."""
@@ -327,14 +348,16 @@ class Exponential(Segment):
         a, b, c = self.coeff, self.rate, self.offset
         if b == 0.0:
             return Const(a + c).integrate_affine(lo, hi, c0, c1)
-
-        def anti(x):
-            e = np.exp(b * x)
-            val = a * e * (c0 / b + c1 * (x / b - 1.0 / (b * b)))
-            val += c * (c0 * x + 0.5 * c1 * x * x)
-            return val
-
-        return anti(np.asarray(hi, dtype=float)) - anti(np.asarray(lo, dtype=float))
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        # x = x0 + side*s for s in [0, d], from the end x0 where exp(b x) is
+        # largest, so exp(b x) = exp(b x0) exp(z s / d) with z = -|b| d <= 0;
+        # written in the gap d, never as a difference of antiderivatives
+        d = hi - lo
+        x0, side = (hi, -1.0) if b > 0.0 else (lo, 1.0)
+        z = -abs(b) * d
+        e1, e2 = _exp_moments(z)
+        exp_part = np.exp(b * x0) * d * ((c0 + c1 * x0) * e1 + side * c1 * d * e2)
+        return a * exp_part + c * d * (c0 + 0.5 * c1 * (lo + hi))
 
     def scaled(self, c):
         return Exponential(self.coeff * c, self.rate, self.offset * c)

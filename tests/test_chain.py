@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from gdarb.chain import (
     build_chain,
     path_rng,
     sample_path,
+    sample_paths,
 )
 from gdarb.model import ModelError
 from gdarb.piecewise import Const, PiecewiseFn
@@ -267,6 +270,37 @@ def test_sample_path_crosses_walls_like_per_step_loop(
         assert np.array_equal(p.states, states)
         assert np.array_equal(p.times, times)
         assert (p.absorbed, p.absorption_time, p.window_hit) == (absorbed, t_abs, window_hit)
+
+
+@functools.cache
+def _catalog_chain(name, h):
+    return build_chain(cat.get_entry(name).build(), h)
+
+
+@settings(max_examples=40)
+@given(
+    name=st.sampled_from([entry.name for entry in cat.catalog()]),
+    h=st.sampled_from([0.05, 0.02]),
+    T=st.sampled_from([0.3, 1.0, 3.0]),
+    seed=st.integers(0, 2**64 - 1),
+    first_id=st.integers(1, 2**40),
+    n_ids=st.integers(1, 40),
+    cells=st.sampled_from([chain_mod._CELLS, 128]),
+)
+def test_sample_paths_match_per_step_loop(name, h, T, seed, first_id, n_ids, cells):
+    # a group walk yields its ids in order, each path the per-step one;
+    # 128 cells make rounds of one row and many rounds per path
+    chain = _catalog_chain(name, h)
+    ids = range(first_id, first_id + n_ids)
+    with mock.patch.object(chain_mod, "_CELLS", cells):
+        paths = list(sample_paths(chain, T, seed, ids))
+    assert [p.path_id for p in paths] == list(ids)
+    for p in paths:
+        states, times, absorbed, t_abs, window_hit = _per_step_path(chain, T, seed, p.path_id)
+        assert np.array_equal(p.states, states)
+        assert np.array_equal(p.times, times)
+        assert (p.absorbed, p.absorption_time, p.window_hit) == (absorbed, t_abs, window_hit)
+        assert p.seed == seed
 
 
 def test_step_budget(monkeypatch):

@@ -1,7 +1,9 @@
+import argparse
 import csv
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +224,18 @@ def test_model_file_speed_gap_fails_validation(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_model_file_tiny_exponential_rate(tmp_path, capsys):
+    # exp(1e-200 x) is 1 to double precision; its square rate underflows
+    model = tmp_path / "tiny.gdm"
+    model.write_text(STICKY_FILE.replace("segment1 = const 1\n", "segment1 = exp 1 1e-200 0\n"))
+    assert "exp 1 1e-200 0" in model.read_text()
+    assert main(["--quiet", "--out", str(tmp_path), "analyze", "--model", str(model)]) == 0
+    assert capsys.readouterr().err == ""
+    nu = read_csv(tmp_path / "nu_report.csv")
+    assert len(nu) == 1
+    assert float(nu[0]["mass"]) == pytest.approx(-0.1, abs=1e-14)
+
+
 def test_missing_model_file_error(tmp_path):
     rc = main(["--quiet", "--out", str(tmp_path), "analyze", "--model", "/no/such.gdm"])
     assert rc == 1
@@ -265,6 +279,67 @@ def test_demo_pass_and_params(capsys):
 
 def test_demo_unknown_name():
     assert main(["--quiet", "demo", "unknown-example"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def test_parser_reuse_keeps_calls_independent(tmp_path, monkeypatch, capsys):
+    # each call parses as a freshly built parser would: an earlier call's
+    # --param list, options or usage error does not carry over
+    seen = []
+    load_model = cli._load_model
+
+    def spy(args):
+        seen.append(vars(args).copy())
+        return load_model(args)
+
+    monkeypatch.setattr(cli, "_load_model", spy)
+    base = ["--quiet", "--out", str(tmp_path)]
+    sim = ["simulate", "--example", "bachelier-sticky", "--h", "0.05", "--paths", "1"]
+    calls = [
+        base + ["analyze", "--example", "bachelier-sticky", "--param", "r=0.3", "--param", "xi=1"],
+        base + ["analyze", "--example", "bachelier-sticky"],
+        base + [*sim, "--T", "0.5", "--seed", "3"],
+        base + sim,
+        base + ["backtest", "--example", "bachelier-sticky", "--h", "0.05", "--paths", "2",
+                "--strategy", "unit", "--tol-route", "0.1"],
+        base + ["backtest", "--example", "bachelier-sticky", "--h", "0.05", "--paths", "2"],
+    ]
+    for argv in calls:
+        assert main(argv) == 0
+        with pytest.raises(SystemExit) as exc:  # argparse's own usage error
+            main(argv + ["--no-such-flag"])
+        assert exc.value.code == 2
+        assert main(base + [*sim, "--paths", "0"]) == 2  # gdarb's usage error
+    assert "--no-such-flag" in capsys.readouterr().err
+    fresh = [vars(cli._build_parser.__wrapped__().parse_args(argv)) for argv in calls]
+    assert seen == fresh
+    assert seen[0]["param"] == ["r=0.3", "xi=1"] and seen[1]["param"] is None
+    assert (seen[3]["T"], seen[3]["seed"]) == (1.0, 0)
+    assert (seen[5]["strategy"], seen[5]["tol_route"]) == ("theta", 0.05)
+
+
+def test_parser_built_once(tmp_path, monkeypatch):
+    # every build of the parser adds its subcommands once
+    built = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counting(parser, **kwargs):
+        built.append(parser.prog)
+        return add_subparsers(parser, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+    cli._build_parser.cache_clear()
+    try:
+        analyze = ["analyze", "--example", "bachelier-skew"]
+        for argv in (analyze, analyze, ["demo", "bachelier-skew"]):
+            assert main(["--quiet", "--out", str(tmp_path), *argv]) == 0
+        assert built == ["gdarb"]
+    finally:
+        cli._build_parser.cache_clear()
 
 
 def test_csv_full_precision(tmp_path):
@@ -391,11 +466,26 @@ def test_step_budget_error_leaves_no_csv(tmp_path, monkeypatch, capsys, command)
 
 def test_failed_simulate_removes_written_paths(tmp_path, monkeypatch, capsys):
     # path 0 fits the budget and its rows are written before a later path
-    # exceeds it; the partial file is removed
+    # exceeds it; the partial file is removed.  With groups of one id, path
+    # 1 is only walked once path 0 is written.
     chain = build_chain(cat.get_entry("bachelier-sticky").build(), 0.05)
-    steps = [len(sample_path(chain, T=1.0, seed=1, path_id=pid).states) - 1 for pid in range(2)]
+    paths = [sample_path(chain, T=1.0, seed=1, path_id=pid) for pid in range(2)]
+    steps = [len(p.states) - 1 for p in paths]
     assert steps[0] < steps[1]
+    header = ["path_id", "step", "t", "u"]
+    path_0 = csv_bytes(header, [
+        [0, k, paths[0].times[k], chain.grid[paths[0].states[k]]] for k in range(steps[0] + 1)
+    ])
     monkeypatch.setattr(chain_mod, "_STEP_BUDGET", steps[0])
+    monkeypatch.setattr(chain_mod, "_GROUP", 1)
+    removed = []
+    remove = os.remove
+
+    def measure_and_remove(path):
+        removed.append(os.path.getsize(path))
+        remove(path)
+
+    monkeypatch.setattr(cli.os, "remove", measure_and_remove)
     rc = main([
         "--quiet", "--out", str(tmp_path),
         "simulate", "--example", "bachelier-sticky", "--h", "0.05", "--paths", "2",
@@ -404,3 +494,22 @@ def test_failed_simulate_removes_written_paths(tmp_path, monkeypatch, capsys):
     assert rc == 1
     assert "error: step budget exceeded" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+    assert removed == [len(path_0)]  # the header and path 0's rows had been written
+
+
+def test_simulate_memory_does_not_grow_with_paths(tmp_path):
+    # paths are walked in groups and written as they finish, so ten times
+    # the paths stay within one group's memory
+    def peak(n_paths):
+        argv = ["--quiet", "--out", str(tmp_path), "simulate", "--example", "bachelier-sticky",
+                "--h", "0.05", "--paths", str(n_paths)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # one-time costs: the parser and the catalog's caches
+    small, large = peak(40), peak(400)
+    assert large <= 1.5 * small

@@ -92,7 +92,7 @@ def _power_segments(draw):
         draw(_num_or_zero(-2.0, 2.0)),
         draw(st.sampled_from([+1, -1])),
     )
-    return seg, seg.side, seg.center
+    return seg, seg.side, seg.center, 1.0
 
 
 @st.composite
@@ -103,19 +103,34 @@ def _log_segments(draw):
         draw(_num(-2.0, 2.0)),
         draw(_num_or_zero(-2.0, 2.0)),
     )
-    return seg, int(np.sign(seg.scale)), seg.center
-
-
-_SEGMENTS = st.one_of(_power_segments(), _log_segments())
+    return seg, int(np.sign(seg.scale)), seg.center, 1.0
 
 
 @st.composite
-def _limits_and_weight(draw, side, center):
-    """[lo, hi] at distance >= 0.05 from the singular point, and (c0, c1)
-    with c0 + c1*x >= 0 on it."""
+def _exp_segments(draw):
+    # rates of either sign from 1e-300 to 3 in magnitude: below about 1e-162
+    # the square of the rate underflows, and small ones cancel in a
+    # difference of antiderivatives; limits within 112 of 0 keep exp finite
+    log_rate = draw(_num(-300.0, -8.0) | _num(-8.0, float(np.log10(3.0))))
+    seg = Exponential(
+        draw(_num(-3.0, 3.0)),
+        10.0**log_rate * draw(st.sampled_from([1.0, -1.0])),
+        draw(_num_or_zero(-2.0, 2.0)),
+    )
+    return seg, draw(st.sampled_from([+1, -1])), draw(_num(-2.0, 2.0)), 0.2
+
+
+# (segment, side, center, scale): limits are center + side*scale*t, t > 0
+_SEGMENTS = st.one_of(_power_segments(), _log_segments(), _exp_segments())
+
+
+@st.composite
+def _limits_and_weight(draw, side, center, scale):
+    """[lo, hi] at distance >= 0.05 * scale from the singular point, and
+    (c0, c1) with c0 + c1*x >= 0 on it."""
     t0 = draw(_num(0.05, 50.0))
     t1 = t0 * (1.0 + 10.0 ** draw(_num(-6.0, 1.0)))  # short gaps show cancellation
-    lo, hi = sorted((center + side * t0, center + side * t1))
+    lo, hi = sorted((center + side * scale * t0, center + side * scale * t1))
     c1 = draw(_num_or_zero(-2.0, 2.0))
     c0 = max(-c1 * lo, -c1 * hi) + draw(_num(0.0, 2.0))
     return lo, hi, c0, c1
@@ -125,6 +140,8 @@ def _term_size(seg):
     """x -> sum of the absolute values of the terms of seg(x)."""
     if isinstance(seg, Power):
         return Power(abs(seg.coeff), seg.center, seg.exponent, abs(seg.offset), seg.side)
+    if isinstance(seg, Exponential):
+        return Exponential(abs(seg.coeff), seg.rate, abs(seg.offset))
     return lambda x: abs(seg.coeff * np.log(seg.scale * (x - seg.center))) + abs(seg.offset)
 
 
@@ -134,8 +151,8 @@ def _term_size(seg):
 @settings(max_examples=500)  # few draws combine the terms that show cancellation
 @given(data=st.data(), case=_SEGMENTS)
 def test_integrate_affine_matches_tight_quadrature(data, case):
-    seg, side, center = case
-    lo, hi, c0, c1 = data.draw(_limits_and_weight(side, center))
+    seg, side, center, scale = case
+    lo, hi, c0, c1 = data.draw(_limits_and_weight(side, center, scale))
     got = float(seg.integrate_affine(lo, hi, c0, c1))
     want, _ = quad(lambda x: (c0 + c1 * x) * seg(x), lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)
     # relative to the integral of the integrand's terms in absolute value:
@@ -149,13 +166,14 @@ def test_integrate_affine_matches_tight_quadrature(data, case):
 
 @given(data=st.data(), case=_SEGMENTS, n=st.integers(1, 6))
 def test_integrate_affine_array_equals_scalar_calls(data, case, n):
-    seg, side, center = case
-    rows = [data.draw(_limits_and_weight(side, center)) for _ in range(n)]
+    seg, side, center, scale = case
+    rows = [data.draw(_limits_and_weight(side, center, scale)) for _ in range(n)]
     lo, hi, c0, c1 = (np.array(col) for col in zip(*rows))
     got = seg.integrate_affine(lo, hi, c0, c1)
     want = [seg.integrate_affine(*row) for row in rows]
     assert np.array_equal(got, want)
-    pw = PiecewiseFn.from_segment(seg, *sorted((center + side * 0.05, center + side * 551.0)))
+    ends = center + side * scale * np.array([0.05, 551.0])
+    pw = PiecewiseFn.from_segment(seg, *sorted(ends))
     assert np.array_equal(pw.integrate(lo, hi, c0, c1), [pw.integrate(*row) for row in rows])
     assert type(pw.integrate(*rows[0])) is float
 
