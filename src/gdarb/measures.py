@@ -3,11 +3,12 @@
 The ac part is a catalog density restricted to a Borel carrier set, so
 densities supported on a fat Cantor set stay exactly representable.  The
 Jordan and Hahn decompositions are computed at the representation level,
-from one sign pass over the density (``sign_sets``): each segment is cut at
-its zero set once, and both {f > 0} and {f < 0} are read from the same
-midpoints.  ``arbitrage.build_nu`` decomposes ``nu`` once this way and keeps
-the parts in its bundle; ``positive_set`` is the pass cut to the positive
-side, for a density whose negative side nobody reads.
+from one sign pass over the density (``sign_sets``): each piece is cut at
+its zero set, from the density's one zero pass, and both {f > 0} and
+{f < 0} are read from the same midpoints.  ``arbitrage.build_nu``
+decomposes ``nu`` once this way and keeps the parts in its bundle;
+``positive_set`` is the pass cut to the positive side, for a density whose
+negative side nobody reads.
 """
 
 from __future__ import annotations
@@ -84,26 +85,21 @@ ZERO_MEASURE = SignedMeasure()
 def _sign_pass(pw: PiecewiseFn, lo: float, hi: float, signs: tuple[float, ...]):
     """Closure of {x in [lo, hi] : s * pw(x) > 0} for each s in ``signs``.
 
-    The one rule: each segment is cut at the points and interval edges of
-    its zero set, and between two cuts it keeps one sign, the sign at the
-    midpoint.  The midpoints and the cuts are read in one call of ``pw``; a
-    cut where pw vanishes belongs to the zero set, so an edge of a piece
-    there is excluded.
+    The one rule: each piece is cut at the points and interval edges of its
+    zero set, found by the one zero pass ``pw.zeros``, and between two cuts
+    it keeps one sign, the sign at the midpoint.  The midpoints and the cuts
+    are read in one call of ``pw``; a cut where pw vanishes belongs to the
+    zero set, so an edge of a piece there is excluded.
     """
     lo = max(lo, pw.lo)
     hi = min(hi, pw.hi)
     if hi <= lo:
         return (EMPTY,) * len(signs)
+    intervals, points = pw.zeros(lo, hi)
     cuts = {lo, hi}
-    for i, seg in enumerate(pw.segments):
-        a = max(lo, pw.breakpoints[i])
-        b = min(hi, pw.breakpoints[i + 1])
-        if b <= a:
-            continue
-        zs = seg.zero_set(a, b)
-        cuts.update((a, b, *zs.points))
-        for za, zb in zs.intervals:
-            cuts.update((max(za, a), min(zb, b)))
+    cuts.update(b for b in pw.breakpoints if lo < b < hi)
+    cuts.update(points)
+    cuts.update(e for iv in intervals for e in iv)
     cuts = sorted(c for c in cuts if lo <= c <= hi)
     c = np.array(cuts)
     values = pw(np.concatenate([0.5 * (c[:-1] + c[1:]), c])).tolist()

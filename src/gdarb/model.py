@@ -115,25 +115,25 @@ class NaturalScaleModel:
     def __post_init__(self):
         qp = self.q.derivative()
         object.__setattr__(self, "q_prime", qp)
-        interior = [
-            (a, left)
-            for a, left in zip(qp.breakpoints[1:-1], qp.segments)
-            if self.lo < a < self.hi
-        ]
-        right = qp(np.array([a for a, _ in interior], dtype=float))
-        atoms = []
-        for (a, left), r in zip(interior, right):
-            jump = float(r) - float(left(a))
-            if abs(jump) > _KINK_TOL:
-                atoms.append((float(a), jump))
-        object.__setattr__(self, "q_second_atoms", tuple(atoms))
+        # both sides of every interior breakpoint in one read of q'
+        kinks = [a for a in qp.breakpoints[1:-1] if self.lo < a < self.hi]
+        atoms = ()
+        if kinks:
+            left, right = qp.sides(np.array(kinks))
+            with np.errstate(invalid="ignore"):
+                jumps = (right - left).tolist()
+            atoms = tuple(
+                (float(a), jump)
+                for a, jump in zip(kinks, jumps)
+                if abs(jump) > _KINK_TOL
+            )
+        object.__setattr__(self, "q_second_atoms", atoms)
 
     # -- derived structure ----------------------------------------------
 
     def _q_prime_left(self, a: float) -> float:
-        idx = int(np.searchsorted(self.q_prime.breakpoints, a, side="left")) - 1
-        idx = max(0, min(idx, len(self.q_prime.segments) - 1))
-        return float(self.q_prime.segments[idx](a))
+        """q'_-(a), read on the segment to the left of a breakpoint."""
+        return float(self.q_prime._piece(a, left=True)(a))
 
     def m_atom_mass(self, u: float) -> float:
         for a, mass in self.m_atoms:
@@ -372,14 +372,7 @@ def validate(model: NaturalScaleModel) -> ValidationReport:
 
     # the speed measure charges every open interval, and atoms charge only
     # their points: {m_ac = 0} may hold points of the window, no interval
-    w_lo, w_hi = model.window()
-    bps = model.m_ac.breakpoints
-    gaps = [
-        iv
-        for seg, a, b in zip(model.m_ac.segments, bps, bps[1:])
-        if min(b, w_hi) > max(a, w_lo)
-        for iv in seg.zero_set(max(a, w_lo), min(b, w_hi)).intervals
-    ]
+    gaps = model.m_ac.zeros(*model.window())[0]
     checks.append(
         CheckResult(
             "speed-charges-every-interval",
@@ -413,10 +406,11 @@ def validate(model: NaturalScaleModel) -> ValidationReport:
         checks.append(CheckResult(f"{label}-{side}", bool(np.isfinite(total)), total))
 
     # kink bookkeeping consistency
-    kink_ok = all(
-        abs((float(model.q_prime(a)) - model._q_prime_left(a)) - mass) <= 1e-10
-        for a, mass in model.q_second_atoms
-    )
+    kink_ok = True
+    if model.q_second_atoms:
+        locs, masses = zip(*model.q_second_atoms)
+        left, right = model.q_prime.sides(np.array(locs))
+        kink_ok = bool(np.all(np.abs((right - left) - masses) <= 1e-10))
     checks.append(CheckResult("q-second-atoms-match-kinks", kink_ok))
 
     return ValidationReport(tuple(checks))

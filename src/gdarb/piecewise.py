@@ -4,20 +4,34 @@
 Each segment supports point evaluation, a closed-form derivative, exact
 integration against affine weights in closed form (over arrays of limits
 and weights as well as scalars), and an exact zero set, which is also where
-``measures.positive_set`` cuts a segment to find its sign.  A segment that
-is identically 0 has the whole interval as its zero set, and a nonzero
+``measures.sign_sets`` cuts a piece to find its sign.  A segment that is
+identically 0 has the whole interval as its zero set, and a nonzero
 constant one has none.
+
+A kind evaluates through one kernel, ``_kernel(x, *static, *row)``, and
+finds its zeros through one rule, ``_zeros(static, cols, lo, hi)``.  The
+static parameters are shared by a group of alike segments (the exponent of
+a ``Power``); the row parameters are each segment's own.  A ``PiecewiseFn``
+groups its segments by kind, static parameters and row length, so by
+exponent for ``Power`` and by degree for ``Poly``, and on first use builds
+one parameter table per group.  An evaluation then calls each group's
+kernel once, over all of the group's points with their rows' parameters,
+and the zero pass calls each group's rule once, over all of its rows.  A
+function of one segment, and a group of one row, pass their parameters as
+scalars.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .borel import EMPTY, BorelSet
+from .borel import BorelSet
 
 __all__ = [
     "Segment",
@@ -32,10 +46,28 @@ __all__ = [
 
 
 class Segment:
-    """Base class; subclasses are immutable value objects."""
+    """Base class; subclasses are immutable value objects.
+
+    A subclass names its parameters in ``_static`` (shared by its group,
+    empty by default) and ``_row`` (its own).  Its static method
+    ``_kernel(x, *static, *row)`` evaluates it; the row parameters there are
+    scalars or arrays shaped like x.  Its static method ``_zeros(static,
+    cols, lo, hi)`` is its zero rule over the rows of a group, given as the
+    columns of their parameters (one float array per entry of ``_row``),
+    each row on its interval [lo, hi]: it gives the mask of the rows that
+    vanish on the whole interval, and the other rows' roots inside their
+    closed interval as (row index, root) arrays.
+    """
+
+    _static: tuple = ()
+
+    @property
+    def _row(self) -> tuple:
+        raise NotImplementedError
 
     def __call__(self, x):
-        raise NotImplementedError
+        out = self._kernel(np.asarray(x, dtype=float), *self._static, *self._row)
+        return out if out.ndim else out[()]
 
     def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
         """Integral of (c0 + c1*x) * f(x) over [lo, hi]; the arguments may be
@@ -46,9 +78,9 @@ class Segment:
         raise NotImplementedError
 
     def zero_set(self, lo, hi) -> BorelSet:
-        """Exact {f = 0} on [lo, hi]; raises if no closed form exists."""
-        raise NotImplementedError(f"{type(self).__name__} has no closed-form zero set")
-
+        """Exact {f = 0} on [lo, hi], lo < hi: the zero pass of this segment
+        alone."""
+        return PiecewiseFn((lo, hi), (self,)).zero_set()
 
     def derivative_segment(self) -> "Segment":
         raise NotImplementedError(f"{type(self).__name__} has no closed-form derivative")
@@ -60,25 +92,37 @@ class Segment:
         raise NotImplementedError
 
 
+_NO_ROOTS = (np.empty(0, dtype=np.intp), np.empty(0))
+
+
+def _roots_inside(whole, roots, lo, hi):
+    """A zero rule's result from one candidate root per row (nan for none):
+    the roots that lie in their row's closed interval [lo, hi]."""
+    rows = ((lo <= roots) & (roots <= hi)).nonzero()[0]
+    return whole, rows, roots[rows]
+
+
 @dataclass(frozen=True)
 class Const(Segment):
     value: float
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.full(x.shape, float(self.value))
-        return out if out.shape else float(self.value)
+    @property
+    def _row(self):
+        return (self.value,)
 
+    @staticmethod
+    def _kernel(x, value):
+        return np.full(x.shape, value, dtype=float)
+
+    @staticmethod
+    def _zeros(static, cols, lo, hi):
+        return (cols[0] == 0.0, *_NO_ROOTS)
 
     def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
         return self.value * (c0 * (hi - lo) + 0.5 * c1 * (hi * hi - lo * lo))
 
     def scaled(self, c):
         return Const(self.value * c)
-
-    def zero_set(self, lo, hi):
-        return BorelSet.make([(lo, hi)]) if self.value == 0.0 else EMPTY
-
 
     def derivative_segment(self):
         return Const(0.0)
@@ -92,22 +136,27 @@ class Affine(Segment):
     intercept: float
     slope: float
 
-    def __call__(self, x):
-        return self.intercept + self.slope * np.asarray(x, dtype=float)
+    @property
+    def _row(self):
+        return (self.intercept, self.slope)
 
+    @staticmethod
+    def _kernel(x, intercept, slope):
+        return intercept + slope * x
+
+    @staticmethod
+    def _zeros(static, cols, lo, hi):
+        intercept, slope = cols
+        flat = slope == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            roots = np.where(flat, np.nan, -intercept / slope)
+        return _roots_inside(flat & (intercept == 0.0), roots, lo, hi)
 
     def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
         return Poly((self.intercept, self.slope)).integrate_affine(lo, hi, c0, c1)
 
     def scaled(self, c):
         return Affine(self.intercept * c, self.slope * c)
-
-    def zero_set(self, lo, hi):
-        if self.slope == 0.0:
-            return BorelSet.make([(lo, hi)]) if self.intercept == 0.0 else EMPTY
-        root = -self.intercept / self.slope
-        return BorelSet.make(points=[root]) if lo <= root <= hi else EMPTY
-
 
     def derivative_segment(self):
         return Const(self.slope)
@@ -126,9 +175,33 @@ class Poly(Segment):
 
     coeffs: tuple[float, ...]
 
-    def __call__(self, x):
-        return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), self.coeffs)
+    @property
+    def _row(self):
+        return self.coeffs
 
+    @staticmethod
+    def _kernel(x, *coeffs):
+        # Horner's rule, in the order of numpy's polyval
+        out = coeffs[-1] + x * 0
+        for c in coeffs[-2::-1]:
+            out = c + out * x
+        return out
+
+    @staticmethod
+    def _zeros(static, cols, lo, hi):
+        # each row's roots on their own: one companion matrix per row
+        rows = cols.T
+        whole = ~rows.any(axis=1)
+        hits = [
+            (i, x)
+            for i, (c, a, b) in enumerate(zip(rows, lo.tolist(), hi.tolist()))
+            if not whole[i]
+            for x in _poly_roots(c, a, b)
+        ]
+        if not hits:
+            return (whole, *_NO_ROOTS)
+        idx, roots = zip(*hits)
+        return whole, np.array(idx, dtype=np.intp), np.array(roots)
 
     def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
         pp = np.polynomial.polynomial
@@ -143,37 +216,6 @@ class Poly(Segment):
     def scaled(self, c):
         return Poly(tuple(c * a for a in self.coeffs))
 
-    def zero_set(self, lo, hi):
-        if all(a == 0.0 for a in self.coeffs):
-            return BorelSet.make([(lo, hi)])
-        # a leading term below the rounding of the largest term wherever the
-        # roots lie moves no value there, but dividing by it can throw every
-        # root of the companion matrix off: drop such terms.  Over an
-        # unbounded [lo, hi] the scale grows to Fujiwara's bound on the roots
-        # left, and the largest roots of the whole polynomial join them
-        pp = np.polynomial.polynomial
-        c = np.asarray(self.coeffs, dtype=float)
-        unbounded = not (np.isfinite(lo) and np.isfinite(hi))
-        scale = max([1.0] + [abs(e) for e in (lo, hi) if np.isfinite(e)])
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            while True:
-                size = np.abs(c) * scale ** np.arange(len(c))
-                n = len(c)
-                while size[n - 1] < np.finfo(float).eps * size.max():
-                    n -= 1
-                lead = np.abs(c[: n - 1] / c[n - 1]) ** (1.0 / np.arange(n - 1, 0, -1))
-                bound = 2.0 * lead.max(initial=0.0)
-                if not (unbounded and bound > scale):
-                    break
-                scale = bound
-        roots = list(pp.polyroots(c[:n]))
-        if unbounded and n < len(c):
-            roots += sorted(pp.polyroots(c), key=abs)[n - 1 :]
-        pts = [
-            float(rt.real) for rt in roots if abs(rt.imag) < 1e-12 and lo <= rt.real <= hi
-        ]
-        return BorelSet.make(points=pts)
-
     def derivative_segment(self):
         return Poly(tuple(np.polynomial.polynomial.polyder(self.coeffs)))
 
@@ -184,6 +226,34 @@ class Poly(Segment):
         if lead == 0:
             return float(self.coeffs[0]) if self.coeffs else 0.0
         return float(np.sign(self.coeffs[lead]) * (np.sign(x) ** lead) * np.inf)
+
+
+def _poly_roots(c, lo, hi):
+    """The real roots in [lo, hi] of the polynomial with ascending
+    coefficients c, a float array that is not all 0."""
+    # a leading term below the rounding of the largest term wherever the
+    # roots lie moves no value there, but dividing by it can throw every
+    # root of the companion matrix off: drop such terms.  Over an
+    # unbounded [lo, hi] the scale grows to Fujiwara's bound on the roots
+    # left, and the largest roots of the whole polynomial join them
+    pp = np.polynomial.polynomial
+    unbounded = not (np.isfinite(lo) and np.isfinite(hi))
+    scale = max([1.0] + [abs(e) for e in (lo, hi) if np.isfinite(e)])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        while True:
+            size = np.abs(c) * scale ** np.arange(len(c))
+            n = len(c)
+            while size[n - 1] < np.finfo(float).eps * size.max():
+                n -= 1
+            lead = np.abs(c[: n - 1] / c[n - 1]) ** (1.0 / np.arange(n - 1, 0, -1))
+            bound = 2.0 * lead.max(initial=0.0)
+            if not (unbounded and bound > scale):
+                break
+            scale = bound
+    roots = list(pp.polyroots(c[:n]))
+    if unbounded and n < len(c):
+        roots += sorted(pp.polyroots(c), key=abs)[n - 1 :]
+    return [float(rt.real) for rt in roots if abs(rt.imag) < 1e-12 and lo <= rt.real <= hi]
 
 
 def _half_line(lo, hi, side, center, kind):
@@ -235,15 +305,36 @@ class Power(Segment):
     offset: float = 0.0
     side: int = +1
 
-    def _t(self, x):
-        return self.side * (np.asarray(x, dtype=float) - self.center)
+    @property
+    def _static(self):
+        return (self.exponent,)
 
-    def __call__(self, x):
-        t = self._t(x)
+    @property
+    def _row(self):
+        return (self.coeff, self.center, self.offset, self.side)
+
+    @staticmethod
+    def _kernel(x, exponent, coeff, center, offset, side):
+        t = side * (x - center)
         with np.errstate(divide="ignore", invalid="ignore"):
-            val = self.coeff * np.power(np.maximum(t, 0.0), self.exponent) + self.offset
-        return val
+            return coeff * np.power(np.maximum(t, 0.0), exponent) + offset
 
+    @staticmethod
+    def _zeros(static, cols, lo, hi):
+        (exponent,) = static
+        coeff, center, offset, side = cols
+        if exponent == 0.0:
+            return (coeff + offset == 0.0, *_NO_ROOTS)
+        whole = (coeff == 0.0) & (offset == 0.0)
+        # with a zero offset the root is the center, for a positive
+        # exponent; any other offset is solved row by row, by scalar power
+        roots = np.where(offset == 0.0, center, np.nan) if exponent > 0.0 else np.nan * center
+        roots[whole] = np.nan
+        for i in offset.nonzero()[0].tolist():
+            k, c, o, s = cols[:, i].tolist()
+            if k != 0.0 and -o / k > 0.0:
+                roots[i] = c + s * (-o / k) ** (1.0 / exponent)
+        return _roots_inside(whole, roots, lo, hi)
 
     def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
         # substitute t = side*(x - center); x = center + side*t
@@ -271,20 +362,6 @@ class Power(Segment):
 
     def scaled(self, c):
         return Power(self.coeff * c, self.center, self.exponent, self.offset * c, self.side)
-
-    def zero_set(self, lo, hi):
-        if self.exponent == 0.0:
-            return Const(self.coeff + self.offset).zero_set(lo, hi)
-        if self.coeff == 0.0:
-            return Const(self.offset).zero_set(lo, hi)
-        if self.offset == 0.0:
-            x = self.center if self.exponent > 0.0 else np.nan
-        elif -self.offset / self.coeff <= 0.0:
-            x = np.nan
-        else:
-            x = self.center + self.side * (-self.offset / self.coeff) ** (1.0 / self.exponent)
-        return BorelSet.make(points=[x] if lo <= x <= hi else [])
-
 
     def derivative_segment(self):
         return Power(
@@ -340,9 +417,24 @@ class Exponential(Segment):
     rate: float
     offset: float = 0.0
 
-    def __call__(self, x):
-        return self.coeff * np.exp(self.rate * np.asarray(x, dtype=float)) + self.offset
+    @property
+    def _row(self):
+        return (self.coeff, self.rate, self.offset)
 
+    @staticmethod
+    def _kernel(x, coeff, rate, offset):
+        return coeff * np.exp(rate * x) + offset
+
+    @staticmethod
+    def _zeros(static, cols, lo, hi):
+        coeff, rate, offset = cols
+        flat = rate == 0.0
+        whole = np.where(flat, coeff + offset == 0.0, (coeff == 0.0) & (offset == 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = -offset / coeff
+            live = ~flat & (coeff != 0.0) & (offset != 0.0) & (ratio > 0.0)
+            roots = np.where(live, np.log(ratio) / rate, np.nan)
+        return _roots_inside(whole, roots, lo, hi)
 
     def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
         a, b, c = self.coeff, self.rate, self.offset
@@ -356,23 +448,23 @@ class Exponential(Segment):
         x0, side = (hi, -1.0) if b > 0.0 else (lo, 1.0)
         z = -abs(b) * d
         e1, e2 = _exp_moments(z)
-        exp_part = np.exp(b * x0) * d * ((c0 + c1 * x0) * e1 + side * c1 * d * e2)
-        return a * exp_part + c * d * (c0 + 0.5 * c1 * (lo + hi))
+        with np.errstate(invalid="ignore"):
+            exp_part = np.exp(b * x0) * d * ((c0 + c1 * x0) * e1 + side * c1 * d * e2)
+            value = a * exp_part + c * d * (c0 + 0.5 * c1 * (lo + hi))
+            to_inf = np.isinf(d)
+            if to_inf.any():
+                # over a half-line d*e1 and d*d*e2 are their limits,
+                # -expm1(z)/|b| and -expm1(z)/b**2, and a zero offset adds
+                # nothing
+                gap = -np.expm1(z) / abs(b)
+                tail = a * np.exp(b * x0) * ((c0 + c1 * x0) * gap + side * c1 * gap / abs(b))
+                if c != 0.0:
+                    tail = tail + c * d * (c0 + 0.5 * c1 * (lo + hi))
+                value = np.where(to_inf, tail, value)
+        return value
 
     def scaled(self, c):
         return Exponential(self.coeff * c, self.rate, self.offset * c)
-
-    def zero_set(self, lo, hi):
-        a, b, c = self.coeff, self.rate, self.offset
-        if b == 0.0:
-            return Const(a + c).zero_set(lo, hi)
-        if a == 0.0:
-            return Const(c).zero_set(lo, hi)
-        if c == 0.0 or -c / a <= 0.0:
-            return EMPTY
-        x = float(np.log(-c / a) / b)
-        return BorelSet.make(points=[x] if lo < x < hi else [])
-
 
     def derivative_segment(self):
         return Exponential(self.coeff * self.rate, self.rate, 0.0)
@@ -394,11 +486,23 @@ class Log(Segment):
     center: float
     offset: float = 0.0
 
-    def __call__(self, x):
-        t = self.scale * (np.asarray(x, dtype=float) - self.center)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self.coeff * np.log(t) + self.offset
+    @property
+    def _row(self):
+        return (self.coeff, self.scale, self.center, self.offset)
 
+    @staticmethod
+    def _kernel(x, coeff, scale, center, offset):
+        t = scale * (x - center)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return coeff * np.log(t) + offset
+
+    @staticmethod
+    def _zeros(static, cols, lo, hi):
+        coeff, scale, center, offset = cols
+        live = coeff != 0.0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            roots = np.where(live, center + np.exp(-offset / coeff) / scale, np.nan)
+        return _roots_inside(~live & (offset == 0.0), roots, lo, hi)
 
     def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
         # substitute t = side*(x - center) with side = sign(scale), so
@@ -423,13 +527,6 @@ class Log(Segment):
     def scaled(self, c):
         return Log(self.coeff * c, self.scale, self.center, self.offset * c)
 
-    def zero_set(self, lo, hi):
-        if self.coeff == 0.0:
-            return Const(self.offset).zero_set(lo, hi)
-        x = float(self.center + np.exp(-self.offset / self.coeff) / self.scale)
-        return BorelSet.make(points=[x] if lo < x < hi else [])
-
-
     def derivative_segment(self):
         return Power(self.coeff, self.center, -1.0, 0.0, +1)
 
@@ -441,6 +538,47 @@ class Log(Segment):
         return float(np.sign(self.coeff) * np.inf) if self.coeff != 0.0 else self.offset
 
 
+class _Group(NamedTuple):
+    """The segments of a function that share kind, static parameters and
+    row length."""
+
+    kind: type
+    static: tuple
+    pieces: np.ndarray  # their piece indices, ascending
+    cols: np.ndarray  # their parameters: a row per parameter, a column per segment
+    row: tuple | None  # the parameters themselves, for a group of one
+
+
+class _Table(NamedTuple):
+    """A function's parameter table: its breakpoints, its groups, and each
+    piece's group and row there (None for a single group, whose rows are
+    the pieces)."""
+
+    bps: np.ndarray
+    groups: tuple[_Group, ...]
+    group_of: np.ndarray | None
+    row_of: np.ndarray | None
+
+
+def _kernel_call(group: _Group, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The group's kernel at x, each entry with the parameters of its row;
+    a group of one passes its own parameters as scalars."""
+    if group.row is not None:
+        return group.kind._kernel(x, *group.static, *group.row)
+    return group.kind._kernel(x, *group.static, *group.cols.take(rows, axis=1))
+
+
+def _in_piece_order(parts) -> list:
+    """Per group (pieces, values...) arrays merged into one list of values,
+    or of tuples of values, ordered by piece (stable within a piece)."""
+    if len(parts) == 1:
+        cols = [col.tolist() for col in parts[0][1:]]
+    else:
+        order = np.argsort(np.concatenate([p[0] for p in parts]), kind="stable")
+        cols = [np.concatenate(col)[order].tolist() for col in list(zip(*parts))[1:]]
+    return cols[0] if len(cols) == 1 else list(zip(*cols))
+
+
 @dataclass(frozen=True)
 class PiecewiseFn:
     """A function assembled from catalog segments on consecutive intervals.
@@ -449,7 +587,19 @@ class PiecewiseFn:
     with +-inf.  One piece lookup serves every call: x belongs to the last
     segment whose left breakpoint is <= x (the end segments reach past the
     ends), found by ``bisect`` for a scalar, which gives a float, and by one
-    ``searchsorted`` for an array, whose entries each segment evaluates at once.
+    ``searchsorted`` for an array.
+
+    An array is evaluated per group of alike segments (see the module
+    docstring): one stable sort of the entries by group, then one kernel
+    call per group over its entries, with each entry's row parameters
+    gathered from the group's table.  A function of one segment calls its
+    kernel and its zero rule directly, with no lookup and no table, and a
+    group of one row gets its scalars, with no gather.  The table is built
+    when the function is first evaluated or zero-passed, so building,
+    scaling or restricting a function builds none.
+    ``sides`` reads both one-sided values at breakpoints through the same
+    kernels, and ``zeros`` is the one zero pass: each group's zero rule once,
+    over all its rows.  ``integrate`` still runs segment by segment.
     """
 
     breakpoints: tuple[float, ...]
@@ -477,28 +627,89 @@ class PiecewiseFn:
     def hi(self):
         return self.breakpoints[-1]
 
-    def _piece(self, x: float) -> Segment:
-        # the index of x's piece is the number of interior breakpoints <= x
+    @cached_property
+    def _table(self) -> _Table:
+        rows = [seg._row for seg in self.segments]
+        keys: dict[tuple, int] = {}
+        members: list[list[int]] = []
+        group_of, row_of = [], []
+        for i, (seg, row) in enumerate(zip(self.segments, rows)):
+            g = keys.setdefault((type(seg), seg._static, len(row)), len(keys))
+            if g == len(members):
+                members.append([])
+            group_of.append(g)
+            row_of.append(len(members[g]))
+            members[g].append(i)
+        groups = tuple(
+            _Group(
+                kind,
+                static,
+                np.array(pieces),
+                np.array(list(zip(*(rows[i] for i in pieces))), dtype=float),
+                rows[pieces[0]] if len(pieces) == 1 else None,
+            )
+            for (kind, static, _), pieces in zip(keys, members)
+        )
+        if len(groups) == 1:
+            group_of = row_of = None
+        else:
+            group_of, row_of = np.array(group_of), np.array(row_of)
+        return _Table(np.array(self.breakpoints), groups, group_of, row_of)
+
+    def _piece(self, x: float, left: bool = False) -> Segment:
+        # the index of x's piece is the number of interior breakpoints <= x,
+        # or < x for the piece on the left of a breakpoint
         bps = self.breakpoints
-        return self.segments[bisect_right(bps, x, 1, len(bps) - 1) - 1]
+        bisect = bisect_left if left else bisect_right
+        return self.segments[bisect(bps, x, 1, len(bps) - 1) - 1]
+
+    def _alone(self, x: np.ndarray) -> np.ndarray:
+        """The one segment's kernel at x, with its parameters as scalars."""
+        (seg,) = self.segments
+        return seg._kernel(x, *seg._static, *seg._row)
+
+    def _eval(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """f at each entry of the flat array x, read on the piece that idx
+        names: one kernel call per group."""
+        _, groups, group_of, row_of = self._table
+        if group_of is None:
+            return _kernel_call(groups[0], x, idx)
+        # one stable sort lines up the entries of each group in one run
+        gid = group_of[idx]
+        order = np.argsort(gid, kind="stable")
+        ends = np.searchsorted(gid[order], np.arange(len(groups)), side="right")
+        out = np.empty_like(x)
+        start = 0
+        for group, end in zip(groups, ends.tolist()):
+            if end > start:
+                run = order[start:end]
+                out[run] = _kernel_call(group, x[run], row_of[idx[run]])
+            start = end
+        return out
 
     def __call__(self, x):
         if np.ndim(x) == 0:
             return float(self._piece(float(x))(float(x)))
-        x = np.asarray(x, dtype=float)
+        x = np.ascontiguousarray(x, dtype=float)
+        if len(self.segments) == 1:
+            return self._alone(x)
         flat = x.reshape(-1)
-        idx = np.searchsorted(self.breakpoints[1:-1], flat, side="right")
-        # one stable sort lines up the points of each piece in one run
-        order = np.argsort(idx, kind="stable")
-        ends = np.searchsorted(idx[order], np.arange(len(self.segments)), side="right")
-        out = np.empty_like(flat)
-        start = 0
-        for seg, end in zip(self.segments, ends.tolist()):
-            if end > start:
-                run = order[start:end]
-                out[run] = seg(flat[run])
-            start = end
-        return out.reshape(x.shape)
+        idx = self._table.bps[1:-1].searchsorted(flat, side="right")
+        return self._eval(flat, idx).reshape(x.shape)
+
+    def sides(self, x):
+        """f(x-) and f(x+) at each entry of the 1-d array x: at a breakpoint,
+        the value of the piece on its left and of the piece on its right
+        (which is f(x)); elsewhere f(x) twice.  Both sides are read in one
+        call of each group's kernel."""
+        x = np.ascontiguousarray(x, dtype=float)
+        if len(self.segments) == 1:
+            values = self._alone(x)
+            return values, values.copy()
+        inner = self._table.bps[1:-1]
+        idx = np.concatenate([inner.searchsorted(x, "left"), inner.searchsorted(x, "right")])
+        values = self._eval(np.concatenate([x, x]), idx)
+        return values[: len(x)], values[len(x) :]
 
     def integrate(self, lo, hi, c0=1.0, c1=0.0):
         """Integral of (c0 + c1*x) f(x) over [lo, hi]; hi < lo flips the sign.
@@ -546,13 +757,39 @@ class PiecewiseFn:
         pts = sorted(set(self.breakpoints) | {p for p in extra if self.lo < p < self.hi})
         return PiecewiseFn(tuple(pts), tuple(self._piece(a) for a in pts[:-1]))
 
+    def zeros(self, lo=-np.inf, hi=np.inf) -> tuple[list, list]:
+        """Exact {f = 0} on [lo, hi] as raw parts, (intervals, points), in
+        piece order: each piece, cut to [lo, hi], gives its whole interval
+        where its segment vanishes identically and its roots in the closed
+        interval otherwise.  Each group's zero rule runs once, over all its
+        rows; the one segment of a function runs its rule directly."""
+        if len(self.segments) == 1:
+            (seg,) = self.segments
+            a, b = max(lo, self.lo), min(hi, self.hi)
+            if not b > a:
+                return [], []
+            cols = np.array(seg._row, dtype=float)[:, None]
+            whole, _, roots = seg._zeros(seg._static, cols, np.array([a]), np.array([b]))
+            return [(a, b)] if whole[0] else [], roots.tolist()
+        cut = lo > self.lo or hi < self.hi
+        bps = self._table.bps
+        ivs, pts = [], []
+        for group in self._table.groups:
+            pieces, cols = group.pieces, group.cols
+            a, b = bps[pieces], bps[1:][pieces]
+            if cut:
+                a, b = np.maximum(lo, a), np.minimum(hi, b)
+                on = b > a
+                if not on.all():
+                    pieces, cols, a, b = pieces[on], cols[:, on], a[on], b[on]
+            whole, hit, roots = group.kind._zeros(group.static, cols, a, b)
+            ivs.append((pieces[whole], a[whole], b[whole]))
+            pts.append((pieces[hit], roots))
+        return _in_piece_order(ivs), _in_piece_order(pts)
+
     def zero_set(self) -> BorelSet:
-        bps = self.breakpoints
-        parts = [seg.zero_set(a, b) for seg, a, b in zip(self.segments, bps, bps[1:])]
-        return BorelSet.make(
-            [iv for part in parts for iv in part.intervals],
-            [x for part in parts for x in part.points],
-        )
+        """Exact {f = 0} on [lo, hi]: the zero pass as one set."""
+        return BorelSet.make(*self.zeros())
 
     def derivative(self) -> "PiecewiseFn":
         return PiecewiseFn(

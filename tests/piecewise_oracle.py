@@ -1,0 +1,170 @@
+"""The per-segment route through piecewise functions, kept as the oracle of
+the grouped one in ``gdarb.piecewise``: every point is evaluated by its own
+segment's scalar call, every segment's zero rule runs on its own and makes
+its own ``BorelSet``, the sign pass cuts segment by segment, and the jumps
+of q' are read one breakpoint at a time.  The zero rules are the catalog's
+per kind, with one correction the grouped pass makes too: a root at a piece
+end belongs to the zero set for every kind (``Exponential`` and ``Log``
+once kept only interior roots)."""
+
+from __future__ import annotations
+
+from bisect import bisect_right
+
+import numpy as np
+
+from gdarb.borel import EMPTY, BorelSet
+from gdarb.piecewise import Affine, Const, Exponential, Log, Poly, Power
+
+
+def segment_of(pw, x):
+    """The segment whose piece holds x: the last one whose left breakpoint
+    is <= x, the end segments reaching past the ends."""
+    bps = pw.breakpoints
+    return pw.segments[bisect_right(bps, x, 1, len(bps) - 1) - 1]
+
+
+def evaluate(pw, xs):
+    """pw at each entry of xs, one scalar segment call per point."""
+    return np.array([float(segment_of(pw, x)(x)) for x in np.asarray(xs, dtype=float).tolist()])
+
+
+def _poly_roots(coeffs, lo, hi):
+    pp = np.polynomial.polynomial
+    c = np.asarray(coeffs, dtype=float)
+    unbounded = not (np.isfinite(lo) and np.isfinite(hi))
+    scale = max([1.0] + [abs(e) for e in (lo, hi) if np.isfinite(e)])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        while True:
+            size = np.abs(c) * scale ** np.arange(len(c))
+            n = len(c)
+            while size[n - 1] < np.finfo(float).eps * size.max():
+                n -= 1
+            lead = np.abs(c[: n - 1] / c[n - 1]) ** (1.0 / np.arange(n - 1, 0, -1))
+            bound = 2.0 * lead.max(initial=0.0)
+            if not (unbounded and bound > scale):
+                break
+            scale = bound
+    roots = list(pp.polyroots(c[:n]))
+    if unbounded and n < len(c):
+        roots += sorted(pp.polyroots(c), key=abs)[n - 1 :]
+    return [float(rt.real) for rt in roots if abs(rt.imag) < 1e-12 and lo <= rt.real <= hi]
+
+
+def segment_zeros(seg, lo, hi):
+    """One segment's zero rule on [lo, hi], raw: (intervals, points)."""
+    whole = ([(lo, hi)], [])
+    none = ([], [])
+
+    def constant(value):
+        return whole if value == 0.0 else none
+
+    def root(x):
+        return ([], [float(x)]) if lo <= x <= hi else none
+
+    if isinstance(seg, Const):
+        return constant(seg.value)
+    if isinstance(seg, Affine):
+        if seg.slope == 0.0:
+            return constant(seg.intercept)
+        return root(-seg.intercept / seg.slope)
+    if isinstance(seg, Poly):
+        if all(a == 0.0 for a in seg.coeffs):
+            return whole
+        return [], _poly_roots(seg.coeffs, lo, hi)
+    if isinstance(seg, Power):
+        if seg.exponent == 0.0:
+            return constant(seg.coeff + seg.offset)
+        if seg.coeff == 0.0:
+            return constant(seg.offset)
+        if seg.offset == 0.0:
+            return root(seg.center) if seg.exponent > 0.0 else none
+        if -seg.offset / seg.coeff <= 0.0:
+            return none
+        return root(seg.center + seg.side * (-seg.offset / seg.coeff) ** (1.0 / seg.exponent))
+    if isinstance(seg, Exponential):
+        a, b, c = seg.coeff, seg.rate, seg.offset
+        if b == 0.0:
+            return constant(a + c)
+        if a == 0.0:
+            return constant(c)
+        if c == 0.0 or -c / a <= 0.0:
+            return none
+        return root(np.log(-c / a) / b)
+    if isinstance(seg, Log):
+        if seg.coeff == 0.0:
+            return constant(seg.offset)
+        return root(seg.center + np.exp(-seg.offset / seg.coeff) / seg.scale)
+    raise TypeError(type(seg).__name__)
+
+
+def pieces(pw, lo=-np.inf, hi=np.inf):
+    """(segment, a, b) for each piece cut to [lo, hi] that keeps a length."""
+    bps = pw.breakpoints
+    for i, seg in enumerate(pw.segments):
+        a, b = max(lo, bps[i]), min(hi, bps[i + 1])
+        if b > a:
+            yield seg, a, b
+
+
+def zeros(pw, lo=-np.inf, hi=np.inf):
+    """The raw zero parts of every piece cut to [lo, hi], in piece order."""
+    ivs, pts = [], []
+    with np.errstate(all="ignore"):
+        for seg, a, b in pieces(pw, lo, hi):
+            i, p = segment_zeros(seg, a, b)
+            ivs += i
+            pts += p
+    return ivs, pts
+
+
+def zero_set(pw):
+    """The union of one BorelSet per segment."""
+    with np.errstate(all="ignore"):
+        parts = [BorelSet.make(*segment_zeros(seg, a, b)) for seg, a, b in pieces(pw)]
+    return BorelSet.make(
+        [iv for part in parts for iv in part.intervals], [x for part in parts for x in part.points]
+    )
+
+
+def sign_sets(pw, lo, hi, signs=(1.0, -1.0)):
+    """Closures of {s * pw > 0} in [lo, hi]: each segment cut at its own
+    zero set, the sign read at the midpoints, the edges where pw vanishes
+    excluded."""
+    lo, hi = max(lo, pw.lo), min(hi, pw.hi)
+    if hi <= lo:
+        return (EMPTY,) * len(signs)
+    cuts = {lo, hi}
+    with np.errstate(all="ignore"):
+        for seg, a, b in pieces(pw, lo, hi):
+            zs = BorelSet.make(*segment_zeros(seg, a, b))
+            cuts.update((a, b, *zs.points))
+            for za, zb in zs.intervals:
+                cuts.update((max(za, a), min(zb, b)))
+        cuts = sorted(c for c in cuts if lo <= c <= hi)
+        c = np.array(cuts)
+        mid = evaluate(pw, 0.5 * (c[:-1] + c[1:]))
+        vanish = {p for p, v in zip(cuts, evaluate(pw, c)) if v == 0.0}
+    out = []
+    for s in signs:
+        part = BorelSet.make([(a, b) for a, b, v in zip(cuts, cuts[1:], mid) if s * v > 0.0])
+        out.append(part.without_points([p for iv in part.intervals for p in iv if p in vanish]))
+    return tuple(out)
+
+
+def positive_set(pw, lo, hi):
+    return sign_sets(pw, lo, hi, (1.0,))[0]
+
+
+def q_second_atoms(model):
+    """The jumps of q' at the interior breakpoints inside (lo, hi), each side
+    read by its own segment's scalar call."""
+    qp = model.q_prime
+    atoms = []
+    with np.errstate(all="ignore"):
+        for i, a in enumerate(qp.breakpoints[1:-1]):
+            if model.lo < a < model.hi:
+                jump = float(qp.segments[i + 1](a)) - float(qp.segments[i](a))
+                if abs(jump) > 1e-12:
+                    atoms.append((float(a), jump))
+    return tuple(atoms)
