@@ -194,7 +194,7 @@ class BorelSet:
     def _select(self, pts: tuple[float, ...], inside: bool) -> tuple[float, ...]:
         """The points that are in this set (``inside``) or are not."""
         empty = not pts or self.is_empty
-        hits = [False] * len(pts) if empty else self._member(np.array(pts))
+        hits = [False] * len(pts) if empty else self._member(np.array(pts)).tolist()
         return tuple(p for p, m in zip(pts, hits) if m == inside)
 
     def contains(self, x):

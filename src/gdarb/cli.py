@@ -10,12 +10,14 @@ Commands:
 paths.csv and value_series.csv are streamed: the recorded paths are walked
 as groups of consecutive ids (``chain.sample_paths``), and each path's rows
 are formatted from its column arrays in one pass and written as soon as the
-paths before it are, so memory does not grow with --paths.  paths.csv takes
-its grid positions from a table of the grid's nodes formatted once per
-command.  Both files are written under a temporary name and moved into
-place once complete, so a failed command leaves no partial file.  The
-one-row tables and nu_report.csv, whose descriptor may hold commas, go
-through csv.writer.  The parser is built once per process.
+paths before it are, so memory does not grow with --paths.  paths.csv
+formats each grid node's position once per command, when a path first
+reaches it (``_node_text``); value_series.csv formats each distinct value of
+a path's column once (``_text``), and a path's time column once for all its
+routes.  Both files are written under a temporary name and moved into place
+once complete, so a failed command leaves no partial file.  The one-row
+tables and nu_report.csv, whose descriptor may hold commas, go through
+csv.writer.  The parser is built once per process.
 
 Exit status: 0 success, 1 check failure or exhausted step budget, 2 usage
 error.
@@ -74,6 +76,36 @@ def _chunk(row: str, *columns: np.ndarray) -> str:
     ``inf`` and ``nan`` included."""
     fields = itertools.chain.from_iterable(zip(*(c.tolist() for c in columns)))
     return (row * len(columns[0])) % tuple(fields)
+
+
+def _text(column: np.ndarray) -> np.ndarray:
+    """A float column as ``%.17g`` writes it, as an array of strings: each
+    distinct bit pattern is formatted once, so ``-0`` keeps its sign."""
+    bits, inverse = np.unique(np.ascontiguousarray(column, dtype=float).view(np.uint64),
+                              return_inverse=True)
+    return np.array(["%.17g" % x for x in bits.view(float).tolist()], dtype=object)[inverse]
+
+
+def _node_text(grid: np.ndarray):
+    """A function from an array of node indices to their positions as
+    ``%.17g`` writes them.  Its table holds the nodes from the lowest to the
+    highest index any call has met, each formatted once; a path steps
+    between neighbouring nodes, so these are the nodes the paths visit."""
+    text = np.empty(len(grid), dtype=object)
+    done = None  # the table holds text[done[0]:done[1]]
+
+    def positions(states: np.ndarray) -> np.ndarray:
+        nonlocal done
+        lo, hi = int(states.min()), int(states.max()) + 1
+        if done is None:
+            done = (lo, lo)
+        for a, b in ((lo, done[0]), (done[1], hi)):  # the new nodes below and above
+            if a < b:
+                text[a:b] = ["%.17g" % x for x in grid[a:b].tolist()]
+        done = (min(lo, done[0]), max(hi, done[1]))
+        return text[states]
+
+    return positions
 
 
 def _write_streamed(path: str, header: list[str], chunks):
@@ -225,10 +257,9 @@ def _cmd_simulate(args) -> int:
     if not _validate_or_fail(model, args.quiet):
         return 1
     chain = build_chain(model, args.h)
-    # each node's position formatted once, as _chunk's %.17g would
-    u = np.array(["%.17g" % x for x in chain.grid.tolist()], dtype=object)
+    u = _node_text(chain.grid)
     chunks = (
-        _chunk(f"{p.path_id},%d,%.17g,%s\n", np.arange(len(p.states)), p.times, u[p.states])
+        _chunk(f"{p.path_id},%d,%.17g,%s\n", np.arange(len(p.states)), p.times, u(p.states))
         for p in sample_paths(chain, args.T, args.seed, range(args.paths))
     )
     os.makedirs(args.out, exist_ok=True)
@@ -271,13 +302,15 @@ def _cmd_backtest(args) -> int:
     if report.details["assessed_route"] == "closed_form":
         routes += ("closed_form",)
     paths = sample_paths(chain, args.T, args.seed, range(min(args.paths, _SERIES_PATHS)))
-    chunks = (
-        _chunk(f"{pid},%.17g,%.17g,{s.route}\n", s.times, s.values)
-        for pid, series in enumerate(value_series(paths, chain, bundle, H, args.T, routes))
-        for s in series
-    )
+
+    def chunks():
+        for pid, series in enumerate(value_series(paths, chain, bundle, H, args.T, routes)):
+            times = _text(series[0].times)  # the routes share the path's times
+            for s in series:
+                yield _chunk(f"{pid},%s,%s,{s.route}\n", times, _text(s.values))
+
     _write_streamed(
-        os.path.join(args.out, "value_series.csv"), ["path_id", "t", "value", "route"], chunks
+        os.path.join(args.out, "value_series.csv"), ["path_id", "t", "value", "route"], chunks()
     )
     if not args.quiet:
         print(
@@ -346,25 +379,28 @@ def _add_run_args(p: argparse.ArgumentParser):
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and then reused:
-    parsing leaves it unchanged, and each call gets a fresh namespace."""
+    parsing leaves it unchanged, and each call gets a fresh namespace.  No
+    parser takes abbreviated options, so ``--h`` is the grid spacing or a
+    usage error, never ``--help``."""
     parser = argparse.ArgumentParser(
         prog="gdarb",
         description="increasing-profit analysis for one-dimensional diffusion markets",
+        allow_abbrev=False,
     )
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     parser.add_argument("--out", default=".", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="market verdicts and auxiliary measure")
+    p = sub.add_parser("analyze", help="market verdicts and auxiliary measure", allow_abbrev=False)
     _add_model_args(p)
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("simulate", help="sample chain paths")
+    p = sub.add_parser("simulate", help="sample chain paths", allow_abbrev=False)
     _add_model_args(p)
     _add_run_args(p)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("backtest", help="classify a strategy by Monte Carlo")
+    p = sub.add_parser("backtest", help="classify a strategy by Monte Carlo", allow_abbrev=False)
     _add_model_args(p)
     _add_run_args(p)
     p.add_argument(
@@ -374,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-route", type=float, default=0.05)
     p.set_defaults(func=_cmd_backtest)
 
-    p = sub.add_parser("demo", help="catalog closed-form regression")
+    p = sub.add_parser("demo", help="catalog closed-form regression", allow_abbrev=False)
     p.add_argument("name", help="catalog example name")
     p.add_argument("--param", action="append", metavar="K=V")
     p.set_defaults(func=_cmd_demo)

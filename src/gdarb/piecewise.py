@@ -6,19 +6,22 @@ integration against affine weights in closed form (over arrays of limits
 and weights as well as scalars), and an exact zero set, which is also where
 ``measures.sign_sets`` cuts a piece to find its sign.  A segment that is
 identically 0 has the whole interval as its zero set, and a nonzero
-constant one has none.
+constant one has none.  Over an infinite limit an integral is the sum of
+its terms' limits, and a term whose coefficient is 0 adds nothing.
 
-A kind evaluates through one kernel, ``_kernel(x, *static, *row)``, and
-finds its zeros through one rule, ``_zeros(static, cols, lo, hi)``.  The
-static parameters are shared by a group of alike segments (the exponent of
-a ``Power``); the row parameters are each segment's own.  A ``PiecewiseFn``
-groups its segments by kind, static parameters and row length, so by
-exponent for ``Power`` and by degree for ``Poly``, and on first use builds
-one parameter table per group.  An evaluation then calls each group's
-kernel once, over all of the group's points with their rows' parameters,
-and the zero pass calls each group's rule once, over all of its rows.  A
-function of one segment, and a group of one row, pass their parameters as
-scalars.
+A kind evaluates through one kernel, ``_kernel(x, *static, *row)``,
+integrates through one rule, ``_integral(lo, hi, c0, c1, *static, *row)``,
+and finds its zeros through one rule, ``_zeros(static, cols, lo, hi)``.
+The static parameters are shared by a group of alike segments (the
+exponent of a ``Power``); the row parameters are each segment's own.  A
+``PiecewiseFn`` groups its segments by kind, static parameters and row
+length, so by exponent for ``Power`` and by degree for ``Poly``, and on
+first use builds one parameter table per group.  An evaluation then calls
+each group's kernel once, over all of the group's points with their rows'
+parameters, an integral calls each group's rule at most twice, and the
+zero pass calls each group's rule once, over all of its rows.  A function
+of one segment, and a group of one row, pass their parameters as scalars;
+``Segment.integrate_affine`` is the integral rule of one row.
 """
 
 from __future__ import annotations
@@ -51,7 +54,10 @@ class Segment:
     A subclass names its parameters in ``_static`` (shared by its group,
     empty by default) and ``_row`` (its own).  Its static method
     ``_kernel(x, *static, *row)`` evaluates it; the row parameters there are
-    scalars or arrays shaped like x.  Its static method ``_zeros(static,
+    scalars or arrays shaped like x.  Its static method ``_integral(lo, hi,
+    c0, c1, *static, *row)`` integrates (c0 + c1*x) * f(x) over [lo, hi],
+    with the row parameters and the weights as scalars or arrays shaped
+    like the limits.  Its static method ``_zeros(static,
     cols, lo, hi)`` is its zero rule over the rows of a group, given as the
     columns of their parameters (one float array per entry of ``_row``),
     each row on its interval [lo, hi]: it gives the mask of the rows that
@@ -70,9 +76,10 @@ class Segment:
         return out if out.ndim else out[()]
 
     def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
-        """Integral of (c0 + c1*x) * f(x) over [lo, hi]; the arguments may be
-        arrays, which broadcast against each other."""
-        raise NotImplementedError(f"{type(self).__name__} has no closed-form integral")
+        """Integral of (c0 + c1*x) * f(x) over [lo, hi]: the integral rule of
+        one row.  The arguments may be arrays, which broadcast against each
+        other."""
+        return self._integral(lo, hi, c0, c1, *self._static, *self._row)
 
     def scaled(self, c: float) -> "Segment":
         raise NotImplementedError
@@ -102,6 +109,38 @@ def _roots_inside(whole, roots, lo, hi):
     return whole, rows, roots[rows]
 
 
+def _tail(terms):
+    """The sum of the terms k * m of an integral over an infinite limit,
+    where a term whose coefficient k is 0 adds nothing (its m may be
+    infinite)."""
+    with np.errstate(invalid="ignore"):
+        return sum(np.where(k == 0.0, 0.0, k * m) for k, m in terms)
+
+
+def _poly_terms(coeffs, lo, hi, c0, c1):
+    """The terms of the integral of (c0 + c1*x) * sum(a_j x**j) over
+    [lo, hi], for the ascending coefficients a_j: c0*a_j with the integral
+    of x**j, and c1*a_j with that of x**(j+1)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return [
+            (c * a, (np.power(hi, n) - np.power(lo, n)) / n)
+            for j, a in enumerate(coeffs)
+            for c, n in ((c0, j + 1), (c1, j + 2))
+        ]
+
+
+def _poly_tail(value, coeffs, lo, hi, c0, c1):
+    """An integral of (c0 + c1*x) times the polynomial with ascending
+    coefficients ``coeffs``: ``value`` where both limits are finite, the
+    sum of its terms (see ``_tail``) where one is infinite.  An infinite
+    limit makes ``value`` infinite or nan, so a finite one is kept as it
+    is."""
+    if np.isfinite(value).all():
+        return value
+    to_inf = np.isinf(lo) | np.isinf(hi)
+    return np.where(to_inf, _tail(_poly_terms(coeffs, lo, hi, c0, c1)), value)
+
+
 @dataclass(frozen=True)
 class Const(Segment):
     value: float
@@ -118,8 +157,10 @@ class Const(Segment):
     def _zeros(static, cols, lo, hi):
         return (cols[0] == 0.0, *_NO_ROOTS)
 
-    def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
-        return self.value * (c0 * (hi - lo) + 0.5 * c1 * (hi * hi - lo * lo))
+    @staticmethod
+    def _integral(lo, hi, c0, c1, value):
+        out = value * (c0 * (hi - lo) + 0.5 * c1 * (hi * hi - lo * lo))
+        return _poly_tail(out, (value,), lo, hi, c0, c1)
 
     def scaled(self, c):
         return Const(self.value * c)
@@ -152,8 +193,9 @@ class Affine(Segment):
             roots = np.where(flat, np.nan, -intercept / slope)
         return _roots_inside(flat & (intercept == 0.0), roots, lo, hi)
 
-    def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
-        return Poly((self.intercept, self.slope)).integrate_affine(lo, hi, c0, c1)
+    @staticmethod
+    def _integral(lo, hi, c0, c1, intercept, slope):
+        return Poly._integral(lo, hi, c0, c1, intercept, slope)
 
     def scaled(self, c):
         return Affine(self.intercept * c, self.slope * c)
@@ -203,15 +245,18 @@ class Poly(Segment):
         idx, roots = zip(*hits)
         return whole, np.array(idx, dtype=np.intp), np.array(roots)
 
-    def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
-        pp = np.polynomial.polynomial
+    @staticmethod
+    def _integral(lo, hi, c0, c1, *coeffs):
+        # the antiderivatives of f and of x f as numpy's polyint and polymulx
+        # form them, read at the limits in the Horner steps of its polyval
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
 
-        def moment(coeffs):
-            anti = pp.polyint(coeffs)
-            return pp.polyval(hi, anti) - pp.polyval(lo, anti)
+        def moment(cs):
+            anti = (0.0, cs[0], *(c / (j + 1) for j, c in enumerate(cs) if j))
+            return Poly._kernel(hi, *anti) - Poly._kernel(lo, *anti)
 
-        return c0 * moment(self.coeffs) + c1 * moment(pp.polymulx(self.coeffs))
+        out = c0 * moment(coeffs) + c1 * moment((coeffs[0] * 0, *coeffs))
+        return _poly_tail(out, coeffs, lo, hi, c0, c1)
 
     def scaled(self, c):
         return Poly(tuple(c * a for a in self.coeffs))
@@ -336,9 +381,10 @@ class Power(Segment):
                 roots[i] = c + s * (-o / k) ** (1.0 / exponent)
         return _roots_inside(whole, roots, lo, hi)
 
-    def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
+    @staticmethod
+    def _integral(lo, hi, c0, c1, exponent, coeff, center, offset, side):
         # substitute t = side*(x - center); x = center + side*t
-        s, c, p, a, b = self.side, self.center, self.exponent, self.coeff, self.offset
+        s, c, p, a, b = side, center, exponent, coeff, offset
         t0, t1 = _half_line(lo, hi, s, c, "power")
         if p <= -1.0 and np.any(t0 == 0.0):
             raise ValueError("non-integrable power singularity")
@@ -355,9 +401,7 @@ class Power(Segment):
             # over [t0, inf) each power of t has its own limit, and a term
             # whose coefficient is 0 adds nothing
             terms = ((a * A, p), (a * B, p + 1.0), (b * A, 0.0), (b * B, 1.0))
-            with np.errstate(invalid="ignore"):
-                tail = sum(np.where(k == 0.0, 0.0, k * _tail_integral(t0, q)) for k, q in terms)
-            value = np.where(to_inf, tail, value)
+            value = np.where(to_inf, _tail((k, _tail_integral(t0, q)) for k, q in terms), value)
         return value
 
     def scaled(self, c):
@@ -436,31 +480,38 @@ class Exponential(Segment):
             roots = np.where(live, np.log(ratio) / rate, np.nan)
         return _roots_inside(whole, roots, lo, hi)
 
-    def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
-        a, b, c = self.coeff, self.rate, self.offset
-        if b == 0.0:
-            return Const(a + c).integrate_affine(lo, hi, c0, c1)
+    @staticmethod
+    def _integral(lo, hi, c0, c1, coeff, rate, offset):
+        a, b, c = coeff, rate, offset
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         # x = x0 + side*s for s in [0, d], from the end x0 where exp(b x) is
         # largest, so exp(b x) = exp(b x0) exp(z s / d) with z = -|b| d <= 0;
         # written in the gap d, never as a difference of antiderivatives
         d = hi - lo
-        x0, side = (hi, -1.0) if b > 0.0 else (lo, 1.0)
-        z = -abs(b) * d
-        e1, e2 = _exp_moments(z)
-        with np.errstate(invalid="ignore"):
+        up = b > 0.0
+        x0, side = np.where(up, hi, lo), np.where(up, -1.0, 1.0)
+        z = -np.abs(b) * d
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e1, e2 = _exp_moments(z)
             exp_part = np.exp(b * x0) * d * ((c0 + c1 * x0) * e1 + side * c1 * d * e2)
             value = a * exp_part + c * d * (c0 + 0.5 * c1 * (lo + hi))
             to_inf = np.isinf(d)
             if to_inf.any():
                 # over a half-line d*e1 and d*d*e2 are their limits,
-                # -expm1(z)/|b| and -expm1(z)/b**2, and a zero offset adds
-                # nothing
-                gap = -np.expm1(z) / abs(b)
-                tail = a * np.exp(b * x0) * ((c0 + c1 * x0) * gap + side * c1 * gap / abs(b))
-                if c != 0.0:
-                    tail = tail + c * d * (c0 + 0.5 * c1 * (lo + hi))
+                # -expm1(z)/|b| and -expm1(z)/b**2, and a term whose
+                # coefficient is 0 adds nothing
+                gap = -np.expm1(z) / np.abs(b)
+                tail = np.where(
+                    a == 0.0,
+                    0.0,
+                    a * np.exp(b * x0) * ((c0 + c1 * x0) * gap + side * c1 * gap / np.abs(b)),
+                )
+                tail = tail + _tail(_poly_terms((c,), lo, hi, c0, c1))
                 value = np.where(to_inf, tail, value)
+        # a rate-0 row is the constant a + c
+        flat = b == 0.0
+        if np.any(flat):
+            value = np.where(flat, Const._integral(lo, hi, c0, c1, a + c), value)
         return value
 
     def scaled(self, c):
@@ -504,11 +555,12 @@ class Log(Segment):
             roots = np.where(live, center + np.exp(-offset / coeff) / scale, np.nan)
         return _roots_inside(~live & (offset == 0.0), roots, lo, hi)
 
-    def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
+    @staticmethod
+    def _integral(lo, hi, c0, c1, coeff, scale, center, offset):
         # substitute t = side*(x - center) with side = sign(scale), so
         # f = k log(lam t) + o with lam = |scale| and the weight is A + B t
-        k, c, o = self.coeff, self.center, self.offset
-        side, lam = np.sign(self.scale), abs(self.scale)
+        k, c, o = coeff, center, offset
+        side, lam = np.sign(scale), np.abs(scale)
         t0, t1 = _half_line(lo, hi, side, c, "log")
         A = c0 + c1 * c
         B = c1 * side
@@ -522,7 +574,12 @@ class Log(Segment):
         mid = 0.5 * (t0 + t1)
         int_log = d * (log1 - 1.0) + tg  # integral of log(lam t)
         int_tlog = d * mid * (log1 - 0.5) + 0.5 * ttg  # integral of t log(lam t)
-        return k * (A * int_log + B * int_tlog) + o * d * (A + B * mid)
+        value = k * (A * int_log + B * int_tlog) + o * d * (A + B * mid)
+        to_inf = np.isinf(t1)
+        if to_inf.any():
+            terms = ((k * A, int_log), (k * B, int_tlog), (o * A, d), (o * B, d * mid))
+            value = np.where(to_inf, _tail(terms), value)
+        return value
 
     def scaled(self, c):
         return Log(self.coeff * c, self.scale, self.center, self.offset * c)
@@ -560,12 +617,23 @@ class _Table(NamedTuple):
     row_of: np.ndarray | None
 
 
-def _kernel_call(group: _Group, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The group's kernel at x, each entry with the parameters of its row;
-    a group of one passes its own parameters as scalars."""
+def _params(group: _Group, rows: np.ndarray) -> tuple:
+    """The static parameters of the group, then the row parameters of each
+    of its rows ``rows``, one array per parameter; a group of one gives its
+    own parameters as scalars."""
     if group.row is not None:
-        return group.kind._kernel(x, *group.static, *group.row)
-    return group.kind._kernel(x, *group.static, *group.cols.take(rows, axis=1))
+        return (*group.static, *group.row)
+    return (*group.static, *group.cols.take(rows, axis=1))
+
+
+def _pick(c, sel):
+    """The entries ``sel`` of a weight, which may be a scalar."""
+    return c[sel] if isinstance(c, np.ndarray) else c
+
+
+def _flat(v: np.ndarray, shape: tuple) -> np.ndarray:
+    """v broadcast to ``shape``, as a flat array."""
+    return (v if v.shape == shape else np.broadcast_to(v, shape)).reshape(-1)
 
 
 def _in_piece_order(parts) -> list:
@@ -595,11 +663,13 @@ class PiecewiseFn:
     gathered from the group's table.  A function of one segment calls its
     kernel and its zero rule directly, with no lookup and no table, and a
     group of one row gets its scalars, with no gather.  The table is built
-    when the function is first evaluated or zero-passed, so building,
-    scaling or restricting a function builds none.
+    when the function is first evaluated, integrated or zero-passed, so
+    building, scaling or restricting a function builds none.
     ``sides`` reads both one-sided values at breakpoints through the same
     kernels, and ``zeros`` is the one zero pass: each group's zero rule once,
-    over all its rows.  ``integrate`` still runs segment by segment.
+    over all its rows.  ``integrate`` runs each group's integral rule over
+    the first pieces of all its intervals, then over all their later
+    pieces, and adds the pieces in order (see its docstring).
     """
 
     breakpoints: tuple[float, ...]
@@ -668,24 +738,33 @@ class PiecewiseFn:
         (seg,) = self.segments
         return seg._kernel(x, *seg._static, *seg._row)
 
-    def _eval(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """f at each entry of the flat array x, read on the piece that idx
-        names: one kernel call per group."""
+    def _by_group(self, idx: np.ndarray, call) -> np.ndarray:
+        """``call(group, run, rows)`` once for each group that the piece
+        indices idx meet, where run picks that group's entries of idx and
+        rows are their rows in its table; the results are put back in the
+        order of idx."""
         _, groups, group_of, row_of = self._table
         if group_of is None:
-            return _kernel_call(groups[0], x, idx)
+            return call(groups[0], slice(None), idx)
         # one stable sort lines up the entries of each group in one run
         gid = group_of[idx]
         order = np.argsort(gid, kind="stable")
         ends = np.searchsorted(gid[order], np.arange(len(groups)), side="right")
-        out = np.empty_like(x)
+        out = np.empty(len(idx))
         start = 0
         for group, end in zip(groups, ends.tolist()):
             if end > start:
                 run = order[start:end]
-                out[run] = _kernel_call(group, x[run], row_of[idx[run]])
+                out[run] = call(group, run, row_of[idx[run]])
             start = end
         return out
+
+    def _eval(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """f at each entry of the flat array x, read on the piece that idx
+        names: one kernel call per group."""
+        return self._by_group(
+            idx, lambda group, run, rows: group.kind._kernel(x[run], *_params(group, rows))
+        )
 
     def __call__(self, x):
         if np.ndim(x) == 0:
@@ -711,31 +790,68 @@ class PiecewiseFn:
         values = self._eval(np.concatenate([x, x]), idx)
         return values[: len(x)], values[len(x) :]
 
+    def _integrals(self, piece, a, b, c0, c1) -> np.ndarray:
+        """The integral of (c0 + c1*x) f(x) over each [a, b] inside the piece
+        ``piece``: one integral rule call per group."""
+        return self._by_group(
+            piece,
+            lambda group, run, rows: group.kind._integral(
+                a[run], b[run], _pick(c0, run), _pick(c1, run), *_params(group, rows)
+            ),
+        )
+
     def integrate(self, lo, hi, c0=1.0, c1=0.0):
         """Integral of (c0 + c1*x) f(x) over [lo, hi]; hi < lo flips the sign.
 
         The arguments broadcast against each other; all-scalar arguments
-        give a float.
+        give a float.  The pieces an interval meets fill slots from its
+        left end: slot 0 holds each interval's first piece, the one that
+        holds lo, and slot j its j-th piece after that.  Slot 0 runs each
+        group's integral rule once and the later slots together once more;
+        the pieces are added slot by slot, so each interval's total is
+        summed from 0.0 in piece order.
         """
-        scalar = all(np.ndim(v) == 0 for v in (lo, hi, c0, c1))
-        lo, hi, c0, c1 = np.broadcast_arrays(
-            *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (lo, hi, c0, c1))
-        )
-        sign = np.where(hi < lo, -1.0, 1.0)
-        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        lo, hi, c0, c1 = (np.asarray(v, dtype=float) for v in (lo, hi, c0, c1))
+        shape = np.broadcast(lo, hi, c0, c1).shape
+        lo, hi = _flat(lo, shape), _flat(hi, shape)
+        # a scalar weight stays a scalar
+        c0, c1 = (float(c) if c.ndim == 0 else _flat(c, shape) for c in (c0, c1))
+        flip = hi < lo
+        flipped = flip.any()
+        if flipped:
+            lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
         total = np.zeros(lo.shape)
-        bps = self.breakpoints
-        # only the segments that some [lo, hi] meets
-        first = max(int(np.searchsorted(bps, lo.min(initial=np.inf), side="right")) - 1, 0)
-        last = min(int(np.searchsorted(bps, hi.max(initial=-np.inf))), len(self.segments))
-        for i in range(first, last):
-            a = np.maximum(lo, bps[i])
-            b = np.minimum(hi, bps[i + 1])
+        if len(self.segments) == 1:
+            (seg,) = self.segments
+            a, b = np.maximum(lo, self.lo), np.minimum(hi, self.hi)
             on = b > a
-            if on.any():
-                total[on] += self.segments[i].integrate_affine(a[on], b[on], c0[on], c1[on])
-        total = sign * total
-        return float(total[0]) if scalar else total
+            k = slice(None) if on.all() else on.nonzero()[0]
+            params = (*seg._static, *seg._row)
+            total[k] += seg._integral(a[k], b[k], _pick(c0, k), _pick(c1, k), *params)
+        else:
+            bps = self._table.bps
+            first = bps[1:-1].searchsorted(lo, side="right")
+            a, b = np.maximum(lo, bps[first]), np.minimum(hi, bps[1:][first])
+            on = b > a
+            k = slice(None) if on.all() else on.nonzero()[0]
+            total[k] += self._integrals(first[k], a[k], b[k], _pick(c0, k), _pick(c1, k))
+            # the intervals that reach past their first piece, and how many
+            # more pieces each meets: up to the last that starts below hi
+            more = (b < hi).nonzero()[0]
+            extra = bps[:-1].searchsorted(hi[more], side="left") - 1 - first[more]
+            slots = [more[extra >= j] for j in range(1, extra.max(initial=0) + 1)]
+            if slots:
+                k = np.concatenate(slots)
+                piece = first[k] + np.repeat(np.arange(1, len(slots) + 1), [len(s) for s in slots])
+                a, b = np.maximum(lo[k], bps[piece]), np.minimum(hi[k], bps[piece + 1])
+                values = self._integrals(piece, a, b, _pick(c0, k), _pick(c1, k))
+                start = 0
+                for rows in slots:
+                    total[rows] += values[start : start + len(rows)]
+                    start += len(rows)
+        if flipped:
+            total = np.where(flip, -1.0, 1.0) * total
+        return float(total[0]) if not shape else total.reshape(shape)
 
     def scaled(self, c):
         return PiecewiseFn(self.breakpoints, tuple(s.scaled(c) for s in self.segments))
@@ -753,9 +869,18 @@ class PiecewiseFn:
         return PiecewiseFn(tuple(bps), tuple(segs))
 
     def with_breakpoints(self, extra) -> "PiecewiseFn":
-        """Refine the partition by inserting breakpoints (same function)."""
-        pts = sorted(set(self.breakpoints) | {p for p in extra if self.lo < p < self.hi})
-        return PiecewiseFn(tuple(pts), tuple(self._piece(a) for a in pts[:-1]))
+        """Refine the partition by inserting breakpoints (same function);
+        with none new, the function itself."""
+        bps = self.breakpoints
+        lo, hi = bps[0], bps[-1]
+        new = {p for p in extra if lo < p < hi}.difference(bps)
+        if not new:
+            return self
+        pts = sorted(new.union(bps))
+        # each piece takes the segment of the old piece that holds its left
+        # end, found by one lookup for all of them
+        idx = np.searchsorted(bps[1:-1], pts[:-1], side="right").tolist()
+        return PiecewiseFn(tuple(pts), tuple(self.segments[i] for i in idx))
 
     def zeros(self, lo=-np.inf, hi=np.inf) -> tuple[list, list]:
         """Exact {f = 0} on [lo, hi] as raw parts, (intervals, points), in

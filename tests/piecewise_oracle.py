@@ -1,11 +1,15 @@
 """The per-segment route through piecewise functions, kept as the oracle of
 the grouped one in ``gdarb.piecewise``: every point is evaluated by its own
 segment's scalar call, every segment's zero rule runs on its own and makes
-its own ``BorelSet``, the sign pass cuts segment by segment, and the jumps
-of q' are read one breakpoint at a time.  The zero rules are the catalog's
-per kind, with one correction the grouped pass makes too: a root at a piece
-end belongs to the zero set for every kind (``Exponential`` and ``Log``
-once kept only interior roots)."""
+its own ``BorelSet``, the sign pass cuts segment by segment, integrals run
+segment by segment over every interval, refinement looks up each new piece
+on its own, and the jumps of q' are read one breakpoint at a time.  The
+zero rules are the catalog's per kind, with one correction the grouped
+pass makes too: a root at a piece end belongs to the zero set for every
+kind (``Exponential`` and ``Log`` once kept only interior roots).  The
+integrals over finite limits are the catalog's per-kind closed forms as
+each segment once wrote them on its own (``finite_integral``), not the
+grouped rules."""
 
 from __future__ import annotations
 
@@ -14,7 +18,17 @@ from bisect import bisect_right
 import numpy as np
 
 from gdarb.borel import EMPTY, BorelSet
-from gdarb.piecewise import Affine, Const, Exponential, Log, Poly, Power
+from gdarb.piecewise import (
+    Affine,
+    Const,
+    Exponential,
+    Log,
+    Poly,
+    Power,
+    _exp_moments,
+    _half_line,
+    _power_integral,
+)
 
 
 def segment_of(pw, x):
@@ -27,6 +41,89 @@ def segment_of(pw, x):
 def evaluate(pw, xs):
     """pw at each entry of xs, one scalar segment call per point."""
     return np.array([float(segment_of(pw, x)(x)) for x in np.asarray(xs, dtype=float).tolist()])
+
+
+def integrate(pw, lo, hi, c0=1.0, c1=0.0):
+    """The integral of (c0 + c1*x) pw(x) over each [lo, hi] (hi < lo flips
+    the sign), segment by segment: each segment's own integral over its
+    part of every interval it meets, added to the interval's total from 0.0
+    in segment order."""
+    lo, hi, c0, c1 = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (lo, hi, c0, c1))
+    )
+    sign = np.where(hi < lo, -1.0, 1.0)
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    total = np.zeros(lo.shape)
+    bps = pw.breakpoints
+    for i, seg in enumerate(pw.segments):
+        a, b = np.maximum(lo, bps[i]), np.minimum(hi, bps[i + 1])
+        on = b > a
+        if on.any():
+            a, b, w0, w1 = a[on], b[on], c0[on], c1[on]
+            part = np.isfinite(a) & np.isfinite(b)
+            piece = np.empty(len(a))
+            piece[part] = finite_integral(seg, a[part], b[part], w0[part], w1[part])
+            # over an infinite limit, the segment's own rule
+            piece[~part] = seg.integrate_affine(a[~part], b[~part], w0[~part], w1[~part])
+            total[on] += piece
+    return sign * total
+
+
+def finite_integral(seg, lo, hi, c0, c1):
+    """The integral of (c0 + c1*x) seg(x) over each finite [lo, hi], by the
+    kind's closed form as the segment once wrote it on its own: numpy's
+    polyint, polymulx and polyval for a polynomial, a rate-0 exponential as
+    the constant coeff + offset."""
+    if isinstance(seg, Const):
+        return seg.value * (c0 * (hi - lo) + 0.5 * c1 * (hi * hi - lo * lo))
+    if isinstance(seg, (Affine, Poly)):
+        pp = np.polynomial.polynomial
+        coeffs = seg.coeffs if isinstance(seg, Poly) else (seg.intercept, seg.slope)
+
+        def moment(cs):
+            anti = pp.polyint(cs)
+            return pp.polyval(hi, anti) - pp.polyval(lo, anti)
+
+        return c0 * moment(coeffs) + c1 * moment(pp.polymulx(coeffs))
+    if isinstance(seg, Power):
+        s, c, p, a, b = seg.side, seg.center, seg.exponent, seg.coeff, seg.offset
+        t0, t1 = _half_line(lo, hi, s, c, "power")
+        if p <= -1.0 and np.any(t0 == 0.0):
+            raise ValueError("non-integrable power singularity")
+        A, B = c0 + c1 * c, c1 * s
+        power_part = A * _power_integral(t0, t1, p) + B * _power_integral(t0, t1, p + 1.0)
+        return a * power_part + b * (t1 - t0) * (A + 0.5 * B * (t0 + t1))
+    if isinstance(seg, Exponential):
+        a, b, c = seg.coeff, seg.rate, seg.offset
+        if b == 0.0:
+            return finite_integral(Const(a + c), lo, hi, c0, c1)
+        d = hi - lo
+        x0, side = (hi, -1.0) if b > 0.0 else (lo, 1.0)
+        e1, e2 = _exp_moments(-abs(b) * d)
+        exp_part = np.exp(b * x0) * d * ((c0 + c1 * x0) * e1 + side * c1 * d * e2)
+        return a * exp_part + c * d * (c0 + 0.5 * c1 * (lo + hi))
+    if isinstance(seg, Log):
+        k, c, o = seg.coeff, seg.center, seg.offset
+        side, lam = np.sign(seg.scale), abs(seg.scale)
+        t0, t1 = _half_line(lo, hi, side, c, "log")
+        A, B = c0 + c1 * c, c1 * side
+        d = t1 - t0
+        log1 = np.log(lam * t1)
+        g = np.log1p(d / t0)
+        tg = np.where(t0 > 0.0, t0 * g, 0.0)
+        ttg = np.where(t0 > 0.0, t0 * t0 * g, 0.0)
+        mid = 0.5 * (t0 + t1)
+        int_log = d * (log1 - 1.0) + tg
+        int_tlog = d * mid * (log1 - 0.5) + 0.5 * ttg
+        return k * (A * int_log + B * int_tlog) + o * d * (A + B * mid)
+    raise TypeError(type(seg).__name__)
+
+
+def with_breakpoints(pw, extra):
+    """pw on its breakpoints and the new ones inside (lo, hi), each piece
+    taking the segment of the piece that holds its left end."""
+    pts = sorted(set(pw.breakpoints) | {p for p in extra if pw.lo < p < pw.hi})
+    return tuple(pts), tuple(segment_of(pw, a) for a in pts[:-1])
 
 
 def _poly_roots(coeffs, lo, hi):

@@ -322,6 +322,26 @@ def test_parser_reuse_keeps_calls_independent(tmp_path, monkeypatch, capsys):
     assert (seen[5]["strategy"], seen[5]["tol_route"]) == ("theta", 0.05)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # --h once read as an abbreviation of --help: full help, exit 0
+        ["analyze", "--example", "fat-cantor", "--h", "0.05"],
+        ["demo", "fat-cantor", "--h", "0.05"],
+        ["simulate", "--example", "bachelier-sticky", "--pa", "1"],
+        ["backtest", "--example", "bachelier-sticky", "--strat", "unit"],
+        ["--qui", "analyze", "--example", "fat-cantor"],
+    ],
+)
+def test_abbreviated_option_is_a_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path), *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments" in captured.err and not captured.out
+    assert not list(tmp_path.iterdir())
+
+
 def test_parser_built_once(tmp_path, monkeypatch):
     # every build of the parser adds its subcommands once
     built = []
@@ -413,6 +433,32 @@ def test_chunk_matches_row_writer(pid, first_step, columns, route):
     rows = [[pid, a, b, route] for a, b in zip(t, u)]
     chunk = cli._chunk(f"{pid},%.17g,%.17g,{route}\n", t, u)
     assert as_file(header, chunk) == csv_bytes(header, rows)
+
+
+@settings(max_examples=60)
+@given(column=st.lists(_doubles | st.sampled_from(_EDGES), max_size=40))
+@example(column=_EDGES + _EDGES[::-1] + [float("-nan"), 0.0, -0.0])
+def test_text_formats_each_entry_as_percent_g(column):
+    # a column formatted once per distinct bit pattern reads as if each
+    # entry were formatted on its own: -0 keeps its sign
+    text = cli._text(np.array(column, dtype=float))
+    assert text.tolist() == ["%.17g" % x for x in column]
+
+
+@settings(max_examples=60)
+@given(
+    grid=st.lists(_doubles | st.sampled_from(_EDGES), min_size=1, max_size=30),
+    data=st.data(),
+)
+def test_node_text_formats_each_visited_node_as_percent_g(grid, data):
+    # calls that reach below and above the nodes met so far read as if
+    # each node were formatted on its own
+    grid = np.array(grid, dtype=float)
+    positions = cli._node_text(grid)
+    index = st.integers(0, len(grid) - 1)
+    for _ in range(data.draw(st.integers(1, 4))):
+        states = np.array(data.draw(st.lists(index, min_size=1, max_size=20)), dtype=np.intp)
+        assert positions(states).tolist() == ["%.17g" % grid[i] for i in states.tolist()]
 
 
 @pytest.mark.parametrize("name", MARKETS)

@@ -36,9 +36,13 @@ _EXPONENTS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
 
 
 @st.composite
-def _segment_on(draw, a, b):
+def _segment_on(draw, a, b, integrable=False):
     """A segment of any kind, valid on [a, b]: a power or log segment's
-    half-line starts at a (or ends at b) or a gap beyond it."""
+    half-line starts at a (or ends at b) or a gap beyond it.
+
+    An integrable segment is one whose integral over [a, b] exists even
+    where a or b is infinite: its half-line holds all of [a, b], and a
+    power of exponent <= -1 keeps a gap from its center."""
     value = st.sampled_from(_VALUES)
     kind = draw(st.sampled_from(KINDS))
     if kind is Const:
@@ -51,20 +55,28 @@ def _segment_on(draw, a, b):
         rate = draw(st.sampled_from((0.0, 1.0, -1.0, 0.3, -2.0)))
         return Exponential(draw(value), rate, draw(value))
     side = draw(st.sampled_from((1, -1)))
-    center = (a if side == 1 else b) - side * draw(st.sampled_from((0.0, 0.25, 1.0)))
+    if integrable and np.isinf(a) != np.isinf(b):
+        side = 1 if np.isinf(b) else -1
+    ends = (max(a, -1e3), min(b, 1e3))
+    gap = draw(st.sampled_from((0.0, 0.25, 1.0)))
     if kind is Power:
-        return Power(draw(value), center, draw(st.sampled_from(_EXPONENTS)), draw(value), side)
+        coeff, exponent = draw(value), draw(st.sampled_from(_EXPONENTS))
+        if integrable and exponent <= -1.0:
+            gap += 0.5
+        center = ends[side == -1] - side * gap
+        return Power(coeff, center, exponent, draw(value), side)
+    center = ends[side == -1] - side * gap
     return Log(draw(value), side * draw(st.sampled_from((0.5, 1.0, 2.0))), center, draw(value))
 
 
 @st.composite
-def _piecewise_fns(draw):
+def _piecewise_fns(draw, integrable=False):
     n = draw(st.sampled_from((1, 2, 3, 7, 64, 200)) | st.integers(1, 200))
     widths = [draw(st.sampled_from((0.05, 0.25, 1.0, 3.0))) for _ in range(n - 1)]
     bps = [float(x) for x in np.cumsum([0.0] + widths) - 2.0]
     bps = [draw(st.sampled_from((-np.inf, bps[0] - 1.0)))] + bps
     bps.append(draw(st.sampled_from((np.inf, bps[-1] + 1.0))))
-    segs = tuple(draw(_segment_on(max(a, -1e3), min(b, 1e3))) for a, b in zip(bps, bps[1:]))
+    segs = tuple(draw(_segment_on(a, b, integrable)) for a, b in zip(bps, bps[1:]))
     return PiecewiseFn(tuple(bps), segs)
 
 
@@ -119,6 +131,124 @@ def test_grouped_route_equals_per_segment_route(pw, cut):
     assert model.q_second_atoms == oracle.q_second_atoms(model)
 
 
+_WEIGHTS = st.sampled_from(_VALUES + (-0.0,))
+
+
+@st.composite
+def _limits(draw, pw):
+    """Arrays of limits drawn from the breakpoints, the points between and
+    beyond them and +-inf, so that some intervals are empty or reversed,
+    end on a breakpoint or reach an infinite end; and weights, each a
+    scalar or an array."""
+    pool = st.sampled_from(_points(pw).tolist()) | st.sampled_from((-np.inf, np.inf))
+    n = draw(st.sampled_from((0, 1, 16)) | st.integers(0, 16))
+    lo = np.array([draw(pool) for _ in range(n)])
+    hi = np.array([draw(pool) for _ in range(n)])
+    weights = [
+        draw(_WEIGHTS | st.lists(_WEIGHTS, min_size=n, max_size=n).map(np.array))
+        for _ in range(2)
+    ]
+    return lo, hi, *weights
+
+
+@settings(max_examples=35)
+@given(data=st.data(), pw=_piecewise_fns(integrable=True))
+def test_grouped_integrate_equals_per_segment_loop(data, pw):
+    # every kind, power exponents -2..3, poly degrees 0..4: the grouped
+    # integral adds each interval's pieces in the per-segment loop's order
+    lo, hi, c0, c1 = data.draw(_limits(pw))
+    with np.errstate(all="ignore"):
+        try:
+            want = oracle.integrate(pw, lo, hi, c0, c1)
+        except ValueError:
+            # a power or log half-line that cannot hold an infinite piece
+            with pytest.raises(ValueError):
+                pw.integrate(lo, hi, c0, c1)
+            return
+        got = pw.integrate(lo, hi, c0, c1)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_integral_rule_equals_closed_form_of_its_kind(data):
+    # each kind's grouped rule against the closed form a segment once
+    # wrote on its own, over finite limits that may be equal or reversed
+    a = data.draw(st.sampled_from((-3.0, -0.5, 0.0, 1.0)))
+    b = a + data.draw(st.sampled_from((0.05, 1.0, 4.0)))
+    seg = data.draw(_segment_on(a, b, integrable=True))
+    ends = st.sampled_from((a, b, 0.5 * (a + b), a + 0.01 * (b - a)))
+    n = data.draw(st.integers(1, 12))
+    lo, hi = (np.array([data.draw(ends) for _ in range(n)]) for _ in range(2))
+    c0, c1 = (
+        data.draw(_WEIGHTS | st.lists(_WEIGHTS, min_size=n, max_size=n).map(np.array))
+        for _ in range(2)
+    )
+    with np.errstate(all="ignore"):
+        want = oracle.finite_integral(seg, lo, hi, c0, c1)
+        got = seg.integrate_affine(lo, hi, c0, c1)
+        one = seg.integrate_affine(float(lo[0]), float(hi[0]), 1.0, 0.5)
+        one_want = oracle.finite_integral(seg, lo[:1], hi[:1], 1.0, 0.5)
+    assert np.asarray(got).tobytes() == np.broadcast_to(want, got.shape).tobytes()
+    assert np.asarray(one, dtype=float).reshape(1).tobytes() == one_want.tobytes()
+
+
+@settings(max_examples=30)
+@given(data=st.data(), pw=_piecewise_fns())
+def test_with_breakpoints_matches_per_point_lookup(data, pw):
+    extra = data.draw(st.lists(st.sampled_from(_points(pw).tolist()), max_size=12))
+    refined = pw.with_breakpoints(extra)
+    assert (refined.breakpoints, refined.segments) == oracle.with_breakpoints(pw, extra)
+    assert (refined is pw) == (len(refined.segments) == len(pw.segments))
+    assert pw.with_breakpoints([*pw.breakpoints, np.nan]) is pw
+
+
+_HALF_LINE_CASES = [
+    # (segment, lo, hi, c0, c1, closed form): a term whose coefficient is 0
+    # adds nothing over an infinite limit
+    (Const(0.0), -np.inf, 0.0, 1.0, 0.0, 0.0),
+    (Const(0.0), 0.0, np.inf, 0.5, 2.0, 0.0),
+    (Const(1.5), 0.0, np.inf, 0.0, 0.0, 0.0),
+    (Affine(0.0, 0.0), -np.inf, np.inf, 1.0, 1.0, 0.0),
+    (Poly((0.0, 0.0, 0.0)), 1.0, np.inf, 1.0, -1.0, 0.0),
+    (Exponential(0.0, 1.0, 0.0), -np.inf, 0.0, 1.0, 1.0, 0.0),
+    (Exponential(1.0, 1.0, 0.0), -np.inf, 0.0, 1.0, 0.0, 1.0),
+    (Exponential(2.0, -0.5, 0.0), 0.0, np.inf, 1.0, 0.0, 4.0),
+    (Log(0.0, 1.0, 0.0, 0.0), 1.0, np.inf, 1.0, 1.0, 0.0),
+    (Power(1.0, 0.0, -2.0, 0.0, 1), 1.0, np.inf, 1.0, 0.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("seg,lo,hi,c0,c1,want", _HALF_LINE_CASES)
+def test_integral_of_a_vanishing_term_over_a_half_line(seg, lo, hi, c0, c1, want):
+    with np.errstate(invalid="ignore"):  # the finite-limit form, set aside
+        got = seg.integrate_affine(lo, hi, c0, c1)
+        # arrays of limits take the same rule, row by row
+        arr = seg.integrate_affine(np.array([lo, lo]), np.array([hi, hi]), c0, c1)
+    assert float(got) == want
+    assert arr.tolist() == [want, want]
+    numeric, _ = quad(lambda x: (c0 + c1 * x) * float(seg(x)), lo, hi, epsabs=1e-13)
+    assert float(got) == pytest.approx(numeric, rel=1e-9, abs=1e-12)
+
+
+def test_integral_over_a_half_line_examples():
+    # each was nan, from 0 * inf
+    with np.errstate(invalid="ignore"):
+        assert float(Const(0.0).integrate_affine(-np.inf, 0.0)) == 0.0
+        pw = PiecewiseFn((-np.inf, 0.0, np.inf), (Const(0.0), Const(1.0)))
+        assert pw.integrate(-np.inf, 1.0) == 1.0
+    want = quad(lambda x: float(pw(x)), -np.inf, 0.0)[0] + quad(lambda x: float(pw(x)), 0.0, 1.0)[0]
+    assert want == pytest.approx(1.0)
+    # the offset 0.5 over (-inf, 0] diverges to +inf; the exponential part is 1
+    seg = Exponential(1.0, 1.0, 0.5)
+    with np.errstate(invalid="ignore"):
+        assert float(seg.integrate_affine(-np.inf, 0.0)) == np.inf
+    for length in (10.0, 100.0):
+        finite = float(seg.integrate_affine(-length, 0.0))
+        assert finite == pytest.approx(-np.expm1(-length) + 0.5 * length, rel=1e-13)
+        assert finite == pytest.approx(quad(lambda x: float(seg(x)), -length, 0.0)[0], rel=1e-9)
+
+
 def _analyze(depth):
     model = cat.fat_cantor_model(depth=depth, r=0.2)
     validate(model)
@@ -140,8 +270,9 @@ def _calls(monkeypatch, run):
     with monkeypatch.context() as m:
         m.setattr(BorelSet, "make", staticmethod(counting("BorelSet.make", BorelSet.make)))
         for kind in (Segment, *KINDS):
-            if "__call__" in vars(kind):
-                m.setattr(kind, "__call__", counting("Segment.__call__", kind.__call__))
+            for method in ("__call__", "integrate_affine"):
+                if method in vars(kind):
+                    m.setattr(kind, method, counting(f"Segment.{method}", getattr(kind, method)))
             if "_kernel" in vars(kind):
                 m.setattr(kind, "_kernel", staticmethod(counting(kind.__name__, kind._kernel)))
         run()
@@ -159,6 +290,21 @@ def test_fat_cantor_analysis_runs_per_group_not_per_segment(monkeypatch):
     assert deep["Segment.__call__"] == 0
     assert deep == shallow
     assert deep["Power"] > 0 and deep["Const"] > 0
+
+    # the whole analysis integrates nu's density over its carrier with
+    # each group's integral rule, never segment by segment
+    def analysis():
+        model = cat.fat_cantor_model(depth=6, r=-0.2)
+        validate(model)
+        bundle = arbitrage.build_nu(model)
+        arbitrage.market_verdicts(model, bundle)
+        theta = arbitrage.build_theta(bundle)
+        arbitrage.build_theta_bar(model, bundle)
+        arbitrage.check_strategy_conditions(model, bundle, theta)
+
+    counts = _calls(monkeypatch, analysis)
+    assert counts["Segment.integrate_affine"] == 0
+    assert counts["Segment.__call__"] == 0
 
 
 def test_parameter_table_is_built_on_first_use():
