@@ -16,7 +16,7 @@ import numpy as np
 from .borel import EMPTY, BorelSet
 from .measures import SignedMeasure, jordan_hahn, positive_set
 from .model import NaturalScaleModel, UnsupportedModelError, zero_set
-from .piecewise import Const, PiecewiseFn
+from .piecewise import Const, PiecewiseFn, _scaled_cols
 
 __all__ = [
     "NuBundle",
@@ -109,30 +109,40 @@ def _nu_ac_density(model: NaturalScaleModel, carrier: BorelSet) -> PiecewiseFn:
     Supported when, on every piece meeting the carrier with positive
     measure, q or the speed density is piecewise constant (q is constant on
     any interval where q' vanishes, which covers every representable
-    carrier of positive measure).
+    carrier of positive measure).  Each piece is q's scaled by -r times the
+    constant speed density, or else the speed density's scaled by -r times
+    the constant q, or else 0; the table is filled column by column.
     """
     r = model.rate
     # align the partitions on the union of their finite breakpoints
-    cuts = [b for b in {*model.q.breakpoints, *model.m_ac.breakpoints} if np.isfinite(b)]
-    q = model.q.with_breakpoints(cuts)
-    m = model.m_ac.with_breakpoints(cuts)
-    segs = []
-    for i, (qseg, mseg) in enumerate(zip(q.segments, m.segments)):
-        a, b = q.breakpoints[i], q.breakpoints[i + 1]
-        if isinstance(mseg, Const):
-            segs.append(qseg.scaled(-r * mseg.value))
-        elif isinstance(qseg, Const):
-            segs.append(mseg.scaled(-r * qseg.value))
-        else:
-            aa = max(a, -1e12)
-            bb = min(b, 1e12)
-            overlap = carrier.intersect(BorelSet.make([(aa, bb)]))
-            if overlap.lebesgue() > 0:
-                raise UnsupportedModelError(
-                    f"cannot form q*m_ac product density on [{a}, {b}]"
-                )
-            segs.append(Const(0.0))
-    return PiecewiseFn(q.breakpoints, tuple(segs))
+    cuts = np.concatenate((model.q._bps, model.m_ac._bps))
+    q = model.q.with_breakpoints(cuts[np.isfinite(cuts)])
+    m = model.m_ac.with_breakpoints(cuts[np.isfinite(cuts)])
+
+    def constants(fn):
+        """The mask of fn's constant pieces, and their values (nan elsewhere)."""
+        const, value = np.zeros(len(fn._row_of), dtype=bool), np.full(len(fn._row_of), np.nan)
+        for g, group in enumerate(fn._groups):
+            if group.kind is Const:
+                mine = fn._group_of == g
+                const |= mine
+                value[mine] = group.cols[0, fn._row_of[mine]]
+        return const, value
+
+    (q_const, q_value), (m_const, m_value) = constants(q), constants(m)
+    parts = []
+    for fn, pieces, c in ((q, m_const, m_value), (m, q_const & ~m_const, q_value)):
+        for kind, static, mine, cols in fn._parts(pieces.nonzero()[0]):
+            parts.append((kind, static, mine, _scaled_cols(kind, cols, -r * c[mine])))
+    rest = (~(m_const | q_const)).nonzero()[0]
+    bps = q._bps
+    for a, b in zip(bps[rest].tolist(), bps[rest + 1].tolist()):
+        overlap = carrier.intersect(BorelSet.make([(max(a, -1e12), min(b, 1e12))]))
+        if overlap.lebesgue() > 0:
+            raise UnsupportedModelError(f"cannot form q*m_ac product density on [{a}, {b}]")
+    if len(rest):
+        parts.append((Const, (), rest, np.zeros((1, len(rest)))))
+    return PiecewiseFn._from_columns(bps, parts)
 
 
 def _net_mass(t1: float, t2: float) -> float:

@@ -1,18 +1,23 @@
 """Finite representations of Borel subsets of the real line.
 
-A set is stored as a disjoint union of closed intervals, isolated points,
-and at most one Smith-Volterra-Cantor ("fat Cantor") component.  All
-operations (Lebesgue measure, membership, boolean algebra) are exact for
-this class of sets.  Membership has one rule, ``BorelSet._member``: one
-``searchsorted`` over the merged intervals and the points, then the SVC part
-and the exclusions; every query and operation asks it once per operand.
+A set is a disjoint union of closed intervals, isolated points, and at most
+one Smith-Volterra-Cantor ("fat Cantor") component, less finitely many
+excluded points, stored in columns: the intervals as sorted float arrays of
+left and right ends, apart (no two touch), and the points and excluded
+points as sorted float arrays.  In normal form no interval overlaps the SVC
+part's base, a point lies outside the rest and an excluded point inside it.
+``BorelSet.make`` is the one entry from caller lists; it merges intervals
+with one sort and a running maximum of the right ends.  The set operations
+are ``searchsorted`` sweeps over the operands' columns and give their
+results in normal form; every interval end of a result is an operand's, so
+the algebra is exact.  Membership has one rule, ``_covers``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -28,6 +33,8 @@ __all__ = [
 _SVC_EXPAND_CAP = 20
 _MAX_SVC_DEPTH = 30
 
+_NONE = np.empty(0)
+
 
 def svc_measure(depth: int) -> float:
     """Lebesgue measure of the depth-n SVC subset of [0, 1].
@@ -41,22 +48,15 @@ def svc_measure(depth: int) -> float:
 
 
 @lru_cache(maxsize=8)
-def _svc_intervals(depth: int) -> tuple[tuple[Fraction, Fraction], ...]:
-    """The retained intervals of the depth-n SVC subset of [0, 1], exact.
-
-    Enumerated once per depth (a depth-6 set takes about 1 ms in
-    ``Fraction``s); the cache holds the last few depths asked for.
-    """
-    ivs = [(Fraction(0), Fraction(1))]
+def _svc_unit(depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ends of the retained intervals of the depth-n SVC subset of
+    [0, 1], in order.  Every end is a multiple of 2^-(2n+1) in [0, 1], so up
+    to the expansion cap each step is exact in floating point."""
+    lo, hi = np.zeros(1), np.ones(1)
     for k in range(1, depth + 1):
-        gap = Fraction(1, 4**k)
-        nxt = []
-        for lo, hi in ivs:
-            half = (hi - lo - gap) / 2
-            nxt.append((lo, lo + half))
-            nxt.append((hi - half, hi))
-        ivs = nxt
-    return tuple(ivs)
+        half = (hi - lo - 4.0**-k) / 2
+        lo, hi = np.stack([lo, hi - half], 1).ravel(), np.stack([lo + half, hi], 1).ravel()
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -84,14 +84,19 @@ class SVCSet:
     def measure(self) -> float:
         return svc_measure(self.depth) * self.scale
 
-    def to_intervals(self) -> list[tuple[float, float]]:
+    @cached_property
+    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ends of the retained intervals: the depth's unit ends mapped
+        affinely onto the base."""
         if self.depth > _SVC_EXPAND_CAP:
             raise ValueError(
-                f"refusing to expand SVC set of depth {self.depth} "
-                f"(> {_SVC_EXPAND_CAP})"
+                f"refusing to expand SVC set of depth {self.depth} (> {_SVC_EXPAND_CAP})"
             )
-        a, w = self.base_lo, self.scale
-        return [(a + float(lo) * w, a + float(hi) * w) for lo, hi in _svc_intervals(self.depth)]
+        return tuple(self.base_lo + u * self.scale for u in _svc_unit(self.depth))
+
+    def to_intervals(self) -> list[tuple[float, float]]:
+        lo, hi = self._ends
+        return list(zip(lo.tolist(), hi.tolist()))
 
     def contains(self, x):
         """Exact membership, vectorized; works at any depth without expansion."""
@@ -112,90 +117,127 @@ class SVCSet:
         return inside if inside.shape else bool(inside)
 
 
-def _merge_intervals(ivs):
-    ivs = sorted((lo, hi) for lo, hi in ivs if hi >= lo)
-    out = []
-    for lo, hi in ivs:
-        if out and lo <= out[-1][1]:
-            out[-1][1] = max(out[-1][1], hi)
-        else:
-            out.append([lo, hi])
-    return tuple((lo, hi) for lo, hi in out if hi > lo), tuple(
-        lo for lo, hi in out if hi == lo
-    )
+def _covers(lo: np.ndarray, hi: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Whether each entry of x lies in one of the closed intervals [lo, hi],
+    sorted and apart: more of them start at or before x than end before it."""
+    return lo.searchsorted(x, "right") != hi.searchsorted(x, "left")
 
 
-def _in_any(x: np.ndarray, ivs) -> np.ndarray:
-    """Whether each entry of x lies in one of the disjoint closed intervals:
-    the last interval to start at or before x ends at or after it."""
-    ivs = sorted(ivs)
-    ends = np.array([np.nan] + [b for _, b in ivs])  # nan: none starts before x
-    return x <= ends[np.array([a for a, _ in ivs]).searchsorted(x, "right")]
+def _cat(*parts) -> np.ndarray:
+    """The arrays joined, skipping the empty ones."""
+    parts = [p for p in parts if len(p)]
+    return _NONE if not parts else parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-@dataclass(frozen=True)
+def _unique(x: np.ndarray) -> np.ndarray:
+    """x sorted, with each value once; of equal entries the first is kept,
+    as a Python set keeps the first it is given."""
+    if len(x) < 2:
+        return x
+    x = np.sort(x, kind="stable")
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
+def _merge(lo: np.ndarray, hi: np.ndarray):
+    """The components of the union of the closed intervals [lo, hi], each
+    of positive length: one sort by left end (then right end), a running
+    maximum of the right ends, and a new component wherever a left end
+    passes it."""
+    if len(lo) > 1:
+        order = np.lexsort((hi, lo))
+        lo, top = lo[order], np.maximum.accumulate(hi[order])
+        new = np.concatenate(([True], lo[1:] > top[:-1]))
+        lo, hi = lo[new], top[np.concatenate((new[1:], [True]))]
+    return lo, hi
+
+
+def _sweep(a, b):
+    """The intersections of two sorted lists (lo, hi) of intervals that are
+    apart.  The i-th interval of a meets a run of intervals of b, from the
+    first that ends at or after its left end, and the j-th of b a run of a;
+    the pairs that meet rise in both i and j, so listing them by i lists
+    them by j too.  The pieces come out in order and apart; returns those
+    of positive length, and the points of the others."""
+    (a_lo, a_hi), (b_lo, b_hi) = a, b
+    if not len(a_lo) or not len(b_lo):
+        return _NONE, _NONE, _NONE
+    i = np.repeat(np.arange(len(a_lo)), b_lo.searchsorted(a_hi, "right") - b_hi.searchsorted(a_lo))
+    j = np.repeat(np.arange(len(b_lo)), a_lo.searchsorted(b_hi, "right") - a_hi.searchsorted(b_lo))
+    lo, hi = np.maximum(a_lo[i], b_lo[j]), np.minimum(a_hi[i], b_hi[j])
+    point = hi == lo
+    return (lo, hi, _NONE) if not point.any() else (lo[~point], hi[~point], lo[point])
+
+
 class BorelSet:
     """Disjoint union of closed intervals, points, and an optional SVC part.
 
     ``excluded_points`` removes finitely many points from membership tests;
-    it never affects measure (which refers to the closure).
+    it never affects measure (which refers to the closure).  The constructor
+    takes the columns in normal form; callers build sets with ``make``.
     """
 
-    intervals: tuple[tuple[float, float], ...] = ()
-    points: tuple[float, ...] = ()
-    svc: SVCSet | None = None
-    excluded_points: tuple[float, ...] = ()
+    def __init__(self, lo=_NONE, hi=_NONE, points=_NONE, svc=None, excluded=_NONE):
+        self._lo, self._hi, self._pts, self.svc, self._excl = lo, hi, points, svc, excluded
 
     @staticmethod
     def make(intervals=(), points=(), svc=None, excluded_points=()) -> "BorelSet":
-        # the svc part stays symbolic only while no interval overlaps its
-        # base; otherwise the measure would count the overlap twice.  An
-        # interval that covers the whole base makes it redundant; one that
-        # covers a part makes it expand into intervals.
-        ivs, degenerate = _merge_intervals(intervals)
-        if svc is not None:
-            if any(lo <= svc.base_lo and svc.base_hi <= hi for lo, hi in ivs):
-                svc = None
-            elif any(lo < svc.base_hi and hi > svc.base_lo for lo, hi in ivs):
-                ivs, degenerate = _merge_intervals(list(intervals) + svc.to_intervals())
-                svc = None
-        excl = set(float(p) for p in excluded_points)
-        pts = tuple(sorted((set(float(p) for p in points) | set(degenerate)) - excl))
-        excl = tuple(sorted(excl))
-        if pts or excl:
-            # points the rest covers are dropped; exclusions it does not
-            # cover puncture nothing and are dropped too
-            core = BorelSet(ivs, (), svc)
-            pts, excl = core._select(pts, False), core._select(excl, True)
-        return BorelSet(ivs, pts, svc, excl)
+        """The set from lists: intervals as (lo, hi) pairs (those with
+        hi < lo are dropped), points and excluded points as floats."""
+        pts, excl = (
+            np.array(p, dtype=float).reshape(-1) if len(p) else _NONE
+            for p in (points, excluded_points)
+        )
+        if not len(intervals):
+            return _settle(_NONE, _NONE, pts, svc, excl)
+        lo, hi = np.array(intervals, dtype=float).reshape(-1, 2).T
+        proper = hi > lo
+        if not proper.all():
+            # a degenerate interval is a point
+            pts = _cat(pts, lo[hi == lo])
+            lo, hi = lo[proper], hi[proper]
+        return BorelSet._make(lo, hi, pts, svc, excl)
+
+    @staticmethod
+    def _make(lo, hi, pts=_NONE, svc=None, excl=_NONE) -> "BorelSet":
+        """``make`` of column arrays, the intervals of positive length."""
+        return _settle(*_merge(lo, hi), pts, svc, excl)
 
     # -- queries ---------------------------------------------------------
 
     @property
+    def intervals(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self._lo.tolist(), self._hi.tolist()))
+
+    @property
+    def points(self) -> tuple[float, ...]:
+        return tuple(self._pts.tolist())
+
+    @property
+    def excluded_points(self) -> tuple[float, ...]:
+        return tuple(self._excl.tolist())
+
+    @property
     def is_empty(self) -> bool:
-        return not self.intervals and not self.points and self.svc is None
+        return not len(self._lo) and not len(self._pts) and self.svc is None
 
     def lebesgue(self) -> float:
-        total = sum(hi - lo for lo, hi in self.intervals)
+        # the lengths summed from the left, one at a time
+        total = sum((self._hi - self._lo).tolist())
         if self.svc is not None:
             total += self.svc.measure()
         return float(total)
 
-    def _member(self, x: np.ndarray) -> np.ndarray:
-        """Membership of each entry of the 1-d float array x; a point is a
-        degenerate interval."""
-        res = _in_any(x, self.intervals + tuple(zip(self.points, self.points)))
-        if self.svc is not None:
+    def _member(self, x: np.ndarray, whole: bool = True) -> np.ndarray:
+        """Membership of each entry of the 1-d float array x; without
+        ``whole``, in the intervals and points alone."""
+        res = _covers(self._lo, self._hi, x) if len(self._lo) else np.zeros(len(x), dtype=bool)
+        if len(self._pts):
+            res |= _covers(self._pts, self._pts, x)
+        if whole and self.svc is not None:
             res |= self.svc.contains(x)
-        if self.excluded_points:
-            res &= ~_in_any(x, tuple(zip(self.excluded_points, self.excluded_points)))
+        if whole and len(self._excl):
+            res &= ~_covers(self._excl, self._excl, x)
         return res
-
-    def _select(self, pts: tuple[float, ...], inside: bool) -> tuple[float, ...]:
-        """The points that are in this set (``inside``) or are not."""
-        empty = not pts or self.is_empty
-        hits = [False] * len(pts) if empty else self._member(np.array(pts)).tolist()
-        return tuple(p for p, m in zip(pts, hits) if m == inside)
 
     def contains(self, x):
         x = np.asarray(x, dtype=float)
@@ -205,79 +247,128 @@ class BorelSet:
     def __contains__(self, x) -> bool:
         return bool(self.contains(x))
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BorelSet):
+            return NotImplemented
+        cols = ("_lo", "_hi", "_pts", "_excl")
+        return self.svc == other.svc and all(
+            np.array_equal(getattr(self, k), getattr(other, k)) for k in cols
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.intervals, self.points, self.svc, self.excluded_points))
+
+    def __repr__(self) -> str:
+        return (
+            f"BorelSet(intervals={self.intervals!r}, points={self.points!r}, "
+            f"svc={self.svc!r}, excluded_points={self.excluded_points!r})"
+        )
+
     # -- algebra ---------------------------------------------------------
 
+    def _core(self) -> tuple[np.ndarray, np.ndarray]:
+        """The intervals with the SVC part expanded, sorted and apart."""
+        if self.svc is None:
+            return self._lo, self._hi
+        if "_expanded" not in self.__dict__:
+            s_lo, s_hi = self.svc._ends
+            self._expanded = _merge(_cat(self._lo, s_lo), _cat(self._hi, s_hi))
+        return self._expanded
+
     def _all_intervals(self) -> list[tuple[float, float]]:
-        ivs = list(self.intervals)
-        if self.svc is not None:
-            ivs.extend(self.svc.to_intervals())
-        return ivs
+        return list(zip(*(e.tolist() for e in self._core())))
 
     def union(self, other: "BorelSet") -> "BorelSet":
+        if self.is_empty or other.is_empty:
+            s = other if self.is_empty else self
+            return _settle(s._lo, s._hi, s._pts, s.svc, s._excl)
         # a point excluded from one side is in the union iff the other side has it
-        excl = other._select(self.excluded_points, False) + self._select(
-            other.excluded_points, False
-        )
+        sides = ((self, other), (other, self))
+        excl = _cat(*(s._excl[~o._member(s._excl)] for s, o in sides if len(s._excl)))
         # one svc part stays symbolic; two different ones are expanded
         svc = self.svc or other.svc
         if self.svc is not None and other.svc is not None and self.svc != other.svc:
             svc = None
-        ivs = []
-        for part in (self, other):
-            ivs += part.intervals if part.svc == svc else part._all_intervals()
-        return BorelSet.make(ivs, self.points + other.points, svc=svc, excluded_points=excl)
+        (a_lo, a_hi), (b_lo, b_hi) = (
+            (p._lo, p._hi) if p.svc == svc else p._core() for p in (self, other)
+        )
+        lo, hi = _merge(_cat(a_lo, b_lo), _cat(a_hi, b_hi))
+        return _settle(lo, hi, _cat(self._pts, other._pts), svc, excl)
 
     def intersect(self, other: "BorelSet") -> "BorelSet":
-        excl = self.excluded_points + other.excluded_points
-        if self.svc is not None and self.svc == other.svc:
-            rest = BorelSet(self.intervals, self.points).intersect(
-                BorelSet(other.intervals, other.points)
-            )
-            return BorelSet.make(
-                rest.intervals, rest.points, svc=self.svc, excluded_points=excl
-            )
-        # both lists are sorted, and their intervals at most touch: walk
-        # them together, stepping past whichever interval ends first
-        a, b = sorted(self._all_intervals()), sorted(other._all_intervals())
-        ivs, i, j = [], 0, 0
-        while i < len(a) and j < len(b):
-            lo, hi = max(a[i][0], b[j][0]), min(a[i][1], b[j][1])
-            if lo <= hi:
-                ivs.append((lo, hi))
-            i, j = i + (a[i][1] <= b[j][1]), j + (b[j][1] <= a[i][1])
-        pts = other._select(self.points, True) + self._select(other.points, True)
-        return BorelSet.make(ivs, pts, excluded_points=excl)
+        # a common svc part stays, and the rest of each side meets the
+        # other's intervals and points; any other svc part is expanded
+        svc = self.svc if self.svc is not None and self.svc == other.svc else None
+        if svc is None:
+            lo, hi, deg = _sweep(self._core(), other._core())
+        else:
+            lo, hi, deg = _sweep((self._lo, self._hi), (other._lo, other._hi))
+        sides = ((self, other), (other, self))
+        pts = (s._pts[o._member(s._pts, svc is None)] for s, o in sides if len(s._pts))
+        return _settle(lo, hi, _cat(*pts, deg), svc, _cat(self._excl, other._excl))
 
     def complement_within(self, lo: float, hi: float) -> "BorelSet":
-        """Closure of the complement of this set inside [lo, hi]."""
-        ivs = sorted(
-            (max(a, lo), min(b, hi)) for a, b in self._all_intervals() if b > lo and a < hi
-        )
-        # the gaps between consecutive intervals, which at most touch
-        ends = [lo, *(e for iv in ivs for e in iv), hi]
-        out = [(a, b) for a, b in zip(ends[::2], ends[1::2]) if a < b]
+        """Closure of the complement of this set inside [lo, hi]: the gaps
+        between the intervals that meet (lo, hi)."""
+        a_lo, a_hi = self._core()
+        on = (a_hi > lo) & (a_lo < hi)
+        g_lo = np.concatenate(([lo], np.minimum(a_hi[on], hi)))
+        g_hi = np.concatenate((np.maximum(a_lo[on], lo), [hi]))
+        gap = g_lo < g_hi
         # isolated points of this set are not in the complement
-        excl = tuple(p for p in self.points if lo <= p <= hi)
-        return BorelSet.make(out, excluded_points=excl)
+        excl = self._pts[(lo <= self._pts) & (self._pts <= hi)]
+        return _settle(g_lo[gap], g_hi[gap], _NONE, None, excl)
 
     def difference(self, other: "BorelSet") -> "BorelSet":
         if other.is_empty:
             return self
-        if not self.intervals and self.svc is None:
-            return BorelSet.make(points=other._select(self.points, False))
-        ends = [e for iv in self._all_intervals() for e in iv] + list(self.points)
-        lo, hi = min(ends), max(ends)
-        return self.intersect(other.complement_within(lo - 1.0, hi + 1.0))
+        if not len(self._lo) and self.svc is None:
+            return BorelSet(points=self._pts[~other._member(self._pts)])
+        a_lo, a_hi = self._core()
+        ends = _cat(a_lo[:1], a_hi[-1:], self._pts)
+        return self.intersect(other.complement_within(ends.min() - 1.0, ends.max() + 1.0))
 
     def without_points(self, points) -> "BorelSet":
         """Drop finitely many points from membership (measure unchanged)."""
-        drop = set(points)
-        return BorelSet(
-            self.intervals,
-            tuple(p for p in self.points if p not in drop),
-            self.svc,
-            tuple(sorted(set(self.excluded_points) | drop)),
-        )
+        drop = _unique(np.array(points, dtype=float).reshape(-1))
+        if not len(drop):
+            return self
+        pts = self._pts[~_covers(drop, drop, self._pts)]
+        return BorelSet(self._lo, self._hi, pts, self.svc, _unique(_cat(self._excl, drop)))
+
+
+def _settle(lo, hi, pts, svc, excl) -> BorelSet:
+    """The set of the sorted, apart intervals [lo, hi], the svc part and the
+    candidate points and exclusions, in normal form.  An interval that
+    covers the svc part's base makes it redundant, one that overlaps the
+    base expands it (or the measure would count the overlap twice).  An
+    excluded point is no point, a point the rest covers is dropped, and so
+    is an exclusion that punctures nothing."""
+    if svc is not None and len(lo):
+        if ((lo <= svc.base_lo) & (svc.base_hi <= hi)).any():
+            svc = None
+        elif ((lo < svc.base_hi) & (hi > svc.base_lo)).any():
+            s_lo, s_hi = svc._ends
+            lo, hi = _merge(_cat(lo, s_lo), _cat(hi, s_hi))
+            svc = None
+
+    def core(x):
+        res = _covers(lo, hi, x) if len(lo) else np.zeros(len(x), dtype=bool)
+        if svc is not None:
+            res |= svc.contains(x)
+        return res
+
+    if len(excl):
+        excl = _unique(excl)
+    if len(pts):
+        pts = _unique(pts)
+        out = core(pts)
+        if len(excl):
+            out |= _covers(excl, excl, pts)
+        pts = pts[~out]
+    if len(excl):
+        excl = excl[core(excl)]
+    return BorelSet(lo, hi, pts, svc, excl)
 
 
 EMPTY = BorelSet()
@@ -290,4 +381,3 @@ def svc_set(depth: int, base_lo: float = 0.0, base_hi: float = 1.0) -> BorelSet:
     if depth > _MAX_SVC_DEPTH:
         raise ValueError(f"depth {depth} exceeds the supported maximum {_MAX_SVC_DEPTH}")
     return BorelSet(svc=SVCSet(depth, base_lo, base_hi))
-

@@ -227,30 +227,28 @@ def fat_cantor_q(depth=4) -> tuple[PiecewiseFn, BorelSet]:
     """(q, F): q(u) = integral of dist(., F) from 0 to u, so q' = dist(., F)
     vanishes exactly on F."""
     f_set = svc_set(depth)
-    ivs = f_set._all_intervals()  # retained closed intervals, sorted
-    bps = [-np.inf, 0.0]
-    segs = [Poly((0.0, 0.0, -0.5))]  # q(u) = -u^2/2 for u <= 0
-    acc = 0.0  # q at the running left edge
-    for (a0, b0), (a1, b1) in zip(ivs, ivs[1:]):
-        # flat on the retained interval, then a tent-integral over the gap
-        if b0 > bps[-1]:
-            bps.append(b0)
-            segs.append(Const(acc))
-        gap = a1 - b0
-        mid = 0.5 * (b0 + a1)
-        q_mid = acc + gap * gap / 8.0
-        q_end = acc + gap * gap / 4.0
-        bps.extend([mid, a1])
-        segs.append(Power(0.5, b0, 2.0, acc, +1))
-        segs.append(Power(-0.5, a1, 2.0, q_end, -1))
-        acc = q_end
-    last_hi = ivs[-1][1]
-    if last_hi > bps[-1]:
-        bps.append(last_hi)
-        segs.append(Const(acc))
-    bps.append(np.inf)
-    segs.append(Power(0.5, last_hi, 2.0, acc, +1))
-    return PiecewiseFn(tuple(bps), tuple(segs)), f_set
+    lo, hi = f_set.svc._ends  # the n = 2^depth retained closed intervals
+    n = len(lo)
+    # q(u) = -u^2/2 for u <= 0; then q is flat on each retained interval k,
+    # at acc[k], and a tent integral over the gap after it, rising by a
+    # half Power piece from its left end to its midpoint and by a mirrored
+    # one to its right end
+    gap = lo[1:] - hi[:-1]
+    acc = np.concatenate(([0.0], np.cumsum(gap * gap / 4.0)))
+    bps = np.empty(3 * n + 1)
+    bps[:2], bps[-1] = (-np.inf, 0.0), np.inf
+    bps[2::3], bps[3:-1:3], bps[4:-1:3] = hi, 0.5 * (hi[:-1] + lo[1:]), lo[1:]
+    # the flat pieces are 1, 4, 7, ..., and the rising ones 2, 3, 5, 6, ...,
+    # the last reaching to inf
+    rising = np.empty((4, 2 * n - 1))
+    rising[:, 0::2] = np.stack([np.full(n, 0.5), hi, acc, np.ones(n)])
+    rising[:, 1::2] = np.stack([np.full(n - 1, -0.5), lo[1:], acc[1:], -np.ones(n - 1)])
+    parts = [
+        (Poly, (), [0], np.array([[0.0], [0.0], [-0.5]])),
+        (Const, (), np.arange(1, 3 * n, 3), acc[None, :]),
+        (Power, (2.0,), np.delete(np.arange(2, 3 * n), slice(2, None, 3)), rising),
+    ]
+    return PiecewiseFn._from_columns(bps, parts), f_set
 
 
 def fat_cantor_model(depth=4, u0=0.5, r=0.1) -> NaturalScaleModel:

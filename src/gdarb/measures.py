@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .borel import EMPTY, BorelSet
+from .borel import EMPTY, BorelSet, _unique
 from .piecewise import PiecewiseFn
 
 __all__ = [
@@ -95,20 +95,20 @@ def _sign_pass(pw: PiecewiseFn, lo: float, hi: float, signs: tuple[float, ...]):
     hi = min(hi, pw.hi)
     if hi <= lo:
         return (EMPTY,) * len(signs)
-    intervals, points = pw.zeros(lo, hi)
-    cuts = {lo, hi}
-    cuts.update(b for b in pw.breakpoints if lo < b < hi)
-    cuts.update(points)
-    cuts.update(e for iv in intervals for e in iv)
-    cuts = sorted(c for c in cuts if lo <= c <= hi)
-    c = np.array(cuts)
-    values = pw(np.concatenate([0.5 * (c[:-1] + c[1:]), c])).tolist()
-    mid = values[: len(cuts) - 1]
-    zeros = {p for p, v in zip(cuts, values[len(cuts) - 1 :]) if v == 0.0}
+    iv_lo, iv_hi, points = pw._zero_parts(lo, hi)
+    bps = pw._bps
+    inner = bps[bps.searchsorted(lo, "right") : bps.searchsorted(hi, "left")]
+    edges = np.stack([iv_lo, iv_hi], 1).ravel() if len(iv_lo) else iv_lo
+    c = _unique(np.concatenate(([lo, hi], inner, points, edges)))
+    values = pw(np.concatenate([0.5 * (c[:-1] + c[1:]), c]))
+    mid, vanish = values[: len(c) - 1], values[len(c) - 1 :] == 0.0
     out = []
     for s in signs:
-        part = BorelSet.make([(a, b) for a, b, v in zip(cuts, cuts[1:], mid) if s * v > 0.0])
-        out.append(part.without_points([p for iv in part.intervals for p in iv if p in zeros]))
+        # the cuts where a run of pieces of sign s starts or stops, in turn,
+        # and those of them where pw vanishes
+        on = np.concatenate(([False], s * mid > 0.0, [False]))
+        ends = (on[1:] != on[:-1]).nonzero()[0]
+        out.append(BorelSet(c[ends[0::2]], c[ends[1::2]], excluded=c[ends[vanish[ends]]]))
     return tuple(out)
 
 
@@ -174,9 +174,9 @@ def integrate(m: SignedMeasure, region: BorelSet | None = None) -> float:
     total = 0.0
     if m.density is not None:
         support = m.carrier if region is None else m.carrier.intersect(region)
-        ivs = np.array(support._all_intervals(), dtype=float).reshape(-1, 2)
-        lo = np.maximum(ivs[:, 0], m.density.lo)
-        hi = np.minimum(ivs[:, 1], m.density.hi)
+        lo, hi = support._core()
+        lo = np.maximum(lo, m.density.lo)
+        hi = np.minimum(hi, m.density.hi)
         on = hi > lo
         for piece in m.density.integrate(lo[on], hi[on]).tolist():
             total += piece

@@ -8,6 +8,7 @@ once by ``to_natural_scale``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,24 +117,22 @@ class NaturalScaleModel:
         qp = self.q.derivative()
         object.__setattr__(self, "q_prime", qp)
         # both sides of every interior breakpoint in one read of q'
-        kinks = [a for a in qp.breakpoints[1:-1] if self.lo < a < self.hi]
+        inner = qp._bps[1:-1]
+        kinks = inner[inner.searchsorted(self.lo, "right") : inner.searchsorted(self.hi, "left")]
         atoms = ()
-        if kinks:
-            left, right = qp.sides(np.array(kinks))
+        if len(kinks):
+            left, right = qp.sides(kinks)
             with np.errstate(invalid="ignore"):
-                jumps = (right - left).tolist()
-            atoms = tuple(
-                (float(a), jump)
-                for a, jump in zip(kinks, jumps)
-                if abs(jump) > _KINK_TOL
-            )
+                jumps = right - left
+            big = np.abs(jumps) > _KINK_TOL
+            atoms = tuple(zip(kinks[big].tolist(), jumps[big].tolist()))
         object.__setattr__(self, "q_second_atoms", atoms)
 
     # -- derived structure ----------------------------------------------
 
     def _q_prime_left(self, a: float) -> float:
         """q'_-(a), read on the segment to the left of a breakpoint."""
-        return float(self.q_prime._piece(a, left=True)(a))
+        return self.q_prime._value(a, left=True)
 
     def m_atom_mass(self, u: float) -> float:
         for a, mass in self.m_atoms:
@@ -279,7 +278,7 @@ def to_natural_scale(spec: DiffusionSpec) -> NaturalScaleModel:
         mid = 0.5 * (xa + xb) if np.isfinite(xa) and np.isfinite(xb) else (
             xa + 1.0 if np.isfinite(xa) else xb - 1.0
         )
-        qi = int(np.searchsorted(x_bps, mid, side="right")) - 1
+        qi = bisect_right(x_bps, mid) - 1
         qi = max(0, min(qi, len(q_segments) - 1))
         name = f"[{xa}, {xb}]"
         m_segs.append(_compose_speed(q_segments[qi], gseg, name))
@@ -347,7 +346,7 @@ def validate(model: NaturalScaleModel) -> ValidationReport:
     checks.append(CheckResult("q-increasing-overall", strict, qv[-1] - qv[0]))
 
     qp = np.asarray(model.q_prime(xs), dtype=float)
-    bps = np.array(model.q_prime.breakpoints)
+    bps = model.q_prime._bps
     bp_vals = model.q_prime(bps[np.isfinite(bps) & (lo <= bps) & (bps <= hi)])
     qp_ok = bool(np.all(qp >= -1e-12)) and bool(np.all(bp_vals >= -1e-12))
     checks.append(CheckResult("q-prime-nonnegative", qp_ok, float(np.min(qp))))

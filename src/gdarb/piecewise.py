@@ -2,39 +2,35 @@
 ``Const``, ``Affine``, ``Poly``, ``Power``, ``Exponential`` and ``Log``.
 
 Each segment supports point evaluation, a closed-form derivative, exact
-integration against affine weights in closed form (over arrays of limits
-and weights as well as scalars), and an exact zero set, which is also where
-``measures.sign_sets`` cuts a piece to find its sign.  A segment that is
-identically 0 has the whole interval as its zero set, and a nonzero
-constant one has none.  Over an infinite limit an integral is the sum of
-its terms' limits, and a term whose coefficient is 0 adds nothing.
+integration against affine weights (over arrays of limits and weights as
+well as scalars), and an exact zero set, which is also where
+``measures.sign_sets`` cuts a piece to find its sign.  Over an infinite
+limit an integral is the limit of the sum of its terms (see ``_tail``).
 
-A kind evaluates through one kernel, ``_kernel(x, *static, *row)``,
-integrates through one rule, ``_integral(lo, hi, c0, c1, *static, *row)``,
-and finds its zeros through one rule, ``_zeros(static, cols, lo, hi)``.
-The static parameters are shared by a group of alike segments (the
-exponent of a ``Power``); the row parameters are each segment's own.  A
-``PiecewiseFn`` groups its segments by kind, static parameters and row
-length, so by exponent for ``Power`` and by degree for ``Poly``, and on
-first use builds one parameter table per group.  An evaluation then calls
-each group's kernel once, over all of the group's points with their rows'
-parameters, an integral calls each group's rule at most twice, and the
-zero pass calls each group's rule once, over all of its rows.  A function
-of one segment, and a group of one row, pass their parameters as scalars;
-``Segment.integrate_affine`` is the integral rule of one row.
+A kind evaluates, integrates, finds its zeros and differentiates through
+one rule each (see ``Segment``), over the parameters of one segment or of
+many.  A ``PiecewiseFn`` is its group table: its breakpoints, one group of
+rows per kind, static parameters and row length, holding the rows'
+parameters as columns, and each piece's group and row there.  The table is
+built once, where the function is made: from segments (the catalog, the
+model-file parser, ``model``'s speed transform) or column by column
+(``catalog.fat_cantor_q``, ``arbitrage._nu_ac_density``), and never written
+after.  ``scaled`` and ``derivative`` map the columns and share the
+breakpoints and piece maps; ``restricted`` and ``with_breakpoints`` share
+the groups and map the pieces, so two pieces may share a row.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .borel import BorelSet
+from .borel import BorelSet, _unique
 
 __all__ = [
     "Segment",
@@ -51,25 +47,29 @@ __all__ = [
 class Segment:
     """Base class; subclasses are immutable value objects.
 
-    A subclass names its parameters in ``_static`` (shared by its group,
-    empty by default) and ``_row`` (its own).  Its static method
-    ``_kernel(x, *static, *row)`` evaluates it; the row parameters there are
-    scalars or arrays shaped like x.  Its static method ``_integral(lo, hi,
-    c0, c1, *static, *row)`` integrates (c0 + c1*x) * f(x) over [lo, hi],
-    with the row parameters and the weights as scalars or arrays shaped
-    like the limits.  Its static method ``_zeros(static,
-    cols, lo, hi)`` is its zero rule over the rows of a group, given as the
-    columns of their parameters (one float array per entry of ``_row``),
-    each row on its interval [lo, hi]: it gives the mask of the rows that
-    vanish on the whole interval, and the other rows' roots inside their
-    closed interval as (row index, root) arrays.
+    A subclass names its parameters in ``_static`` (shared by its group)
+    and ``_row`` (its own), and ``_scales`` picks those that scale with it.
+    Its rules are static methods: ``_kernel(x, *static, *row)`` evaluates
+    it, ``_integral(lo, hi, c0, c1, *static, *row)`` integrates (c0 + c1*x)
+    * f(x) over [lo, hi], and ``_derivative(static, row)`` gives the
+    derivative's kind and parameters; there the parameters are scalars or
+    arrays.  ``_zeros(static, cols, lo, hi)`` takes a group's rows as
+    columns, each on its interval [lo, hi], and gives the mask of the rows
+    that vanish on the whole interval and the others' roots in it as (row
+    index, root) arrays.
     """
 
     _static: tuple = ()
+    _scales = slice(None)
 
     @property
     def _row(self) -> tuple:
         raise NotImplementedError
+
+    @classmethod
+    def _of(cls, static: tuple, row) -> "Segment":
+        """The segment of this kind with these parameters."""
+        return cls(*row)
 
     def __call__(self, x):
         out = self._kernel(np.asarray(x, dtype=float), *self._static, *self._row)
@@ -82,15 +82,22 @@ class Segment:
         return self._integral(lo, hi, c0, c1, *self._static, *self._row)
 
     def scaled(self, c: float) -> "Segment":
-        raise NotImplementedError
+        row = list(self._row)
+        row[self._scales] = [v * c for v in row[self._scales]]
+        return self._of(self._static, row)
 
     def zero_set(self, lo, hi) -> BorelSet:
         """Exact {f = 0} on [lo, hi], lo < hi: the zero pass of this segment
         alone."""
         return PiecewiseFn((lo, hi), (self,)).zero_set()
 
+    @classmethod
+    def _derivative(cls, static, row):
+        raise NotImplementedError(f"{cls.__name__} has no closed-form derivative")
+
     def derivative_segment(self) -> "Segment":
-        raise NotImplementedError(f"{type(self).__name__} has no closed-form derivative")
+        kind, static, row = self._derivative(self._static, self._row)
+        return kind._of(static, row)
 
     def limit(self, x: float) -> float:
         """Limit of f at x (x may be +-inf)."""
@@ -111,19 +118,34 @@ def _roots_inside(whole, roots, lo, hi):
 
 def _tail(terms):
     """The sum of the terms k * m of an integral over an infinite limit,
-    where a term whose coefficient k is 0 adds nothing (its m may be
-    infinite)."""
+    each given with its order of growth: m is the integral of a power of t,
+    or of a power times log t, and a term whose coefficient k is 0 adds
+    nothing (its m may be infinite).  Where divergent terms have opposite
+    signs, the terms of each order are added first (they share their m),
+    and the highest order that does not cancel decides; if all cancel, the
+    finite terms give the sum."""
     with np.errstate(invalid="ignore"):
-        return sum(np.where(k == 0.0, 0.0, k * m) for k, m in terms)
+        total = sum(np.where(k == 0.0, 0.0, k * m) for k, m, _ in terms)
+        clash = np.isnan(total)
+        if not clash.any():
+            return total
+        limit = sum(np.where(np.isinf(m) | (k == 0.0), 0.0, k * m) for k, m, _ in terms)
+        by_order: dict[float, tuple] = {}
+        for k, m, order in terms:
+            by_order[order] = (by_order[order][0] + k, m) if order in by_order else (k, m)
+        for order in sorted(by_order):
+            k, m = by_order[order]
+            limit = np.where(np.isinf(m) & (k != 0.0), k * m, limit)
+        return np.where(clash, limit, total)
 
 
 def _poly_terms(coeffs, lo, hi, c0, c1):
     """The terms of the integral of (c0 + c1*x) * sum(a_j x**j) over
     [lo, hi], for the ascending coefficients a_j: c0*a_j with the integral
-    of x**j, and c1*a_j with that of x**(j+1)."""
+    of x**j, and c1*a_j with that of x**(j+1), each with its order."""
     with np.errstate(invalid="ignore", over="ignore"):
         return [
-            (c * a, (np.power(hi, n) - np.power(lo, n)) / n)
+            (c * a, (np.power(hi, n) - np.power(lo, n)) / n, n)
             for j, a in enumerate(coeffs)
             for c, n in ((c0, j + 1), (c1, j + 2))
         ]
@@ -159,14 +181,13 @@ class Const(Segment):
 
     @staticmethod
     def _integral(lo, hi, c0, c1, value):
-        out = value * (c0 * (hi - lo) + 0.5 * c1 * (hi * hi - lo * lo))
+        with np.errstate(invalid="ignore"):  # inf - inf, which _poly_tail replaces
+            out = value * (c0 * (hi - lo) + 0.5 * c1 * (hi * hi - lo * lo))
         return _poly_tail(out, (value,), lo, hi, c0, c1)
 
-    def scaled(self, c):
-        return Const(self.value * c)
-
-    def derivative_segment(self):
-        return Const(0.0)
+    @staticmethod
+    def _derivative(static, row):
+        return Const, (), (0.0,)
 
     def limit(self, x):
         return float(self.value)
@@ -197,11 +218,9 @@ class Affine(Segment):
     def _integral(lo, hi, c0, c1, intercept, slope):
         return Poly._integral(lo, hi, c0, c1, intercept, slope)
 
-    def scaled(self, c):
-        return Affine(self.intercept * c, self.slope * c)
-
-    def derivative_segment(self):
-        return Const(self.slope)
+    @staticmethod
+    def _derivative(static, row):
+        return Const, (), row[1:]
 
     def limit(self, x):
         if np.isfinite(x):
@@ -223,8 +242,9 @@ class Poly(Segment):
 
     @staticmethod
     def _kernel(x, *coeffs):
-        # Horner's rule, in the order of numpy's polyval
-        out = coeffs[-1] + x * 0
+        # Horner's rule, in the order of numpy's polyval; the first step
+        # adds x * 0, a zero with the sign of x, to take x's shape
+        out = coeffs[-1] + np.copysign(0.0, x)
         for c in coeffs[-2::-1]:
             out = c + out * x
         return out
@@ -255,14 +275,20 @@ class Poly(Segment):
             anti = (0.0, cs[0], *(c / (j + 1) for j, c in enumerate(cs) if j))
             return Poly._kernel(hi, *anti) - Poly._kernel(lo, *anti)
 
-        out = c0 * moment(coeffs) + c1 * moment((coeffs[0] * 0, *coeffs))
+        with np.errstate(invalid="ignore"):  # inf - inf, which _poly_tail replaces
+            out = c0 * moment(coeffs) + c1 * moment((coeffs[0] * 0, *coeffs))
         return _poly_tail(out, coeffs, lo, hi, c0, c1)
 
-    def scaled(self, c):
-        return Poly(tuple(c * a for a in self.coeffs))
+    @classmethod
+    def _of(cls, static, row):
+        return cls(tuple(row))
 
-    def derivative_segment(self):
-        return Poly(tuple(np.polynomial.polynomial.polyder(self.coeffs)))
+    @staticmethod
+    def _derivative(static, row):
+        # the coefficients j * a_j, as numpy's polyder forms them
+        if len(row) == 1:
+            return Poly, (), (row[0] * 0,)
+        return Poly, (), tuple(j * a for j, a in enumerate(row) if j)
 
     def limit(self, x):
         if np.isfinite(x):
@@ -350,6 +376,8 @@ class Power(Segment):
     offset: float = 0.0
     side: int = +1
 
+    _scales = slice(0, 3, 2)  # coeff and offset
+
     @property
     def _static(self):
         return (self.exponent,)
@@ -398,23 +426,24 @@ class Power(Segment):
         power_part = A * _power_integral(t0, t1, p) + B * _power_integral(t0, t1, p + 1.0)
         value = a * power_part + b * (t1 - t0) * (A + 0.5 * B * (t0 + t1))
         if unbounded:
-            # over [t0, inf) each power of t has its own limit, and a term
-            # whose coefficient is 0 adds nothing
+            # over [t0, inf) each power t**q has its own limit, of order
+            # q + 1 (see _tail)
             terms = ((a * A, p), (a * B, p + 1.0), (b * A, 0.0), (b * B, 1.0))
-            value = np.where(to_inf, _tail((k, _tail_integral(t0, q)) for k, q in terms), value)
+            value = np.where(
+                to_inf, _tail([(k, _tail_integral(t0, q), q + 1.0) for k, q in terms]), value
+            )
         return value
 
-    def scaled(self, c):
-        return Power(self.coeff * c, self.center, self.exponent, self.offset * c, self.side)
+    @classmethod
+    def _of(cls, static, row):
+        coeff, center, offset, side = row
+        return cls(coeff, center, static[0], offset, int(side))
 
-    def derivative_segment(self):
-        return Power(
-            self.coeff * self.exponent * self.side,
-            self.center,
-            self.exponent - 1.0,
-            0.0,
-            self.side,
-        )
+    @staticmethod
+    def _derivative(static, row):
+        (exponent,) = static
+        coeff, center, _, side = row
+        return Power, (exponent - 1.0,), (coeff * exponent * side, center, 0.0, side)
 
     def limit(self, x):
         if np.isfinite(x):
@@ -460,6 +489,8 @@ class Exponential(Segment):
     coeff: float
     rate: float
     offset: float = 0.0
+
+    _scales = slice(0, 3, 2)  # coeff and offset
 
     @property
     def _row(self):
@@ -514,11 +545,10 @@ class Exponential(Segment):
             value = np.where(flat, Const._integral(lo, hi, c0, c1, a + c), value)
         return value
 
-    def scaled(self, c):
-        return Exponential(self.coeff * c, self.rate, self.offset * c)
-
-    def derivative_segment(self):
-        return Exponential(self.coeff * self.rate, self.rate, 0.0)
+    @staticmethod
+    def _derivative(static, row):
+        coeff, rate, _ = row
+        return Exponential, (), (coeff * rate, rate, 0.0)
 
     def limit(self, x):
         if np.isfinite(x):
@@ -536,6 +566,8 @@ class Log(Segment):
     scale: float
     center: float
     offset: float = 0.0
+
+    _scales = slice(0, 4, 3)  # coeff and offset
 
     @property
     def _row(self):
@@ -577,15 +609,20 @@ class Log(Segment):
         value = k * (A * int_log + B * int_tlog) + o * d * (A + B * mid)
         to_inf = np.isinf(t1)
         if to_inf.any():
-            terms = ((k * A, int_log), (k * B, int_tlog), (o * A, d), (o * B, d * mid))
+            # t log t grows faster than t, and slower than t**2
+            terms = (
+                (k * A, int_log, 1.5),
+                (k * B, int_tlog, 2.5),
+                (o * A, d, 1.0),
+                (o * B, d * mid, 2.0),
+            )
             value = np.where(to_inf, _tail(terms), value)
         return value
 
-    def scaled(self, c):
-        return Log(self.coeff * c, self.scale, self.center, self.offset * c)
-
-    def derivative_segment(self):
-        return Power(self.coeff, self.center, -1.0, 0.0, +1)
+    @staticmethod
+    def _derivative(static, row):
+        coeff, _, center, _ = row
+        return Power, (-1.0,), (coeff, center, 0.0, 1.0)
 
     def limit(self, x):
         if np.isfinite(x):
@@ -596,31 +633,30 @@ class Log(Segment):
 
 
 class _Group(NamedTuple):
-    """The segments of a function that share kind, static parameters and
-    row length."""
+    """Rows of a function's table of one kind, static parameters and row
+    length: their parameters as columns, and as floats for a group of one."""
 
     kind: type
     static: tuple
-    pieces: np.ndarray  # their piece indices, ascending
-    cols: np.ndarray  # their parameters: a row per parameter, a column per segment
-    row: tuple | None  # the parameters themselves, for a group of one
+    cols: np.ndarray  # a row per parameter, a column per row of the group
+    row: tuple | None
 
 
-class _Table(NamedTuple):
-    """A function's parameter table: its breakpoints, its groups, and each
-    piece's group and row there (None for a single group, whose rows are
-    the pieces)."""
-
-    bps: np.ndarray
-    groups: tuple[_Group, ...]
-    group_of: np.ndarray | None
-    row_of: np.ndarray | None
+def _group(kind, static, cols) -> _Group:
+    return _Group(kind, static, cols, tuple(cols[:, 0].tolist()) if cols.shape[1] == 1 else None)
 
 
-def _params(group: _Group, rows: np.ndarray) -> tuple:
-    """The static parameters of the group, then the row parameters of each
-    of its rows ``rows``, one array per parameter; a group of one gives its
-    own parameters as scalars."""
+def _scaled_cols(kind, cols, c) -> np.ndarray:
+    """A group's columns with the parameters that scale times c (a scalar,
+    or one factor per column)."""
+    out = cols.copy()
+    out[kind._scales] *= c
+    return out
+
+
+def _params(group: _Group, rows) -> tuple:
+    """The group's static parameters, then its row parameters at ``rows``,
+    one array each; a group of one row gives its parameters as scalars."""
     if group.row is not None:
         return (*group.static, *group.row)
     return (*group.static, *group.cols.take(rows, axis=1))
@@ -636,50 +672,79 @@ def _flat(v: np.ndarray, shape: tuple) -> np.ndarray:
     return (v if v.shape == shape else np.broadcast_to(v, shape)).reshape(-1)
 
 
-def _in_piece_order(parts) -> list:
-    """Per group (pieces, values...) arrays merged into one list of values,
-    or of tuples of values, ordered by piece (stable within a piece)."""
-    if len(parts) == 1:
-        cols = [col.tolist() for col in parts[0][1:]]
-    else:
-        order = np.argsort(np.concatenate([p[0] for p in parts]), kind="stable")
-        cols = [np.concatenate(col)[order].tolist() for col in list(zip(*parts))[1:]]
-    return cols[0] if len(cols) == 1 else list(zip(*cols))
+_ONE_PIECE = np.zeros(1, dtype=np.intp)  # the maps of a function of one piece
+_ONE_PIECE.flags.writeable = False
 
 
-@dataclass(frozen=True)
 class PiecewiseFn:
     """A function assembled from catalog segments on consecutive intervals.
 
     ``breakpoints`` has one more entry than ``segments`` and may start/end
-    with +-inf.  One piece lookup serves every call: x belongs to the last
-    segment whose left breakpoint is <= x (the end segments reach past the
-    ends), found by ``bisect`` for a scalar, which gives a float, and by one
-    ``searchsorted`` for an array.
-
-    An array is evaluated per group of alike segments (see the module
-    docstring): one stable sort of the entries by group, then one kernel
-    call per group over its entries, with each entry's row parameters
-    gathered from the group's table.  A function of one segment calls its
-    kernel and its zero rule directly, with no lookup and no table, and a
-    group of one row gets its scalars, with no gather.  The table is built
-    when the function is first evaluated, integrated or zero-passed, so
-    building, scaling or restricting a function builds none.
-    ``sides`` reads both one-sided values at breakpoints through the same
-    kernels, and ``zeros`` is the one zero pass: each group's zero rule once,
-    over all its rows.  ``integrate`` runs each group's integral rule over
-    the first pieces of all its intervals, then over all their later
-    pieces, and adds the pieces in order (see its docstring).
+    with +-inf.  The function is its group table (see the module
+    docstring).  x belongs to the last piece whose left breakpoint is <= x
+    (the end pieces reach past the ends), found by one ``searchsorted``.
+    An array is evaluated with one stable sort of its entries by group and
+    one kernel call per group; ``sides`` reads both one-sided values at
+    breakpoints through the same calls, and ``zeros`` runs each group's
+    zero rule once.  A function of one piece calls its kernel directly with
+    its parameters as scalars (``_solo``).
     """
 
-    breakpoints: tuple[float, ...]
-    segments: tuple[Segment, ...]
-
-    def __post_init__(self):
-        if len(self.breakpoints) != len(self.segments) + 1:
+    def __init__(self, breakpoints, segments):
+        breakpoints, segments = tuple(breakpoints), tuple(segments)
+        if len(breakpoints) != len(segments) + 1:
             raise ValueError("need len(breakpoints) == len(segments) + 1")
-        if any(a >= b for a, b in zip(self.breakpoints, self.breakpoints[1:])):
+        if not all(map(operator.lt, breakpoints, breakpoints[1:])):
             raise ValueError("breakpoints must be strictly increasing")
+        keys: dict[tuple, int] = {}
+        rows: list[list[tuple]] = []
+        group_of, row_of = [], []
+        for seg in segments:
+            row = seg._row
+            g = keys.setdefault((type(seg), seg._static, len(row)), len(keys))
+            if g == len(rows):
+                rows.append([])
+            group_of.append(g)
+            row_of.append(len(rows[g]))
+            rows[g].append(row)
+        groups = tuple(
+            _Group(kind, static, np.array(r, dtype=float).T, r[0] if len(r) == 1 else None)
+            for (kind, static, _), r in zip(keys, rows)
+        )
+        maps = (_ONE_PIECE,) * 2 if len(segments) == 1 else map(np.array, (group_of, row_of))
+        bps = np.array(breakpoints, dtype=float)
+        self._set(bps, groups, *maps, breakpoints[0], breakpoints[-1])
+        self.__dict__.update(breakpoints=breakpoints, segments=segments)
+
+    def _set(self, bps, groups, group_of, row_of, lo=None, hi=None) -> "PiecewiseFn":
+        self._bps, self._groups, self._group_of, self._row_of = bps, groups, group_of, row_of
+        self.lo, self.hi = float(bps[0]) if lo is None else lo, float(bps[-1]) if hi is None else hi
+        self._n = len(row_of)
+        if self._n == 1:
+            group = groups[group_of[0]]
+            row = group.row or tuple(group.cols[:, row_of[0]].tolist())
+            self._solo = group.kind, (*group.static, *row)
+        return self
+
+    def _like(self, bps=None, groups=None, keep=None) -> "PiecewiseFn":
+        """A function sharing this one's table: new breakpoints or groups,
+        or the pieces ``keep`` (indices or a slice) of its maps."""
+        maps = (self._group_of, self._row_of)
+        if keep is not None:
+            maps = (self._group_of[keep], self._row_of[keep])
+        return PiecewiseFn.__new__(PiecewiseFn)._set(
+            self._bps if bps is None else bps, self._groups if groups is None else groups, *maps
+        )
+
+    @staticmethod
+    def _from_columns(bps, parts) -> "PiecewiseFn":
+        """The function on the breakpoints bps with one group per part
+        (kind, static parameters, piece indices, a column per piece)."""
+        group_of, row_of = np.empty((2, len(bps) - 1), dtype=np.intp)
+        for g, (_, _, pieces, _) in enumerate(parts):
+            group_of[pieces], row_of[pieces] = g, np.arange(len(pieces))
+        groups = tuple(_group(k, st, np.ascontiguousarray(c, dtype=float)) for k, st, _, c in parts)
+        return PiecewiseFn.__new__(PiecewiseFn)._set(bps, groups, group_of, row_of)
 
     @staticmethod
     def constant(value, lo=-np.inf, hi=np.inf):
@@ -689,65 +754,56 @@ class PiecewiseFn:
     def from_segment(seg, lo, hi):
         return PiecewiseFn((lo, hi), (seg,))
 
-    @property
-    def lo(self):
-        return self.breakpoints[0]
-
-    @property
-    def hi(self):
-        return self.breakpoints[-1]
+    @cached_property
+    def breakpoints(self) -> tuple[float, ...]:
+        return tuple(self._bps.tolist())
 
     @cached_property
-    def _table(self) -> _Table:
-        rows = [seg._row for seg in self.segments]
-        keys: dict[tuple, int] = {}
-        members: list[list[int]] = []
-        group_of, row_of = [], []
-        for i, (seg, row) in enumerate(zip(self.segments, rows)):
-            g = keys.setdefault((type(seg), seg._static, len(row)), len(keys))
-            if g == len(members):
-                members.append([])
-            group_of.append(g)
-            row_of.append(len(members[g]))
-            members[g].append(i)
-        groups = tuple(
-            _Group(
-                kind,
-                static,
-                np.array(pieces),
-                np.array(list(zip(*(rows[i] for i in pieces))), dtype=float),
-                rows[pieces[0]] if len(pieces) == 1 else None,
-            )
-            for (kind, static, _), pieces in zip(keys, members)
-        )
-        if len(groups) == 1:
-            group_of = row_of = None
+    def segments(self) -> tuple[Segment, ...]:
+        made = [[g.kind._of(g.static, row) for row in g.cols.T.tolist()] for g in self._groups]
+        return tuple(made[g][r] for g, r in zip(self._group_of.tolist(), self._row_of.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PiecewiseFn):
+            return NotImplemented
+        return self.breakpoints == other.breakpoints and self.segments == other.segments
+
+    def __hash__(self) -> int:
+        return hash((self.breakpoints, self.segments))
+
+    def __repr__(self) -> str:
+        return f"PiecewiseFn(breakpoints={self.breakpoints!r}, segments={self.segments!r})"
+
+    def _parts(self, pieces: np.ndarray):
+        """(kind, static parameters, pieces, columns) for each group that the
+        piece indices ``pieces`` meet, a column per piece."""
+        for g, group in enumerate(self._groups):
+            mine = pieces[self._group_of[pieces] == g]
+            if len(mine):
+                yield group.kind, group.static, mine, group.cols[:, self._row_of[mine]]
+
+    def _value(self, x: float, left: bool = False) -> float:
+        """f at the scalar x, or with ``left`` at a breakpoint, its piece on
+        the left's value there."""
+        if self._n == 1:
+            kind, params = self._solo
         else:
-            group_of, row_of = np.array(group_of), np.array(row_of)
-        return _Table(np.array(self.breakpoints), groups, group_of, row_of)
-
-    def _piece(self, x: float, left: bool = False) -> Segment:
-        # the index of x's piece is the number of interior breakpoints <= x,
-        # or < x for the piece on the left of a breakpoint
-        bps = self.breakpoints
-        bisect = bisect_left if left else bisect_right
-        return self.segments[bisect(bps, x, 1, len(bps) - 1) - 1]
-
-    def _alone(self, x: np.ndarray) -> np.ndarray:
-        """The one segment's kernel at x, with its parameters as scalars."""
-        (seg,) = self.segments
-        return seg._kernel(x, *seg._static, *seg._row)
+            i = int(self._bps[1:-1].searchsorted(x, "left" if left else "right"))
+            group = self._groups[self._group_of[i]]
+            kind = group.kind
+            params = (*group.static, *(group.row or group.cols[:, self._row_of[i]].tolist()))
+        return float(kind._kernel(np.asarray(x, dtype=float), *params))
 
     def _by_group(self, idx: np.ndarray, call) -> np.ndarray:
         """``call(group, run, rows)`` once for each group that the piece
         indices idx meet, where run picks that group's entries of idx and
-        rows are their rows in its table; the results are put back in the
-        order of idx."""
-        _, groups, group_of, row_of = self._table
-        if group_of is None:
-            return call(groups[0], slice(None), idx)
+        rows are their rows in it (None for a group of one row); the results
+        are put back in the order of idx."""
+        groups, row_of = self._groups, self._row_of
+        if len(groups) == 1:
+            return call(groups[0], slice(None), None if groups[0].row else row_of[idx])
         # one stable sort lines up the entries of each group in one run
-        gid = group_of[idx]
+        gid = self._group_of[idx]
         order = np.argsort(gid, kind="stable")
         ends = np.searchsorted(gid[order], np.arange(len(groups)), side="right")
         out = np.empty(len(idx))
@@ -755,37 +811,33 @@ class PiecewiseFn:
         for group, end in zip(groups, ends.tolist()):
             if end > start:
                 run = order[start:end]
-                out[run] = call(group, run, row_of[idx[run]])
+                out[run] = call(group, run, None if group.row else row_of[idx[run]])
             start = end
         return out
 
     def _eval(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """f at each entry of the flat array x, read on the piece that idx
-        names: one kernel call per group."""
-        return self._by_group(
-            idx, lambda group, run, rows: group.kind._kernel(x[run], *_params(group, rows))
-        )
+        """f at each entry of the flat array x, on the piece that idx names."""
+        return self._by_group(idx, lambda g, run, rows: g.kind._kernel(x[run], *_params(g, rows)))
 
     def __call__(self, x):
         if np.ndim(x) == 0:
-            return float(self._piece(float(x))(float(x)))
+            return self._value(float(x))
         x = np.ascontiguousarray(x, dtype=float)
-        if len(self.segments) == 1:
-            return self._alone(x)
+        if self._n == 1:
+            kind, params = self._solo
+            return kind._kernel(x, *params)
         flat = x.reshape(-1)
-        idx = self._table.bps[1:-1].searchsorted(flat, side="right")
-        return self._eval(flat, idx).reshape(x.shape)
+        return self._eval(flat, self._bps[1:-1].searchsorted(flat, side="right")).reshape(x.shape)
 
     def sides(self, x):
         """f(x-) and f(x+) at each entry of the 1-d array x: at a breakpoint,
         the value of the piece on its left and of the piece on its right
-        (which is f(x)); elsewhere f(x) twice.  Both sides are read in one
-        call of each group's kernel."""
+        (which is f(x)); elsewhere f(x) twice."""
         x = np.ascontiguousarray(x, dtype=float)
-        if len(self.segments) == 1:
-            values = self._alone(x)
+        if self._n == 1:
+            values = self(x)
             return values, values.copy()
-        inner = self._table.bps[1:-1]
+        inner = self._bps[1:-1]
         idx = np.concatenate([inner.searchsorted(x, "left"), inner.searchsorted(x, "right")])
         values = self._eval(np.concatenate([x, x]), idx)
         return values[: len(x)], values[len(x) :]
@@ -795,8 +847,8 @@ class PiecewiseFn:
         ``piece``: one integral rule call per group."""
         return self._by_group(
             piece,
-            lambda group, run, rows: group.kind._integral(
-                a[run], b[run], _pick(c0, run), _pick(c1, run), *_params(group, rows)
+            lambda g, run, rows: g.kind._integral(
+                a[run], b[run], _pick(c0, run), _pick(c1, run), *_params(g, rows)
             ),
         )
 
@@ -804,12 +856,11 @@ class PiecewiseFn:
         """Integral of (c0 + c1*x) f(x) over [lo, hi]; hi < lo flips the sign.
 
         The arguments broadcast against each other; all-scalar arguments
-        give a float.  The pieces an interval meets fill slots from its
-        left end: slot 0 holds each interval's first piece, the one that
-        holds lo, and slot j its j-th piece after that.  Slot 0 runs each
-        group's integral rule once and the later slots together once more;
-        the pieces are added slot by slot, so each interval's total is
-        summed from 0.0 in piece order.
+        give a float.  The pieces an interval meets fill slots: slot 0 holds
+        each interval's first piece and slot j its j-th piece after that.
+        Slot 0 runs each group's rule once and the later slots together
+        once more, and the pieces are added slot by slot, so each interval's
+        total is summed from 0.0 in piece order.
         """
         lo, hi, c0, c1 = (np.asarray(v, dtype=float) for v in (lo, hi, c0, c1))
         shape = np.broadcast(lo, hi, c0, c1).shape
@@ -821,15 +872,14 @@ class PiecewiseFn:
         if flipped:
             lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
         total = np.zeros(lo.shape)
-        if len(self.segments) == 1:
-            (seg,) = self.segments
+        if self._n == 1:
+            kind, params = self._solo
             a, b = np.maximum(lo, self.lo), np.minimum(hi, self.hi)
             on = b > a
             k = slice(None) if on.all() else on.nonzero()[0]
-            params = (*seg._static, *seg._row)
-            total[k] += seg._integral(a[k], b[k], _pick(c0, k), _pick(c1, k), *params)
+            total[k] += kind._integral(a[k], b[k], _pick(c0, k), _pick(c1, k), *params)
         else:
-            bps = self._table.bps
+            bps = self._bps
             first = bps[1:-1].searchsorted(lo, side="right")
             a, b = np.maximum(lo, bps[first]), np.minimum(hi, bps[1:][first])
             on = b > a
@@ -854,76 +904,92 @@ class PiecewiseFn:
         return float(total[0]) if not shape else total.reshape(shape)
 
     def scaled(self, c):
-        return PiecewiseFn(self.breakpoints, tuple(s.scaled(c) for s in self.segments))
+        return self._like(groups=tuple(
+            _group(g.kind, g.static, _scaled_cols(g.kind, g.cols, c)) for g in self._groups
+        ))
+
+    def derivative(self) -> "PiecewiseFn":
+        groups = []
+        for g in self._groups:
+            kind, static, row = g.kind._derivative(g.static, tuple(g.cols))
+            cols = np.empty((len(row), g.cols.shape[1]))
+            for i, v in enumerate(row):
+                cols[i] = v
+            groups.append(_group(kind, static, cols))
+        return self._like(groups=tuple(groups))
 
     def restricted(self, lo, hi):
-        bps = [lo]
-        segs = []
-        for i, seg in enumerate(self.segments):
-            a, b = self.breakpoints[i], self.breakpoints[i + 1]
-            if b <= lo or a >= hi:
-                continue
-            segs.append(seg)
-            bps.append(min(b, hi))
-        bps[-1] = hi
-        return PiecewiseFn(tuple(bps), tuple(segs))
+        """The function on [lo, hi]: the pieces from the one that ends past
+        lo to the one that starts before hi; on its own ends, itself."""
+        if lo == self.lo and hi == self.hi:
+            return self
+        bps = self._bps
+        first = max(int(bps.searchsorted(lo, "right")) - 1, 0)
+        stop = min(int(bps.searchsorted(hi, "left")), self._n)
+        if not (lo < hi and first < stop):
+            raise ValueError("breakpoints must be strictly increasing")
+        bps = np.concatenate(([lo], bps[first + 1 : stop], [hi]))
+        return self._like(bps, keep=slice(first, stop))
 
     def with_breakpoints(self, extra) -> "PiecewiseFn":
         """Refine the partition by inserting breakpoints (same function);
         with none new, the function itself."""
-        bps = self.breakpoints
-        lo, hi = bps[0], bps[-1]
-        new = {p for p in extra if lo < p < hi}.difference(bps)
-        if not new:
+        bps = self._bps
+        new = np.array(extra, dtype=float).reshape(-1)
+        if len(new):
+            new = new[(self.lo < new) & (new < self.hi)]
+        new = new[bps[bps.searchsorted(new)] != new]
+        if not len(new):
             return self
-        pts = sorted(new.union(bps))
-        # each piece takes the segment of the old piece that holds its left
-        # end, found by one lookup for all of them
-        idx = np.searchsorted(bps[1:-1], pts[:-1], side="right").tolist()
-        return PiecewiseFn(tuple(pts), tuple(self.segments[i] for i in idx))
+        bps = np.sort(np.concatenate((bps, _unique(new))))
+        # each piece takes the row of the old piece that holds its left end
+        return self._like(bps, keep=self._bps[1:-1].searchsorted(bps[:-1], side="right"))
 
-    def zeros(self, lo=-np.inf, hi=np.inf) -> tuple[list, list]:
-        """Exact {f = 0} on [lo, hi] as raw parts, (intervals, points), in
-        piece order: each piece, cut to [lo, hi], gives its whole interval
-        where its segment vanishes identically and its roots in the closed
-        interval otherwise.  Each group's zero rule runs once, over all its
-        rows; the one segment of a function runs its rule directly."""
-        if len(self.segments) == 1:
-            (seg,) = self.segments
-            a, b = max(lo, self.lo), min(hi, self.hi)
+    def _zero_parts(self, lo=-np.inf, hi=np.inf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``zeros`` as arrays: the intervals' ends, and the points."""
+        if self._n == 1:  # one piece: its zero rule directly
+            a, b = np.array([max(lo, self.lo)]), np.array([min(hi, self.hi)])
             if not b > a:
-                return [], []
-            cols = np.array(seg._row, dtype=float)[:, None]
-            whole, _, roots = seg._zeros(seg._static, cols, np.array([a]), np.array([b]))
-            return [(a, b)] if whole[0] else [], roots.tolist()
+                return (np.empty(0),) * 3
+            group = self._groups[self._group_of[0]]
+            whole, _, roots = group.kind._zeros(group.static, group.cols[:, self._row_of], a, b)
+            return (a, b, roots) if whole[0] else (np.empty(0), np.empty(0), roots)
+        bps, parts = self._bps, []
         cut = lo > self.lo or hi < self.hi
-        bps = self._table.bps
-        ivs, pts = [], []
-        for group in self._table.groups:
-            pieces, cols = group.pieces, group.cols
+        for g, group in enumerate(self._groups):
+            pieces = (self._group_of == g).nonzero()[0]
             a, b = bps[pieces], bps[1:][pieces]
             if cut:
                 a, b = np.maximum(lo, a), np.minimum(hi, b)
                 on = b > a
                 if not on.all():
-                    pieces, cols, a, b = pieces[on], cols[:, on], a[on], b[on]
-            whole, hit, roots = group.kind._zeros(group.static, cols, a, b)
-            ivs.append((pieces[whole], a[whole], b[whole]))
-            pts.append((pieces[hit], roots))
-        return _in_piece_order(ivs), _in_piece_order(pts)
+                    pieces, a, b = pieces[on], a[on], b[on]
+            if len(pieces):
+                cols = group.cols[:, self._row_of[pieces]]
+                whole, hit, roots = group.kind._zeros(group.static, cols, a, b)
+                parts.append((pieces[whole], a[whole], b[whole], pieces[hit], roots))
+        if len(parts) < 2:  # one group's pieces are in order
+            return parts[0][1:3] + parts[0][4:] if parts else (np.empty(0),) * 3
+        # the groups' parts merged in piece order, stable within a piece
+        cols = [np.concatenate(c) for c in zip(*parts)]
+        ivs, pts = np.argsort(cols[0], kind="stable"), np.argsort(cols[3], kind="stable")
+        return cols[1][ivs], cols[2][ivs], cols[4][pts]
+
+    def zeros(self, lo=-np.inf, hi=np.inf) -> tuple[list, list]:
+        """Exact {f = 0} on [lo, hi] as raw parts, (intervals, points), in
+        piece order: each piece cut to [lo, hi] gives its whole interval
+        where its segment vanishes identically and its roots in the closed
+        interval otherwise; each group's zero rule runs once."""
+        a, b, pts = self._zero_parts(lo, hi)
+        return list(zip(a.tolist(), b.tolist())), pts.tolist()
 
     def zero_set(self) -> BorelSet:
         """Exact {f = 0} on [lo, hi]: the zero pass as one set."""
-        return BorelSet.make(*self.zeros())
-
-    def derivative(self) -> "PiecewiseFn":
-        return PiecewiseFn(
-            self.breakpoints, tuple(s.derivative_segment() for s in self.segments)
-        )
+        return BorelSet._make(*self._zero_parts())
 
     def limit(self, x) -> float:
         if x <= self.lo:
-            return self.segments[0].limit(x if x == self.lo else x)
+            return self.segments[0].limit(x)
         if x >= self.hi:
             return self.segments[-1].limit(x)
         return float(self(x))

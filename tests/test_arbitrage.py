@@ -157,6 +157,33 @@ def test_verdicts_fat_cantor():
     assert v.evidence["lambda_qprime_zero"] == pytest.approx(svc_measure(4), abs=1e-15)
 
 
+# market_verdicts' evidence on the fat-Cantor market past the catalog's
+# depth 6, bit for bit
+_DEEP_EVIDENCE = {
+    8: ("0x1.d5f15d4000000p-11", "0x1.0100000000000p-1"),
+    10: ("0x1.d492491d40000p-11", "0x1.0040000000000p-1"),
+}
+
+
+@pytest.mark.parametrize("depth", [8, 10])
+@pytest.mark.parametrize("r", [0.2, -0.2])
+def test_verdicts_deep_fat_cantor_pinned(depth, r):
+    model = cat.fat_cantor_model(depth=depth, u0=0.5, r=r)
+    verdicts = market_verdicts(model, build_nu(model))
+    nu_ac, lam = (float.fromhex(v) for v in _DEEP_EVIDENCE[depth])
+    evidence = {k: (type(v), float(v).hex()) for k, v in verdicts.evidence.items()}
+    assert evidence == {
+        "abs_nu_total": (float, nu_ac.hex()),
+        "abs_nu_atoms": (int, "0x0.0p+0"),
+        "abs_nu_ac_window": (float, nu_ac.hex()),
+        "lambda_qprime_zero": (float, lam.hex()),
+        "lambda_qprime_zero_with_density": (float, lam.hex()),
+    }
+    # the depth-n SVC set has measure 1/2 + 2^-(n+1), exactly
+    assert verdicts.evidence["lambda_qprime_zero"] == 0.5 + 2.0 ** -(depth + 1)
+    assert (verdicts.nip, verdicts.qvip_exists, verdicts.rp_holds) == (False, True, False)
+
+
 def test_verdicts_skew():
     model = cat.skew_model(kappa=0.75, x0=0.0, r=0.3)
     bundle = build_nu(model)

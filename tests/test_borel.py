@@ -191,18 +191,29 @@ def test_measure_identities(a, b, window):
 # ---------------------------------------------------------------------------
 
 _quarter = st.integers(-12, 12).map(lambda k: k / 4)
+_svc_part = st.builds(
+    lambda depth, lo, width: SVCSet(depth, lo, lo + width),
+    st.integers(1, 6),
+    _quarter,
+    st.sampled_from([0.25, 1.0, 1.5, 2.0]),
+)
+
+
+def _shifted(svc, how):
+    """The up to 64 intervals of an expanded svc set, shifted by nothing, by
+    grid steps, by its first gap or by its first interval's length, so that
+    they overlap or touch the other operand's intervals or its svc part."""
+    ivs = svc.to_intervals()
+    gap, length = ivs[1][0] - ivs[0][1], ivs[0][1] - ivs[0][0]
+    shift = {"none": 0.0, "up": 0.25, "down": -0.5, "gap": gap, "length": length}[how]
+    return [(a + shift, b + shift) for a, b in ivs]
+
+
+_expanded = st.builds(_shifted, _svc_part, st.sampled_from(["none", "up", "down", "gap", "length"]))
 _parts = st.tuples(
-    st.lists(st.tuples(_quarter, _quarter).map(sorted), max_size=4),
+    st.one_of(st.lists(st.tuples(_quarter, _quarter).map(sorted), max_size=4), _expanded),
     st.lists(_quarter, max_size=3),
-    st.one_of(
-        st.none(),
-        st.builds(
-            lambda depth, lo, width: SVCSet(depth, lo, lo + width),
-            st.integers(1, 4),
-            _quarter,
-            st.sampled_from([0.25, 1.0, 1.5, 2.0]),
-        ),
-    ),
+    st.one_of(st.none(), _svc_part),
     st.lists(_quarter, max_size=3),
 )
 
@@ -213,6 +224,7 @@ def _fields(s):
 
 def _same_set(new, old, probes):
     assert _fields(new) == _fields(old)
+    assert new.lebesgue().hex() == old.lebesgue().hex()
     # the probes cover the eighth grid and every interval end, the svc
     # part's included
     xs = np.concatenate([probes, [e for iv in old._all_intervals() for e in iv]])

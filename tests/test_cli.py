@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -559,3 +560,64 @@ def test_simulate_memory_does_not_grow_with_paths(tmp_path):
     peak(1)  # one-time costs: the parser and the catalog's caches
     small, large = peak(40), peak(400)
     assert large <= 1.5 * small
+
+
+# sha256 of every CSV that analyze, simulate --paths 5 and backtest write at
+# --h 0.1 for each catalog market.  An identical command line and seed write
+# byte-identical CSVs within a release; these digests pin them.
+GOLDEN_CSV_SHA256 = {
+    "engelbert-schmidt": {
+        "ip_report.csv": "03488d66794392a5e0b6d089894d1b2f2de70965e4b9708ff2973011b6dd3e84",
+        "nu_report.csv": "b1bf77ac2f677152be0d54459a050bc9c71baa932cc25a4e4909e07c8509fb21",
+        "paths.csv": "65991bd21877f88803c45e2e04c4babda886352ff70e7de60b15595fb54e4570",
+        "value_series.csv": "42afff9206af3fa57b2e0f6ad5bd3d6c57ef39060d9379d0c475107c67a408ab",
+        "verdicts.csv": "eddb0c11c103dc6b9d43e67d97ebde51390996582e5fc16762f2890b82bd72f8",
+    },
+    "bs-reflected": {
+        "ip_report.csv": "4b2c6c48132b274bf96af174bd0f285d08f59880f086c14329a8257da0547bed",
+        "nu_report.csv": "3de1e56d75f2a5a943b32a26b9770d290b70d920a57885ade75547a45ca4d287",
+        "paths.csv": "a4016702b94f37e20ace3dfe758f4b2d5be42bae4a057519b1272513163a0f57",
+        "value_series.csv": "7929615f14bbc027429e026cd644c9ddd40ef0f6fb5e899ef582c1d684db5d28",
+        "verdicts.csv": "88df3ecc94bc020e1350d3ae30976232a39151f906c2f6f09ae49cad131e63af",
+    },
+    "bessel-sticky": {
+        "ip_report.csv": "b9c01d5f56b4664e95e89f1d160f05eed2201ef1e06925bbae44b9aa854e3285",
+        "nu_report.csv": "b1bf77ac2f677152be0d54459a050bc9c71baa932cc25a4e4909e07c8509fb21",
+        "paths.csv": "a20140928e4ce60fb2f39117827a0a336a5e33af94b1c5e1abbf4178402b7e09",
+        "value_series.csv": "1793ea40f10a79dd20b3cfbd1ef38e9a22f6ca72284c535b9b7d2f6ba12e3eae",
+        "verdicts.csv": "b08e4994d2037b5646a0137881fd8efc82ecd451cadfa43506faf1e6b6205455",
+    },
+    "bachelier-sticky": {
+        "ip_report.csv": "28aafbfda0541fe5b401eb2eb6a18a14048b99ffdb657205527a8d266312b2ae",
+        "nu_report.csv": "228697f5011bbfd5739517aba0b847e002afdea2057dd72232bf6986692640ed",
+        "paths.csv": "b87b029e3db5b5bb4116bebdfb23c115e7eac1309a0b2e9dc95f61449b879def",
+        "value_series.csv": "121cf7eadb1b953a1cc10a7b573564ea8f1071e277a27621fb4135b110a972b9",
+        "verdicts.csv": "06caabd006229e89375e37984575d163946fb331c76ec17ba7815db22dbaa943",
+    },
+    "bachelier-skew": {
+        "ip_report.csv": "2c5f66fa1e38d34710a6e151c5453cb79a182105fcd3cfee37f66c48df9bd702",
+        "nu_report.csv": "f253d824be9442a6b05df87fa8a161d70e668058b45fbf7173fe83db8d725262",
+        "paths.csv": "01f68e2a28de29a5f6c2d12f3d6bfa74aa293a19a32e093bf1d1a847f47b197d",
+        "value_series.csv": "9e2a3c4f8600d81b4630149768cbdf7308125b68e1752ad1d205a53601bfee01",
+        "verdicts.csv": "143dd9f75ffa0a902a506cf1aefaf61f2f2b1ca929f929abe8fd1e1d75a48a79",
+    },
+    "fat-cantor": {
+        "ip_report.csv": "5d117921c6fb6750057c2ba6cccc761bb6f201b862cdd05368ee0190c835d0d6",
+        "nu_report.csv": "b96dbcfc9a6eea7478d98d7d5e6b75d069564f3c299907eff2772873a4afc494",
+        "paths.csv": "e3ae951d7a428651b2a623af489ec09e394b8924b42494c67e2b86cd3c2e01ab",
+        "value_series.csv": "a772716f8f275d37e986f9ecdd404f4bd18c00d49912374e0c0d5fb5bfb0af5b",
+        "verdicts.csv": "a3f2c0e7f4c673dfc0379f677d86b61fc11e037c1df79dc34d403122de1e3862",
+    },
+}
+
+
+def test_golden_csv_digests(tmp_path):
+    for name, digests in GOLDEN_CSV_SHA256.items():
+        out = tmp_path / name
+        base = ["--quiet", "--out", str(out)]
+        run = ["--example", name, "--h", "0.1"]
+        assert main(base + ["analyze", "--example", name]) == 0
+        assert main(base + ["simulate", *run, "--paths", "5"]) == 0
+        assert main(base + ["backtest", *run]) == 0
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert written == digests, name

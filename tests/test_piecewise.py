@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -366,3 +368,29 @@ def test_restricted():
     g = f.restricted(-0.5, 1.5)
     xs = np.linspace(-0.5, 1.5, 101)
     assert np.allclose(f(xs), g(xs))
+
+
+@pytest.mark.parametrize("seg,lo,hi,c0,c1", [
+    # the integral of (1 + x) over (-inf, 0]
+    (Const(1.0), -np.inf, 0.0, 1.0, 1.0),
+    # of (1 - x)(1 + x) over [0, inf)
+    (Poly((1.0, 1.0)), 0.0, np.inf, 1.0, -1.0),
+    # of (1 - x)(x**0.5 + 1) over [0, inf)
+    (Power(1.0, 0.0, 0.5, 1.0, 1), 0.0, np.inf, 1.0, -1.0),
+])
+def test_divergent_tail_takes_the_sign_of_its_highest_order(seg, lo, hi, c0, c1):
+    # the terms diverge with opposite signs; the one of highest order wins
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = seg.integrate_affine(lo, hi, c0, c1)
+        assert got == -np.inf
+        assert PiecewiseFn((lo, hi), (seg,)).integrate(lo, hi, c0, c1) == -np.inf
+    # orders that cancel leave the finite terms: f = t**0 - 1 vanishes
+    assert Power(1.0, 0.0, 0.0, -1.0, 1).integrate_affine(0.0, np.inf) == 0.0
+
+
+def test_polynomial_at_infinity_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = Poly((1.0, 2.0))(np.array([np.inf, -np.inf, 1.0]))
+    assert got.tolist() == [np.inf, -np.inf, 3.0]

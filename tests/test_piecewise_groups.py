@@ -307,24 +307,34 @@ def test_fat_cantor_analysis_runs_per_group_not_per_segment(monkeypatch):
     assert counts["Segment.__call__"] == 0
 
 
-def test_parameter_table_is_built_on_first_use():
-    model = cat.fat_cantor_model(depth=3)
-    for pw in (model.q, model.m_ac, model.q.scaled(2.0), model.q.restricted(0.0, 1.0)):
-        assert "_table" not in vars(pw)
-    # building the model read q' on both sides of its breakpoints
-    assert "_table" in vars(model.q_prime)
-    q = model.q.scaled(2.0)
+def test_table_is_built_once_where_the_function_is_made():
+    # fat_cantor_q fills its three groups' columns directly, with no
+    # segment objects; they are built from the table when first read
+    q = cat.fat_cantor_model(depth=3).q
+    assert [g.kind for g in q._groups] == [Poly, Const, Power]
+    assert "segments" not in vars(q)
+    table = (q._bps, q._groups, q._group_of, q._row_of)
+    # scaling and differentiating map the columns and share the
+    # breakpoints and the piece maps; restricting and refining share the groups
+    for f in (q.scaled(-1.0), q.derivative()):
+        assert f._bps is q._bps and f._group_of is q._group_of and f._row_of is q._row_of
+    for f in (q.restricted(0.0, 1.0), q.with_breakpoints([0.3, 0.6])):
+        assert f._groups is q._groups
+    # evaluating, integrating and the zero pass read the table as it is
     q(np.array([0.1, 0.7]))
-    table = vars(q)["_table"]
-    q(np.array([0.3]))
+    q.sides(np.array([0.5]))
+    q.integrate(0.0, 1.0)
     q.zeros()
-    assert vars(q)["_table"] is table
-    # one segment runs its kernel and its zero rule directly, with no table
+    assert all(a is b for a, b in zip((q._bps, q._groups, q._group_of, q._row_of), table))
+    assert len(q.segments) == 24 and "segments" in vars(q)
+    # jordan_hahn's negative part is the density with its columns negated
+    bundle = arbitrage.build_nu(cat.fat_cantor_model(depth=3, r=-0.2))
+    minus, density = bundle.nu_ac_minus.density, bundle.nu.density
+    assert minus._row_of is density._row_of and minus._bps is density._bps
+    assert minus.segments == tuple(s.scaled(-1.0) for s in density.segments)
+    # one piece runs its kernel and its zero rule directly
     one = PiecewiseFn.constant(0.0)
-    one(np.array([0.0, 1.0]))
-    one.sides(np.array([0.0]))
     assert one.zeros(-1.0, 1.0) == ([(-1.0, 1.0)], [])
-    assert "_table" not in vars(one)
 
 
 @pytest.mark.parametrize(
