@@ -6,15 +6,16 @@ route (the finite-variation representation driven by the auxiliary signed
 measure through local times and the post-absorption clock).  Each step of
 the chain is split into a hold phase (state constant, clock running) and a
 jump phase (state moves, quadratic variation accrues); the split is what
-lets the domination checks distinguish local-time growth from
-quadratic-variation growth.  One group kernel, ``_steps``, books a block of
-holds of many paths at once, one row per path: one exp per hold, one gather
-of the per-node rows and each product in a fixed order.  The ensemble
-books the rounds of the group walker (``chain._walk``) and carries each
-path's sums from round to round in step order; a single path is a block of
-one row.  A path's statistics are therefore the same bit for bit however
-the paths are grouped into rounds, and equal the single-path routes'; the
-ensemble keeps only each path's sums, minima and flags.
+lets the ensemble's per-path flags (``hold_nonzero_*``,
+``qv_growth_trigger_*``) tell local-time growth from quadratic-variation
+growth.  One group kernel, ``_steps``, books a block of holds of many paths
+at once, one row per path: one exp per hold, one gather of the per-node
+rows and each product in a fixed order.  The ensemble books the rounds of
+the group walker (``chain._walk``) and carries each path's sums from round
+to round in step order; ``value_series`` books a recorded path as a block
+of one row.  A path's statistics are therefore the same bit for bit however
+the paths are grouped into rounds, and equal the sums of its value series'
+increments; the ensemble keeps only each path's sums, minima and flags.
 """
 
 from __future__ import annotations
@@ -47,13 +48,9 @@ __all__ = [
     "MCConfig",
     "ValueSeries",
     "EnsembleStats",
-    "DominationReport",
     "IPReport",
     "value_series",
-    "integral_value",
-    "closed_form_value",
     "run_ensemble",
-    "domination_check",
     "classify_ip",
 ]
 
@@ -92,14 +89,6 @@ class ValueSeries:
             raise ValueError("value series must start at (0, 0)")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("value series must be finite")
-
-
-@dataclass(frozen=True)
-class DominationReport:
-    qv_dominated: bool  # (a) value growth only where <U> grows
-    qv_growth_violation: bool  # (b) value growth where <S> grows (must be False)
-    n_hold_nonzero: int
-    n_jump_nonzero: int
 
 
 @dataclass(frozen=True)
@@ -331,7 +320,7 @@ def _book_path(
 
 
 # ---------------------------------------------------------------------------
-# single paths
+# value series of recorded paths
 # ---------------------------------------------------------------------------
 
 
@@ -353,8 +342,9 @@ def value_series(
     one set of node tables built when the first series is asked for; each
     path is taken from ``paths`` only after the previous one's series are
     yielded.  The routes are not checked against the strategy: the
-    closed-form route is the value process only where condition (i) holds
-    (see ``closed_form_value``).
+    closed-form route is the value process only where condition (i) holds,
+    that is where the strategy's support lies in the zero set of q' (see
+    ``arbitrage.check_strategy_conditions``).
     """
     tables = _node_tables(chain, bundle, H)
     for path in paths:
@@ -365,64 +355,6 @@ def value_series(
             values = np.concatenate([[0.0], np.cumsum(book[hold] + book[jump])])
             series.append(ValueSeries(times=t, values=values, route=route))
         yield tuple(series)
-
-
-def integral_value(
-    path: PathSample,
-    chain: GridChain,
-    bundle: NuBundle,
-    H: FeedbackStrategy,
-    T: float,
-) -> ValueSeries:
-    """V_t = sum of H(u) dS over the step skeleton; exact for feedback H."""
-    (series,) = next(value_series([path], chain, bundle, H, T, ("integral",)))
-    return series
-
-
-def closed_form_value(
-    path: PathSample,
-    chain: GridChain,
-    bundle: NuBundle,
-    H: FeedbackStrategy,
-    T: float,
-) -> ValueSeries:
-    """Finite-variation representation of the value process.
-
-    Only applies when the martingale part of the wealth dynamics is switched
-    off; refuses strategies whose support leaves the zero set of q'.
-    """
-    report = check_strategy_conditions(chain.model, bundle, H)
-    if not report.condition_i:
-        raise ValueError(
-            "closed-form value requires the strategy support to lie in the "
-            "zero set of q' (deactivated martingale part)"
-        )
-    (series,) = next(value_series([path], chain, bundle, H, T, ("closed_form",)))
-    return series
-
-
-def domination_check(
-    path: PathSample,
-    chain: GridChain,
-    bundle: NuBundle,
-    H: FeedbackStrategy,
-    T: float,
-    route: str = "closed_form",
-) -> DominationReport:
-    """(a) does the value only move when <U> moves; (b) does it ever move
-    when <S> moves (a finite-variation value process never may)."""
-    _, book = _book_path(chain, _node_tables(chain, bundle, H), path, T)
-    hold, jump = _ROUTE_ROWS["closed_form" if route == "closed_form" else "integral"]
-    hold_nonzero = book[hold] != 0.0
-    jump_nonzero = book[jump] != 0.0
-    qv_dominated = not hold_nonzero.any()  # holds carry no <U> growth
-    qv_growth = bool(np.any(jump_nonzero & (book[_DS] != 0.0)))
-    return DominationReport(
-        qv_dominated=bool(qv_dominated),
-        qv_growth_violation=qv_growth,
-        n_hold_nonzero=int(hold_nonzero.sum()),
-        n_jump_nonzero=int(jump_nonzero.sum()),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +424,13 @@ def run_ensemble(
     """Book n_paths independent paths of the chain, many paths per round.
 
     The group walker (``chain._walk``) advances rows of paths in rounds, and
-    the group kernel books each round's holds.  Path ``pid`` is
-    ``sample_path(chain, T, seed, pid)`` and each of its sums runs in step
-    order from 0.0 across rounds, so no path's statistics depend on the
-    other paths, on the rows that share its rounds or on where its rounds
-    end: they equal the single-path routes' bit for bit.  An absorbed path's
-    last hold is the absorbing node's, which lasts to T.
+    the group kernel books each round's holds.  Path ``pid`` is path
+    ``pid`` of ``chain.sample_paths(chain, T, seed, ...)`` and each of its
+    sums runs in step order from 0.0 across rounds, so no path's statistics
+    depend on the other paths, on the rows that share its rounds or on
+    where its rounds end: they equal the sums of its ``value_series``
+    increments bit for bit.  An absorbed path's last hold is the absorbing
+    node's, which lasts to T.
     """
     T = config.T
     n_paths = config.n_paths

@@ -11,11 +11,13 @@ is what every estimator here relies on.
 Paths are walked in groups: one walker (``_walk``) advances many paths per
 numpy call, as the rows of a block of moves, and hands each block to its
 caller.  ``sample_paths`` records whole paths from those blocks and yields
-them in id order, holding at most one group of consecutive ids at a time;
-``sample_path`` is its one-id case.  Path ``pid`` draws its moves
-from its own counter-based stream, ``Philox(key=[seed, pid])``, and move n
-uses the n-th draw of that stream however the paths are grouped, so every
-path is the same bit for bit whether it is walked alone or with others.
+them in id order, holding at most one group of consecutive ids at a time.
+Path ``pid`` is the path that ``sample_paths`` yields for that id.  Its
+move n takes the n-th uniform of its own counter-based stream,
+``Philox(key=[seed, pid])``, however the paths are grouped: it goes up iff
+that uniform is below 1/2, except at a reflecting edge, whose move goes
+inward whatever it draws.  So every path is the same bit for bit whether it
+is walked alone or with others.
 """
 
 from __future__ import annotations
@@ -32,9 +34,7 @@ __all__ = [
     "GridChain",
     "PathSample",
     "build_chain",
-    "sample_path",
     "sample_paths",
-    "path_rng",
     "StepBudgetError",
     "INTERIOR",
     "REFLECT_UP",
@@ -213,14 +213,6 @@ def _round_cells() -> int:
 def _check_seed(seed: int):
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-
-
-def path_rng(seed: int, path_id: int) -> np.random.Generator:
-    """Counter-based substream: independent across path ids, reproducible.
-
-    Step n of path ``path_id`` goes up iff the n-th ``random()`` of this
-    stream is below 1/2."""
-    return np.random.Generator(np.random.Philox(key=[seed, path_id]))
 
 
 class _Round(NamedTuple):
@@ -407,10 +399,10 @@ def sample_paths(
     The ids are walked by ``_walk`` in groups of ``_GROUP`` consecutive
     ids, many paths per numpy call; a finished path is yielded as soon as
     every lower id of its group has been, so at most one group of paths is
-    held at a time, however many ids are asked for.  Each path equals
-    ``sample_path(chain, T, seed, pid)`` and the ensemble's path of the
-    same id bit for bit.  The arguments are checked when the first path is
-    asked for.
+    held at a time, however many ids are asked for.  A hold that reaches T
+    ends a path.  Each path equals the ensemble's path of the same id bit
+    for bit, whatever other ids are asked for with it.  The arguments are
+    checked when the first path is asked for.
     """
     if T <= 0:
         raise ValueError("horizon must be positive")
@@ -444,15 +436,3 @@ def sample_paths(
             while want in done:
                 yield done.pop(want)
                 want = next(pending, None)
-
-
-def sample_path(chain: GridChain, T: float, seed: int, path_id: int = 0) -> PathSample:
-    """One path of the chain on [0, T]; a hold that reaches T ends it.
-
-    Each step draws one uniform from the path's stream and goes up iff the
-    uniform is below 1/2, except at a reflecting edge, whose step goes
-    inward whatever it draws.  The path is the one-id case of
-    ``sample_paths``.
-    """
-    (path,) = sample_paths(chain, T, seed, range(path_id, path_id + 1))
-    return path

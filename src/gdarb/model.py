@@ -132,7 +132,7 @@ class NaturalScaleModel:
 
     def _q_prime_left(self, a: float) -> float:
         """q'_-(a), read on the segment to the left of a breakpoint."""
-        return self.q_prime._value(a, left=True)
+        return float(self.q_prime.sides(np.array([a]))[0][0])
 
     def m_atom_mass(self, u: float) -> float:
         for a, mass in self.m_atoms:

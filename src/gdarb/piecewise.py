@@ -606,7 +606,8 @@ class Log(Segment):
         mid = 0.5 * (t0 + t1)
         int_log = d * (log1 - 1.0) + tg  # integral of log(lam t)
         int_tlog = d * mid * (log1 - 0.5) + 0.5 * ttg  # integral of t log(lam t)
-        value = k * (A * int_log + B * int_tlog) + o * d * (A + B * mid)
+        with np.errstate(invalid="ignore"):  # 0 * inf, which _tail replaces
+            value = k * (A * int_log + B * int_tlog) + o * d * (A + B * mid)
         to_inf = np.isinf(t1)
         if to_inf.any():
             # t log t grows faster than t, and slower than t**2
@@ -782,13 +783,12 @@ class PiecewiseFn:
             if len(mine):
                 yield group.kind, group.static, mine, group.cols[:, self._row_of[mine]]
 
-    def _value(self, x: float, left: bool = False) -> float:
-        """f at the scalar x, or with ``left`` at a breakpoint, its piece on
-        the left's value there."""
+    def _value(self, x: float) -> float:
+        """f at the scalar x."""
         if self._n == 1:
             kind, params = self._solo
         else:
-            i = int(self._bps[1:-1].searchsorted(x, "left" if left else "right"))
+            i = int(self._bps[1:-1].searchsorted(x, "right"))
             group = self._groups[self._group_of[i]]
             kind = group.kind
             params = (*group.static, *(group.row or group.cols[:, self._row_of[i]].tolist()))

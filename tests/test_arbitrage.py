@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+import nu_oracle
 from gdarb import catalog as cat
 from gdarb.arbitrage import (
     FeedbackStrategy,
@@ -15,6 +17,7 @@ from gdarb.arbitrage import (
 from gdarb.borel import BorelSet, svc_measure
 from gdarb.measures import integrate
 from gdarb.model import BoundarySpec, NaturalScaleModel, to_natural_scale, validate
+from gdarb.modelfile import parse_model_text
 from gdarb.piecewise import Const, PiecewiseFn, Poly
 
 
@@ -41,6 +44,60 @@ def test_nu_reflected_atom():
     bundle = build_nu(model)
     assert bundle.nu.atoms == ((0.0, pytest.approx(0.3, abs=1e-14)),)
     assert 0.0 in bundle.n_plus
+
+
+# a finite market reflecting at both ends; the scale has a kink at x = 0.5
+# and another at the right edge x = 1, where the speed has an atom
+KINKED_REFLECTING = """
+[state_space]
+lo = 0
+hi = 1
+
+[scale]
+breakpoints = 0, 0.5, 1, 2
+segment1 = affine 0 1          # s(x) = x
+segment2 = affine -0.25 1.5    # s(x) = 1.5 x - 0.25
+segment3 = affine -1.25 2.5    # past the edge: s'(1+) = 2.5
+
+[speed]
+breakpoints = 0, 1
+segment1 = const 1
+atom1 = 1 0.5
+
+[boundaries]
+left = reflecting
+right = reflecting
+
+[market]
+x0 = 0.5
+rate = 0.1
+"""
+
+
+def test_nu_reflecting_right_edge_at_a_scale_kink():
+    # in natural scale the edge is hi = s(1) = 1.25, where q'_-(hi) = 1/1.5
+    # and y(hi) = 1; nu({hi}) = -q'_-(hi)/2 - r y(hi) m({hi})
+    spec = parse_model_text(KINKED_REFLECTING)
+    model = to_natural_scale(spec)
+    assert validate(model).ok
+    assert (model.hi, model.m_atoms) == (1.25, ((1.25, 0.5),))
+    edge = -0.5 / 1.5 - 0.1 * 1.0 * 0.5
+    # q' jumps by 1/1.5 - 1 at u = 0.5, and the left edge carries q'(0)/2
+    want = ((0.0, 0.5), (0.5, pytest.approx(0.5 * (1 / 1.5 - 1.0), abs=1e-15)),
+            (1.25, pytest.approx(edge, abs=1e-15)))
+    # q may run past the edge, its next piece's slope 1/2.5 there: the edge
+    # atom reads the piece on the left of hi all the same
+    wide = to_natural_scale(dataclasses.replace(spec, hi=2.0, right=BoundarySpec("right")))
+    past = dataclasses.replace(model, q=wide.q)
+    assert past.q.breakpoints == (0.0, 0.5, 1.25, 3.75)
+    assert float(past.q_prime(1.25)) == 1 / 2.5
+    for m in (model, past):
+        bundle = build_nu(m)
+        assert bundle.nu.atoms == want
+        assert bundle.nu.density is None  # q' > 0: no flat stretch
+        oracle = nu_oracle.build_nu(m)
+        for field in dataclasses.fields(oracle):
+            assert getattr(bundle, field.name) == getattr(oracle, field.name), field.name
 
 
 def test_nu_sticky_atom():

@@ -17,16 +17,16 @@ from gdarb.backtest import (
     MCConfig,
     ValueSeries,
     classify_ip,
-    closed_form_value,
-    domination_check,
-    integral_value,
     run_ensemble,
     value_series,
 )
 from gdarb.borel import BorelSet
-from gdarb.chain import build_chain, sample_path
+from gdarb.chain import build_chain, sample_paths
 from gdarb.model import ModelError
-from path_oracles import hitting_time, occupation, qv_series
+from path_oracles import book_path, hitting_time, occupation, per_step_path, qv_series
+
+
+ROUTES = ("integral", "closed_form")
 
 
 def brownian_model(r=0.0):
@@ -39,18 +39,28 @@ def _setup(model, h, radius=10.0):
     return bundle, chain
 
 
+def _path(chain, T, seed, path_id=0):
+    """Path ``path_id`` of the chain, walked alone."""
+    (path,) = sample_paths(chain, T, seed, range(path_id, path_id + 1))
+    return path
+
+
+def _series(path, chain, bundle, H, T, routes=ROUTES):
+    """The value series of one path, one per route."""
+    (series,) = value_series([path], chain, bundle, H, T, routes)
+    return series
+
+
 # ---------------------------------------------------------------------------
-# single-path value routes
+# value series of single paths
 # ---------------------------------------------------------------------------
 
 
 def test_zero_strategy_zero_value():
     model = cat.sticky_model(xi=0.5, rho=2.0, x0=0.0, r=0.1)
     bundle, chain = _setup(model, 0.05)
-    p = sample_path(chain, T=1.0, seed=1)
-    H = FeedbackStrategy()
-    vi = integral_value(p, chain, bundle, H, T=1.0)
-    vc = closed_form_value(p, chain, bundle, H, T=1.0)
+    p = _path(chain, T=1.0, seed=1)
+    vi, vc = _series(p, chain, bundle, FeedbackStrategy(), T=1.0)
     assert np.all(vi.values == 0.0)
     assert np.all(vc.values == 0.0)
 
@@ -59,9 +69,9 @@ def test_constant_strategy_telescopes():
     # r = 0, H = 1: the integral route telescopes to q(U_T) - q(u0) exactly
     model = brownian_model(r=0.0)
     bundle, chain = _setup(model, 0.05)
-    p = sample_path(chain, T=1.0, seed=3)
+    p = _path(chain, T=1.0, seed=3)
     H = FeedbackStrategy(plus_set=BorelSet.make([(-100.0, 100.0)]))
-    v = integral_value(p, chain, bundle, H, T=1.0)
+    (v,) = _series(p, chain, bundle, H, T=1.0, routes=("integral",))
     u_T = chain.grid[p.states[np.searchsorted(p.times, 1.0, side="right") - 1]]
     q = chain.model.q
     assert v.values[-1] == pytest.approx(float(q(u_T)) - float(q(0.0)), abs=1e-10)
@@ -70,12 +80,9 @@ def test_constant_strategy_telescopes():
 def test_value_series_invariants():
     model = cat.skew_model(kappa=0.75, x0=0.0, r=0.1)
     bundle, chain = _setup(model, 0.05)
-    p = sample_path(chain, T=0.5, seed=2)
+    p = _path(chain, T=0.5, seed=2)
     theta = build_theta(bundle)
-    for series in (
-        integral_value(p, chain, bundle, theta, T=0.5),
-        closed_form_value(p, chain, bundle, theta, T=0.5),
-    ):
+    for series in _series(p, chain, bundle, theta, T=0.5):
         assert series.times[0] == 0.0 and series.values[0] == 0.0
         assert np.all(np.isfinite(series.values))
         assert series.times[-1] == pytest.approx(0.5, abs=1e-12)
@@ -86,20 +93,11 @@ def test_value_series_invariants():
 def test_gain_linearity():
     model = cat.sticky_model(xi=0.5, rho=2.0, x0=0.5, r=0.1)
     bundle, chain = _setup(model, 0.05)
-    p = sample_path(chain, T=1.0, seed=5)
+    p = _path(chain, T=1.0, seed=5)
     theta = build_theta(bundle)
-    v1 = integral_value(p, chain, bundle, theta, T=1.0)
-    v2 = integral_value(p, chain, bundle, theta.scaled(2.0), T=1.0)
+    (v1,) = _series(p, chain, bundle, theta, T=1.0, routes=("integral",))
+    (v2,) = _series(p, chain, bundle, theta.scaled(2.0), T=1.0, routes=("integral",))
     assert np.array_equal(v2.values, 2.0 * v1.values)
-
-
-def test_closed_form_refuses_off_zero_set():
-    model = cat.skew_model(kappa=0.75, x0=0.0, r=0.1)
-    bundle, chain = _setup(model, 0.05)
-    p = sample_path(chain, T=0.5, seed=2)
-    H = FeedbackStrategy(plus_set=BorelSet.make([(-10.0, 10.0)]))
-    with pytest.raises(ValueError, match="zero set"):
-        closed_form_value(p, chain, bundle, H, T=0.5)
 
 
 def test_absorbed_path_closed_form_exact():
@@ -109,14 +107,12 @@ def test_absorbed_path_closed_form_exact():
     bundle, chain = _setup(model, 0.05, radius=5.0)
     theta = build_theta(bundle)
     n_abs = 0
-    for pid in range(60):
-        p = sample_path(chain, T=T, seed=13, path_id=pid)
+    paths = list(sample_paths(chain, T, 13, range(60)))
+    for p, (vi, vc) in zip(paths, value_series(paths, chain, bundle, theta, T, ROUTES)):
         if not (p.absorbed and p.absorption_time < T):
             continue
         n_abs += 1
         expected = b * (np.exp(-r * p.absorption_time) - np.exp(-r * T))
-        vi = integral_value(p, chain, bundle, theta, T=T)
-        vc = closed_form_value(p, chain, bundle, theta, T=T)
         assert vi.values[-1] == pytest.approx(expected, abs=1e-12)
         assert vc.values[-1] == pytest.approx(expected, abs=1e-12)
         # value is zero until absorption
@@ -130,12 +126,10 @@ def test_sticky_monotone_closed_form_only():
     bundle, chain = _setup(model, 0.02)
     theta = build_theta(bundle)
     saw_negative_int = False
-    for pid in range(10):
-        p = sample_path(chain, T=1.0, seed=7, path_id=pid)
-        vc = closed_form_value(p, chain, bundle, theta, T=1.0)
+    paths = sample_paths(chain, 1.0, 7, range(10))
+    for vi, vc in value_series(paths, chain, bundle, theta, 1.0, ROUTES):
         assert np.min(np.diff(vc.values)) >= 0.0
         assert vc.values[-1] > 0.0
-        vi = integral_value(p, chain, bundle, theta, T=1.0)
         if np.min(np.diff(vi.values)) < -1e-12:
             saw_negative_int = True
     # the direct Riemann route wiggles at the atom by O(h): that is exactly
@@ -144,7 +138,7 @@ def test_sticky_monotone_closed_form_only():
 
 
 # ---------------------------------------------------------------------------
-# domination checks
+# domination checks: the ensemble's per-path flags
 # ---------------------------------------------------------------------------
 
 
@@ -152,35 +146,35 @@ def test_domination_quadratic_variation_strategy():
     model = cat.fat_cantor_model(depth=3, u0=0.5, r=0.1)
     bundle, chain = _setup(model, 0.01, radius=3.0)
     theta_bar = build_theta_bar(model, bundle)
-    for pid in range(5):
-        p = sample_path(chain, T=1.0, seed=19, path_id=pid)
-        rep = domination_check(p, chain, bundle, theta_bar, T=1.0)
-        assert rep.qv_dominated
-        assert not rep.qv_growth_violation
-        assert rep.n_jump_nonzero > 0
+    cfg = MCConfig(n_paths=5, h=0.01, T=1.0, seed=19)
+    stats = run_ensemble(chain, bundle, theta_bar, cfg)
+    # the value moves only at jumps (where <U> grows), never where <S> grows
+    assert not stats.hold_nonzero_cf.any()
+    assert not stats.qv_growth_trigger_cf.any()
+    assert np.all(stats.v_cf > 0.0)  # so every path booked a nonzero jump
 
 
 def test_domination_local_time_strategy():
     model = cat.sticky_model(xi=0.5, rho=2.0, x0=0.5, r=0.1)
     bundle, chain = _setup(model, 0.02)
     theta = build_theta(bundle)
-    p = sample_path(chain, T=1.0, seed=23)
-    rep = domination_check(p, chain, bundle, theta, T=1.0)
-    # the value grows during sticky holds, where <U> is flat
-    assert not rep.qv_dominated
-    assert not rep.qv_growth_violation
-    assert rep.n_hold_nonzero > 0 and rep.n_jump_nonzero == 0
+    stats = run_ensemble(chain, bundle, theta, MCConfig(n_paths=1, h=0.02, T=1.0, seed=23))
+    # the value grows during sticky holds, where <U> is flat; q' = 1, so
+    # <S> grows at every jump and no jump books value
+    assert stats.hold_nonzero_cf[0]
+    assert not stats.qv_growth_trigger_cf[0]
 
 
 @pytest.mark.parametrize("name", [entry.name for entry in cat.catalog()])
 def test_value_series_matches_single_paths(name, monkeypatch):
-    # booking several paths against one set of node tables gives each path's
-    # single-path series bit for bit, and builds the tables once per call
+    # booking several paths against one set of node tables gives each
+    # path's series as the per-step booking oracle has it, and builds the
+    # tables once per call
     model = cat.get_entry(name).build()
     bundle, chain = _setup(model, 0.05)
     theta = build_theta(bundle)
     unit = FeedbackStrategy(plus_set=BorelSet.make([bundle.window]))
-    paths = [sample_path(chain, T=1.0, seed=23, path_id=pid) for pid in range(10)]
+    paths = [per_step_path(chain, 1.0, 23, pid) for pid in range(10)]
     node_tables = backtest._node_tables
     builds = []
 
@@ -189,23 +183,21 @@ def test_value_series_matches_single_paths(name, monkeypatch):
         return node_tables(*args)
 
     for H in (theta, unit):
-        singles = [[integral_value(p, chain, bundle, H, T=1.0)] for p in paths]
         routes = ("integral",)
         if check_strategy_conditions(model, bundle, H).condition_i:
             routes += ("closed_form",)
-            for p, single in zip(paths, singles):
-                single.append(closed_form_value(p, chain, bundle, H, T=1.0))
         builds.clear()
         with monkeypatch.context() as m:
             m.setattr(backtest, "_node_tables", counted)
             batch = list(value_series(paths, chain, bundle, H, 1.0, routes))
         assert len(builds) == 1
         assert len(batch) == len(paths)
-        for got, want in zip(batch, singles):
+        for got, p in zip(batch, paths):
+            want = book_path(p, chain, bundle, H, 1.0)
             assert [s.route for s in got] == list(routes)
-            for g, w in zip(got, want, strict=True):
-                assert np.array_equal(g.times, w.times)
-                assert np.array_equal(g.values, w.values)
+            for g in got:
+                assert np.array_equal(g.times, want.times)
+                np.testing.assert_allclose(g.values, want.values(g.route), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -213,40 +205,58 @@ def test_value_series_matches_single_paths(name, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def _assert_sums_match_oracle(stats, pid, book):
+    """The ensemble's sums and minima of path ``pid`` against its per-step
+    book."""
+    for field, inc in (
+        ("v_int", book.int_hold + book.int_jump),
+        ("v_cf", book.cf_hold + book.cf_jump),
+        ("qv_s", book.dS),
+        ("emp_cond_i", book.leak),
+        ("clock", book.clock),
+    ):
+        assert getattr(stats, field)[pid] == pytest.approx(inc.sum(), abs=1e-12), field
+    assert stats.min_inc_int[pid] == pytest.approx(book.min_increment("integral"), abs=1e-12)
+    assert stats.min_inc_cf[pid] == pytest.approx(book.min_increment("closed_form"), abs=1e-12)
+
+
 def test_ensemble_matches_single_paths():
-    model = cat.sticky_model(xi=0.5, rho=2.0, x0=0.5, r=0.1)
-    bundle, chain = _setup(model, 0.05)
-    theta = build_theta(bundle)
-    cfg = MCConfig(n_paths=12, h=0.05, T=1.0, seed=41)
-    stats = run_ensemble(chain, bundle, theta, cfg)
-    for pid in range(12):
-        p = sample_path(chain, T=1.0, seed=41, path_id=pid)
-        vi = integral_value(p, chain, bundle, theta, T=1.0)
-        vc = closed_form_value(p, chain, bundle, theta, T=1.0)
-        assert stats.v_int[pid] == pytest.approx(vi.values[-1], abs=1e-12)
-        assert stats.v_cf[pid] == pytest.approx(vc.values[-1], abs=1e-12)
+    # theta on a sticky atom (value in holds) and on the flat stretches of
+    # the fat-Cantor scale (value at jumps, through nu's density)
+    for model in (
+        cat.sticky_model(xi=0.5, rho=2.0, x0=0.5, r=0.1),
+        cat.fat_cantor_model(depth=3, u0=0.5, r=0.1),
+    ):
+        bundle, chain = _setup(model, 0.05)
+        theta = build_theta(bundle)
+        cfg = MCConfig(n_paths=12, h=0.05, T=1.0, seed=41)
+        stats = run_ensemble(chain, bundle, theta, cfg)
+        assert np.any(stats.v_cf > 0.0)
+        for pid in range(12):
+            p = per_step_path(chain, 1.0, 41, pid)
+            _assert_sums_match_oracle(stats, pid, book_path(p, chain, bundle, theta, 1.0))
+            assert stats.n_steps[pid] == len(p.states) - 1
 
 
 def test_ensemble_matches_single_paths_absorbing():
     model = cat.es_model(b=1.0, sigma=0.5, mu=0.0, x0=1.05, r=0.2)
     bundle, chain = _setup(model, 0.05, radius=5.0)
     theta = build_theta(bundle)
+    unit = FeedbackStrategy(plus_set=BorelSet.make([chain.window]))
     cfg = MCConfig(n_paths=20, h=0.05, T=1.0, seed=2)
     b_node = float(chain.grid[0])  # the absorbing level
-    stats = run_ensemble(chain, bundle, theta, cfg, track_nodes=(b_node,))
-    assert stats.absorbed.any()
-    for pid in range(20):
-        p = sample_path(chain, T=1.0, seed=2, path_id=pid)
-        vi = integral_value(p, chain, bundle, theta, T=1.0)
-        assert stats.v_int[pid] == pytest.approx(vi.values[-1], abs=1e-12)
-        assert stats.absorbed[pid] == (p.absorbed and p.absorption_time < np.inf)
-        # the absorbed tail: time at the absorbing node, absorption time and
-        # the smallest increment agree with the single-path accounting
-        occ = occupation(p, chain, T=1.0)[chain.index_of(b_node)]
-        assert stats.occupation[pid, 0] == pytest.approx(occ, abs=1e-12)
-        assert stats.absorption_times[pid] == p.absorption_time
-        min_inc = min(0.0, float(np.min(np.diff(vi.values))))
-        assert stats.min_inc_int[pid] == pytest.approx(min_inc, abs=1e-12)
+    for H in (theta, unit):
+        stats = run_ensemble(chain, bundle, H, cfg, track_nodes=(b_node,))
+        assert stats.absorbed.any()
+        for pid in range(20):
+            p = per_step_path(chain, 1.0, 2, pid)
+            _assert_sums_match_oracle(stats, pid, book_path(p, chain, bundle, H, 1.0))
+            assert stats.absorbed[pid] == p.absorbed
+            # the absorbed tail: time at the absorbing node and absorption
+            # time agree with the per-step path
+            occ = occupation(p, chain, T=1.0)[chain.index_of(b_node)]
+            assert stats.occupation[pid, 0] == pytest.approx(occ, abs=1e-12)
+            assert stats.absorption_times[pid] == p.absorption_time
 
 
 def test_hold_reaching_the_horizon_ends_the_path():
@@ -260,17 +270,16 @@ def test_hold_reaching_the_horizon_ends_the_path():
     cfg = MCConfig(n_paths=8, h=0.5, T=0.5, seed=3)
     stats = run_ensemble(chain, bundle, unit, cfg)
     assert stats.v_int[0] == -0.5
-    for pid in range(8):
-        p = sample_path(chain, T=0.5, seed=3, path_id=pid)
+    paths = list(sample_paths(chain, 0.5, 3, range(8)))
+    series = value_series(paths, chain, bundle, unit, 0.5, ("integral",))
+    for pid, (p, (v,)) in enumerate(zip(paths, series)):
         assert p.times[-1] == 0.5
-        v = integral_value(p, chain, bundle, unit, T=0.5)
         assert v.values[-1] == stats.v_int[pid]
         assert v.times[-1] == 0.5
         jump_times, _, qv_s = qv_series(p, chain, T=0.5)
         assert np.all(jump_times < 0.5)
         assert qv_s[-1] == stats.qv_s[pid]
-        report = domination_check(p, chain, bundle, unit, T=0.5, route="integral")
-        assert report.n_jump_nonzero == 1
+        assert np.count_nonzero(book_path(p, chain, bundle, unit, 0.5).int_jump) == 1
         # the node entered at T is not hit (unless the path was there before)
         if p.states[-1] not in p.states[:-1]:
             assert hitting_time(p, chain, chain.grid[p.states[-1]], T=0.5) == (0.5, False)
@@ -288,8 +297,8 @@ def test_ensemble_sums_in_step_order(name):
         cfg = MCConfig(n_paths=10, h=0.05, T=1.0, seed=17)
         stats = run_ensemble(chain, bundle, H, cfg)
         tables = backtest._node_tables(chain, bundle, H)
-        for pid in range(cfg.n_paths):
-            _, book = backtest._book_path(chain, tables, sample_path(chain, 1.0, 17, pid), 1.0)
+        for pid, p in enumerate(sample_paths(chain, 1.0, 17, range(cfg.n_paths))):
+            _, book = backtest._book_path(chain, tables, p, 1.0)
             int_hold, cf_hold, int_jump, cf_jump, dS, leak, clock = book
             for total, inc in (
                 (stats.v_int, int_hold + int_jump),
@@ -354,7 +363,7 @@ def test_ensemble_does_not_depend_on_batching(
     tables = backtest._node_tables(chain, bundle, H)
     alone = {field: np.empty(n_paths) for field in _SUMS}
     for pid in range(n_paths):
-        p = sample_path(chain, T, seed, pid)
+        (p,) = sample_paths(chain, T, seed, range(pid, pid + 1))
         _, book = backtest._book_path(chain, tables, p, T)
         int_hold, cf_hold, int_jump, cf_jump, dS, leak, clock = book
         for field, inc in zip(_SUMS, (int_hold + int_jump, cf_hold + cf_jump, dS, leak, clock)):
@@ -381,8 +390,7 @@ def test_ensemble_occupation_tracking():
     cfg = MCConfig(n_paths=30, h=0.05, T=1.0, seed=6)
     stats = run_ensemble(chain, bundle, FeedbackStrategy(), cfg, track_nodes=(0.0,))
     i0 = chain.index_of(0.0)
-    for pid in range(30):
-        p = sample_path(chain, T=1.0, seed=6, path_id=pid)
+    for pid, p in enumerate(sample_paths(chain, 1.0, 6, range(30))):
         occ = occupation(p, chain, T=1.0)[i0]
         assert stats.occupation[pid, 0] == pytest.approx(occ, abs=1e-12)
 
@@ -393,8 +401,8 @@ def test_seed_outside_uint64_rejected(seed):
     with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
         MCConfig(n_paths=1, h=0.05, T=1.0, seed=seed)
     with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
-        sample_path(chain, T=1.0, seed=seed)
-    assert len(sample_path(chain, T=0.1, seed=2**64 - 1).states) > 1
+        next(sample_paths(chain, 1.0, seed, range(1)))
+    assert len(_path(chain, T=0.1, seed=2**64 - 1).states) > 1
 
 
 def test_ensemble_step_budget(monkeypatch):
@@ -481,11 +489,14 @@ def test_stop_after_hitting_strategy():
         plus_set=theta.plus_set, minus_set=theta.minus_set, stop_after_hitting=0.5
     )
     found = False
-    for pid in range(30):
-        p = sample_path(chain, T=2.0, seed=14, path_id=pid)
+    paths = list(sample_paths(chain, 2.0, 14, range(30)))
+    routes = ("closed_form",)
+    for p, (v,), (v_full,) in zip(
+        paths,
+        value_series(paths, chain, bundle, stopped, 2.0, routes),
+        value_series(paths, chain, bundle, theta, 2.0, routes),
+    ):
         hit = np.nonzero(chain.grid[p.states] == 0.5)[0]
-        v = closed_form_value(p, chain, bundle, stopped, T=2.0)
-        v_full = closed_form_value(p, chain, bundle, theta, T=2.0)
         assert np.min(np.diff(v.values)) >= 0.0
         if len(hit) and p.times[hit[0]] < 2.0:
             t_hit = p.times[hit[0]]
@@ -507,7 +518,12 @@ def test_ensemble_stop_matches_single_path():
     )
     cfg = MCConfig(n_paths=15, h=0.05, T=2.0, seed=14)
     stats = run_ensemble(chain, bundle, stopped, cfg)
+    n_stopped = 0
     for pid in range(15):
-        p = sample_path(chain, T=2.0, seed=14, path_id=pid)
-        vc = closed_form_value(p, chain, bundle, stopped, T=2.0)
-        assert stats.v_cf[pid] == pytest.approx(vc.values[-1], abs=1e-12)
+        p = per_step_path(chain, 2.0, 14, pid)
+        book = book_path(p, chain, bundle, stopped, 2.0)
+        _assert_sums_match_oracle(stats, pid, book)
+        n_stopped += book.values("closed_form")[-1] < book_path(
+            p, chain, bundle, theta, 2.0
+        ).values("closed_form")[-1]
+    assert n_stopped > 0  # the stop takes value from some paths

@@ -17,13 +17,11 @@ from gdarb.chain import (
     REFLECT_UP,
     GridChain,
     build_chain,
-    path_rng,
-    sample_path,
     sample_paths,
 )
 from gdarb.model import ModelError
 from gdarb.piecewise import Const, PiecewiseFn
-from path_oracles import hitting_time, local_time_total, occupation, qv_series
+from path_oracles import hitting_time, local_time_total, occupation, per_step_path, qv_series
 
 
 def brownian_model(r=0.0):
@@ -171,28 +169,19 @@ def test_vanishing_speed_density_names_the_node():
 # ---------------------------------------------------------------------------
 
 
-def _per_step_path(chain, T, seed, path_id):
-    """(states, times, absorbed, absorption time, window hit), one step at a
-    time: each step draws one uniform; a reflecting edge steps inward, any
-    other node goes up iff the uniform is below 1/2; a hold that reaches T
-    ends the path."""
-    rng = path_rng(seed, path_id)
-    i = chain.start_idx
-    t = 0.0
-    states, times = [i], [0.0]
-    window_hit = bool(chain.window_edge[i])
-    absorbed = chain.node_type[i] == ABSORBING
-    while not absorbed and t < T:
-        u01 = rng.random()
-        t += chain.dt[i]
-        kind = chain.node_type[i]
-        i += 1 if kind == REFLECT_UP or (kind != REFLECT_DOWN and u01 < 0.5) else -1
-        states.append(i)
-        times.append(t)
-        if t < T:
-            window_hit |= bool(chain.window_edge[i])
-            absorbed = chain.node_type[i] == ABSORBING
-    return states, times, absorbed, t if absorbed else np.inf, window_hit
+def _path(chain, T, seed, path_id=0):
+    """Path ``path_id`` of the chain, walked alone."""
+    (path,) = sample_paths(chain, T, seed, range(path_id, path_id + 1))
+    return path
+
+
+def _assert_same_path(p, want):
+    assert np.array_equal(p.states, want.states)
+    assert np.array_equal(p.times, want.times)
+    assert (p.absorbed, p.absorption_time, p.window_hit) == (
+        want.absorbed, want.absorption_time, want.window_hit
+    )
+    assert (p.seed, p.path_id) == (want.seed, want.path_id)
 
 
 def _walker_cases():
@@ -215,11 +204,7 @@ def _walker_cases():
 @pytest.mark.parametrize("chain, T, path_ids", _walker_cases())
 def test_sample_path_matches_per_step_loop(chain, T, path_ids):
     for pid in path_ids:
-        p = sample_path(chain, T, seed=0, path_id=pid)
-        states, times, absorbed, t_abs, window_hit = _per_step_path(chain, T, 0, pid)
-        assert np.array_equal(p.states, states)
-        assert np.array_equal(p.times, times)
-        assert (p.absorbed, p.absorption_time, p.window_hit) == (absorbed, t_abs, window_hit)
+        _assert_same_path(_path(chain, T, 0, pid), per_step_path(chain, T, 0, pid))
 
 
 _EDGES = ("real", "window", "absorbing")
@@ -265,11 +250,7 @@ def test_sample_path_crosses_walls_like_per_step_loop(
         window=(float(grid[0]), float(grid[-1])),
     )
     for pid in range(first_id, first_id + 5):
-        p = sample_path(chain, T, seed=5, path_id=pid)
-        states, times, absorbed, t_abs, window_hit = _per_step_path(chain, T, 5, pid)
-        assert np.array_equal(p.states, states)
-        assert np.array_equal(p.times, times)
-        assert (p.absorbed, p.absorption_time, p.window_hit) == (absorbed, t_abs, window_hit)
+        _assert_same_path(_path(chain, T, 5, pid), per_step_path(chain, T, 5, pid))
 
 
 @functools.cache
@@ -296,36 +277,32 @@ def test_sample_paths_match_per_step_loop(name, h, T, seed, first_id, n_ids, cel
         paths = list(sample_paths(chain, T, seed, ids))
     assert [p.path_id for p in paths] == list(ids)
     for p in paths:
-        states, times, absorbed, t_abs, window_hit = _per_step_path(chain, T, seed, p.path_id)
-        assert np.array_equal(p.states, states)
-        assert np.array_equal(p.times, times)
-        assert (p.absorbed, p.absorption_time, p.window_hit) == (absorbed, t_abs, window_hit)
-        assert p.seed == seed
+        _assert_same_path(p, per_step_path(chain, T, seed, p.path_id))
 
 
 def test_step_budget(monkeypatch):
     chain = build_chain(brownian_model(), h=0.05, radius=2.0)
-    n_steps = len(sample_path(chain, T=1.0, seed=0).states) - 1
+    n_steps = len(_path(chain, T=1.0, seed=0).states) - 1
     monkeypatch.setattr(chain_mod, "_STEP_BUDGET", n_steps)
-    assert len(sample_path(chain, T=1.0, seed=0).states) - 1 == n_steps
+    assert len(_path(chain, T=1.0, seed=0).states) - 1 == n_steps
     monkeypatch.setattr(chain_mod, "_STEP_BUDGET", n_steps - 1)
     with pytest.raises(RuntimeError, match=f"step budget exceeded.* {n_steps - 1} steps"):
-        sample_path(chain, T=1.0, seed=0)
+        _path(chain, T=1.0, seed=0)
 
 
 def test_reproducibility_and_substreams():
     chain = build_chain(brownian_model(), h=0.05, radius=2.0)
-    p1 = sample_path(chain, T=0.5, seed=7, path_id=3)
-    p2 = sample_path(chain, T=0.5, seed=7, path_id=3)
+    p1 = _path(chain, T=0.5, seed=7, path_id=3)
+    p2 = _path(chain, T=0.5, seed=7, path_id=3)
     assert np.array_equal(p1.states, p2.states)
     assert np.array_equal(p1.times, p2.times)
-    p3 = sample_path(chain, T=0.5, seed=7, path_id=4)
+    p3 = _path(chain, T=0.5, seed=7, path_id=4)
     assert not np.array_equal(p1.states, p3.states)
 
 
 def test_path_structure_brownian():
     chain = build_chain(brownian_model(), h=0.05, radius=2.0)
-    p = sample_path(chain, T=1.0, seed=1)
+    p = _path(chain, T=1.0, seed=1)
     # unit steps, deterministic h^2 clock away from the window edge
     assert np.all(np.abs(np.diff(p.states)) == 1)
     if not p.window_hit:
@@ -338,8 +315,7 @@ def test_absorption_es():
     model = cat.es_model(b=1.0, sigma=0.5, mu=0.0, x0=1.05, r=0.1)
     chain = build_chain(model, h=0.05, radius=3.0)
     hit = 0
-    for pid in range(200):
-        p = sample_path(chain, T=1.0, seed=11, path_id=pid)
+    for p in sample_paths(chain, 1.0, 11, range(200)):
         if p.absorbed:
             hit += 1
             assert p.states[-1] == 0
@@ -356,8 +332,7 @@ def test_mean_exit_time_matches_quadratic():
     chain = build_chain(brownian_model(), h=0.05, radius=2.0)
     a = 0.25
     samples = []
-    for pid in range(2000):
-        p = sample_path(chain, T=5.0, seed=3, path_id=pid)
+    for p in sample_paths(chain, 5.0, 3, range(2000)):
         u = chain.grid[p.states]
         out = np.abs(u) >= a - 1e-12
         assert out.any()
@@ -374,7 +349,7 @@ def test_mean_exit_time_matches_quadratic():
 
 def test_occupation_sums_to_horizon():
     chain = build_chain(brownian_model(), h=0.05, radius=2.0)
-    p = sample_path(chain, T=1.0, seed=2)
+    p = _path(chain, T=1.0, seed=2)
     occ = occupation(p, chain, T=1.0)
     assert occ.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -382,8 +357,7 @@ def test_occupation_sums_to_horizon():
 def test_occupation_includes_absorbed_tail():
     model = cat.es_model(b=1.0, sigma=0.5, mu=0.0, x0=1.05, r=0.1)
     chain = build_chain(model, h=0.05, radius=3.0)
-    for pid in range(50):
-        p = sample_path(chain, T=1.0, seed=5, path_id=pid)
+    for p in sample_paths(chain, 1.0, 5, range(50)):
         occ = occupation(p, chain, T=1.0)
         assert occ.sum() == pytest.approx(1.0, abs=1e-12)
         if p.absorbed and p.absorption_time < 1.0:
@@ -396,8 +370,7 @@ def test_local_time_tanaka():
     i0 = chain.index_of(0.0)
     total = 0.0
     n = 2000
-    for pid in range(n):
-        p = sample_path(chain, T=1.0, seed=17, path_id=pid)
+    for p in sample_paths(chain, 1.0, 17, range(n)):
         total += occupation(p, chain, T=1.0)[i0] / chain.m_cell[i0]
     est = total / n
     assert est == pytest.approx(np.sqrt(2.0 / np.pi), rel=0.05)
@@ -412,20 +385,19 @@ def test_sticky_occupation_ratio():
     i_star = chain.index_of(0.5)
     occ = np.zeros(chain.n_nodes)
     n = 1500
-    for pid in range(n):
-        p = sample_path(chain, T=1.0, seed=29, path_id=pid)
+    for p in sample_paths(chain, 1.0, 29, range(n)):
         occ += occupation(p, chain, T=1.0)
     occ /= n
     neighbor = 0.5 * (occ[i_star - 1] + occ[i_star + 1])
     assert occ[i_star] / neighbor == pytest.approx((h + rho) / h, rel=0.15)
     # per-path local time field is finite wherever cells carry mass
-    lt = local_time_total(sample_path(chain, T=1.0, seed=29, path_id=0), chain, 1.0)
+    lt = local_time_total(_path(chain, T=1.0, seed=29, path_id=0), chain, 1.0)
     assert np.all(np.isfinite(lt))
 
 
 def test_qv_series_brownian():
     chain = build_chain(brownian_model(r=0.0), h=0.05, radius=3.0)
-    p = sample_path(chain, T=1.0, seed=4)
+    p = _path(chain, T=1.0, seed=4)
     jt, qvU, qvS = qv_series(p, chain, T=1.0)
     assert np.all(jt <= 1.0)
     # each jump contributes exactly h^2; total matches the horizon closely
@@ -438,7 +410,7 @@ def test_qv_series_brownian():
 def test_qv_series_discounted():
     r = 0.3
     chain = build_chain(brownian_model(r=r), h=0.05, radius=3.0)
-    p = sample_path(chain, T=1.0, seed=4)
+    p = _path(chain, T=1.0, seed=4)
     jt, qvU, qvS = qv_series(p, chain, T=1.0)
     entry_times = np.concatenate([[0.0], jt[:-1]])
     expected = np.cumsum(np.exp(-2 * r * entry_times) * 0.0025)
@@ -448,7 +420,7 @@ def test_qv_series_discounted():
 
 def test_hitting_time_basics():
     chain = build_chain(brownian_model(), h=0.05, radius=2.0)
-    p = sample_path(chain, T=0.5, seed=9)
+    p = _path(chain, T=0.5, seed=9)
     t0, ok0 = hitting_time(p, chain, 0.0, T=0.5)
     assert ok0 and t0 == 0.0
     t_never, ok_never = hitting_time(p, chain, 1.95, T=0.5)

@@ -16,10 +16,10 @@ from gdarb import catalog as cat
 from gdarb import chain as chain_mod
 from gdarb import cli
 from gdarb.arbitrage import build_nu, build_theta, check_strategy_conditions
-from gdarb.backtest import closed_form_value, integral_value
-from gdarb.chain import build_chain, sample_path
+from gdarb.chain import build_chain
 from gdarb.cli import main
 from csv_oracle import csv_bytes
+from path_oracles import book_path, per_step_path
 from test_modelfile import STICKY
 
 STICKY_FILE = """
@@ -465,7 +465,7 @@ def test_node_text_formats_each_visited_node_as_percent_g(grid, data):
 @pytest.mark.parametrize("name", MARKETS)
 def test_streamed_csvs_match_row_writer(tmp_path, name):
     # simulate and backtest write, byte for byte, the rows the row writer
-    # makes of single sampled paths and their single-path value series
+    # makes of the per-step paths and their per-step value series
     base = ["--quiet", "--out", str(tmp_path)]
     run = ["--example", name, "--h", "0.05"]
     assert main(base + ["simulate", *run, "--paths", "10"]) == 0
@@ -473,7 +473,7 @@ def test_streamed_csvs_match_row_writer(tmp_path, name):
 
     model = cat.get_entry(name).build()
     chain = build_chain(model, 0.05)
-    paths = [sample_path(chain, T=1.0, seed=0, path_id=pid) for pid in range(10)]
+    paths = [per_step_path(chain, 1.0, 0, pid) for pid in range(10)]
     rows = [
         [pid, k, p.times[k], chain.grid[p.states[k]]]
         for pid, p in enumerate(paths)
@@ -484,14 +484,14 @@ def test_streamed_csvs_match_row_writer(tmp_path, name):
 
     bundle = build_nu(model)
     theta = build_theta(bundle)
-    routes = [integral_value]
+    routes = ["integral"]
     if check_strategy_conditions(model, bundle, theta).condition_i:
-        routes.append(closed_form_value)
+        routes.append("closed_form")
     rows = [
-        [pid, t, v, s.route]
-        for pid, p in enumerate(paths)
-        for s in (route(p, chain, bundle, theta, T=1.0) for route in routes)
-        for t, v in zip(s.times, s.values)
+        [pid, t, v, route]
+        for pid, book in enumerate(book_path(p, chain, bundle, theta, 1.0) for p in paths)
+        for route in routes
+        for t, v in zip(book.times, book.values(route))
     ]
     expected = csv_bytes(["path_id", "t", "value", "route"], rows)
     assert (tmp_path / "value_series.csv").read_bytes() == expected
@@ -516,7 +516,7 @@ def test_failed_simulate_removes_written_paths(tmp_path, monkeypatch, capsys):
     # exceeds it; the partial file is removed.  With groups of one id, path
     # 1 is only walked once path 0 is written.
     chain = build_chain(cat.get_entry("bachelier-sticky").build(), 0.05)
-    paths = [sample_path(chain, T=1.0, seed=1, path_id=pid) for pid in range(2)]
+    paths = [per_step_path(chain, 1.0, 1, pid) for pid in range(2)]
     steps = [len(p.states) - 1 for p in paths]
     assert steps[0] < steps[1]
     header = ["path_id", "step", "t", "u"]

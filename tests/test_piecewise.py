@@ -394,3 +394,12 @@ def test_polynomial_at_infinity_warns_nothing():
         warnings.simplefilter("error")
         got = Poly((1.0, 2.0))(np.array([np.inf, -np.inf, 1.0]))
     assert got.tolist() == [np.inf, -np.inf, 3.0]
+
+
+def test_log_tail_with_a_zero_coefficient_warns_nothing():
+    # over [1, inf) with weight 1, the t log t term has coefficient 0; its
+    # product with the infinite integral is replaced, not computed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = Log(1.0, 1.0, 0.0, -5.0).integrate_affine(1.0, np.inf, 1.0, 0.0)
+    assert got == np.inf
