@@ -12,16 +12,17 @@ growth.  One group kernel, ``_steps``, books a block of holds of many paths
 at once, one row per path: one exp per hold, one gather of the per-node
 rows and each product in a fixed order.  The ensemble books the rounds of
 the group walker (``chain._walk``) and carries each path's sums from round
-to round in step order; ``value_series`` books a recorded path as a block
-of one row.  A path's statistics are therefore the same bit for bit however
-the paths are grouped into rounds, and equal the sums of its value series'
-increments; the ensemble keeps only each path's sums, minima and flags.
+to round in step order, so a path's statistics are the same bit for bit
+however the paths are grouped into rounds.  It keeps each path's sums,
+minima and flags, and for the first few ids, when asked, the value series
+themselves, taken from the same rounds: a series' increments are the ones
+its path's sums add up, so a backtest walks and books its paths once.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -35,7 +36,6 @@ from .arbitrage import (
 from .chain import (
     ABSORBING,
     GridChain,
-    PathSample,
     _check_seed,
     _Round,
     _round_cells,
@@ -49,7 +49,6 @@ __all__ = [
     "ValueSeries",
     "EnsembleStats",
     "IPReport",
-    "value_series",
     "run_ensemble",
     "classify_ip",
 ]
@@ -122,6 +121,9 @@ class EnsembleStats:
     qv_growth_trigger_cf: np.ndarray
     n_steps: np.ndarray
     occupation: np.ndarray | None  # (n_paths, n_tracked) if nodes tracked
+    # the value series of the recorded paths, in id order: one tuple per
+    # path, one series per route
+    series: tuple[tuple[ValueSeries, ...], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -304,57 +306,54 @@ def _steps(
     return _Steps(book=book, nodes=i, stopped=stopped)
 
 
-def _book_path(
-    chain: GridChain, tables: _NodeTables, path: PathSample, T: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The hold boundaries of ``path`` on [0, T] and the (7, holds) book of
-    its holds, booked as a block of one row."""
-    n = int(path.times.searchsorted(T))  # holds that start before T
-    nodes = path.states[: n + 1]
-    if len(nodes) == n:  # absorbed: the last hold enters nothing
-        nodes = np.append(nodes, nodes[-1])
-    t = np.append(path.times[:n], T)
-    one = np.ones(1, dtype=bool)
-    st = _steps(chain, tables, nodes[None], t[None], T, np.array([n]), one, ~one, _Scratch(n + 1))
-    return t, st.book[:, 0]
+# the row of the book that holds each route's value increments once the jumps
+# are added to the holds
+_ROUTE_ROWS = {"integral": _INT_HOLD, "closed_form": _CF_HOLD}
+# steps a block of a recorded path holds: a block is one allocation of about
+# 1.5 MB, which goes back to the system when the path's series are made
+_RECORD_STEPS = 2**16
 
 
-# ---------------------------------------------------------------------------
-# value series of recorded paths
-# ---------------------------------------------------------------------------
+class _Recording:
+    """A path's hold start times and value increments by route, in step
+    order, as views of large blocks: a long path makes few allocations.
+    Column c of a part is one hold: its start time, then its increment by
+    each route."""
 
+    def __init__(self, routes: tuple[str, ...]):
+        self.routes = routes
+        self.parts: list[np.ndarray] = []
+        self.block = np.empty((0, 0))
+        self.used = 0  # columns of the block taken by parts
 
-# the (hold, jump) rows of each route
-_ROUTE_ROWS = {"integral": (_INT_HOLD, _INT_JUMP), "closed_form": (_CF_HOLD, _CF_JUMP)}
+    def add(self, times: np.ndarray, increments: np.ndarray):
+        n = len(times)
+        if self.used + n > self.block.shape[1]:  # the rest of the block is never touched
+            self.block = np.empty((1 + len(self.routes), max(n, _RECORD_STEPS)))
+            self.used = 0
+        part = self.block[:, self.used : self.used + n]
+        part[0] = times
+        part[1:] = increments
+        self.parts.append(part)
+        self.used += n
 
-
-def value_series(
-    paths: Iterable[PathSample],
-    chain: GridChain,
-    bundle: NuBundle,
-    H: FeedbackStrategy,
-    T: float,
-    routes: tuple[str, ...],
-) -> Iterator[tuple[ValueSeries, ...]]:
-    """Yield each path's value series on [0, T], one per route in ``routes``.
-
-    Every path is booked by the group kernel as a block of one row, against
-    one set of node tables built when the first series is asked for; each
-    path is taken from ``paths`` only after the previous one's series are
-    yielded.  The routes are not checked against the strategy: the
-    closed-form route is the value process only where condition (i) holds,
-    that is where the strategy's support lies in the zero set of q' (see
-    ``arbitrage.check_strategy_conditions``).
-    """
-    tables = _node_tables(chain, bundle, H)
-    for path in paths:
-        t, book = _book_path(chain, tables, path, T)
-        series = []
-        for route in routes:
-            hold, jump = _ROUTE_ROWS[route]
-            values = np.concatenate([[0.0], np.cumsum(book[hold] + book[jump])])
-            series.append(ValueSeries(times=t, values=values, route=route))
-        yield tuple(series)
+    def series(self, T: float) -> tuple[ValueSeries, ...]:
+        """The path's value series on [0, T], one per route: the hold
+        boundaries, and 0.0 followed by the running sum of the increments.
+        The blocks are dropped."""
+        parts, self.parts, self.block = self.parts, [], None
+        n = sum(part.shape[1] for part in parts)
+        times = np.empty(n + 1)
+        np.concatenate([part[0] for part in parts], out=times[:n])
+        times[n] = T
+        values = np.empty((len(self.routes), n + 1))
+        np.concatenate([part[1:] for part in parts], axis=1, out=values[:, 1:])
+        values[:, 0] = 0.0
+        for v in values:
+            np.cumsum(v[1:], out=v[1:])
+        return tuple(
+            ValueSeries(times=times, values=v, route=route) for v, route in zip(values, self.routes)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +372,14 @@ def _book_round(
     min_inc: np.ndarray,
     flags: np.ndarray,
     stopped: np.ndarray,
+    recordings: list[_Recording],
+    route_rows: list[int],
 ):
     """Book a round of the group walker and add it to its paths' sums,
-    minima and flags.  No view of ``scratch`` outlives the call, so a
-    scratch array that grows frees its pages first."""
+    minima and flags.  A path whose id has an entry in ``recordings``
+    adds to it the round's hold start times and its value increments in
+    the rows ``route_rows``.  No view of ``scratch`` outlives the
+    call, so a scratch array that grows frees its pages first."""
     pid = rnd.pid
     st = _steps(
         chain, tables, rnd.nodes, rnd.times, T, rnd.n_hold, rnd.final, stopped[pid], scratch
@@ -394,6 +397,10 @@ def _book_round(
     nonzero[_INT_JUMP : _CF_JUMP + 1] &= nonzero[_DS]
     flags[pid, 2:] |= nonzero[_INT_JUMP : _CF_JUMP + 1].any(axis=2).T
     holds += jumps  # the value increments
+    if recordings:
+        for r in np.flatnonzero(pid < len(recordings)).tolist():
+            n = int(rnd.n_hold[r])
+            recordings[pid[r]].add(rnd.times[r, :n], holds[route_rows, r, :n])
     if tracked:
         t = np.minimum(rnd.times, T)
         held = np.subtract(t[:, 1:], t[:, :-1], out=jumps[0])
@@ -420,6 +427,9 @@ def run_ensemble(
     H: FeedbackStrategy,
     config: MCConfig,
     track_nodes: tuple[float, ...] = (),
+    *,
+    series_paths: int = 0,
+    routes: tuple[str, ...] = ("integral", "closed_form"),
 ) -> EnsembleStats:
     """Book n_paths independent paths of the chain, many paths per round.
 
@@ -428,9 +438,18 @@ def run_ensemble(
     ``pid`` of ``chain.sample_paths(chain, T, seed, ...)`` and each of its
     sums runs in step order from 0.0 across rounds, so no path's statistics
     depend on the other paths, on the rows that share its rounds or on
-    where its rounds end: they equal the sums of its ``value_series``
-    increments bit for bit.  An absorbed path's last hold is the absorbing
+    where its rounds end.  An absorbed path's last hold is the absorbing
     node's, which lasts to T.
+
+    The paths with ids below ``series_paths`` also keep their value series
+    on [0, T] by each route in ``routes``, in ``EnsembleStats.series``:
+    the hold boundaries, and 0.0 followed by the running sum of the
+    increments, in step order: 0.0 plus a series' last value is its path's
+    sum bit for bit, and recording changes no statistic.  The routes are not
+    checked against the strategy: the closed-form route is the value
+    process only where condition (i) holds, that is where the strategy's
+    support lies in the zero set of q' (see
+    ``arbitrage.check_strategy_conditions``).
     """
     T = config.T
     n_paths = config.n_paths
@@ -447,8 +466,13 @@ def run_ensemble(
     window_hit = np.empty(n_paths, dtype=bool)
     n_steps = np.empty(n_paths, dtype=np.int64)
     scratch = _Scratch(_round_cells())
+    recordings = [_Recording(routes) for _ in range(min(series_paths, n_paths))]
+    route_rows = [_ROUTE_ROWS[route] for route in routes]
     for rnd in _walk(chain, T, config.seed, range(n_paths)):
-        _book_round(chain, tables, rnd, T, tracked, scratch, sums, min_inc, flags, stopped)
+        _book_round(
+            chain, tables, rnd, T, tracked, scratch, sums, min_inc, flags, stopped,
+            recordings, route_rows,
+        )
         f = rnd.final
         done = rnd.pid[f]
         absorbed[done] = rnd.absorbed[f]
@@ -475,6 +499,7 @@ def run_ensemble(
         qv_growth_trigger_cf=flags[:, 3],
         n_steps=n_steps,
         occupation=occupation if tracked else None,
+        series=tuple(rec.series(T) for rec in recordings),
     )
 
 
@@ -488,13 +513,20 @@ def classify_ip(
     bundle: NuBundle,
     H: FeedbackStrategy,
     config: MCConfig,
+    *,
+    series_paths: int = 0,
 ) -> IPReport:
-    """Decide empirically whether H generates an increasing profit."""
+    """Decide empirically whether H generates an increasing profit.
+
+    The paths with ids below ``series_paths`` keep their value series, in
+    ``details["series"]``, by the integral route and, where condition (i)
+    holds, by the closed-form route (see ``run_ensemble``)."""
     symbolic = check_strategy_conditions(model, bundle, H)
     chain = build_chain(model, config.h)
-    stats = run_ensemble(chain, bundle, H, config)
-
     has_cf = symbolic.condition_i
+    routes = ("integral", "closed_form") if has_cf else ("integral",)
+    stats = run_ensemble(chain, bundle, H, config, series_paths=series_paths, routes=routes)
+
     v = stats.v_cf if has_cf else stats.v_int
     min_inc = stats.min_inc_cf if has_cf else stats.min_inc_int
     n = config.n_paths
@@ -568,5 +600,6 @@ def classify_ip(
             "symbolic": symbolic,
             "chain": chain,
             "stats": stats,
+            "series": stats.series,
         },
     )

@@ -48,10 +48,12 @@ REFLECT_DOWN = 2  # right edge: deterministic move down
 ABSORBING = 3
 
 _COMMENSURATE_RTOL = 1e-6
-# steps one path may take: booking a sampled path on its own peaks at about
-# 120 B of arrays per step (its states and times, the gathered node rows and
-# the kernel's book; tracemalloc, 200k steps), so a path stays within about
-# 250 MB; the ensemble's rounds do not grow with the path
+# steps one path may take.  The ensemble's rounds do not grow with the path;
+# a path that ``sample_paths`` records keeps 16 B per step (its states and
+# times), and a value series the ensemble records keeps 24 B per step (the
+# hold's start time and its increment by each of at most two routes), so the
+# ten series a backtest records hold at most 10 * 2**21 * 24 B, about
+# 500 MB, when the budget trips
 _STEP_BUDGET = 2**21
 # moves one round of the group walker takes over all its rows, past the
 # cuts included

@@ -7,15 +7,18 @@ Commands:
             value_series.csv (long format, one row per sampled point)
   demo      run the closed-form regression for a catalog example
 
-paths.csv and value_series.csv are streamed: the recorded paths are walked
-as groups of consecutive ids (``chain.sample_paths``), and each path's rows
-are formatted from its column arrays in one pass and written as soon as the
-paths before it are, so memory does not grow with --paths.  paths.csv
-formats each grid node's position once per command, when a path first
-reaches it (``_node_text``); value_series.csv formats each distinct value of
-a path's column once (``_text``), and a path's time column once for all its
-routes.  Both files are written under a temporary name and moved into place
-once complete, so a failed command leaves no partial file.  The one-row
+paths.csv is streamed: its paths are walked as groups of consecutive ids
+(``chain.sample_paths``), and each path's rows are formatted from its column
+arrays in one pass and written as soon as the paths before it are, so memory
+does not grow with --paths; each grid node's position is formatted once per
+command, when a path first reaches it (``_node_text``).  value_series.csv
+holds the value series that the backtest's ensemble records for its first
+min(--paths, 10) ids, in the walk that decides the verdict
+(``classify_ip(..., series_paths=...)``), so a backtest walks and books its
+paths once; a path's rows are formatted in one pass, its time column once
+for all its routes and each distinct value of a value column once
+(``_text``).  Both files are written under a temporary name and moved into
+place once complete, so a failed command leaves no partial file.  The one-row
 tables and nu_report.csv, whose descriptor may hold commas, go through
 csv.writer.  The parser is built once per process.
 
@@ -43,7 +46,7 @@ from .arbitrage import (
     build_theta_bar,
     market_verdicts,
 )
-from .backtest import MCConfig, classify_ip, value_series
+from .backtest import MCConfig, classify_ip
 from .borel import BorelSet
 from .chain import StepBudgetError, build_chain, sample_paths
 from .model import ModelError, NaturalScaleModel, to_natural_scale, validate
@@ -279,7 +282,7 @@ def _cmd_backtest(args) -> int:
         n_paths=args.paths, h=args.h, T=args.T, seed=args.seed,
         tol_route=args.tol_route,
     )
-    report = classify_ip(model, bundle, H, config)
+    report = classify_ip(model, bundle, H, config, series_paths=min(args.paths, _SERIES_PATHS))
 
     os.makedirs(args.out, exist_ok=True)
     _write_csv(
@@ -297,15 +300,11 @@ def _cmd_backtest(args) -> int:
         ]],
     )
 
-    chain = report.details["chain"]
-    routes = ("integral",)
-    if report.details["assessed_route"] == "closed_form":
-        routes += ("closed_form",)
-    paths = sample_paths(chain, args.T, args.seed, range(min(args.paths, _SERIES_PATHS)))
-
     def chunks():
-        for pid, series in enumerate(value_series(paths, chain, bundle, H, args.T, routes)):
-            times = _text(series[0].times)  # the routes share the path's times
+        for pid, series in enumerate(report.details["series"]):
+            # a path's times seldom repeat: each is formatted on its own, once
+            # for all routes
+            times = np.array(["%.17g" % t for t in series[0].times.tolist()], dtype=object)
             for s in series:
                 yield _chunk(f"{pid},%s,%s,{s.route}\n", times, _text(s.values))
 

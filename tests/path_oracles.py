@@ -3,6 +3,7 @@ over one path's steps: the path itself (``per_step_path``), its book by
 both value routes (``book_path``), and occupation, local time, quadratic
 variation and hitting times read off a sampled path."""
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -92,6 +93,20 @@ def book_path(path: PathSample, chain: GridChain, bundle, H, T: float) -> PathBo
     nu = bundle.nu
     h2 = h**2
     stop = None if H.stop_after_hitting is None else chain.index_of(H.stop_after_hitting)
+
+    @functools.cache
+    def node(i):
+        """H, theta, q, q', nu's density and the atom's rate at node i,
+        each evaluated at the node alone."""
+        u = float(chain.grid[i])
+        nu_ac = 0.0 if nu.density is None else float(nu.density(u)) * float(nu.carrier.contains(u))
+        atom = 0.0
+        for a, mass in nu.atoms:
+            if abs(a - u) <= 1e-6 * h:
+                atom += mass if chain.node_type[i] == ABSORBING else mass / chain.m_cell[i]
+        q, qp = float(model.q(u)), float(model.q_prime(u))
+        return H.evaluate(u), bundle.theta.evaluate(u), q, qp, nu_ac, atom
+
     rows = {name: [] for name in PathBook._fields[1:]}
     bounds = [0.0]
     off = False
@@ -100,23 +115,16 @@ def book_path(path: PathSample, chain: GridChain, bundle, H, T: float) -> PathBo
         t0 = float(times[k])
         if t0 >= T:
             break
-        u = float(chain.grid[i])
         t1 = float(times[k + 1]) if k + 1 < len(times) else np.inf
         jumps = t1 < T
         t1 = min(t1, T)
         bounds.append(t1)
 
         off = off or i == stop
-        Hu = H.evaluate(u)
-        on = not off and bundle.theta.evaluate(u) * Hu > 0.0
+        Hu, theta_u, q, qp, nu_ac, atom = node(i)
+        on = not off and theta_u * Hu > 0.0
         if off:
             Hu *= 0.0
-        q, qp = float(model.q(u)), float(model.q_prime(u))
-        nu_ac = 0.0 if nu.density is None else float(nu.density(u)) * float(nu.carrier.contains(u))
-        atom = 0.0
-        for a, mass in nu.atoms:
-            if abs(a - u) <= 1e-6 * h:
-                atom += mass if chain.node_type[i] == ABSORBING else mass / chain.m_cell[i]
         d0, d1 = float(np.exp(t0 * -r)), float(np.exp(t1 * -r))
         w = (d1 - d0) / -r if r != 0.0 else t1 - t0
 
@@ -124,7 +132,7 @@ def book_path(path: PathSample, chain: GridChain, bundle, H, T: float) -> PathBo
         rows["cf_hold"].append(Hu * atom * w)
         clock = float(on) * abs(atom) * w
         if jumps:
-            q_next = float(model.q(chain.grid[states[k + 1]]))
+            q_next = node(int(states[k + 1]))[2]
             rows["int_jump"].append(Hu * d1 * (q_next - q))
             rows["cf_jump"].append(Hu * d0 * nu_ac * h2)
             rows["dS"].append((d0 * qp) * (d0 * qp) * h2)

@@ -24,6 +24,9 @@ from gdarb.backtest import MCConfig, classify_ip, run_ensemble
 from gdarb.borel import BorelSet, svc_measure
 from gdarb.chain import build_chain
 
+# a quick local run leaves this module out with -m "not acceptance"
+pytestmark = pytest.mark.acceptance
+
 BUDGET = MCConfig(n_paths=10_000, h=0.005, T=1.0, seed=123)
 
 # failing-NIP parameterizations, one per catalog example

@@ -18,7 +18,6 @@ from gdarb.backtest import (
     ValueSeries,
     classify_ip,
     run_ensemble,
-    value_series,
 )
 from gdarb.borel import BorelSet
 from gdarb.chain import build_chain, sample_paths
@@ -45,22 +44,22 @@ def _path(chain, T, seed, path_id=0):
     return path
 
 
-def _series(path, chain, bundle, H, T, routes=ROUTES):
-    """The value series of one path, one per route."""
-    (series,) = value_series([path], chain, bundle, H, T, routes)
-    return series
+def _recorded(chain, bundle, H, T, seed, n_paths=1, routes=ROUTES):
+    """The value series the ensemble records for paths 0 to n_paths - 1:
+    one tuple per path, one series per route."""
+    cfg = MCConfig(n_paths=n_paths, h=chain.h, T=T, seed=seed)
+    return run_ensemble(chain, bundle, H, cfg, series_paths=n_paths, routes=routes).series
 
 
 # ---------------------------------------------------------------------------
-# value series of single paths
+# recorded value series
 # ---------------------------------------------------------------------------
 
 
 def test_zero_strategy_zero_value():
     model = cat.sticky_model(xi=0.5, rho=2.0, x0=0.0, r=0.1)
     bundle, chain = _setup(model, 0.05)
-    p = _path(chain, T=1.0, seed=1)
-    vi, vc = _series(p, chain, bundle, FeedbackStrategy(), T=1.0)
+    ((vi, vc),) = _recorded(chain, bundle, FeedbackStrategy(), T=1.0, seed=1)
     assert np.all(vi.values == 0.0)
     assert np.all(vc.values == 0.0)
 
@@ -71,7 +70,7 @@ def test_constant_strategy_telescopes():
     bundle, chain = _setup(model, 0.05)
     p = _path(chain, T=1.0, seed=3)
     H = FeedbackStrategy(plus_set=BorelSet.make([(-100.0, 100.0)]))
-    (v,) = _series(p, chain, bundle, H, T=1.0, routes=("integral",))
+    ((v,),) = _recorded(chain, bundle, H, T=1.0, seed=3, routes=("integral",))
     u_T = chain.grid[p.states[np.searchsorted(p.times, 1.0, side="right") - 1]]
     q = chain.model.q
     assert v.values[-1] == pytest.approx(float(q(u_T)) - float(q(0.0)), abs=1e-10)
@@ -82,7 +81,10 @@ def test_value_series_invariants():
     bundle, chain = _setup(model, 0.05)
     p = _path(chain, T=0.5, seed=2)
     theta = build_theta(bundle)
-    for series in _series(p, chain, bundle, theta, T=0.5):
+    ((vi, vc),) = _recorded(chain, bundle, theta, T=0.5, seed=2)
+    assert vi.times is vc.times  # the routes share the path's times
+    assert np.array_equal(vi.times[:-1], p.times[p.times < 0.5])
+    for series in (vi, vc):
         assert series.times[0] == 0.0 and series.values[0] == 0.0
         assert np.all(np.isfinite(series.values))
         assert series.times[-1] == pytest.approx(0.5, abs=1e-12)
@@ -93,10 +95,9 @@ def test_value_series_invariants():
 def test_gain_linearity():
     model = cat.sticky_model(xi=0.5, rho=2.0, x0=0.5, r=0.1)
     bundle, chain = _setup(model, 0.05)
-    p = _path(chain, T=1.0, seed=5)
     theta = build_theta(bundle)
-    (v1,) = _series(p, chain, bundle, theta, T=1.0, routes=("integral",))
-    (v2,) = _series(p, chain, bundle, theta.scaled(2.0), T=1.0, routes=("integral",))
+    ((v1,),) = _recorded(chain, bundle, theta, T=1.0, seed=5, routes=("integral",))
+    ((v2,),) = _recorded(chain, bundle, theta.scaled(2.0), T=1.0, seed=5, routes=("integral",))
     assert np.array_equal(v2.values, 2.0 * v1.values)
 
 
@@ -107,8 +108,8 @@ def test_absorbed_path_closed_form_exact():
     bundle, chain = _setup(model, 0.05, radius=5.0)
     theta = build_theta(bundle)
     n_abs = 0
-    paths = list(sample_paths(chain, T, 13, range(60)))
-    for p, (vi, vc) in zip(paths, value_series(paths, chain, bundle, theta, T, ROUTES)):
+    paths = sample_paths(chain, T, 13, range(60))
+    for p, (vi, vc) in zip(paths, _recorded(chain, bundle, theta, T, 13, n_paths=60), strict=True):
         if not (p.absorbed and p.absorption_time < T):
             continue
         n_abs += 1
@@ -126,8 +127,7 @@ def test_sticky_monotone_closed_form_only():
     bundle, chain = _setup(model, 0.02)
     theta = build_theta(bundle)
     saw_negative_int = False
-    paths = sample_paths(chain, 1.0, 7, range(10))
-    for vi, vc in value_series(paths, chain, bundle, theta, 1.0, ROUTES):
+    for vi, vc in _recorded(chain, bundle, theta, 1.0, 7, n_paths=10):
         assert np.min(np.diff(vc.values)) >= 0.0
         assert vc.values[-1] > 0.0
         if np.min(np.diff(vi.values)) < -1e-12:
@@ -167,9 +167,9 @@ def test_domination_local_time_strategy():
 
 @pytest.mark.parametrize("name", [entry.name for entry in cat.catalog()])
 def test_value_series_matches_single_paths(name, monkeypatch):
-    # booking several paths against one set of node tables gives each
-    # path's series as the per-step booking oracle has it, and builds the
-    # tables once per call
+    # the series the ensemble records for several paths are, bit for bit,
+    # each path's series as the per-step booking oracle has it, and the
+    # ensemble builds its node tables once
     model = cat.get_entry(name).build()
     bundle, chain = _setup(model, 0.05)
     theta = build_theta(bundle)
@@ -189,7 +189,7 @@ def test_value_series_matches_single_paths(name, monkeypatch):
         builds.clear()
         with monkeypatch.context() as m:
             m.setattr(backtest, "_node_tables", counted)
-            batch = list(value_series(paths, chain, bundle, H, 1.0, routes))
+            batch = _recorded(chain, bundle, H, 1.0, 23, n_paths=len(paths), routes=routes)
         assert len(builds) == 1
         assert len(batch) == len(paths)
         for got, p in zip(batch, paths):
@@ -197,7 +197,7 @@ def test_value_series_matches_single_paths(name, monkeypatch):
             assert [s.route for s in got] == list(routes)
             for g in got:
                 assert np.array_equal(g.times, want.times)
-                np.testing.assert_allclose(g.values, want.values(g.route), rtol=0, atol=1e-12)
+                assert np.array_equal(g.values, want.values(g.route))
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +268,10 @@ def test_hold_reaching_the_horizon_ends_the_path():
     assert np.all(chain.dt == 0.25)
     unit = FeedbackStrategy(plus_set=BorelSet.make([(-5.0, 5.0)]))
     cfg = MCConfig(n_paths=8, h=0.5, T=0.5, seed=3)
-    stats = run_ensemble(chain, bundle, unit, cfg)
+    stats = run_ensemble(chain, bundle, unit, cfg, series_paths=8, routes=("integral",))
     assert stats.v_int[0] == -0.5
-    paths = list(sample_paths(chain, 0.5, 3, range(8)))
-    series = value_series(paths, chain, bundle, unit, 0.5, ("integral",))
-    for pid, (p, (v,)) in enumerate(zip(paths, series)):
+    paths = sample_paths(chain, 0.5, 3, range(8))
+    for pid, (p, (v,)) in enumerate(zip(paths, stats.series, strict=True)):
         assert p.times[-1] == 0.5
         assert v.values[-1] == stats.v_int[pid]
         assert v.times[-1] == 0.5
@@ -287,19 +286,20 @@ def test_hold_reaching_the_horizon_ends_the_path():
 
 @pytest.mark.parametrize("name", [entry.name for entry in cat.catalog()])
 def test_ensemble_sums_in_step_order(name):
-    # every ensemble sum equals the running sum of the single path's
-    # increments, bit for bit, and the extremes and flags match too
+    # every ensemble sum equals the running sum of the per-step oracle's
+    # increments, bit for bit, and the extremes and flags match too; each
+    # recorded series is that running sum
     model = cat.get_entry(name).build()
     bundle, chain = _setup(model, 0.05, radius=3.0)
     theta = build_theta(bundle)
     unit = FeedbackStrategy(plus_set=BorelSet.make([chain.window]))
     for H in (theta, unit):
         cfg = MCConfig(n_paths=10, h=0.05, T=1.0, seed=17)
-        stats = run_ensemble(chain, bundle, H, cfg)
-        tables = backtest._node_tables(chain, bundle, H)
-        for pid, p in enumerate(sample_paths(chain, 1.0, 17, range(cfg.n_paths))):
-            _, book = backtest._book_path(chain, tables, p, 1.0)
-            int_hold, cf_hold, int_jump, cf_jump, dS, leak, clock = book
+        stats = run_ensemble(chain, bundle, H, cfg, series_paths=cfg.n_paths)
+        assert len(stats.series) == cfg.n_paths
+        for pid, series in enumerate(stats.series):
+            book = book_path(per_step_path(chain, 1.0, 17, pid), chain, bundle, H, 1.0)
+            _, int_hold, cf_hold, int_jump, cf_jump, dS, leak, clock = book
             for total, inc in (
                 (stats.v_int, int_hold + int_jump),
                 (stats.v_cf, cf_hold + cf_jump),
@@ -308,6 +308,10 @@ def test_ensemble_sums_in_step_order(name):
                 (stats.clock, clock),
             ):
                 assert total[pid] == 0.0 + np.cumsum(inc)[-1]
+            for s, total in zip(series, (stats.v_int, stats.v_cf), strict=True):
+                assert np.array_equal(s.times, book.times)
+                assert np.array_equal(s.values, book.values(s.route))
+                assert total[pid] == 0.0 + s.values[-1]
             assert stats.min_inc_int[pid] == min(0.0, np.minimum(int_hold, int_jump).min())
             assert stats.min_inc_cf[pid] == min(0.0, np.minimum(cf_hold, cf_jump).min())
             assert stats.hold_nonzero_cf[pid] == np.any(cf_hold != 0.0)
@@ -315,6 +319,7 @@ def test_ensemble_sums_in_step_order(name):
 
 
 _SUMS = ("v_int", "v_cf", "qv_s", "emp_cond_i", "clock")
+_STATS = tuple(f for f in backtest.EnsembleStats.__dataclass_fields__ if f != "series")
 
 
 @pytest.mark.parametrize("name", [entry.name for entry in cat.catalog()])
@@ -327,12 +332,14 @@ _SUMS = ("v_int", "v_cf", "qv_s", "emp_cond_i", "clock")
     strategy=st.sampled_from(["theta", "unit", "stopped"]),
     stop_offset=st.integers(-3, 3),
     seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
 )
 def test_ensemble_does_not_depend_on_batching(
-    name, draw, h, T, n_paths, strategy, stop_offset, seed
+    name, draw, h, T, n_paths, strategy, stop_offset, seed, data
 ):
     # one batching against another: the default rounds, rounds of one row
-    # and 128 moves, and each path booked alone give the same bits
+    # and 128 moves, and each path booked alone by the per-step oracle give
+    # the same bits, whether or not the first paths' series are recorded
     entry = cat.get_entry(name)
     params = entry.params()
     if draw is not None:
@@ -350,22 +357,31 @@ def test_ensemble_does_not_depend_on_batching(
     }[strategy]
     track = (float(chain.grid[chain.start_idx]), float(chain.grid[0]), node)
     cfg = MCConfig(n_paths=n_paths, h=h, T=T, seed=seed)
-    stats = run_ensemble(chain, bundle, H, cfg, track_nodes=track)
+    series_paths = data.draw(st.integers(0, n_paths + 2), label="series_paths")
+    stats = run_ensemble(chain, bundle, H, cfg, track_nodes=track, series_paths=series_paths)
+    unrecorded = run_ensemble(chain, bundle, H, cfg, track_nodes=track)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chain_mod, "_CELLS", 128)
-        one_row = run_ensemble(chain, bundle, H, cfg, track_nodes=track)
-    for field in stats.__dataclass_fields__:
-        assert np.array_equal(getattr(stats, field), getattr(one_row, field)), field
-    for field in _SUMS:
-        bits = getattr(stats, field).view(np.uint64)
-        assert np.array_equal(bits, getattr(one_row, field).view(np.uint64)), field
+        one_row = run_ensemble(chain, bundle, H, cfg, track_nodes=track, series_paths=series_paths)
+    assert unrecorded.series == ()
+    for other in (unrecorded, one_row):
+        for field in _STATS:
+            assert np.array_equal(getattr(stats, field), getattr(other, field)), field
+        for field in _SUMS:
+            bits = getattr(stats, field).view(np.uint64)
+            assert np.array_equal(bits, getattr(other, field).view(np.uint64)), field
+    assert len(stats.series) == len(one_row.series) == min(series_paths, n_paths)
+    for series, other in zip(stats.series, one_row.series):
+        assert [s.route for s in series] == [s.route for s in other] == list(ROUTES)
+        for s, o in zip(series, other):
+            assert np.array_equal(s.times, o.times)
+            assert np.array_equal(s.values.view(np.uint64), o.values.view(np.uint64))
 
-    tables = backtest._node_tables(chain, bundle, H)
     alone = {field: np.empty(n_paths) for field in _SUMS}
     for pid in range(n_paths):
-        (p,) = sample_paths(chain, T, seed, range(pid, pid + 1))
-        _, book = backtest._book_path(chain, tables, p, T)
-        int_hold, cf_hold, int_jump, cf_jump, dS, leak, clock = book
+        p = per_step_path(chain, T, seed, pid)
+        book = book_path(p, chain, bundle, H, T)
+        _, int_hold, cf_hold, int_jump, cf_jump, dS, leak, clock = book
         for field, inc in zip(_SUMS, (int_hold + int_jump, cf_hold + cf_jump, dS, leak, clock)):
             alone[field][pid] = 0.0 + np.cumsum(inc)[-1]
         assert stats.min_inc_int[pid] == min(0.0, np.minimum(int_hold, int_jump).min())
@@ -380,6 +396,11 @@ def test_ensemble_does_not_depend_on_batching(
         assert stats.n_steps[pid] == len(p.states) - 1
         occ = occupation(p, chain, T)
         assert np.array_equal(stats.occupation[pid], occ[[chain.index_of(u) for u in track]])
+        if pid < series_paths:
+            for s in stats.series[pid]:
+                assert np.array_equal(s.times, book.times)
+                want = book.values(s.route)
+                assert np.array_equal(s.values.view(np.uint64), want.view(np.uint64))
     for field in _SUMS:
         assert np.array_equal(getattr(stats, field).view(np.uint64), alone[field].view(np.uint64))
 
@@ -489,12 +510,13 @@ def test_stop_after_hitting_strategy():
         plus_set=theta.plus_set, minus_set=theta.minus_set, stop_after_hitting=0.5
     )
     found = False
-    paths = list(sample_paths(chain, 2.0, 14, range(30)))
+    paths = sample_paths(chain, 2.0, 14, range(30))
     routes = ("closed_form",)
     for p, (v,), (v_full,) in zip(
         paths,
-        value_series(paths, chain, bundle, stopped, 2.0, routes),
-        value_series(paths, chain, bundle, theta, 2.0, routes),
+        _recorded(chain, bundle, stopped, 2.0, 14, n_paths=30, routes=routes),
+        _recorded(chain, bundle, theta, 2.0, 14, n_paths=30, routes=routes),
+        strict=True,
     ):
         hit = np.nonzero(chain.grid[p.states] == 0.5)[0]
         assert np.min(np.diff(v.values)) >= 0.0

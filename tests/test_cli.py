@@ -15,7 +15,15 @@ import gdarb
 from gdarb import catalog as cat
 from gdarb import chain as chain_mod
 from gdarb import cli
-from gdarb.arbitrage import build_nu, build_theta, check_strategy_conditions
+from gdarb import backtest
+from gdarb.arbitrage import (
+    FeedbackStrategy,
+    build_nu,
+    build_theta,
+    build_theta_bar,
+    check_strategy_conditions,
+)
+from gdarb.borel import BorelSet
 from gdarb.chain import build_chain
 from gdarb.cli import main
 from csv_oracle import csv_bytes
@@ -483,18 +491,79 @@ def test_streamed_csvs_match_row_writer(tmp_path, name):
     assert (tmp_path / "paths.csv").read_bytes() == expected
 
     bundle = build_nu(model)
-    theta = build_theta(bundle)
+    expected = _value_series_bytes(chain, bundle, build_theta(bundle), paths, 1.0)
+    assert (tmp_path / "value_series.csv").read_bytes() == expected
+
+
+def _value_series_bytes(chain, bundle, H, paths, T):
+    """value_series.csv as the row writer makes it of the per-step oracle's
+    book of ``paths``: the integral route, and the closed-form route where
+    condition (i) holds."""
     routes = ["integral"]
-    if check_strategy_conditions(model, bundle, theta).condition_i:
+    if check_strategy_conditions(chain.model, bundle, H).condition_i:
         routes.append("closed_form")
     rows = [
         [pid, t, v, route]
-        for pid, book in enumerate(book_path(p, chain, bundle, theta, 1.0) for p in paths)
+        for pid, book in enumerate(book_path(p, chain, bundle, H, T) for p in paths)
         for route in routes
         for t, v in zip(book.times, book.values(route))
     ]
-    expected = csv_bytes(["path_id", "t", "value", "route"], rows)
-    assert (tmp_path / "value_series.csv").read_bytes() == expected
+    return csv_bytes(["path_id", "t", "value", "route"], rows)
+
+
+@pytest.mark.parametrize("name", ["engelbert-schmidt", "bachelier-sticky"])
+@pytest.mark.parametrize(
+    "extra, n_paths, T, strategy",
+    [
+        pytest.param(["--paths", "1"], 1, 1.0, "theta", id="paths-1"),
+        pytest.param(["--paths", "3", "--T", "0.3"], 3, 0.3, "theta", id="paths-3-T-0.3"),
+        pytest.param(["--strategy", "unit"], 100, 1.0, "unit", id="unit"),
+        pytest.param(["--strategy", "theta-bar"], 100, 1.0, "theta-bar", id="theta-bar"),
+    ],
+)
+def test_small_and_unusual_backtests_match_row_writer(tmp_path, name, extra, n_paths, T, strategy):
+    # value_series.csv holds the first min(paths, 10) paths, byte for byte
+    # as the row writer makes them of the per-step oracle's books, on an
+    # absorbing market and a sticky one
+    argv = ["--quiet", "--out", str(tmp_path), "backtest", "--example", name, "--h", "0.05"]
+    assert main(argv + extra) == 0
+
+    model = cat.get_entry(name).build()
+    bundle = build_nu(model)
+    H = {
+        "theta": build_theta(bundle),
+        "theta-bar": build_theta_bar(model, bundle),
+        "unit": FeedbackStrategy(plus_set=BorelSet.make([bundle.window])),
+    }[strategy]
+    chain = build_chain(model, 0.05)
+    paths = [per_step_path(chain, T, 0, pid) for pid in range(min(n_paths, 10))]
+    expected = _value_series_bytes(chain, bundle, H, paths, T)
+    written = (tmp_path / "value_series.csv").read_bytes()
+    assert written == expected
+    assert {int(row["path_id"]) for row in read_csv(tmp_path / "value_series.csv")} == set(
+        range(min(n_paths, 10))
+    )
+
+
+@pytest.mark.parametrize(
+    "command", [["simulate", "--paths", "10"], ["backtest"]], ids=["simulate", "backtest"]
+)
+def test_one_walk_per_command(tmp_path, monkeypatch, command):
+    # simulate walks its ten paths as one group, and backtest takes
+    # value_series.csv from the ensemble's own walk
+    calls = []
+    walk = chain_mod._walk
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(chain_mod, "_walk", counted)
+    monkeypatch.setattr(backtest, "_walk", counted)
+    argv = ["--quiet", "--out", str(tmp_path), *command, "--example", "bachelier-sticky",
+            "--h", "0.05"]
+    assert main(argv) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command", ["simulate", "backtest"])
