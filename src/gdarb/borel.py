@@ -1,37 +1,35 @@
 """Finite representations of Borel subsets of the real line.
 
-A set is a disjoint union of closed intervals, isolated points, and at most
-one Smith-Volterra-Cantor ("fat Cantor") component, less finitely many
-excluded points, stored in columns: the intervals as sorted float arrays of
-left and right ends, apart (no two touch), and the points and excluded
-points as sorted float arrays.  In normal form no interval overlaps the SVC
-part's base, a point lies outside the rest and an excluded point inside it.
-``BorelSet.make`` is the one entry from caller lists; it merges intervals
-with one sort and a running maximum of the right ends.  The set operations
-are ``searchsorted`` sweeps over the operands' columns and give their
-results in normal form; every interval end of a result is an operand's, so
-the algebra is exact.  Membership has one rule, ``_covers``.
+A set is a disjoint union of closed intervals and isolated points, less
+finitely many excluded points, stored in columns: the intervals as sorted
+float arrays of left and right ends, apart (no two touch), and the points
+and excluded points as sorted float arrays.  In normal form a point lies
+outside the intervals and an excluded point inside the rest.  A
+Smith-Volterra-Cantor ("fat Cantor") set of finite depth n is its 2^n
+retained intervals (``svc_set``).  ``BorelSet.make`` is the one entry from
+caller lists; it merges intervals with one sort and a running maximum of
+the right ends.  The set operations are ``searchsorted`` sweeps over the
+operands' columns and give their results in normal form; every interval
+end of a result is an operand's, so the algebra is exact.  Membership has
+one rule, ``_covers``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "BorelSet",
-    "SVCSet",
     "svc_set",
     "svc_measure",
     "EMPTY",
 ]
 
 # Expanding a depth-n SVC set materializes 2^n intervals.
-_SVC_EXPAND_CAP = 20
-_MAX_SVC_DEPTH = 30
+_MAX_SVC_DEPTH = 20
 
 _NONE = np.empty(0)
 
@@ -51,70 +49,12 @@ def svc_measure(depth: int) -> float:
 def _svc_unit(depth: int) -> tuple[np.ndarray, np.ndarray]:
     """The ends of the retained intervals of the depth-n SVC subset of
     [0, 1], in order.  Every end is a multiple of 2^-(2n+1) in [0, 1], so up
-    to the expansion cap each step is exact in floating point."""
+    to the depth cap each step is exact in floating point."""
     lo, hi = np.zeros(1), np.ones(1)
     for k in range(1, depth + 1):
         half = (hi - lo - 4.0**-k) / 2
         lo, hi = np.stack([lo, hi - half], 1).ravel(), np.stack([lo + half, hi], 1).ravel()
     return lo, hi
-
-
-@dataclass(frozen=True)
-class SVCSet:
-    """Depth-n Smith-Volterra-Cantor subset of [base_lo, base_hi].
-
-    The construction is the canonical one on [0, 1], mapped affinely onto
-    the base interval.
-    """
-
-    depth: int
-    base_lo: float = 0.0
-    base_hi: float = 1.0
-
-    def __post_init__(self):
-        if not (1 <= self.depth <= _MAX_SVC_DEPTH):
-            raise ValueError(f"SVC depth must be in [1, {_MAX_SVC_DEPTH}]")
-        if not self.base_lo < self.base_hi:
-            raise ValueError("empty base interval")
-
-    @property
-    def scale(self) -> float:
-        return self.base_hi - self.base_lo
-
-    def measure(self) -> float:
-        return svc_measure(self.depth) * self.scale
-
-    @cached_property
-    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ends of the retained intervals: the depth's unit ends mapped
-        affinely onto the base."""
-        if self.depth > _SVC_EXPAND_CAP:
-            raise ValueError(
-                f"refusing to expand SVC set of depth {self.depth} (> {_SVC_EXPAND_CAP})"
-            )
-        return tuple(self.base_lo + u * self.scale for u in _svc_unit(self.depth))
-
-    def to_intervals(self) -> list[tuple[float, float]]:
-        lo, hi = self._ends
-        return list(zip(lo.tolist(), hi.tolist()))
-
-    def contains(self, x):
-        """Exact membership, vectorized; works at any depth without expansion."""
-        x = np.asarray(x, dtype=float)
-        # map into canonical coordinates
-        z = (x - self.base_lo) / self.scale
-        inside = (z >= 0.0) & (z <= 1.0)
-        lo = np.zeros_like(z)
-        length = np.ones_like(z)
-        for k in range(1, self.depth + 1):
-            gap = 4.0**-k
-            half = (length - gap) / 2.0
-            in_left = z <= lo + half
-            in_right = z >= lo + length - half
-            inside &= in_left | in_right
-            lo = np.where(in_right, lo + length - half, lo)
-            length = half
-        return inside if inside.shape else bool(inside)
 
 
 def _covers(lo: np.ndarray, hi: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -169,18 +109,22 @@ def _sweep(a, b):
 
 
 class BorelSet:
-    """Disjoint union of closed intervals, points, and an optional SVC part.
+    """Disjoint union of closed intervals and points.
 
     ``excluded_points`` removes finitely many points from membership tests;
     it never affects measure (which refers to the closure).  The constructor
     takes the columns in normal form; callers build sets with ``make``.
     """
 
-    def __init__(self, lo=_NONE, hi=_NONE, points=_NONE, svc=None, excluded=_NONE):
-        self._lo, self._hi, self._pts, self.svc, self._excl = lo, hi, points, svc, excluded
+    # No set has a symbolic fat-Cantor part; ``svc`` stays None for readers
+    # that count one, such as the benchmark's traced mode.
+    svc = None
+
+    def __init__(self, lo=_NONE, hi=_NONE, points=_NONE, excluded=_NONE):
+        self._lo, self._hi, self._pts, self._excl = lo, hi, points, excluded
 
     @staticmethod
-    def make(intervals=(), points=(), svc=None, excluded_points=()) -> "BorelSet":
+    def make(intervals=(), points=(), excluded_points=()) -> "BorelSet":
         """The set from lists: intervals as (lo, hi) pairs (those with
         hi < lo are dropped), points and excluded points as floats."""
         pts, excl = (
@@ -188,19 +132,19 @@ class BorelSet:
             for p in (points, excluded_points)
         )
         if not len(intervals):
-            return _settle(_NONE, _NONE, pts, svc, excl)
+            return _settle(_NONE, _NONE, pts, excl)
         lo, hi = np.array(intervals, dtype=float).reshape(-1, 2).T
         proper = hi > lo
         if not proper.all():
             # a degenerate interval is a point
             pts = _cat(pts, lo[hi == lo])
             lo, hi = lo[proper], hi[proper]
-        return BorelSet._make(lo, hi, pts, svc, excl)
+        return BorelSet._make(lo, hi, pts, excl)
 
     @staticmethod
-    def _make(lo, hi, pts=_NONE, svc=None, excl=_NONE) -> "BorelSet":
+    def _make(lo, hi, pts=_NONE, excl=_NONE) -> "BorelSet":
         """``make`` of column arrays, the intervals of positive length."""
-        return _settle(*_merge(lo, hi), pts, svc, excl)
+        return _settle(*_merge(lo, hi), pts, excl)
 
     # -- queries ---------------------------------------------------------
 
@@ -218,24 +162,18 @@ class BorelSet:
 
     @property
     def is_empty(self) -> bool:
-        return not len(self._lo) and not len(self._pts) and self.svc is None
+        return not len(self._lo) and not len(self._pts)
 
     def lebesgue(self) -> float:
         # the lengths summed from the left, one at a time
-        total = sum((self._hi - self._lo).tolist())
-        if self.svc is not None:
-            total += self.svc.measure()
-        return float(total)
+        return float(sum((self._hi - self._lo).tolist()))
 
-    def _member(self, x: np.ndarray, whole: bool = True) -> np.ndarray:
-        """Membership of each entry of the 1-d float array x; without
-        ``whole``, in the intervals and points alone."""
+    def _member(self, x: np.ndarray) -> np.ndarray:
+        """Membership of each entry of the 1-d float array x."""
         res = _covers(self._lo, self._hi, x) if len(self._lo) else np.zeros(len(x), dtype=bool)
         if len(self._pts):
             res |= _covers(self._pts, self._pts, x)
-        if whole and self.svc is not None:
-            res |= self.svc.contains(x)
-        if whole and len(self._excl):
+        if len(self._excl):
             res &= ~_covers(self._excl, self._excl, x)
         return res
 
@@ -251,81 +189,53 @@ class BorelSet:
         if not isinstance(other, BorelSet):
             return NotImplemented
         cols = ("_lo", "_hi", "_pts", "_excl")
-        return self.svc == other.svc and all(
-            np.array_equal(getattr(self, k), getattr(other, k)) for k in cols
-        )
+        return all(np.array_equal(getattr(self, k), getattr(other, k)) for k in cols)
 
     def __hash__(self) -> int:
-        return hash((self.intervals, self.points, self.svc, self.excluded_points))
+        return hash((self.intervals, self.points, self.excluded_points))
 
     def __repr__(self) -> str:
         return (
             f"BorelSet(intervals={self.intervals!r}, points={self.points!r}, "
-            f"svc={self.svc!r}, excluded_points={self.excluded_points!r})"
+            f"excluded_points={self.excluded_points!r})"
         )
 
     # -- algebra ---------------------------------------------------------
 
-    def _core(self) -> tuple[np.ndarray, np.ndarray]:
-        """The intervals with the SVC part expanded, sorted and apart."""
-        if self.svc is None:
-            return self._lo, self._hi
-        if "_expanded" not in self.__dict__:
-            s_lo, s_hi = self.svc._ends
-            self._expanded = _merge(_cat(self._lo, s_lo), _cat(self._hi, s_hi))
-        return self._expanded
-
-    def _all_intervals(self) -> list[tuple[float, float]]:
-        return list(zip(*(e.tolist() for e in self._core())))
-
     def union(self, other: "BorelSet") -> "BorelSet":
         if self.is_empty or other.is_empty:
-            s = other if self.is_empty else self
-            return _settle(s._lo, s._hi, s._pts, s.svc, s._excl)
+            # the other operand, already in normal form
+            return other if self.is_empty else self
         # a point excluded from one side is in the union iff the other side has it
         sides = ((self, other), (other, self))
         excl = _cat(*(s._excl[~o._member(s._excl)] for s, o in sides if len(s._excl)))
-        # one svc part stays symbolic; two different ones are expanded
-        svc = self.svc or other.svc
-        if self.svc is not None and other.svc is not None and self.svc != other.svc:
-            svc = None
-        (a_lo, a_hi), (b_lo, b_hi) = (
-            (p._lo, p._hi) if p.svc == svc else p._core() for p in (self, other)
-        )
-        lo, hi = _merge(_cat(a_lo, b_lo), _cat(a_hi, b_hi))
-        return _settle(lo, hi, _cat(self._pts, other._pts), svc, excl)
+        lo, hi = _merge(_cat(self._lo, other._lo), _cat(self._hi, other._hi))
+        return _settle(lo, hi, _cat(self._pts, other._pts), excl)
 
     def intersect(self, other: "BorelSet") -> "BorelSet":
-        # a common svc part stays, and the rest of each side meets the
-        # other's intervals and points; any other svc part is expanded
-        svc = self.svc if self.svc is not None and self.svc == other.svc else None
-        if svc is None:
-            lo, hi, deg = _sweep(self._core(), other._core())
-        else:
-            lo, hi, deg = _sweep((self._lo, self._hi), (other._lo, other._hi))
+        lo, hi, deg = _sweep((self._lo, self._hi), (other._lo, other._hi))
         sides = ((self, other), (other, self))
-        pts = (s._pts[o._member(s._pts, svc is None)] for s, o in sides if len(s._pts))
-        return _settle(lo, hi, _cat(*pts, deg), svc, _cat(self._excl, other._excl))
+        pts = (s._pts[o._member(s._pts)] for s, o in sides if len(s._pts))
+        return _settle(lo, hi, _cat(*pts, deg), _cat(self._excl, other._excl))
 
     def complement_within(self, lo: float, hi: float) -> "BorelSet":
         """Closure of the complement of this set inside [lo, hi]: the gaps
         between the intervals that meet (lo, hi)."""
-        a_lo, a_hi = self._core()
+        a_lo, a_hi = self._lo, self._hi
         on = (a_hi > lo) & (a_lo < hi)
         g_lo = np.concatenate(([lo], np.minimum(a_hi[on], hi)))
         g_hi = np.concatenate((np.maximum(a_lo[on], lo), [hi]))
         gap = g_lo < g_hi
         # isolated points of this set are not in the complement
         excl = self._pts[(lo <= self._pts) & (self._pts <= hi)]
-        return _settle(g_lo[gap], g_hi[gap], _NONE, None, excl)
+        return _settle(g_lo[gap], g_hi[gap], _NONE, excl)
 
     def difference(self, other: "BorelSet") -> "BorelSet":
         if other.is_empty:
             return self
-        if not len(self._lo) and self.svc is None:
+        if not len(self._lo):
             return BorelSet(points=self._pts[~other._member(self._pts)])
-        a_lo, a_hi = self._core()
-        ends = _cat(a_lo[:1], a_hi[-1:], self._pts)
+        ends = _cat(self._lo[:1], self._hi[-1:], self._pts)
         return self.intersect(other.complement_within(ends.min() - 1.0, ends.max() + 1.0))
 
     def without_points(self, points) -> "BorelSet":
@@ -334,29 +244,17 @@ class BorelSet:
         if not len(drop):
             return self
         pts = self._pts[~_covers(drop, drop, self._pts)]
-        return BorelSet(self._lo, self._hi, pts, self.svc, _unique(_cat(self._excl, drop)))
+        return BorelSet(self._lo, self._hi, pts, _unique(_cat(self._excl, drop)))
 
 
-def _settle(lo, hi, pts, svc, excl) -> BorelSet:
-    """The set of the sorted, apart intervals [lo, hi], the svc part and the
-    candidate points and exclusions, in normal form.  An interval that
-    covers the svc part's base makes it redundant, one that overlaps the
-    base expands it (or the measure would count the overlap twice).  An
-    excluded point is no point, a point the rest covers is dropped, and so
-    is an exclusion that punctures nothing."""
-    if svc is not None and len(lo):
-        if ((lo <= svc.base_lo) & (svc.base_hi <= hi)).any():
-            svc = None
-        elif ((lo < svc.base_hi) & (hi > svc.base_lo)).any():
-            s_lo, s_hi = svc._ends
-            lo, hi = _merge(_cat(lo, s_lo), _cat(hi, s_hi))
-            svc = None
+def _settle(lo, hi, pts, excl) -> BorelSet:
+    """The set of the sorted, apart intervals [lo, hi] and the candidate
+    points and exclusions, in normal form.  An excluded point is no point,
+    a point the intervals cover is dropped, and so is an exclusion that
+    punctures nothing."""
 
     def core(x):
-        res = _covers(lo, hi, x) if len(lo) else np.zeros(len(x), dtype=bool)
-        if svc is not None:
-            res |= svc.contains(x)
-        return res
+        return _covers(lo, hi, x) if len(lo) else np.zeros(len(x), dtype=bool)
 
     if len(excl):
         excl = _unique(excl)
@@ -368,16 +266,23 @@ def _settle(lo, hi, pts, svc, excl) -> BorelSet:
         pts = pts[~out]
     if len(excl):
         excl = excl[core(excl)]
-    return BorelSet(lo, hi, pts, svc, excl)
+    return BorelSet(lo, hi, pts, excl)
 
 
 EMPTY = BorelSet()
 
 
 def svc_set(depth: int, base_lo: float = 0.0, base_hi: float = 1.0) -> BorelSet:
-    """The depth-n Smith-Volterra-Cantor set as a BorelSet."""
+    """The depth-n Smith-Volterra-Cantor set on [base_lo, base_hi]: the
+    canonical construction on [0, 1], mapped affinely onto the base, as its
+    2^n retained closed intervals."""
     if not isinstance(depth, int) or depth < 1:
         raise ValueError("depth must be a positive integer")
     if depth > _MAX_SVC_DEPTH:
         raise ValueError(f"depth {depth} exceeds the supported maximum {_MAX_SVC_DEPTH}")
-    return BorelSet(svc=SVCSet(depth, base_lo, base_hi))
+    if not base_lo < base_hi:
+        raise ValueError("empty base interval")
+    lo, hi = (base_lo + u * (base_hi - base_lo) for u in _svc_unit(depth))
+    # on [0, 1] the ends are exact and apart; a base far from the origin
+    # can round a gap shut, and make merges what it closes
+    return BorelSet.make(np.stack([lo, hi], 1))

@@ -227,7 +227,7 @@ def fat_cantor_q(depth=4) -> tuple[PiecewiseFn, BorelSet]:
     """(q, F): q(u) = integral of dist(., F) from 0 to u, so q' = dist(., F)
     vanishes exactly on F."""
     f_set = svc_set(depth)
-    lo, hi = f_set.svc._ends  # the n = 2^depth retained closed intervals
+    lo, hi = f_set._lo, f_set._hi  # the n = 2^depth retained closed intervals
     n = len(lo)
     # q(u) = -u^2/2 for u <= 0; then q is flat on each retained interval k,
     # at acc[k], and a tent integral over the gap after it, rising by a

@@ -183,8 +183,7 @@ def _strategy(name: str, model, bundle) -> FeedbackStrategy:
     if name == "theta-bar":
         return build_theta_bar(model, bundle)
     if name == "minus-theta":
-        theta = build_theta(bundle)
-        return theta.scaled(-1.0) if not theta.is_zero else theta
+        return build_theta(bundle).scaled(-1.0)
     if name == "unit":
         lo, hi = bundle.window
         return FeedbackStrategy(plus_set=BorelSet.make([(lo, hi)]))

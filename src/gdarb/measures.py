@@ -1,7 +1,8 @@
 """Signed measures with a piecewise absolutely-continuous part and atoms.
 
-The ac part is a catalog density restricted to a Borel carrier set, so
-densities supported on a fat Cantor set stay exactly representable.  The
+The ac part is a catalog density restricted to a Borel carrier set, a
+finite union of closed intervals and points; a fat Cantor carrier of depth
+n is its 2^n retained intervals, whose ends are exact.  The
 Jordan and Hahn decompositions are computed at the representation level,
 from one sign pass over the density (``sign_sets``): each piece is cut at
 its zero set, from the density's one zero pass, and both {f > 0} and
@@ -174,9 +175,8 @@ def integrate(m: SignedMeasure, region: BorelSet | None = None) -> float:
     total = 0.0
     if m.density is not None:
         support = m.carrier if region is None else m.carrier.intersect(region)
-        lo, hi = support._core()
-        lo = np.maximum(lo, m.density.lo)
-        hi = np.minimum(hi, m.density.hi)
+        lo = np.maximum(support._lo, m.density.lo)
+        hi = np.minimum(support._hi, m.density.hi)
         on = hi > lo
         for piece in m.density.integrate(lo[on], hi[on]).tolist():
             total += piece

@@ -1,15 +1,14 @@
 """The Borel-set algebra before its one membership rule, kept as the oracle
 of ``gdarb.borel.BorelSet``: membership tested interval by interval and
 point by point, and intersections formed from every pair of intervals.
-The SVC part is the package's own ``SVCSet``, which is unchanged."""
+``svc_contains`` is the fat-Cantor membership by the canonical per-stage
+recursion, the reference of ``gdarb.borel.svc_set``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from gdarb.borel import SVCSet
 
 
 def _merge_intervals(ivs):
@@ -27,7 +26,7 @@ def _merge_intervals(ivs):
 
 @dataclass(frozen=True)
 class BorelSet:
-    """Disjoint union of closed intervals, points, and an optional SVC part.
+    """Disjoint union of closed intervals and points.
 
     ``excluded_points`` removes finitely many points from membership tests;
     it never affects measure (which refers to the closure).
@@ -35,21 +34,10 @@ class BorelSet:
 
     intervals: tuple[tuple[float, float], ...] = ()
     points: tuple[float, ...] = ()
-    svc: SVCSet | None = None
     excluded_points: tuple[float, ...] = ()
 
     @staticmethod
-    def make(intervals=(), points=(), svc=None, excluded_points=()) -> "BorelSet":
-        # the svc part stays symbolic only while no interval overlaps its
-        # base; otherwise the measure would count the overlap twice.  An
-        # interval that covers the whole base makes it redundant; one that
-        # covers a part makes it expand into intervals.
-        if svc is not None:
-            merged, _ = _merge_intervals(intervals)
-            if any(lo <= svc.base_lo and svc.base_hi <= hi for lo, hi in merged):
-                svc = None
-            elif any(lo < svc.base_hi and hi > svc.base_lo for lo, hi in merged):
-                intervals, svc = list(intervals) + svc.to_intervals(), None
+    def make(intervals=(), points=(), excluded_points=()) -> "BorelSet":
         ivs, degenerate = _merge_intervals(intervals)
         excl = set(float(p) for p in excluded_points)
         pts = (set(float(p) for p in points) | set(degenerate)) - excl
@@ -58,7 +46,6 @@ class BorelSet:
                 p
                 for p in pts
                 if not any(lo <= p <= hi for lo, hi in ivs)
-                and not (svc is not None and svc.contains(p))
             )
         )
         # keep only exclusions that actually puncture the set
@@ -67,22 +54,18 @@ class BorelSet:
                 p
                 for p in excl
                 if any(lo <= p <= hi for lo, hi in ivs)
-                or (svc is not None and bool(svc.contains(p)))
             )
         )
-        return BorelSet(ivs, pts, svc, excl)
+        return BorelSet(ivs, pts, excl)
 
     # -- queries ---------------------------------------------------------
 
     @property
     def is_empty(self) -> bool:
-        return not self.intervals and not self.points and self.svc is None
+        return not self.intervals and not self.points
 
     def lebesgue(self) -> float:
-        total = sum(hi - lo for lo, hi in self.intervals)
-        if self.svc is not None:
-            total += self.svc.measure()
-        return float(total)
+        return float(sum(hi - lo for lo, hi in self.intervals))
 
     def contains(self, x):
         x = np.asarray(x, dtype=float)
@@ -91,8 +74,6 @@ class BorelSet:
             res |= (x >= lo) & (x <= hi)
         for p in self.points:
             res |= x == p
-        if self.svc is not None:
-            res |= self.svc.contains(np.atleast_1d(x)).reshape(x.shape)
         for p in self.excluded_points:
             res &= x != p
         return res if res.shape else bool(res)
@@ -102,40 +83,19 @@ class BorelSet:
 
     # -- algebra ---------------------------------------------------------
 
-    def _all_intervals(self) -> list[tuple[float, float]]:
-        ivs = list(self.intervals)
-        if self.svc is not None:
-            ivs.extend(self.svc.to_intervals())
-        return ivs
-
     def union(self, other: "BorelSet") -> "BorelSet":
         # a point excluded from one side is in the union iff the other side has it
         excl = tuple(
             p for p in self.excluded_points if not other.contains(p)
         ) + tuple(p for p in other.excluded_points if not self.contains(p))
-        # one svc part stays symbolic; two different ones are expanded
-        svc = self.svc or other.svc
-        if self.svc is not None and other.svc is not None and self.svc != other.svc:
-            svc = None
-        ivs = []
-        for part in (self, other):
-            ivs += part.intervals if part.svc == svc else part._all_intervals()
-        return BorelSet.make(ivs, self.points + other.points, svc=svc, excluded_points=excl)
+        ivs = self.intervals + other.intervals
+        return BorelSet.make(ivs, self.points + other.points, excluded_points=excl)
 
     def intersect(self, other: "BorelSet") -> "BorelSet":
         excl = self.excluded_points + other.excluded_points
-        if self.svc is not None and self.svc == other.svc:
-            rest = BorelSet(self.intervals, self.points).intersect(
-                BorelSet(other.intervals, other.points)
-            )
-            return BorelSet.make(
-                rest.intervals, rest.points, svc=self.svc, excluded_points=excl
-            )
-        a_ivs = self._all_intervals()
-        b_ivs = other._all_intervals()
         ivs = []
-        for lo1, hi1 in a_ivs:
-            for lo2, hi2 in b_ivs:
+        for lo1, hi1 in self.intervals:
+            for lo2, hi2 in other.intervals:
                 lo, hi = max(lo1, lo2), min(hi1, hi2)
                 if lo < hi:
                     ivs.append((lo, hi))
@@ -148,7 +108,7 @@ class BorelSet:
     def complement_within(self, lo: float, hi: float) -> "BorelSet":
         """Closure of the complement of this set inside [lo, hi]."""
         ivs = sorted(
-            (max(a, lo), min(b, hi)) for a, b in self._all_intervals() if b > lo and a < hi
+            (max(a, lo), min(b, hi)) for a, b in self.intervals if b > lo and a < hi
         )
         out = []
         cur = lo
@@ -165,11 +125,11 @@ class BorelSet:
     def difference(self, other: "BorelSet") -> "BorelSet":
         if other.is_empty:
             return self
-        if not self.intervals and self.svc is None:
+        if not self.intervals:
             pts = tuple(p for p in self.points if not other.contains(p))
             return BorelSet.make(points=pts)
-        lo = min([iv[0] for iv in self._all_intervals()] + list(self.points))
-        hi = max([iv[1] for iv in self._all_intervals()] + list(self.points))
+        lo = min([iv[0] for iv in self.intervals] + list(self.points))
+        hi = max([iv[1] for iv in self.intervals] + list(self.points))
         return self.intersect(other.complement_within(lo - 1.0, hi + 1.0))
 
     def without_points(self, points) -> "BorelSet":
@@ -178,6 +138,25 @@ class BorelSet:
         return BorelSet(
             self.intervals,
             pts,
-            self.svc,
             tuple(sorted(set(self.excluded_points) | set(points))),
         )
+
+
+def svc_contains(depth, x, base_lo=0.0, base_hi=1.0):
+    """Membership in the depth-n Smith-Volterra-Cantor subset of
+    [base_lo, base_hi], stage by stage: x is mapped into [0, 1], and at
+    stage k each retained interval keeps the parts left and right of its
+    middle gap of length 4^-k."""
+    x = np.asarray(x, dtype=float)
+    z = (x - base_lo) / (base_hi - base_lo)
+    inside = (z >= 0.0) & (z <= 1.0)
+    lo = np.zeros_like(z)
+    length = np.ones_like(z)
+    for k in range(1, depth + 1):
+        half = (length - 4.0**-k) / 2.0
+        in_left = z <= lo + half
+        in_right = z >= lo + length - half
+        inside &= in_left | in_right
+        lo = np.where(in_right, lo + length - half, lo)
+        length = half
+    return inside

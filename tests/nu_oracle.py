@@ -63,7 +63,7 @@ def integrate(m, region=None):
     total = 0.0
     if m.density is not None:
         support = m.carrier if region is None else m.carrier.intersect(region)
-        for lo, hi in support._all_intervals():
+        for lo, hi in support.intervals:
             lo = max(lo, m.density.lo)
             hi = min(hi, m.density.hi)
             if hi > lo:

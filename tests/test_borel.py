@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import borel_oracle
 from gdarb import catalog as cat
-from gdarb.borel import EMPTY, BorelSet, SVCSet, svc_measure, svc_set
+from gdarb.borel import EMPTY, BorelSet, svc_measure, svc_set
 
 
 def removed_mass_oracle(depth):
@@ -28,9 +28,8 @@ def test_svc_measure_depth4_exact():
 
 def test_svc_measure_matches_interval_expansion():
     for depth in range(1, 8):
-        s = SVCSet(depth)
-        total = sum(hi - lo for lo, hi in s.to_intervals())
-        assert total == pytest.approx(s.measure(), abs=1e-15)
+        total = sum(hi - lo for lo, hi in svc_set(depth).intervals)
+        assert total == pytest.approx(svc_measure(depth), abs=1e-15)
 
 
 def test_svc_measure_monotone_and_above_half():
@@ -42,16 +41,40 @@ def test_svc_measure_monotone_and_above_half():
 
 
 def test_svc_contains_matches_intervals():
-    s = SVCSet(3)
     xs = np.linspace(-0.1, 1.1, 4001)
-    ivs = s.to_intervals()
+    ivs = svc_set(3).intervals
     brute = np.array([any(lo <= x <= hi for lo, hi in ivs) for x in xs])
-    assert np.array_equal(s.contains(xs), brute)
+    assert np.array_equal(borel_oracle.svc_contains(3, xs), brute)
+    assert np.array_equal(svc_set(3).contains(xs), brute)
+
+
+def test_svc_set_measure_is_exact():
+    # every end is a multiple of 2^-(2n+1), so the sum from the left is exact
+    for depth in range(1, 21):
+        assert svc_set(depth).lebesgue() == svc_measure(depth), depth
+
+
+# a base whose affine map is exact in floating point, so that the expanded
+# ends and the recursion's mapped coordinates are the same numbers; on other
+# bases the two round at different places and can part within an ulp of an end
+@pytest.mark.parametrize("base", [(0.0, 1.0), (2.0, 4.0)])
+@pytest.mark.parametrize("depth", range(1, 13))
+def test_svc_set_membership_matches_recursion(depth, base):
+    lo, hi = base
+    s = svc_set(depth, lo, hi)
+    ends = np.array(s.intervals).ravel()
+    xs = np.concatenate([
+        np.random.default_rng(depth).uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), 20_000),
+        ends,
+        np.nextafter(ends, -np.inf),
+        np.nextafter(ends, np.inf),
+    ])
+    assert np.array_equal(s.contains(xs), borel_oracle.svc_contains(depth, xs, lo, hi))
 
 
 def dist_oracle(f_set, x):
     """Brute-force distance from x to the retained intervals of f_set."""
-    return min(max(lo - x, 0.0) + max(x - hi, 0.0) for lo, hi in f_set._all_intervals())
+    return min(max(lo - x, 0.0) + max(x - hi, 0.0) for lo, hi in f_set.intervals)
 
 
 # the fat-cantor q' is the distance to its set F = svc_set(depth)
@@ -89,10 +112,11 @@ def test_distance_zero_iff_member():
 def test_svc_depth_validation():
     with pytest.raises(ValueError):
         svc_set(0)
-    with pytest.raises(ValueError):
-        svc_set(31)
-    with pytest.raises(ValueError):
-        SVCSet(25).to_intervals()
+    for depth in (21, 25, 31):
+        with pytest.raises(ValueError, match="exceeds the supported maximum 20"):
+            svc_set(depth)
+    with pytest.raises(ValueError, match="empty base interval"):
+        svc_set(2, 1.0, 1.0)
 
 
 def test_borel_make_normalizes():
@@ -115,6 +139,8 @@ def test_borel_union_intersect_complement():
     b = BorelSet.make([(0.5, 2.0)], points=[5.0])
     u = a.union(b)
     assert u.lebesgue() == 2.0
+    # a set in normal form is its own union with an empty one
+    assert EMPTY.union(b) is b and b.union(BorelSet.make(excluded_points=[0.5])) is b
     assert 5.0 in u
     i = a.intersect(b)
     assert i.intervals == ((0.5, 1.0),)
@@ -138,15 +164,10 @@ def test_borel_svc_algebra():
     comp = f.complement_within(0.0, 1.0)
     assert comp.lebesgue() == pytest.approx(1.0 - svc_measure(2), abs=1e-15)
     assert f.union(EMPTY).lebesgue() == pytest.approx(svc_measure(2), abs=1e-15)
-    # an interval overlapping the base expands the svc part; one that only
-    # touches the base leaves it symbolic
-    assert BorelSet.make([(-1.0, 2.0)], svc=SVCSet(3)).lebesgue() == 3.0
-    # an interval covering the whole base drops the svc part, at any depth
-    covered = BorelSet.make([(-1.0, 2.0)], svc=SVCSet(25))
-    assert covered.svc is None and covered.lebesgue() == 3.0
-    assert BorelSet.make([(-1.0, 0.5), (0.5, 2.0)], svc=SVCSet(25)).lebesgue() == 3.0
-    touching = BorelSet.make([(1.0, 2.0)], svc=SVCSet(3))
-    assert touching.svc == SVCSet(3)
+    # an interval covering the set absorbs it; one that touches its last
+    # interval merges with it
+    assert BorelSet.make([(-1.0, 2.0)]).union(svc_set(3)).lebesgue() == 3.0
+    touching = BorelSet.make([(1.0, 2.0)]).union(svc_set(3))
     assert touching.lebesgue() == 1.0 + svc_measure(3)
 
 
@@ -156,23 +177,23 @@ def test_empty_set():
 
 
 # ---------------------------------------------------------------------------
-# measure identities of the set algebra, the svc part included
+# measure identities of the set algebra, fat Cantor operands included
 # ---------------------------------------------------------------------------
 
 # quarter-grid coordinates make shared and touching endpoints likely
 _coord = st.one_of(st.integers(-12, 12).map(lambda k: k / 4), st.floats(-3.0, 3.0))
 _svc = st.builds(
-    lambda depth, lo, width: SVCSet(depth, lo, lo + width),
+    lambda depth, lo, width: svc_set(depth, lo, lo + width),
     st.integers(1, 5),
     _coord,
     st.sampled_from([0.25, 1.0, 1.5, 2.0]),
 )
-_sets = st.builds(
+_plain = st.builds(
     BorelSet.make,
     st.lists(st.tuples(_coord, _coord).map(sorted), max_size=3),
     st.lists(_coord, max_size=2),
-    st.one_of(st.none(), _svc),
 )
+_sets = st.one_of(_plain, _svc, st.builds(BorelSet.union, _plain, _svc))
 
 
 @settings(max_examples=300)
@@ -192,7 +213,7 @@ def test_measure_identities(a, b, window):
 
 _quarter = st.integers(-12, 12).map(lambda k: k / 4)
 _svc_part = st.builds(
-    lambda depth, lo, width: SVCSet(depth, lo, lo + width),
+    lambda depth, lo, width: svc_set(depth, lo, lo + width),
     st.integers(1, 6),
     _quarter,
     st.sampled_from([0.25, 1.0, 1.5, 2.0]),
@@ -200,34 +221,38 @@ _svc_part = st.builds(
 
 
 def _shifted(svc, how):
-    """The up to 64 intervals of an expanded svc set, shifted by nothing, by
+    """The up to 64 intervals of a fat Cantor set, shifted by nothing, by
     grid steps, by its first gap or by its first interval's length, so that
-    they overlap or touch the other operand's intervals or its svc part."""
-    ivs = svc.to_intervals()
+    they overlap or touch the other operand's intervals or its fat Cantor
+    part."""
+    ivs = svc.intervals
     gap, length = ivs[1][0] - ivs[0][1], ivs[0][1] - ivs[0][0]
     shift = {"none": 0.0, "up": 0.25, "down": -0.5, "gap": gap, "length": length}[how]
     return [(a + shift, b + shift) for a, b in ivs]
 
 
 _expanded = st.builds(_shifted, _svc_part, st.sampled_from(["none", "up", "down", "gap", "length"]))
-_parts = st.tuples(
+_parts = st.builds(
+    # (intervals, points, excluded points); a fat Cantor part joins the
+    # intervals as its own
+    lambda ivs, svc, pts, excl: (list(ivs) + list(svc.intervals if svc else ()), pts, excl),
     st.one_of(st.lists(st.tuples(_quarter, _quarter).map(sorted), max_size=4), _expanded),
-    st.lists(_quarter, max_size=3),
     st.one_of(st.none(), _svc_part),
+    st.lists(_quarter, max_size=3),
     st.lists(_quarter, max_size=3),
 )
 
 
 def _fields(s):
-    return repr((s.intervals, s.points, s.svc, s.excluded_points))
+    return repr((s.intervals, s.points, s.excluded_points))
 
 
 def _same_set(new, old, probes):
     assert _fields(new) == _fields(old)
     assert new.lebesgue().hex() == old.lebesgue().hex()
-    # the probes cover the eighth grid and every interval end, the svc
-    # part's included
-    xs = np.concatenate([probes, [e for iv in old._all_intervals() for e in iv]])
+    # the probes cover the eighth grid and every interval end, the fat
+    # Cantor part's included
+    xs = np.concatenate([probes, [e for iv in old.intervals for e in iv]])
     got = new.contains(xs)
     assert got.dtype == bool and np.array_equal(got, old.contains(xs))
     for x in xs[::5]:

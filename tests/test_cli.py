@@ -161,6 +161,8 @@ def test_bad_param_usage_error(tmp_path, capsys):
         ["demo", "bachelier-skew", "--param", "kappa=1.5"],
         ["analyze", "--example", "fat-cantor", "--param", "depth=2.5"],
         ["demo", "fat-cantor", "--param", "depth=2.5"],
+        # a depth past the cap of 20
+        ["analyze", "--example", "fat-cantor", "--param", "depth=21"],
     ):
         assert main(["--quiet", "--out", str(tmp_path), *argv]) == 2, argv
         assert "usage error: bad parameter for" in capsys.readouterr().err

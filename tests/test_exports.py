@@ -1,8 +1,12 @@
 """Every name a ``gdarb`` module lists in ``__all__`` exists, so that
-``from gdarb.<module> import *`` works for each module."""
+``from gdarb.<module> import *`` works for each module, and no module
+loads scipy."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -24,3 +28,19 @@ def test_all_names_exist(name):
     namespace: dict = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def test_no_module_loads_scipy():
+    # scipy is a dependency of the tests and the benchmark only; a fresh
+    # interpreter imports every module and lists the scipy modules loaded
+    script = (
+        "import importlib, sys\n"
+        f"for name in {MODULES!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gdarb.__file__))}
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "[]"

@@ -31,7 +31,7 @@ def test_svc_region_riemann_oracle():
     region = svc_set(2)
     got = integrate(m, region)
     want = 0.0
-    for lo, hi in region._all_intervals():
+    for lo, hi in region.intervals:
         xs = np.linspace(lo, hi, 20001)
         want += np.trapezoid(xs * xs, xs)
     assert got == pytest.approx(want, abs=1e-8)

@@ -194,7 +194,7 @@ def test_zero_set_fat_cantor():
 
 def dist_oracle(f_set, x):
     """Brute-force distance from x to the retained intervals of f_set."""
-    ivs = np.array(f_set._all_intervals())
+    ivs = np.array(f_set.intervals)
     x = np.asarray(x, dtype=float)[..., None]
     d = np.maximum(ivs[:, 0] - x, 0.0) + np.maximum(x - ivs[:, 1], 0.0)
     return d.min(axis=-1)

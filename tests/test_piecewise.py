@@ -261,7 +261,7 @@ def test_poly_tiny_leading_term_unbounded(lo, hi):
 
 def dist_oracle(f_set, x):
     """Brute-force distance from x to the retained intervals of f_set."""
-    ivs = np.array(f_set._all_intervals())
+    ivs = np.array(f_set.intervals)
     x = np.asarray(x, dtype=float)[..., None]
     d = np.maximum(ivs[:, 0] - x, 0.0) + np.maximum(x - ivs[:, 1], 0.0)
     return d.min(axis=-1)
