@@ -137,7 +137,7 @@ def _nu_ac_density(model: NaturalScaleModel, carrier: BorelSet) -> PiecewiseFn:
     rest = (~(m_const | q_const)).nonzero()[0]
     bps = q._bps
     for a, b in zip(bps[rest].tolist(), bps[rest + 1].tolist()):
-        overlap = carrier.intersect(BorelSet.make([(max(a, -1e12), min(b, 1e12))]))
+        overlap = carrier.intersect(BorelSet.make([(a, b)]))
         if overlap.lebesgue() > 0:
             raise UnsupportedModelError(f"cannot form q*m_ac product density on [{a}, {b}]")
     if len(rest):

@@ -22,7 +22,6 @@ its path's sums add up, so a backtest walks and books its paths once.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 

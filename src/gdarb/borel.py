@@ -243,8 +243,7 @@ class BorelSet:
         drop = _unique(np.array(points, dtype=float).reshape(-1))
         if not len(drop):
             return self
-        pts = self._pts[~_covers(drop, drop, self._pts)]
-        return BorelSet(self._lo, self._hi, pts, _unique(_cat(self._excl, drop)))
+        return _settle(self._lo, self._hi, self._pts, _cat(self._excl, drop))
 
 
 def _settle(lo, hi, pts, excl) -> BorelSet:
@@ -284,5 +283,8 @@ def svc_set(depth: int, base_lo: float = 0.0, base_hi: float = 1.0) -> BorelSet:
         raise ValueError("empty base interval")
     lo, hi = (base_lo + u * (base_hi - base_lo) for u in _svc_unit(depth))
     # on [0, 1] the ends are exact and apart; a base far from the origin
-    # can round a gap shut, and make merges what it closes
-    return BorelSet.make(np.stack([lo, hi], 1))
+    # can round a gap shut, and then the set is not the depth-n one
+    out = BorelSet.make(np.stack([lo, hi], 1))
+    if len(out._lo) < 2**depth:
+        raise ValueError(f"the base [{base_lo}, {base_hi}] is too coarse for depth {depth}")
+    return out

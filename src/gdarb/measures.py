@@ -128,23 +128,16 @@ def positive_set(pw: PiecewiseFn, lo: float, hi: float) -> BorelSet:
     return _sign_pass(pw, lo, hi, (1.0,))[0]
 
 
-def jordan_hahn(m: SignedMeasure, domain: tuple[float, float] | None = None):
-    """Return (positive part, negative part, N_plus, N_minus).
+def jordan_hahn(m: SignedMeasure, domain: tuple[float, float]):
+    """Return (positive part, negative part, N_plus, N_minus) within the
+    domain [lo, hi], an interval such as the analysis window.
 
     Convention: zero-density regions go to N_minus.  N_minus is the
-    complement of N_plus within the domain (density interval by default).
-    The density's two sides come from one ``sign_sets`` pass.
-    ``arbitrage.build_nu`` calls this once per market and keeps the parts.
+    complement of N_plus within the domain.  The density's two sides come
+    from one ``sign_sets`` pass.  ``arbitrage.build_nu`` calls this once
+    per market, on the window, and keeps the parts.
     """
-    if m.density is not None:
-        lo, hi = m.density.lo, m.density.hi
-    else:
-        locs = [a for a, _ in m.atoms] or [0.0]
-        lo, hi = min(locs) - 1.0, max(locs) + 1.0
-    if domain is not None:
-        lo, hi = domain
-    lo = max(lo, -1e12)
-    hi = min(hi, 1e12)
+    lo, hi = domain
 
     pos_atoms = tuple((a, mass) for a, mass in m.atoms if mass > 0)
     neg_atoms = tuple((a, -mass) for a, mass in m.atoms if mass < 0)
@@ -169,8 +162,10 @@ def jordan_hahn(m: SignedMeasure, domain: tuple[float, float] | None = None):
 def integrate(m: SignedMeasure, region: BorelSet | None = None) -> float:
     """Measure of the region (default: everything).
 
-    The density is integrated over all the support's intervals in one array
-    call, and the pieces are added in the intervals' order.
+    The density is integrated over all the support's intervals, cut to the
+    density's interval, in one array call, and the pieces are added in the
+    intervals' order.  The integral takes finite limits only, so an
+    unbounded support on an unbounded density raises ``ValueError``.
     """
     total = 0.0
     if m.density is not None:

@@ -247,13 +247,14 @@ def _compose_speed(qseg: Segment, gseg: Segment, name: str) -> Segment:
 
 def to_natural_scale(spec: DiffusionSpec) -> NaturalScaleModel:
     """Canonicalize to U = s(Y) coordinates."""
-    s = spec.scale
+    g = spec.speed.density
+    if g is None:
+        g = PiecewiseFn.constant(0.0, spec.lo, spec.hi)
+    for name, f in (("scale", spec.scale), ("speed density", g)):
+        if not (f.lo <= spec.lo and spec.hi <= f.hi):
+            raise ModelError(f"the {name} does not cover the state space [{spec.lo}, {spec.hi}]")
+    s = spec.scale.restricted(spec.lo, spec.hi)
     x_bps = list(s.breakpoints)
-    if x_bps[0] != spec.lo or x_bps[-1] != spec.hi:
-        s = s.restricted(spec.lo, spec.hi) if (
-            s.lo <= spec.lo and s.hi >= spec.hi
-        ) else s
-        x_bps = list(s.breakpoints)
 
     u_bps = [s.limit(x) for x in x_bps]
     if any(b >= c for b, c in zip(u_bps, u_bps[1:])):
@@ -266,11 +267,7 @@ def to_natural_scale(spec: DiffusionSpec) -> NaturalScaleModel:
     q = PiecewiseFn(tuple(u_bps), q_segments)
 
     # refine speed density onto the scale partition, then transform per piece
-    g = spec.speed.density
-    if g is None:
-        g = PiecewiseFn.constant(0.0, spec.lo, spec.hi)
-    g = g.restricted(max(g.lo, spec.lo), min(g.hi, spec.hi))
-    g = g.with_breakpoints([b for b in x_bps if np.isfinite(b)])
+    g = g.restricted(spec.lo, spec.hi).with_breakpoints([b for b in x_bps if np.isfinite(b)])
     m_bps = []
     m_segs = []
     for j, gseg in enumerate(g.segments):

@@ -37,7 +37,9 @@ import re
 
 from .measures import SignedMeasure
 from .model import BoundarySpec, DiffusionSpec, ModelError
-from .piecewise import Affine, Const, Exponential, Log, PiecewiseFn, Poly, Power, Segment
+from .piecewise import (
+    Affine, Const, Exponential, Log, PiecewiseFn, Poly, Power, Segment, _half_line
+)
 
 __all__ = ["ModelFileError", "parse_model_file", "parse_model_text"]
 
@@ -139,15 +141,30 @@ def _take(section: dict, key: str, section_name: str, required: bool = True):
     return section.pop(key)
 
 
-def _parse_piecewise(section: dict, section_name: str) -> PiecewiseFn:
+def _parse_piecewise(section: dict, section_name: str, lo: float, hi: float) -> PiecewiseFn:
+    """The section's function, whose breakpoints cover the state space
+    [lo, hi] and whose ``power`` and ``log`` pieces stay on their half-lines
+    there."""
     bp_text, bp_line = _take(section, "breakpoints", section_name)
     bps = tuple(_parse_number(t, bp_line) for t in bp_text.split(","))
     if len(bps) < 2 or any(a >= b for a, b in zip(bps, bps[1:])):
         raise ModelFileError("breakpoints must be strictly increasing", bp_line)
+    if not (bps[0] <= lo and hi <= bps[-1]):
+        raise ModelFileError(f"breakpoints must cover the state space [{lo}, {hi}]", bp_line)
     segments = []
     for k in range(1, len(bps)):
         text, line = _take(section, f"segment{k}", section_name)
-        segments.append(_parse_segment(text, line))
+        seg = _parse_segment(text, line)
+        a, b = max(bps[k - 1], lo), min(bps[k], hi)
+        if isinstance(seg, (Power, Log)) and a < b:
+            kind = "power" if isinstance(seg, Power) else "log"
+            side = seg.side if kind == "power" else (seg.scale > 0) - (seg.scale < 0)
+            try:
+                _half_line(a, b, side, seg.center, kind)
+            except ValueError:
+                msg = f"{kind} segment leaves its half-line on [{a}, {b}]"
+                raise ModelFileError(msg, line) from None
+        segments.append(seg)
     return PiecewiseFn(bps, tuple(segments))
 
 
@@ -176,9 +193,9 @@ def parse_model_text(text: str) -> DiffusionSpec:
     if not lo < hi:
         raise ModelFileError("state space needs lo < hi", lo_line)
 
-    scale = _parse_piecewise(sections["scale"], "scale")
+    scale = _parse_piecewise(sections["scale"], "scale", lo, hi)
     speed_sec = sections["speed"]
-    density = _parse_piecewise(speed_sec, "speed")
+    density = _parse_piecewise(speed_sec, "speed", lo, hi)
     atoms = []
     for key in sorted(k for k in speed_sec if re.fullmatch(r"atom\d+", k)):
         value, line = speed_sec.pop(key)

@@ -4,8 +4,9 @@
 Each segment supports point evaluation, a closed-form derivative, exact
 integration against affine weights (over arrays of limits and weights as
 well as scalars), and an exact zero set, which is also where
-``measures.sign_sets`` cuts a piece to find its sign.  Over an infinite
-limit an integral is the limit of the sum of its terms (see ``_tail``).
+``measures.sign_sets`` cuts a piece to find its sign.  Integrals take
+finite limits only: ``PiecewiseFn.integrate``, the one entry to the
+integral rules, refuses an infinite one.
 
 A kind evaluates, integrates, finds its zeros and differentiates through
 one rule each (see ``Segment``), over the parameters of one segment or of
@@ -51,7 +52,7 @@ class Segment:
     and ``_row`` (its own), and ``_scales`` picks those that scale with it.
     Its rules are static methods: ``_kernel(x, *static, *row)`` evaluates
     it, ``_integral(lo, hi, c0, c1, *static, *row)`` integrates (c0 + c1*x)
-    * f(x) over [lo, hi], and ``_derivative(static, row)`` gives the
+    * f(x) over the finite [lo, hi], and ``_derivative(static, row)`` gives the
     derivative's kind and parameters; there the parameters are scalars or
     arrays.  ``_zeros(static, cols, lo, hi)`` takes a group's rows as
     columns, each on its interval [lo, hi], and gives the mask of the rows
@@ -74,12 +75,6 @@ class Segment:
     def __call__(self, x):
         out = self._kernel(np.asarray(x, dtype=float), *self._static, *self._row)
         return out if out.ndim else out[()]
-
-    def integrate_affine(self, lo, hi, c0=1.0, c1=0.0):
-        """Integral of (c0 + c1*x) * f(x) over [lo, hi]: the integral rule of
-        one row.  The arguments may be arrays, which broadcast against each
-        other."""
-        return self._integral(lo, hi, c0, c1, *self._static, *self._row)
 
     def scaled(self, c: float) -> "Segment":
         row = list(self._row)
@@ -116,53 +111,6 @@ def _roots_inside(whole, roots, lo, hi):
     return whole, rows, roots[rows]
 
 
-def _tail(terms):
-    """The sum of the terms k * m of an integral over an infinite limit,
-    each given with its order of growth: m is the integral of a power of t,
-    or of a power times log t, and a term whose coefficient k is 0 adds
-    nothing (its m may be infinite).  Where divergent terms have opposite
-    signs, the terms of each order are added first (they share their m),
-    and the highest order that does not cancel decides; if all cancel, the
-    finite terms give the sum."""
-    with np.errstate(invalid="ignore"):
-        total = sum(np.where(k == 0.0, 0.0, k * m) for k, m, _ in terms)
-        clash = np.isnan(total)
-        if not clash.any():
-            return total
-        limit = sum(np.where(np.isinf(m) | (k == 0.0), 0.0, k * m) for k, m, _ in terms)
-        by_order: dict[float, tuple] = {}
-        for k, m, order in terms:
-            by_order[order] = (by_order[order][0] + k, m) if order in by_order else (k, m)
-        for order in sorted(by_order):
-            k, m = by_order[order]
-            limit = np.where(np.isinf(m) & (k != 0.0), k * m, limit)
-        return np.where(clash, limit, total)
-
-
-def _poly_terms(coeffs, lo, hi, c0, c1):
-    """The terms of the integral of (c0 + c1*x) * sum(a_j x**j) over
-    [lo, hi], for the ascending coefficients a_j: c0*a_j with the integral
-    of x**j, and c1*a_j with that of x**(j+1), each with its order."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        return [
-            (c * a, (np.power(hi, n) - np.power(lo, n)) / n, n)
-            for j, a in enumerate(coeffs)
-            for c, n in ((c0, j + 1), (c1, j + 2))
-        ]
-
-
-def _poly_tail(value, coeffs, lo, hi, c0, c1):
-    """An integral of (c0 + c1*x) times the polynomial with ascending
-    coefficients ``coeffs``: ``value`` where both limits are finite, the
-    sum of its terms (see ``_tail``) where one is infinite.  An infinite
-    limit makes ``value`` infinite or nan, so a finite one is kept as it
-    is."""
-    if np.isfinite(value).all():
-        return value
-    to_inf = np.isinf(lo) | np.isinf(hi)
-    return np.where(to_inf, _tail(_poly_terms(coeffs, lo, hi, c0, c1)), value)
-
-
 @dataclass(frozen=True)
 class Const(Segment):
     value: float
@@ -181,9 +129,7 @@ class Const(Segment):
 
     @staticmethod
     def _integral(lo, hi, c0, c1, value):
-        with np.errstate(invalid="ignore"):  # inf - inf, which _poly_tail replaces
-            out = value * (c0 * (hi - lo) + 0.5 * c1 * (hi * hi - lo * lo))
-        return _poly_tail(out, (value,), lo, hi, c0, c1)
+        return value * (c0 * (hi - lo) + 0.5 * c1 * (hi * hi - lo * lo))
 
     @staticmethod
     def _derivative(static, row):
@@ -269,15 +215,12 @@ class Poly(Segment):
     def _integral(lo, hi, c0, c1, *coeffs):
         # the antiderivatives of f and of x f as numpy's polyint and polymulx
         # form them, read at the limits in the Horner steps of its polyval
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
 
         def moment(cs):
             anti = (0.0, cs[0], *(c / (j + 1) for j, c in enumerate(cs) if j))
             return Poly._kernel(hi, *anti) - Poly._kernel(lo, *anti)
 
-        with np.errstate(invalid="ignore"):  # inf - inf, which _poly_tail replaces
-            out = c0 * moment(coeffs) + c1 * moment((coeffs[0] * 0, *coeffs))
-        return _poly_tail(out, coeffs, lo, hi, c0, c1)
+        return c0 * moment(coeffs) + c1 * moment((coeffs[0] * 0, *coeffs))
 
     @classmethod
     def _of(cls, static, row):
@@ -358,11 +301,6 @@ def _power_integral(t0, t1, q):
         )
 
 
-def _tail_integral(t0, q):
-    """Integral of t**q over [t0, inf)."""
-    return np.inf if q >= -1.0 else np.power(t0, q + 1.0) / -(q + 1.0)
-
-
 @dataclass(frozen=True)
 class Power(Segment):
     """f(x) = coeff * (side*(x - center))**exponent + offset.
@@ -418,21 +356,9 @@ class Power(Segment):
             raise ValueError("non-integrable power singularity")
         A = c0 + c1 * c
         B = c1 * s
-        to_inf = np.isinf(t1)
-        unbounded = to_inf.any()
-        if unbounded:
-            t1 = np.where(to_inf, t0, t1)
         # integral of (A + B t)(a t^p + b) dt
         power_part = A * _power_integral(t0, t1, p) + B * _power_integral(t0, t1, p + 1.0)
-        value = a * power_part + b * (t1 - t0) * (A + 0.5 * B * (t0 + t1))
-        if unbounded:
-            # over [t0, inf) each power t**q has its own limit, of order
-            # q + 1 (see _tail)
-            terms = ((a * A, p), (a * B, p + 1.0), (b * A, 0.0), (b * B, 1.0))
-            value = np.where(
-                to_inf, _tail([(k, _tail_integral(t0, q), q + 1.0) for k, q in terms]), value
-            )
-        return value
+        return a * power_part + b * (t1 - t0) * (A + 0.5 * B * (t0 + t1))
 
     @classmethod
     def _of(cls, static, row):
@@ -514,7 +440,6 @@ class Exponential(Segment):
     @staticmethod
     def _integral(lo, hi, c0, c1, coeff, rate, offset):
         a, b, c = coeff, rate, offset
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         # x = x0 + side*s for s in [0, d], from the end x0 where exp(b x) is
         # largest, so exp(b x) = exp(b x0) exp(z s / d) with z = -|b| d <= 0;
         # written in the gap d, never as a difference of antiderivatives
@@ -526,19 +451,6 @@ class Exponential(Segment):
             e1, e2 = _exp_moments(z)
             exp_part = np.exp(b * x0) * d * ((c0 + c1 * x0) * e1 + side * c1 * d * e2)
             value = a * exp_part + c * d * (c0 + 0.5 * c1 * (lo + hi))
-            to_inf = np.isinf(d)
-            if to_inf.any():
-                # over a half-line d*e1 and d*d*e2 are their limits,
-                # -expm1(z)/|b| and -expm1(z)/b**2, and a term whose
-                # coefficient is 0 adds nothing
-                gap = -np.expm1(z) / np.abs(b)
-                tail = np.where(
-                    a == 0.0,
-                    0.0,
-                    a * np.exp(b * x0) * ((c0 + c1 * x0) * gap + side * c1 * gap / np.abs(b)),
-                )
-                tail = tail + _tail(_poly_terms((c,), lo, hi, c0, c1))
-                value = np.where(to_inf, tail, value)
         # a rate-0 row is the constant a + c
         flat = b == 0.0
         if np.any(flat):
@@ -606,19 +518,7 @@ class Log(Segment):
         mid = 0.5 * (t0 + t1)
         int_log = d * (log1 - 1.0) + tg  # integral of log(lam t)
         int_tlog = d * mid * (log1 - 0.5) + 0.5 * ttg  # integral of t log(lam t)
-        with np.errstate(invalid="ignore"):  # 0 * inf, which _tail replaces
-            value = k * (A * int_log + B * int_tlog) + o * d * (A + B * mid)
-        to_inf = np.isinf(t1)
-        if to_inf.any():
-            # t log t grows faster than t, and slower than t**2
-            terms = (
-                (k * A, int_log, 1.5),
-                (k * B, int_tlog, 2.5),
-                (o * A, d, 1.0),
-                (o * B, d * mid, 2.0),
-            )
-            value = np.where(to_inf, _tail(terms), value)
-        return value
+        return k * (A * int_log + B * int_tlog) + o * d * (A + B * mid)
 
     @staticmethod
     def _derivative(static, row):
@@ -860,9 +760,13 @@ class PiecewiseFn:
         each interval's first piece and slot j its j-th piece after that.
         Slot 0 runs each group's rule once and the later slots together
         once more, and the pieces are added slot by slot, so each interval's
-        total is summed from 0.0 in piece order.
+        total is summed from 0.0 in piece order.  This is the one entry to
+        the segments' integral rules, and it takes finite limits only: a
+        non-finite one raises ``ValueError``.
         """
         lo, hi, c0, c1 = (np.asarray(v, dtype=float) for v in (lo, hi, c0, c1))
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("integration limits must be finite")
         shape = np.broadcast(lo, hi, c0, c1).shape
         lo, hi = _flat(lo, shape), _flat(hi, shape)
         # a scalar weight stays a scalar

@@ -133,13 +133,10 @@ class BorelSet:
         return self.intersect(other.complement_within(lo - 1.0, hi + 1.0))
 
     def without_points(self, points) -> "BorelSet":
-        """Drop finitely many points from membership (measure unchanged)."""
-        pts = tuple(p for p in self.points if p not in set(points))
-        return BorelSet(
-            self.intervals,
-            pts,
-            tuple(sorted(set(self.excluded_points) | set(points))),
-        )
+        """Drop finitely many points from membership (measure unchanged),
+        in normal form: an exclusion that punctures nothing is dropped."""
+        excl = tuple(self.excluded_points) + tuple(float(p) for p in points)
+        return BorelSet.make(self.intervals, self.points, excluded_points=excl)
 
 
 def svc_contains(depth, x, base_lo=0.0, base_hi=1.0):

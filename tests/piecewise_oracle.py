@@ -7,9 +7,9 @@ on its own, and the jumps of q' are read one breakpoint at a time.  The
 zero rules are the catalog's per kind, with one correction the grouped
 pass makes too: a root at a piece end belongs to the zero set for every
 kind (``Exponential`` and ``Log`` once kept only interior roots).  The
-integrals over finite limits are the catalog's per-kind closed forms as
-each segment once wrote them on its own (``finite_integral``), not the
-grouped rules."""
+integrals, over finite limits only, are the catalog's per-kind closed
+forms as each segment once wrote them on its own (``finite_integral``),
+not the grouped rules."""
 
 from __future__ import annotations
 
@@ -44,10 +44,10 @@ def evaluate(pw, xs):
 
 
 def integrate(pw, lo, hi, c0=1.0, c1=0.0):
-    """The integral of (c0 + c1*x) pw(x) over each [lo, hi] (hi < lo flips
-    the sign), segment by segment: each segment's own integral over its
-    part of every interval it meets, added to the interval's total from 0.0
-    in segment order."""
+    """The integral of (c0 + c1*x) pw(x) over each finite [lo, hi] (hi < lo
+    flips the sign), segment by segment: each segment's own closed form over
+    its part of every interval it meets, added to the interval's total from
+    0.0 in segment order."""
     lo, hi, c0, c1 = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (lo, hi, c0, c1))
     )
@@ -59,13 +59,7 @@ def integrate(pw, lo, hi, c0=1.0, c1=0.0):
         a, b = np.maximum(lo, bps[i]), np.minimum(hi, bps[i + 1])
         on = b > a
         if on.any():
-            a, b, w0, w1 = a[on], b[on], c0[on], c1[on]
-            part = np.isfinite(a) & np.isfinite(b)
-            piece = np.empty(len(a))
-            piece[part] = finite_integral(seg, a[part], b[part], w0[part], w1[part])
-            # over an infinite limit, the segment's own rule
-            piece[~part] = seg.integrate_affine(a[~part], b[~part], w0[~part], w1[~part])
-            total[on] += piece
+            total[on] += finite_integral(seg, a[on], b[on], c0[on], c1[on])
     return sign * total
 
 

@@ -15,7 +15,7 @@ from gdarb.arbitrage import (
     market_verdicts,
 )
 from gdarb.borel import BorelSet, svc_measure
-from gdarb.measures import integrate
+from gdarb.measures import SignedMeasure, integrate
 from gdarb.model import BoundarySpec, NaturalScaleModel, to_natural_scale, validate
 from gdarb.modelfile import parse_model_text
 from gdarb.piecewise import Const, PiecewiseFn, Poly
@@ -86,8 +86,12 @@ def test_nu_reflecting_right_edge_at_a_scale_kink():
     want = ((0.0, 0.5), (0.5, pytest.approx(0.5 * (1 / 1.5 - 1.0), abs=1e-15)),
             (1.25, pytest.approx(edge, abs=1e-15)))
     # q may run past the edge, its next piece's slope 1/2.5 there: the edge
-    # atom reads the piece on the left of hi all the same
-    wide = to_natural_scale(dataclasses.replace(spec, hi=2.0, right=BoundarySpec("right")))
+    # atom reads the piece on the left of hi all the same (the wide spec's
+    # speed density covers its state space [0, 2]; only its q is read)
+    wide = to_natural_scale(dataclasses.replace(
+        spec, hi=2.0, right=BoundarySpec("right"),
+        speed=SignedMeasure(density=PiecewiseFn.constant(1.0, 0.0, 2.0)),
+    ))
     past = dataclasses.replace(model, q=wide.q)
     assert past.q.breakpoints == (0.0, 0.5, 1.25, 3.75)
     assert float(past.q_prime(1.25)) == 1 / 2.5

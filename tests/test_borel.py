@@ -134,6 +134,24 @@ def test_borel_membership_and_exclusions():
     assert s.lebesgue() == 1.0  # exclusions never change measure
 
 
+def test_without_points_keeps_the_normal_form():
+    # an exclusion that punctures nothing is dropped, as ``make`` drops it
+    s = BorelSet.make([(0.0, 1.0)])
+    assert s.without_points([5.0]) == s
+    assert s.without_points([5.0]).excluded_points == ()
+    punctured = BorelSet.make([(0.0, 1.0)], points=[2.0]).without_points([0.5, 2.0, 5.0])
+    assert punctured == BorelSet.make([(0.0, 1.0)], excluded_points=[0.5])
+
+
+def test_svc_set_refuses_a_base_too_coarse_for_its_depth():
+    # far from the origin the mapped ends round to the base's ulp and close
+    # gaps: 131,072 intervals of 2^20 came out, with measure 0.5
+    with pytest.raises(ValueError, match="too coarse for depth 20"):
+        svc_set(20, 1e6, 1e6 + 1)
+    for base in ((0.0, 1.0), (2.0, 4.0), (0.3, 1.7)):
+        assert len(svc_set(12, *base).intervals) == 2**12
+
+
 def test_borel_union_intersect_complement():
     a = BorelSet.make([(0.0, 1.0)])
     b = BorelSet.make([(0.5, 2.0)], points=[5.0])

@@ -235,6 +235,53 @@ def test_model_file_speed_gap_fails_validation(tmp_path, capsys):
     assert not out.exists()
 
 
+REFLECTED_FILE = """
+[state_space]
+lo = {lo}
+hi = {hi}
+
+[scale]
+breakpoints = {scale_bps}
+segment1 = {scale}
+
+[speed]
+breakpoints = {lo}, {hi}
+segment1 = {speed}
+
+[boundaries]
+left = reflecting
+right = reflecting
+
+[market]
+x0 = {x0}
+rate = 0.1
+"""
+
+
+@pytest.mark.parametrize("fields, section, bad_line, fragment", [
+    # a power piece read left of its center, as the scale or the speed density
+    (dict(scale="power 1 0 0.5 0 1"), "scale", "segment1 = power 1 0 0.5 0 1", "half-line"),
+    (dict(speed="power 1 0 0.5 0 1"), "speed", "segment1 = power 1 0 0.5 0 1", "half-line"),
+    # a scale that stops at 1 on the state space [0, 2], once analysed on [0, 1]
+    (dict(lo=0, hi=2, x0=1, scale_bps="0, 1"), "scale", "breakpoints = 0, 1", "cover"),
+])
+def test_model_file_segments_leave_their_domain(tmp_path, capsys, fields, section, bad_line,
+                                                fragment):
+    values = dict(lo=-1, hi=1, x0=0, scale="affine 0 1", speed="const 1")
+    values.update(fields)
+    values.setdefault("scale_bps", f"{values['lo']}, {values['hi']}")
+    text = REFLECTED_FILE.format(**values)
+    model = tmp_path / "bad.gdm"
+    model.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--quiet", "--out", str(out), "analyze", "--model", str(model)]) == 1
+    lines = text.splitlines()
+    line = lines.index(bad_line, lines.index(f"[{section}]")) + 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: ") and fragment in err
+    assert not out.exists()
+
+
 def test_model_file_tiny_exponential_rate(tmp_path, capsys):
     # exp(1e-200 x) is 1 to double precision; its square rate underflows
     model = tmp_path / "tiny.gdm"

@@ -1,7 +1,8 @@
 """Every name a ``gdarb`` module lists in ``__all__`` exists, so that
-``from gdarb.<module> import *`` works for each module, and no module
-loads scipy."""
+``from gdarb.<module> import *`` works for each module, no module imports a
+name it never uses, and no module loads scipy."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -28,6 +29,25 @@ def test_all_names_exist(name):
     namespace: dict = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    # a top-level import must be referenced in the module or listed in its
+    # __all__ (a re-export); ``import a.b`` binds ``a``
+    module = importlib.import_module(name)
+    with open(module.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    bound = {
+        (alias.asname or alias.name).partition(".")[0]: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {n: line for n, line in bound.items() if n not in used and n not in module.__all__}
+    assert unused == {}
 
 
 def test_no_module_loads_scipy():

@@ -153,7 +153,7 @@ def test_piecewise_zero_set_matches_values(pw):
 
 def test_jordan_hahn_positive_atom():
     nu = SignedMeasure(atoms=((0.0, 0.3),))
-    pos, neg, n_plus, n_minus = jordan_hahn(nu)
+    pos, neg, n_plus, n_minus = jordan_hahn(nu, domain=(-1.0, 1.0))
     assert pos.atoms == ((0.0, 0.3),)
     assert neg.is_zero
     assert 0.0 in n_plus
@@ -162,7 +162,7 @@ def test_jordan_hahn_positive_atom():
 
 def test_jordan_hahn_negative_atom():
     nu = SignedMeasure(atoms=((2.0, -0.3),))
-    pos, neg, n_plus, n_minus = jordan_hahn(nu)
+    pos, neg, n_plus, n_minus = jordan_hahn(nu, domain=(1.0, 3.0))
     assert pos.is_zero
     assert neg.atoms == ((2.0, 0.3),)
     assert 2.0 in n_minus
@@ -170,7 +170,7 @@ def test_jordan_hahn_negative_atom():
 
 
 def test_jordan_hahn_zero_measure():
-    pos, neg, n_plus, n_minus = jordan_hahn(ZERO_MEASURE)
+    pos, neg, n_plus, n_minus = jordan_hahn(ZERO_MEASURE, domain=(-1.0, 1.0))
     assert pos.is_zero and neg.is_zero
     assert n_plus.is_empty
 
@@ -194,7 +194,7 @@ def test_jordan_reconstruction_random():
         nu = SignedMeasure(
             density=PiecewiseFn.from_segment(Poly(coeffs), -2.0, 2.0), atoms=atoms
         )
-        pos, neg, n_plus, n_minus = jordan_hahn(nu)
+        pos, neg, n_plus, n_minus = jordan_hahn(nu, domain=(-2.0, 2.0))
         for _ in range(10):
             a, b = sorted(rng.uniform(-2, 2, 2))
             region = BorelSet.make([(a, b)])
@@ -215,7 +215,7 @@ def test_total_variation():
         atoms=((0.5, -2.0),),
     )
     region = BorelSet.make([(-1.0, 1.0)])
-    pos, neg, _, _ = jordan_hahn(nu)
+    pos, neg, _, _ = jordan_hahn(nu, domain=(-1.0, 1.0))
     assert pos(region) + neg(region) == pytest.approx(1.0 + 2.0, abs=1e-10)
 
 
@@ -226,15 +226,14 @@ def test_is_zero_with_zero_density():
     assert not m2.is_zero
 
 
-@pytest.mark.parametrize(
-    "name, mass",
-    [
-        ("bs-reflected", 2.0),  # density 4 (u + 1)^-2
-        ("engelbert-schmidt", 2.0),
-        ("bessel-sticky", np.inf),  # constant density
-    ],
-)
-def test_speed_measure_of_a_half_line(name, mass):
+@pytest.mark.parametrize("name", ["bs-reflected", "engelbert-schmidt", "bessel-sticky"])
+def test_speed_measure_of_an_unbounded_region_raises(name):
+    # the measure cuts the region to its density's interval, here [0, inf),
+    # and integrates over finite limits only
     model = cat.get_entry(name).build()
     speed = SignedMeasure(density=model.m_ac, atoms=model.m_atoms)
-    assert speed(BorelSet.make([(1.0, np.inf)])) == mass
+    with pytest.raises(ValueError, match="finite"):
+        speed(BorelSet.make([(1.0, np.inf)]))
+    with pytest.raises(ValueError, match="finite"):
+        integrate(speed)
+    assert speed(BorelSet.make([(1.0, 10.0)])) == model.m_ac.integrate(1.0, 10.0)

@@ -242,6 +242,25 @@ def test_unsupported_scale_segment():
         to_natural_scale(bad)
 
 
+@pytest.mark.parametrize("part", ["scale", "speed density"])
+def test_functions_must_cover_the_state_space(part):
+    # on the state space [0, 2], a scale or a speed density that stops at 1
+    # was once cut short silently: the scale to [0, 1], the density to its own
+    spec = brownian_spec()
+    short = PiecewiseFn.from_segment(Affine(0.0, 1.0), 0.0, 1.0)
+    whole = PiecewiseFn.from_segment(Affine(0.0, 1.0), 0.0, 2.0)
+    bad = dataclasses.replace(
+        spec,
+        lo=0.0,
+        hi=2.0,
+        scale=short if part == "scale" else whole,
+        speed=SignedMeasure(density=short if part == "speed density" else whole),
+        start=0.5,
+    )
+    with pytest.raises(ModelError, match=f"the {part} does not cover the state space"):
+        to_natural_scale(bad)
+
+
 @pytest.mark.parametrize("coeff", [1e-3, 262.4])
 def test_near_log_scale_exponent_unsupported(coeff):
     # inverting x^0.0038 needs coeff^(-262): it overflows for the small
