@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .borel import EMPTY, BorelSet
-from .measures import SignedMeasure, jordan_hahn, positive_set
-from .model import NaturalScaleModel, UnsupportedModelError, zero_set
+from .measures import SignedMeasure, jordan_hahn
+from .model import NaturalScaleModel, UnsupportedModelError, _agree, zero_set
 from .piecewise import Const, PiecewiseFn, _scaled_cols
 
 __all__ = [
@@ -149,10 +149,9 @@ def _net_mass(t1: float, t2: float) -> float:
     """Atom mass t1 - t2, exactly 0.0 when the terms agree to within 64 ulps.
 
     At an exact no-profit boundary (r * m1 = 1/2 at a reflecting edge, say)
-    the terms are equal, but q' and y carry rounding (11 ulps at most seen).
+    the terms are equal, but q' and y carry rounding (``model._agree``).
     """
-    d = t1 - t2
-    return 0.0 if abs(d) <= 64 * np.finfo(float).eps * (abs(t1) + abs(t2)) else d
+    return 0.0 if _agree(t1, t2) else t1 - t2
 
 
 def build_nu(model: NaturalScaleModel) -> NuBundle:
@@ -222,8 +221,9 @@ def build_nu(model: NaturalScaleModel) -> NuBundle:
 def market_verdicts(model: NaturalScaleModel, bundle: NuBundle) -> MarketVerdicts:
     """The three market-level verdicts and the numbers they rest on.
 
-    |nu_ac|(window) is read from the Jordan parts that ``build_nu`` kept;
-    the only sign pass here is the positive side of the speed density.
+    |nu_ac|(window) is read from the Jordan parts that ``build_nu`` kept.
+    ``model.validate`` decides that the speed density is positive up to
+    points, so {q'_+ = 0} keeps its measure where the density is positive.
     """
     window = BorelSet.make([bundle.window])
     nu = bundle.nu
@@ -235,11 +235,8 @@ def market_verdicts(model: NaturalScaleModel, bundle: NuBundle) -> MarketVerdict
     tv = atom_tv + ac_tv
     nip = tv == 0.0
 
-    zs = bundle.qprime_zero
-    lam_zero = zs.intersect(window).lebesgue()
-    m_pos = positive_set(model.m_ac, *bundle.window)
-    lam_qvip = zs.intersect(m_pos).lebesgue()
-    qvip = model.rate != 0.0 and lam_qvip > 0.0
+    lam_zero = bundle.qprime_zero.intersect(window).lebesgue()
+    qvip = model.rate != 0.0 and lam_zero > 0.0
     rp = lam_zero == 0.0
 
     unbounded = not (np.isfinite(model.lo) and np.isfinite(model.hi))
@@ -254,7 +251,7 @@ def market_verdicts(model: NaturalScaleModel, bundle: NuBundle) -> MarketVerdict
             "abs_nu_atoms": atom_tv,
             "abs_nu_ac_window": ac_tv,
             "lambda_qprime_zero": lam_zero,
-            "lambda_qprime_zero_with_density": lam_qvip,
+            "lambda_qprime_zero_with_density": lam_zero,
         },
         window_caveat=caveat,
     )

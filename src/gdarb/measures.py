@@ -6,10 +6,10 @@ n is its 2^n retained intervals, whose ends are exact.  The
 Jordan and Hahn decompositions are computed at the representation level,
 from one sign pass over the density (``sign_sets``): each piece is cut at
 its zero set, from the density's one zero pass, and both {f > 0} and
-{f < 0} are read from the same midpoints.  ``arbitrage.build_nu``
-decomposes ``nu`` once this way and keeps the parts in its bundle;
-``positive_set`` is the pass cut to the positive side, for a density whose
-negative side nobody reads.
+{f < 0} are read from the same points inside the cells, never at +-inf.
+``arbitrage.build_nu`` decomposes ``nu`` once this way and keeps the parts
+in its bundle, and ``model.validate`` reads the signs of q' and of the
+speed density from the same pass.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "ZERO_MEASURE",
     "jordan_hahn",
     "sign_sets",
-    "positive_set",
     "integrate",
 ]
 
@@ -83,49 +82,46 @@ class SignedMeasure:
 ZERO_MEASURE = SignedMeasure()
 
 
-def _sign_pass(pw: PiecewiseFn, lo: float, hi: float, signs: tuple[float, ...]):
-    """Closure of {x in [lo, hi] : s * pw(x) > 0} for each s in ``signs``.
+def sign_sets(pw: PiecewiseFn, lo: float, hi: float) -> tuple[BorelSet, BorelSet]:
+    """Closures of {pw > 0} and {pw < 0} in [lo, hi], from one sign pass.
 
     The one rule: each piece is cut at the points and interval edges of its
     zero set, found by the one zero pass ``pw.zeros``, and between two cuts
-    it keeps one sign, the sign at the midpoint.  The midpoints and the cuts
-    are read in one call of ``pw``; a cut where pw vanishes belongs to the
-    zero set, so an edge of a piece there is excluded.
+    it keeps one sign, read at a finite point inside (``_inside``).
+    Those points and the finite cuts are read in one call of ``pw``; a cut
+    where pw vanishes belongs to the zero set, so an edge there is excluded.
     """
     lo = max(lo, pw.lo)
     hi = min(hi, pw.hi)
     if hi <= lo:
-        return (EMPTY,) * len(signs)
+        return EMPTY, EMPTY
     iv_lo, iv_hi, points = pw._zero_parts(lo, hi)
     bps = pw._bps
     inner = bps[bps.searchsorted(lo, "right") : bps.searchsorted(hi, "left")]
     edges = np.stack([iv_lo, iv_hi], 1).ravel() if len(iv_lo) else iv_lo
     c = _unique(np.concatenate(([lo, hi], inner, points, edges)))
-    values = pw(np.concatenate([0.5 * (c[:-1] + c[1:]), c]))
-    mid, vanish = values[: len(c) - 1], values[len(c) - 1 :] == 0.0
+    at = 0.5 * (c[:-1] + c[1:]) if len(c) > 2 else np.zeros(1)
+    at[0], at[-1] = _inside(c[0], c[1]), _inside(c[-2], c[-1])
+    finite = np.isfinite(c)
+    values = pw(np.concatenate([at, c[finite]]))
+    mid, vanish = values[: len(at)], np.zeros(len(c), dtype=bool)
+    vanish[finite] = values[len(at) :] == 0.0
     out = []
-    for s in signs:
+    for s in (1.0, -1.0):
         # the cuts where a run of pieces of sign s starts or stops, in turn,
         # and those of them where pw vanishes
         on = np.concatenate(([False], s * mid > 0.0, [False]))
         ends = (on[1:] != on[:-1]).nonzero()[0]
         out.append(BorelSet(c[ends[0::2]], c[ends[1::2]], excluded=c[ends[vanish[ends]]]))
-    return tuple(out)
+    return out[0], out[1]
 
 
-def sign_sets(pw: PiecewiseFn, lo: float, hi: float) -> tuple[BorelSet, BorelSet]:
-    """Closures of {pw > 0} and {pw < 0} in [lo, hi], from one sign pass."""
-    return _sign_pass(pw, lo, hi, (1.0, -1.0))
-
-
-def positive_set(pw: PiecewiseFn, lo: float, hi: float) -> BorelSet:
-    """Closure of {x in [lo, hi] : pw(x) > 0} as a BorelSet.
-
-    The sign pass of ``sign_sets`` with the negative side left out: use it
-    where only {pw > 0} is read, as for the speed density in
-    ``arbitrage.market_verdicts``.
-    """
-    return _sign_pass(pw, lo, hi, (1.0,))[0]
+def _inside(a: float, b: float) -> float:
+    """A finite point of the cell (a, b), a < b: its midpoint, 1 inside its
+    finite end, or 0 on the whole line."""
+    if a > -np.inf:
+        return 0.5 * (a + b) if b < np.inf else a + 1.0
+    return b - 1.0 if b < np.inf else 0.0
 
 
 def jordan_hahn(m: SignedMeasure, domain: tuple[float, float]):

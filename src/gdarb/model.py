@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .borel import BorelSet
-from .measures import SignedMeasure
+from .measures import SignedMeasure, _inside, sign_sets
 from .piecewise import (
     Affine,
     Const,
@@ -266,22 +266,20 @@ def to_natural_scale(spec: DiffusionSpec) -> NaturalScaleModel:
     )
     q = PiecewiseFn(tuple(u_bps), q_segments)
 
-    # refine speed density onto the scale partition, then transform per piece
+    # refine speed density onto the scale partition, then transform each
+    # piece with the q segment that holds a point inside it
     g = g.restricted(spec.lo, spec.hi).with_breakpoints([b for b in x_bps if np.isfinite(b)])
-    m_bps = []
     m_segs = []
-    for j, gseg in enumerate(g.segments):
-        xa, xb = g.breakpoints[j], g.breakpoints[j + 1]
-        mid = 0.5 * (xa + xb) if np.isfinite(xa) and np.isfinite(xb) else (
-            xa + 1.0 if np.isfinite(xa) else xb - 1.0
-        )
-        qi = bisect_right(x_bps, mid) - 1
-        qi = max(0, min(qi, len(q_segments) - 1))
+    for gseg, xa, xb in zip(g.segments, g.breakpoints, g.breakpoints[1:]):
+        qi = max(0, min(bisect_right(x_bps, _inside(xa, xb)) - 1, len(q_segments) - 1))
         name = f"[{xa}, {xb}]"
-        m_segs.append(_compose_speed(q_segments[qi], gseg, name))
-        m_bps.append(s.limit(xa))
-    m_bps.append(s.limit(g.breakpoints[-1]))
-    m_ac = PiecewiseFn(tuple(m_bps), tuple(m_segs))
+        try:
+            m_segs.append(_compose_speed(q_segments[qi], gseg, name))
+        except OverflowError:
+            raise UnsupportedModelError(
+                f"speed density transform at {name}: a coefficient is out of floating-point range"
+            ) from None
+    m_ac = PiecewiseFn(tuple(s.limit(x) for x in g.breakpoints), tuple(m_segs))
 
     m_atoms = tuple((float(s.limit(y)), mass) for y, mass in spec.speed.atoms)
 
@@ -322,92 +320,94 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
 
+def _agree(a, b):
+    """Whether a and b agree to within 64 ulps of |a| + |b|, the rounding
+    that two terms equal in exact arithmetic may carry.  Scalars or arrays."""
+    return abs(a - b) <= 64 * np.finfo(float).eps * (abs(a) + abs(b))
+
+
+def _where(model: NaturalScaleModel, *us: float) -> str:
+    """A point or a cell [a, b] of natural scale, and its image under q."""
+    u, x = (", ".join(f"{v:.17g}" for v in vs) for vs in (us, map(model.y_value, us)))
+    return f"u = {u} (x = {x})" if len(us) == 1 else f"u in [{u}] (x in [{x}])"
+
+
+def _mass(pw: PiecewiseFn, a: float, b: float) -> float:
+    try:
+        return pw.integrate(a, b)
+    except ValueError:  # a non-integrable power singularity
+        return np.inf
+
+
 def validate(model: NaturalScaleModel) -> ValidationReport:
+    """Decide exactly, on the whole state space [lo, hi], that the model is
+    a general diffusion in natural scale (Ito and McKean, 1965).
+
+    Signs come from one ``sign_sets`` pass over q' and one over m_ac, and
+    the interior breakpoints from one ``sides`` read of q and one of q'.
+    q' >= 0 and a continuous q make q nondecreasing.  An open piece's kernel
+    is continuous, so m_ac can fail to be integrable only at a piece's end:
+    each piece is integrated up to an interior breakpoint or a reflecting
+    end, and cut at a point inside it at an open or absorbing end.
+    """
+    lo, hi = model.lo, model.hi
     checks = []
-    lo, hi = model.window()
-    # probe away from open endpoints, where speed densities may blow up
-    pad_l = 1e-9 if model.left.included else 0.05 * (hi - lo)
-    pad_r = 1e-9 if model.right.included else 0.05 * (hi - lo)
-    lo, hi = lo + pad_l, hi - pad_r
-    pad = 1e-9 * max(1.0, hi - lo)
-    xs = np.linspace(lo + pad, hi - pad, 1000)
 
-    qv = np.asarray(model.q(xs), dtype=float)
-    nondec = bool(np.all(np.diff(qv) >= -1e-12))
-    strict = bool(qv[-1] > qv[0])
-    checks.append(
-        CheckResult(
-            "q-nondecreasing", nondec, float(np.min(np.diff(qv))), "sampled increments"
-        )
-    )
-    checks.append(CheckResult("q-increasing-overall", strict, qv[-1] - qv[0]))
+    def check(name, passed, value, detail, failure):
+        # failure() makes the detail of a failed check, naming the place
+        checks.append(CheckResult(name, bool(passed), float(value), detail if passed else failure()))
 
-    qp = np.asarray(model.q_prime(xs), dtype=float)
-    bps = model.q_prime._bps
-    bp_vals = model.q_prime(bps[np.isfinite(bps) & (lo <= bps) & (bps <= hi)])
-    qp_ok = bool(np.all(qp >= -1e-12)) and bool(np.all(bp_vals >= -1e-12))
-    checks.append(CheckResult("q-prime-nonnegative", qp_ok, float(np.min(qp))))
+    pos, neg = sign_sets(model.q_prime, lo, hi)
+    check("q-prime-nonnegative", neg.is_empty, neg.lebesgue(), "q' >= 0",
+          lambda: "q' < 0 on " + _where(model, *neg.intervals[0]))
+    check("q-increasing-overall", not pos.is_empty, pos.lebesgue(),
+          f"q' > 0 on {len(pos.intervals)} intervals", lambda: "q' > 0 on no interval")
 
-    mv = np.asarray(model.m_ac(xs), dtype=float)
-    m_ok = bool(np.all(mv >= -1e-12)) and all(m > 0 for _, m in model.m_atoms)
-    checks.append(CheckResult("speed-nonnegative", m_ok, float(np.min(mv))))
+    bps = model.q._bps
+    kinks = bps[(lo < bps) & (bps < hi)]
+    with np.errstate(invalid="ignore"):
+        q_left, q_right = model.q.sides(kinks)
+        jumps = (~_agree(q_left, q_right)).nonzero()[0]
+        qp_left, qp_right = model.q_prime.sides(kinks)
+        poles = (~np.isfinite(qp_left + qp_right)).nonzero()[0]
+    check("q-continuous", not len(jumps), len(jumps),
+          f"q is continuous at the {len(kinks)} interior breakpoints",
+          lambda: "q jumps at u = {:.17g}, from x = {:.17g} to x = {:.17g}".format(
+              kinks[jumps[0]], q_left[jumps[0]], q_right[jumps[0]]))
+    check("q-prime-finite-at-kinks", not len(poles), len(poles),
+          f"q' is finite at the {len(kinks)} interior breakpoints",
+          lambda: "q' is not finite at {}: q'(u-) = {:.17g}, q'(u+) = {:.17g}".format(
+              _where(model, kinks[poles[0]]), qp_left[poles[0]], qp_right[poles[0]]))
 
-    # every compact interior interval carries positive finite mass
-    edges = np.linspace(lo, hi, 6)
-    cell_lo, cell_hi = edges[:-1] + pad, edges[1:] - pad
-    ac_lo = np.maximum(cell_lo, model.m_ac.lo)
-    ac_hi = np.maximum(np.minimum(cell_hi, model.m_ac.hi), ac_lo)
-    masses = model.m_ac.integrate(ac_lo, ac_hi)
-    for a, mass in model.m_atoms:
-        masses = masses + np.where((cell_lo <= a) & (a <= cell_hi), mass, 0.0)
-    masses = masses.tolist()
-    pos_ok = all(np.isfinite(m) and m > 0 for m in masses)
-    checks.append(
-        CheckResult("speed-positive-on-compacts", pos_ok, float(min(masses)))
-    )
+    pos, neg = sign_sets(model.m_ac, lo, hi)
+    atoms = [atom for atom in model.m_atoms if not atom[1] > 0]
+    check("speed-nonnegative", neg.is_empty and not atoms, neg.lebesgue(),
+          "m_ac >= 0, and every atom is positive",
+          lambda: "m_ac < 0 on " + _where(model, *neg.intervals[0]) if not neg.is_empty
+          else "an atom of mass {1:.17g} at ".format(*atoms[0]) + _where(model, atoms[0][0]))
+    # atoms charge only their points: {m_ac > 0} is the state space up to points
+    gaps = pos.complement_within(lo, hi).intervals
+    check("speed-charges-every-interval", not gaps, sum(b - a for a, b in gaps),
+          "m_ac > 0 up to points",
+          lambda: f"m_ac <= 0 on {len(gaps)} intervals, the first " + _where(model, *gaps[0]))
 
-    # the speed measure charges every open interval, and atoms charge only
-    # their points: {m_ac = 0} may hold points of the window, no interval
-    gaps = model.m_ac.zeros(*model.window())[0]
-    checks.append(
-        CheckResult(
-            "speed-charges-every-interval",
-            not gaps,
-            float(sum(b - a for a, b in gaps)),
-            "intervals of {m_ac = 0} in the window: "
-            + (", ".join(f"[{a:.17g}, {b:.17g}]" for a, b in gaps) or "none"),
-        )
-    )
+    bps = model.m_ac._bps
+    ends = np.concatenate(([lo], bps[(lo < bps) & (bps < hi)], [hi]))
+    a = np.concatenate(([lo if model.left.is_reflecting else _inside(*ends[:2])], ends[1:-1]))
+    b = np.concatenate((ends[1:-1], [hi if model.right.is_reflecting else _inside(*ends[-2:])]))
+    masses = [((x, y), _mass(model.m_ac, x, y)) for x, y in zip(a.tolist(), b.tolist()) if x < y]
+    masses += [((u,), mass) for u, mass in model.m_atoms]
+    bad = [place for place, mass in masses if not np.isfinite(mass)]
+    check("speed-finite-on-compacts", not bad, sum(mass for _, mass in masses),
+          "the speed measure is finite at every interior breakpoint, reflecting end and atom",
+          lambda: "the speed measure is not finite at " + _where(model, *bad[0]))
 
-    # start point placement
-    interior = model.lo < model.u0 < model.hi
-    at_reflecting = (model.u0 == model.lo and model.left.is_reflecting) or (
-        model.u0 == model.hi and model.right.is_reflecting
-    )
-    checks.append(CheckResult("start-point-admissible", interior or at_reflecting))
-
-    # boundary regularity of |q''| near included endpoints
-    for side, e, bspec in (("left", model.lo, model.left), ("right", model.hi, model.right)):
-        if not bspec.included:
-            continue
-        z = e + 1.0 if side == "left" else e - 1.0
-        z = min(max(z, lo), hi)
-        a, b = sorted((e, z))
-        total = float(sum(
-            (abs(loc - e) if bspec.is_absorbing else 1.0) * abs(mass)
-            for loc, mass in model.q_second_atoms
-            if a <= loc <= b
-        ))
-        label = "absorbing-boundary-integrability" if bspec.is_absorbing else "reflecting-boundary-finiteness"
-        checks.append(CheckResult(f"{label}-{side}", bool(np.isfinite(total)), total))
-
-    # kink bookkeeping consistency
-    kink_ok = True
-    if model.q_second_atoms:
-        locs, masses = zip(*model.q_second_atoms)
-        left, right = model.q_prime.sides(np.array(locs))
-        kink_ok = bool(np.all(np.abs((right - left) - masses) <= 1e-10))
-    checks.append(CheckResult("q-second-atoms-match-kinks", kink_ok))
+    u0 = model.u0
+    reflecting = (u0 == lo and model.left.is_reflecting) or (u0 == hi and model.right.is_reflecting)
+    check("start-point-admissible", lo < u0 < hi or reflecting, u0,
+          f"the start u = {u0:.17g} is interior or a reflecting end",
+          lambda: f"the start u = {u0:.17g} is neither in ({lo:.17g}, {hi:.17g}) "
+          "nor a reflecting end")
 
     return ValidationReport(tuple(checks))
 

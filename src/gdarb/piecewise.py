@@ -23,6 +23,7 @@ the groups and map the pieces, so two pieces may share a row.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 from dataclasses import dataclass
@@ -344,7 +345,8 @@ class Power(Segment):
         for i in offset.nonzero()[0].tolist():
             k, c, o, s = cols[:, i].tolist()
             if k != 0.0 and -o / k > 0.0:
-                roots[i] = c + s * (-o / k) ** (1.0 / exponent)
+                with contextlib.suppress(OverflowError):  # a root past every float
+                    roots[i] = c + s * (-o / k) ** (1.0 / exponent)
         return _roots_inside(whole, roots, lo, hi)
 
     @staticmethod

@@ -243,10 +243,6 @@ def sign_sets(pw, lo, hi, signs=(1.0, -1.0)):
     return tuple(out)
 
 
-def positive_set(pw, lo, hi):
-    return sign_sets(pw, lo, hi, (1.0,))[0]
-
-
 def q_second_atoms(model):
     """The jumps of q' at the interior breakpoints inside (lo, hi), each side
     read by its own segment's scalar call."""

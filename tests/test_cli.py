@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from gdarb.arbitrage import (
 from gdarb.borel import BorelSet
 from gdarb.chain import build_chain
 from gdarb.cli import main
+from gdarb.model import to_natural_scale
+from gdarb.modelfile import parse_model_file
 from csv_oracle import csv_bytes
 from path_oracles import book_path, per_step_path
 from test_modelfile import STICKY
@@ -280,6 +283,67 @@ def test_model_file_segments_leave_their_domain(tmp_path, capsys, fields, sectio
     err = capsys.readouterr().err
     assert err.startswith(f"error: line {line}: ") and fragment in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fields, failure", [
+    # a speed density (x - 0.50031)^2 - 1e-8, negative on (0.50021, 0.50041):
+    # no point of a 1,000-point grid of [0, 1] falls in there
+    (dict(speed="poly 0.2503100861 -1.00062 1"),
+     "speed-nonnegative: m_ac < 0 on u in [0.5002"),
+    # s(x) = x |x|: q' = +inf on both sides of the kink, whose q'' jump is nan
+    (dict(lo=-1, scale_bps="-1, 0, 1", scale="power -1 0 2 0 -1\nsegment2 = power 1 0 2 0 1"),
+     "q-prime-finite-at-kinks: q' is not finite at u = 0 (x = 0): q'(u-) = inf, q'(u+) = inf"),
+    # one infinite side: the jump is +inf
+    (dict(lo=-1, scale_bps="-1, 0, 1", scale="power -1 0 2 0 -1\nsegment2 = affine 0 1"),
+     "q-prime-finite-at-kinks: q' is not finite at u = 0 (x = 0): q'(u-) = inf, q'(u+) = 1"),
+    # a scale that drops from 1 to 0.5 at x = 1, and one that jumps up to 6
+    (dict(hi=2, scale_bps="0, 1, 2", scale="affine 0 1\nsegment2 = affine -0.5 1"),
+     "q-continuous: q jumps at u = 0.5, from x = 0.5 to x = 1"),
+    (dict(hi=2, scale_bps="0, 1, 2", scale="affine 0 1\nsegment2 = affine 5 1"),
+     "q-continuous: q jumps at u = 6, from x = 6 to x = 1"),
+])
+def test_model_file_outside_the_setting_fails_validation(tmp_path, capsys, fields, failure):
+    values = dict(lo=0, hi=1, x0=0.5, scale="affine 0 1", speed="const 1")
+    values.update(fields)
+    values.setdefault("scale_bps", f"{values['lo']}, {values['hi']}")
+    model = tmp_path / "bad.gdm"
+    model.write_text(REFLECTED_FILE.format(**values))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--quiet", "--out", str(out), "analyze", "--model", str(model)]) == 1
+    assert capsys.readouterr().err.startswith("validation failed: " + failure)
+    assert not out.exists()
+
+
+def test_model_file_scale_continuous_in_decimal_validates(tmp_path):
+    # 0.2 + 1.3 * 0.1 = 0.31 + 0.2 * 0.1 = 0.33 in decimal; in floats the
+    # two sides of q at u = 0.33 differ by 24 ulps
+    text = REFLECTED_FILE.format(
+        lo=0, hi=1, x0=0.5, scale_bps="0, 0.1, 1",
+        scale="affine 0.2 1.3\nsegment2 = affine 0.31 0.2", speed="const 1",
+    )
+    model = tmp_path / "decimal.gdm"
+    model.write_text(text)
+    q = to_natural_scale(parse_model_file(str(model))).q
+    left, right = q.sides(q._bps[1:-1])
+    assert left[0] != right[0]
+    assert main(["--quiet", "--out", str(tmp_path), "analyze", "--model", str(model)]) == 0
+
+
+def test_speed_coefficient_overflow_error(tmp_path, capsys):
+    # the composed speed density's coefficient 5.9e-315**-1.007 overflows
+    rc = main([
+        "--quiet", "--out", str(tmp_path),
+        "analyze", "--example", "engelbert-schmidt",
+        "--param", "b=0.84885", "--param", "sigma=0.74455", "--param", "mu=0.27527",
+        "--param", "x0=1.15268", "--param", "r=0.43255",
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: speed density transform at [0.84885, inf]: ")
+    assert "out of floating-point range" in err
+    assert not (tmp_path / "verdicts.csv").exists()
 
 
 def test_model_file_tiny_exponential_rate(tmp_path, capsys):

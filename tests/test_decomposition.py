@@ -21,7 +21,7 @@ from gdarb.arbitrage import (
     market_verdicts,
 )
 from gdarb.borel import BorelSet
-from gdarb.measures import SignedMeasure, integrate, jordan_hahn, positive_set, sign_sets
+from gdarb.measures import SignedMeasure, integrate, jordan_hahn, sign_sets
 from gdarb.model import UnsupportedModelError
 from test_measures import _piecewise_fns
 
@@ -58,7 +58,6 @@ def test_sign_pass_matches_two_passes(pw, cut, atoms):
                 nu_oracle.positive_set(pw.scaled(-1.0), a, b),
             )
             assert sign_sets(pw, a, b) == want
-            assert positive_set(pw, a, b) == want[0]
         m = SignedMeasure(pw, atoms=tuple((pw.lo + x * width, mass) for x, mass in atoms))
         parts = jordan_hahn(m, domain=(lo, hi))
         assert parts == nu_oracle.jordan_hahn(m, domain=(lo, hi))
@@ -127,15 +126,15 @@ def test_decomposition_matches_two_pass_route(market):
 
 def test_one_decomposition_per_bundle(monkeypatch):
     # build_nu -> market_verdicts -> build_theta -> build_theta_bar ->
-    # check_strategy_conditions: one sign pass over nu's density, one
+    # check_strategy_conditions: one sign pass, over nu's density, one
     # jordan_hahn, and is_zero computed once
     passes, decompositions, zero_checks = [], [], []
 
-    sign_pass = measures._sign_pass
+    sign_pass = measures.sign_sets
 
-    def counted_pass(pw, lo, hi, signs):
-        passes.append((pw, signs))
-        return sign_pass(pw, lo, hi, signs)
+    def counted_pass(pw, lo, hi):
+        passes.append(pw)
+        return sign_pass(pw, lo, hi)
 
     def counted_jordan_hahn(*args, **kwargs):
         decompositions.append(args)
@@ -149,7 +148,7 @@ def test_one_decomposition_per_bundle(monkeypatch):
 
     counted = functools.cached_property(counted_is_zero)
     counted.__set_name__(SignedMeasure, "is_zero")
-    monkeypatch.setattr(measures, "_sign_pass", counted_pass)
+    monkeypatch.setattr(measures, "sign_sets", counted_pass)
     monkeypatch.setattr(arbitrage, "jordan_hahn", counted_jordan_hahn)
     monkeypatch.setattr(SignedMeasure, "is_zero", counted)
 
@@ -161,9 +160,7 @@ def test_one_decomposition_per_bundle(monkeypatch):
     report = check_strategy_conditions(model, bundle, theta)
 
     assert not verdicts.nip and not theta.is_zero and not theta_bar.is_zero and report.ok
-    density = bundle.nu.density
-    assert [signs for pw, signs in passes if pw is density] == [(1.0, -1.0)]
-    # the other pass is the positive side of the speed density
-    assert [(pw, signs) for pw, signs in passes if pw is not density] == [(model.m_ac, (1.0,))]
+    # market_verdicts runs no pass over the speed density
+    assert len(passes) == 1 and passes[0] is bundle.nu.density
     assert len(decompositions) == 1 and decompositions[0][0] is bundle.nu
     assert len(zero_checks) == 1 and zero_checks[0] is bundle.nu

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gdarb import catalog as cat
@@ -10,7 +10,7 @@ from gdarb.measures import (
     ZERO_MEASURE,
     integrate,
     jordan_hahn,
-    positive_set,
+    sign_sets,
 )
 from gdarb.piecewise import Affine, Const, Exponential, Log, PiecewiseFn, Poly, Power
 
@@ -39,7 +39,7 @@ def test_svc_region_riemann_oracle():
 
 def test_positive_set():
     pw = PiecewiseFn.from_segment(Poly((-1.0, 0.0, 1.0)), -2.0, 2.0)  # x^2 - 1
-    ps = positive_set(pw, -2.0, 2.0)
+    ps = sign_sets(pw, -2.0, 2.0)[0]
     assert ps.intervals == ((-2.0, -1.0), (1.0, 2.0))
 
 
@@ -111,9 +111,51 @@ def test_positive_set_matches_sign(pw):
     xs = xs[np.min(np.abs(xs[:, None] - np.array(pw.breakpoints)), axis=1) > 1e-9]
     with np.errstate(all="ignore"):
         fx = np.asarray(pw(xs))
-        inside = positive_set(pw, pw.lo, pw.hi).contains(xs)
+        inside = sign_sets(pw, pw.lo, pw.hi)[0].contains(xs)
     clear = np.isfinite(fx) & (np.abs(fx) > 1e-6)
     assert np.array_equal(inside[clear], fx[clear] > 0.0)
+
+
+@st.composite
+def _decaying_tail(draw, end, side):
+    """A Power or Exponential piece on the half-line beyond the finite end
+    (side +1: [end, inf), -1: (-inf, end]) that decays to 0 at infinity."""
+    coeff = draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(0.1, 3.0))
+    if draw(st.booleans()):
+        center = end - side * draw(st.floats(0.25, 2.0))
+        return Power(coeff, center, -draw(st.floats(0.5, 3.0)), 0.0, side)
+    return Exponential(coeff, -side * draw(st.floats(0.1, 3.0)), 0.0)
+
+
+@st.composite
+def _unbounded_fns(draw):
+    """Finite pieces between two decaying tails on the whole line."""
+    finite = draw(_piecewise_fns())
+    bps = (-np.inf, *finite.breakpoints, np.inf)
+    tails = draw(_decaying_tail(finite.lo, -1)), draw(_decaying_tail(finite.hi, 1))
+    return PiecewiseFn(bps, (tails[0], *finite.segments, tails[1]))
+
+
+@settings(max_examples=200)
+@given(pw=_unbounded_fns(), cut=st.tuples(st.floats(-12.0, 16.0), st.floats(-12.0, 16.0)))
+# the root of -4.2e-62 (x + 3)^0.125 + 1 lies past every float: its zero
+# rule once raised OverflowError
+@example(pw=PiecewiseFn((-np.inf, -3.0, -2.0, np.inf), (
+    Exponential(1.0, 1.0), Power(-4.176500047708365e-62, -3.0, 0.125, 1.0), Exponential(1.0, -1.0)
+)), cut=(0.0, 1.0))
+def test_unbounded_sign_pass_cut_to_a_window(pw, cut):
+    # an unbounded cell is read at a finite point, 1 inside its finite end:
+    # read at +-inf, a tail that decays to 0 has no sign and drops out
+    a, b = sorted(cut)
+    assume(a < b)
+    with np.errstate(all="ignore"):
+        whole = sign_sets(pw, pw.lo, pw.hi)
+        # a set that ends at a or b cut to [a, b] keeps that end as a point,
+        # and a cut where pw reads 0 (by underflow, say) is excluded
+        assume(not {a, b} & {e for side in whole for iv in side.intervals for e in iv})
+        assume(pw(np.array([a, b])).all())
+        window = BorelSet.make([(a, b)])
+        assert tuple(side.intersect(window) for side in whole) == sign_sets(pw, a, b)
 
 
 @settings(max_examples=300)

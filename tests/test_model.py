@@ -1,9 +1,12 @@
 import dataclasses
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from gdarb import catalog as cat
+from gdarb.arbitrage import build_nu, market_verdicts
 from gdarb.borel import BorelSet
 from gdarb.measures import SignedMeasure
 from gdarb.model import (
@@ -122,11 +125,26 @@ def test_catalog_validates(entry):
 
 @pytest.mark.parametrize("entry", cat.catalog(), ids=lambda e: e.name)
 def test_catalog_random_params_validate(entry):
+    # a valid speed density is positive on the state space up to points, so
+    # {q' = 0} has the same measure where it is positive: the two lambdas
+    # of the verdicts' evidence are one number
     rng = np.random.default_rng(17)
-    for _ in range(5):
+    for _ in range(200):
         params = entry.sample_params(rng)
-        report = validate(entry.build(**params))
+        model = entry.build(**params)
+        report = validate(model)
         assert report.ok, (params, [c.name for c in report.failures])
+        evidence = market_verdicts(model, build_nu(model)).evidence
+        assert evidence["lambda_qprime_zero_with_density"] == evidence["lambda_qprime_zero"]
+
+
+def test_readme_lists_every_check():
+    # the model-file notes of the README name each rule that validate decides
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    notes = readme[readme.index("## Model file format") : readme.index("## Library")]
+    listed = set(re.findall(r"^- `([a-z-]+)`", notes, re.MULTILINE))
+    for entry in cat.catalog():
+        assert listed == {c.name for c in validate(entry.build()).checks}
 
 
 def test_validate_catches_decreasing_q():
@@ -167,6 +185,41 @@ def test_validate_catches_speed_gap():
     # an isolated zero of the density is allowed
     isolated = PiecewiseFn.from_segment(Poly((0.0, 0.0, 1.0)), -np.inf, np.inf)
     assert validate(dataclasses.replace(m, m_ac=isolated, m_atoms=())).ok
+
+
+def test_validate_speed_finite_on_compacts():
+    # m_ac = u^-1.5 near 0 is not integrable there: a failure at a
+    # reflecting end and at an interior breakpoint; at an absorbing end the
+    # class of the end is not decided here, and the piece is cut inside
+    m = NaturalScaleModel(
+        lo=0.0,
+        hi=np.inf,
+        left=BoundarySpec("left", included=True, behavior="reflecting"),
+        right=BoundarySpec("right"),
+        q=PiecewiseFn.from_segment(Affine(0.0, 1.0), 0.0, np.inf),
+        m_ac=PiecewiseFn.from_segment(Power(1.0, 0.0, -1.5), 0.0, np.inf),
+        u0=1.0,
+    )
+    report = validate(m)
+    assert [c.name for c in report.failures] == ["speed-finite-on-compacts"]
+    assert report.failures[0].detail == "the speed measure is not finite at u in [0, 1] (x in [0, 1])"
+    absorbing = BoundarySpec("left", included=True, behavior="absorbing")
+    assert validate(dataclasses.replace(m, left=absorbing)).ok
+    kink = PiecewiseFn((-np.inf, 0.0, np.inf), (Const(1.0), Power(1.0, 0.0, -1.5)))
+    report = validate(dataclasses.replace(m, lo=-np.inf, left=BoundarySpec("left"), m_ac=kink))
+    assert [c.name for c in report.failures] == ["speed-finite-on-compacts"]
+    assert report.failures[0].detail.startswith("the speed measure is not finite at u in [0, 1]")
+
+
+@pytest.mark.parametrize("entry", cat.catalog(), ids=lambda e: e.name)
+def test_validate_details_name_every_check(entry):
+    model = entry.build()
+    outside = dataclasses.replace(model, u0=model.lo - 1.0)
+    for report in (validate(model), validate(outside)):
+        assert all(c.detail for c in report.checks)
+    failure = validate(outside).failures[0]
+    assert failure.name == "start-point-admissible"
+    assert "nor a reflecting end" in failure.detail
 
 
 def test_zero_set_identity_empty():

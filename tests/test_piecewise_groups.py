@@ -14,7 +14,7 @@ import piecewise_oracle as oracle
 from gdarb import arbitrage
 from gdarb import catalog as cat
 from gdarb.borel import BorelSet
-from gdarb.measures import positive_set, sign_sets
+from gdarb.measures import sign_sets
 from gdarb.model import BoundarySpec, NaturalScaleModel, validate
 from gdarb.piecewise import (
     Affine,
@@ -117,7 +117,6 @@ def test_grouped_route_equals_per_segment_route(pw, cut):
     assert pw.zeros(lo, hi) == oracle.zeros(pw, lo, hi)
     with np.errstate(all="ignore"):
         assert sign_sets(pw, lo, hi) == oracle.sign_sets(pw, lo, hi)
-        assert positive_set(pw, lo, hi) == oracle.positive_set(pw, lo, hi)
 
     # the jumps of q' read on both sides in one call
     model = NaturalScaleModel(
