@@ -222,8 +222,8 @@ def market_verdicts(model: NaturalScaleModel, bundle: NuBundle) -> MarketVerdict
     """The three market-level verdicts and the numbers they rest on.
 
     |nu_ac|(window) is read from the Jordan parts that ``build_nu`` kept.
-    ``model.validate`` decides that the speed density is positive up to
-    points, so {q'_+ = 0} keeps its measure where the density is positive.
+    The model must have passed ``model.validate``: its speed density is then
+    positive up to points, so {q'_+ = 0} keeps its measure on {m_ac > 0}.
     """
     window = BorelSet.make([bundle.window])
     nu = bundle.nu

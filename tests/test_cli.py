@@ -316,12 +316,18 @@ def test_model_file_outside_the_setting_fails_validation(tmp_path, capsys, field
     assert not out.exists()
 
 
-def test_model_file_scale_continuous_in_decimal_validates(tmp_path):
+@pytest.mark.parametrize("scale_bps, scale", [
     # 0.2 + 1.3 * 0.1 = 0.31 + 0.2 * 0.1 = 0.33 in decimal; in floats the
     # two sides of q at u = 0.33 differ by 24 ulps
+    ("0, 0.1, 1", "affine 0.2 1.3\nsegment2 = affine 0.31 0.2"),
+    # 1000000.3 + 0.5 = 1000000.25 + 1.1 * 0.5 = 1000000.8 in decimal; the
+    # breakpoint u is rounded to its ulp, 1.2e-10, and the two sides of q
+    # differ by that much, 8,000 times 64 ulps of |q| but not of |u| * q'
+    ("0, 0.5, 1", "affine 1000000.3 1\nsegment2 = affine 1000000.25 1.1"),
+], ids=["small-offset", "large-offset"])
+def test_model_file_scale_continuous_in_decimal_validates(tmp_path, scale_bps, scale):
     text = REFLECTED_FILE.format(
-        lo=0, hi=1, x0=0.5, scale_bps="0, 0.1, 1",
-        scale="affine 0.2 1.3\nsegment2 = affine 0.31 0.2", speed="const 1",
+        lo=0, hi=1, x0=0.25, scale_bps=scale_bps, scale=scale, speed="const 1",
     )
     model = tmp_path / "decimal.gdm"
     model.write_text(text)

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import nu_oracle
 from gdarb import catalog as cat
 from gdarb.arbitrage import build_nu, market_verdicts
 from gdarb.borel import BorelSet
@@ -126,16 +127,18 @@ def test_catalog_validates(entry):
 @pytest.mark.parametrize("entry", cat.catalog(), ids=lambda e: e.name)
 def test_catalog_random_params_validate(entry):
     # a valid speed density is positive on the state space up to points, so
-    # {q' = 0} has the same measure where it is positive: the two lambdas
-    # of the verdicts' evidence are one number
+    # {q' = 0} has the same measure where it is positive, read here by the
+    # oracle's own sign pass over m_ac
     rng = np.random.default_rng(17)
     for _ in range(200):
         params = entry.sample_params(rng)
         model = entry.build(**params)
         report = validate(model)
         assert report.ok, (params, [c.name for c in report.failures])
-        evidence = market_verdicts(model, build_nu(model)).evidence
-        assert evidence["lambda_qprime_zero_with_density"] == evidence["lambda_qprime_zero"]
+        bundle = build_nu(model)
+        positive = nu_oracle.positive_set(model.m_ac, *bundle.window)
+        lam = bundle.qprime_zero.intersect(positive).lebesgue()
+        assert market_verdicts(model, bundle).evidence["lambda_qprime_zero"] == lam, params
 
 
 def test_readme_lists_every_check():
