@@ -198,8 +198,10 @@ def build_nu(model: NaturalScaleModel) -> NuBundle:
         if np.isfinite(e) and spec.included
     ]
     n_qprime0 = BorelSet.make(points=included_pts).union(n_si).union(zs)
+    # nu is nontrivial iff it has an atom or a Jordan part of its ac part
+    # charges positive measure; theta-bar and nip read this one decision
     theta = FeedbackStrategy()
-    if not nu.is_zero:
+    if nu.atoms or pos.carrier.lebesgue() > 0.0 or neg.carrier.lebesgue() > 0.0:
         theta = FeedbackStrategy(
             plus_set=n_plus.intersect(n_qprime0), minus_set=n_minus.intersect(n_qprime0)
         )
@@ -221,6 +223,7 @@ def build_nu(model: NaturalScaleModel) -> NuBundle:
 def market_verdicts(model: NaturalScaleModel, bundle: NuBundle) -> MarketVerdicts:
     """The three market-level verdicts and the numbers they rest on.
 
+    nip is the decision ``build_nu`` made (theta is 0 iff nu is), and
     |nu_ac|(window) is read from the Jordan parts that ``build_nu`` kept.
     The model must have passed ``model.validate``: its speed density is then
     positive up to points, so {q'_+ = 0} keeps its measure on {m_ac > 0}.
@@ -233,7 +236,6 @@ def market_verdicts(model: NaturalScaleModel, bundle: NuBundle) -> MarketVerdict
     if nu.density is not None:
         ac_tv = bundle.nu_ac_plus(window) + bundle.nu_ac_minus(window)
     tv = atom_tv + ac_tv
-    nip = tv == 0.0
 
     lam_zero = bundle.qprime_zero.intersect(window).lebesgue()
     qvip = model.rate != 0.0 and lam_zero > 0.0
@@ -243,7 +245,7 @@ def market_verdicts(model: NaturalScaleModel, bundle: NuBundle) -> MarketVerdict
     caveat = unbounded and nu.density is not None
 
     return MarketVerdicts(
-        nip=nip,
+        nip=bundle.theta.is_zero,
         qvip_exists=qvip,
         rp_holds=rp,
         evidence={
@@ -264,7 +266,7 @@ def build_theta(bundle: NuBundle) -> FeedbackStrategy:
 
 
 def build_theta_bar(model: NaturalScaleModel, bundle: NuBundle) -> FeedbackStrategy:
-    if bundle.nu.is_zero:
+    if bundle.theta.is_zero:
         return FeedbackStrategy()
     si_pts = list(bundle.n_si.points)
     plus = bundle.n_plus.intersect(bundle.qprime_zero).without_points(si_pts)

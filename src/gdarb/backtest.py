@@ -35,6 +35,7 @@ from .arbitrage import (
 from .chain import (
     ABSORBING,
     GridChain,
+    _atom_nodes,
     _check_seed,
     _Round,
     _round_cells,
@@ -179,17 +180,12 @@ def _node_tables(chain: GridChain, bundle: NuBundle, H: FeedbackStrategy) -> _No
 
     is_abs = chain.node_type == ABSORBING
     atom = np.zeros(len(grid))
-    for a, mass in nu.atoms:
-        if not (grid[0] - chain.h / 2 <= a <= grid[-1] + chain.h / 2):
-            continue
-        i = int(round((a - grid[0]) / chain.h))
-        if abs(grid[i] - a) > chain.h * 1e-6:
-            continue
+    for i, mass in _atom_nodes(grid, chain.h, nu.atoms):
         if is_abs[i]:
             atom[i] += mass
         else:
             if chain.m_cell[i] <= 0:
-                raise ValueError(f"atom of nu at {a} sits on a cell with no speed mass")
+                raise ValueError(f"atom of nu at {grid[i]} sits on a cell with no speed mass")
             atom[i] += mass / chain.m_cell[i]
 
     stop_idx = None

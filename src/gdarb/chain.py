@@ -93,10 +93,22 @@ class GridChain:
         return len(self.grid)
 
     def index_of(self, u: float) -> int:
-        idx = int(round((u - self.grid[0]) / self.h))
-        if not 0 <= idx < len(self.grid) or abs(self.grid[idx] - u) > self.h * 1e-3:
-            raise ValueError(f"{u} is not a grid node")
-        return idx
+        return _index_of(self.grid, self.h, u)
+
+
+def _index_of(grid: np.ndarray, h: float, u: float) -> int:
+    """The node at u; raises unless u is one, to within h / 1000."""
+    idx = int(round((u - grid[0]) / h))
+    if not 0 <= idx < len(grid) or abs(grid[idx] - u) > h * 1e-3:
+        raise ValueError(f"{u} is not a grid node")
+    return idx
+
+
+def _atom_nodes(grid: np.ndarray, h: float, atoms) -> list[tuple[int, float]]:
+    """(node, mass) of each atom in the grid's span, to the grid's rounding,
+    by the one node lookup; an atom outside the span is outside the chain."""
+    tol = h * _COMMENSURATE_RTOL
+    return [(_index_of(grid, h, a), m) for a, m in atoms if grid[0] - tol <= a <= grid[-1] + tol]
 
 
 def _require_on_grid(u: float, anchor: float, h: float, what: str):
@@ -151,9 +163,8 @@ def build_chain(
 
     m_ac = model.m_ac
     atom_mass = np.zeros(n)
-    for a, mass in model.m_atoms:
-        if grid[0] - h / 2 <= a <= grid[-1] + h / 2:
-            atom_mass[int(round((a - grid[0]) / h))] += mass
+    for i, mass in _atom_nodes(grid, h, model.m_atoms):
+        atom_mass[i] += mass
 
     # cell masses for the local time estimator
     m_cell = (

@@ -7,15 +7,15 @@ Jordan and Hahn decompositions are computed at the representation level,
 from one sign pass over the density (``sign_sets``): each piece is cut at
 its zero set, from the density's one zero pass, and both {f > 0} and
 {f < 0} are read from the same points inside the cells, never at +-inf.
+``sign_sets``, the one entry to the zero rules, returns three sets, {f > 0},
+{f < 0} and {f = 0}; one zero pass runs per function per market.
 ``arbitrage.build_nu`` decomposes ``nu`` once this way and keeps the parts
-in its bundle, and ``model.validate`` reads the signs of q' and of the
-speed density from the same pass.
+in its bundle, and a model keeps its pass over q' for ``model.validate``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -57,16 +57,6 @@ class SignedMeasure:
             lo, hi = self.density.lo, self.density.hi
             object.__setattr__(self, "carrier", BorelSet.make([(lo, hi)]))
 
-    @cached_property
-    def is_zero(self) -> bool:
-        """No atoms, and the density vanishes on the carrier up to a
-        Lebesgue-null set; computed once per measure."""
-        if self.atoms:
-            return False
-        if self.density is None or self.carrier is None or self.carrier.is_empty:
-            return True
-        return self.carrier.difference(self.density.zero_set()).lebesgue() == 0.0
-
     def density_at(self, x):
         """Pointwise ac density (0 off the carrier)."""
         if self.density is None:
@@ -82,11 +72,11 @@ class SignedMeasure:
 ZERO_MEASURE = SignedMeasure()
 
 
-def sign_sets(pw: PiecewiseFn, lo: float, hi: float) -> tuple[BorelSet, BorelSet]:
-    """Closures of {pw > 0} and {pw < 0} in [lo, hi], from one sign pass.
+def sign_sets(pw: PiecewiseFn, lo: float, hi: float) -> tuple[BorelSet, BorelSet, BorelSet]:
+    """Closures of {pw > 0} and {pw < 0} in [lo, hi], and {pw = 0} there.
 
     The one rule: each piece is cut at the points and interval edges of its
-    zero set, found by the one zero pass ``pw.zeros``, and between two cuts
+    zero set, from the one zero pass ``pw._zero_parts``, and between two cuts
     it keeps one sign, read at a finite point inside (``_inside``).
     Those points and the finite cuts are read in one call of ``pw``; a cut
     where pw vanishes belongs to the zero set, so an edge there is excluded.
@@ -94,7 +84,7 @@ def sign_sets(pw: PiecewiseFn, lo: float, hi: float) -> tuple[BorelSet, BorelSet
     lo = max(lo, pw.lo)
     hi = min(hi, pw.hi)
     if hi <= lo:
-        return EMPTY, EMPTY
+        return EMPTY, EMPTY, EMPTY
     iv_lo, iv_hi, points = pw._zero_parts(lo, hi)
     bps = pw._bps
     inner = bps[bps.searchsorted(lo, "right") : bps.searchsorted(hi, "left")]
@@ -113,7 +103,7 @@ def sign_sets(pw: PiecewiseFn, lo: float, hi: float) -> tuple[BorelSet, BorelSet
         on = np.concatenate(([False], s * mid > 0.0, [False]))
         ends = (on[1:] != on[:-1]).nonzero()[0]
         out.append(BorelSet(c[ends[0::2]], c[ends[1::2]], excluded=c[ends[vanish[ends]]]))
-    return out[0], out[1]
+    return out[0], out[1], BorelSet._make(iv_lo, iv_hi, points)
 
 
 def _inside(a: float, b: float) -> float:
@@ -138,7 +128,7 @@ def jordan_hahn(m: SignedMeasure, domain: tuple[float, float]):
     pos_atoms = tuple((a, mass) for a, mass in m.atoms if mass > 0)
     neg_atoms = tuple((a, -mass) for a, mass in m.atoms if mass < 0)
     if m.density is not None:
-        dens_plus, dens_minus = (s.intersect(m.carrier) for s in sign_sets(m.density, lo, hi))
+        dens_plus, dens_minus = (s.intersect(m.carrier) for s in sign_sets(m.density, lo, hi)[:2])
     else:
         dens_plus = dens_minus = EMPTY
     n_plus = dens_plus.union(BorelSet.make(points=[a for a, _ in pos_atoms]))

@@ -3,13 +3,15 @@
 A model arrives in original (Y) coordinates as a scale function, a speed
 measure, boundary behaviors, a start point, and an interest rate.  All
 downstream analysis runs in natural-scale (U = s(Y)) coordinates, produced
-once by ``to_natural_scale``.
+once by ``to_natural_scale``.  The model keeps its one zero pass over q'
+(``sign_sets``, three sets): one pass runs per function per market.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -129,6 +131,12 @@ class NaturalScaleModel:
         object.__setattr__(self, "q_second_atoms", atoms)
 
     # -- derived structure ----------------------------------------------
+
+    @cached_property
+    def q_prime_signs(self) -> tuple[BorelSet, BorelSet, BorelSet]:
+        """{q' > 0}, {q' < 0} and {q' = 0} on [lo, hi]: the one zero pass over
+        q' (``sign_sets``), run when first read."""
+        return sign_sets(self.q_prime, self.lo, self.hi)
 
     def _q_prime_left(self, a: float) -> float:
         """q'_-(a), read on the segment to the left of a breakpoint."""
@@ -343,8 +351,8 @@ def validate(model: NaturalScaleModel) -> ValidationReport:
     """Decide exactly, on the whole state space [lo, hi], that the model is
     a general diffusion in natural scale (Ito and McKean, 1965).
 
-    Signs come from one ``sign_sets`` pass over q' and one over m_ac, and
-    the interior breakpoints from one ``sides`` read of q and one of q'.
+    Signs come from the model's ``sign_sets`` pass over q' and one over m_ac,
+    and the interior breakpoints from one ``sides`` read of q and one of q'.
     q' >= 0 and a continuous q make q nondecreasing.  An open piece's kernel
     is continuous, so m_ac can fail to be integrable only at a piece's end:
     each piece is integrated up to an interior breakpoint or a reflecting
@@ -357,7 +365,7 @@ def validate(model: NaturalScaleModel) -> ValidationReport:
         # failure() makes the detail of a failed check, naming the place
         checks.append(CheckResult(name, bool(passed), float(value), detail if passed else failure()))
 
-    pos, neg = sign_sets(model.q_prime, lo, hi)
+    pos, neg, _ = model.q_prime_signs
     check("q-prime-nonnegative", neg.is_empty, neg.lebesgue(), "q' >= 0",
           lambda: "q' < 0 on " + _where(model, *neg.intervals[0]))
     check("q-increasing-overall", not pos.is_empty, pos.lebesgue(),
@@ -383,7 +391,7 @@ def validate(model: NaturalScaleModel) -> ValidationReport:
           lambda: "q' is not finite at {}: q'(u-) = {:.17g}, q'(u+) = {:.17g}".format(
               _where(model, kinks[poles[0]]), qp_left[poles[0]], qp_right[poles[0]]))
 
-    pos, neg = sign_sets(model.m_ac, lo, hi)
+    pos, neg, _ = sign_sets(model.m_ac, lo, hi)
     atoms = [atom for atom in model.m_atoms if not atom[1] > 0]
     check("speed-nonnegative", neg.is_empty and not atoms, neg.lebesgue(),
           "m_ac >= 0, and every atom is positive",
@@ -417,8 +425,9 @@ def validate(model: NaturalScaleModel) -> ValidationReport:
 
 
 def zero_set(model: NaturalScaleModel) -> BorelSet:
-    """Exact {u in the open interior : q'_+(u) = 0}, within the analysis window."""
-    zs = model.q_prime.zero_set()
+    """Exact {u in the open interior : q'_+(u) = 0}, within the analysis
+    window: the zero set of the model's one pass over q', cut."""
+    zs = model.q_prime_signs[2]
     lo, hi = model.window()
     zs = zs.intersect(BorelSet.make([(lo, hi)]))
     endpoints = [e for e in (model.lo, model.hi) if np.isfinite(e)]

@@ -3,10 +3,11 @@
 
 Each segment supports point evaluation, a closed-form derivative, exact
 integration against affine weights (over arrays of limits and weights as
-well as scalars), and an exact zero set, which is also where
-``measures.sign_sets`` cuts a piece to find its sign.  Integrals take
-finite limits only: ``PiecewiseFn.integrate``, the one entry to the
-integral rules, refuses an infinite one.
+well as scalars), and an exact zero set.  ``measures.sign_sets``, the one
+entry to the zero rules, returns that set and cuts each piece at it to
+find its sign.  Integrals take finite limits only:
+``PiecewiseFn.integrate``, the one entry to the integral rules, refuses an
+infinite one.
 
 A kind evaluates, integrates, finds its zeros and differentiates through
 one rule each (see ``Segment``), over the parameters of one segment or of
@@ -32,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .borel import BorelSet, _unique
+from .borel import _unique
 
 __all__ = [
     "Segment",
@@ -81,11 +82,6 @@ class Segment:
         row = list(self._row)
         row[self._scales] = [v * c for v in row[self._scales]]
         return self._of(self._static, row)
-
-    def zero_set(self, lo, hi) -> BorelSet:
-        """Exact {f = 0} on [lo, hi], lo < hi: the zero pass of this segment
-        alone."""
-        return PiecewiseFn((lo, hi), (self,)).zero_set()
 
     @classmethod
     def _derivative(cls, static, row):
@@ -588,7 +584,7 @@ class PiecewiseFn:
     (the end pieces reach past the ends), found by one ``searchsorted``.
     An array is evaluated with one stable sort of its entries by group and
     one kernel call per group; ``sides`` reads both one-sided values at
-    breakpoints through the same calls, and ``zeros`` runs each group's
+    breakpoints through the same calls, and ``_zero_parts`` runs each group's
     zero rule once.  A function of one piece calls its kernel directly with
     its parameters as scalars (``_solo``).
     """
@@ -852,7 +848,10 @@ class PiecewiseFn:
         return self._like(bps, keep=self._bps[1:-1].searchsorted(bps[:-1], side="right"))
 
     def _zero_parts(self, lo=-np.inf, hi=np.inf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``zeros`` as arrays: the intervals' ends, and the points."""
+        """Exact {f = 0} on [lo, hi] as the intervals' ends and the points, in
+        piece order: each piece cut to [lo, hi] gives its whole interval where
+        its segment vanishes identically and its roots in the closed interval
+        otherwise; each group's zero rule runs once."""
         if self._n == 1:  # one piece: its zero rule directly
             a, b = np.array([max(lo, self.lo)]), np.array([min(hi, self.hi)])
             if not b > a:
@@ -880,18 +879,6 @@ class PiecewiseFn:
         cols = [np.concatenate(c) for c in zip(*parts)]
         ivs, pts = np.argsort(cols[0], kind="stable"), np.argsort(cols[3], kind="stable")
         return cols[1][ivs], cols[2][ivs], cols[4][pts]
-
-    def zeros(self, lo=-np.inf, hi=np.inf) -> tuple[list, list]:
-        """Exact {f = 0} on [lo, hi] as raw parts, (intervals, points), in
-        piece order: each piece cut to [lo, hi] gives its whole interval
-        where its segment vanishes identically and its roots in the closed
-        interval otherwise; each group's zero rule runs once."""
-        a, b, pts = self._zero_parts(lo, hi)
-        return list(zip(a.tolist(), b.tolist())), pts.tolist()
-
-    def zero_set(self) -> BorelSet:
-        """Exact {f = 0} on [lo, hi]: the zero pass as one set."""
-        return BorelSet._make(*self._zero_parts())
 
     def limit(self, x) -> float:
         if x <= self.lo:

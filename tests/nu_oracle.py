@@ -3,14 +3,16 @@
 bundle: each side of a density is found by its own ``positive_set`` pass,
 over f and over -f; ``market_verdicts`` runs ``jordan_hahn`` a second time
 on nu's ac part to read |nu_ac|(window); theta is rebuilt from the Hahn sets
-by every caller; and ``integrate`` integrates the density interval by
-interval.  The assembly of nu itself is the package's, which the one sign
-pass leaves unchanged."""
+by every caller; ``integrate`` integrates the density interval by
+interval; and every zero set is ``piecewise_oracle.zero_set``'s, segment by
+segment, not the package's zero pass.  The assembly of nu itself is the
+package's, which the one sign pass leaves unchanged."""
 
 from __future__ import annotations
 
 import numpy as np
 
+import piecewise_oracle
 from gdarb.arbitrage import (
     ConditionReport,
     FeedbackStrategy,
@@ -21,7 +23,7 @@ from gdarb.arbitrage import (
 )
 from gdarb.borel import EMPTY, BorelSet
 from gdarb.measures import SignedMeasure
-from gdarb.model import zero_set
+from gdarb.piecewise import PiecewiseFn
 
 
 def positive_set(pw, lo, hi):
@@ -38,7 +40,7 @@ def positive_set(pw, lo, hi):
         b = min(hi, pw.breakpoints[i + 1])
         if b <= a:
             continue
-        zs = seg.zero_set(a, b)
+        zs = piecewise_oracle.zero_set(PiecewiseFn.from_segment(seg, a, b))
         cuts.update((a, b, *zs.points))
         for za, zb in zs.intervals:
             cuts.update((max(za, a), min(zb, b)))
@@ -56,7 +58,13 @@ def is_zero(m):
         return False
     if m.density is None or m.carrier is None or m.carrier.is_empty:
         return True
-    return m.carrier.difference(m.density.zero_set()).lebesgue() == 0.0
+    return m.carrier.difference(piecewise_oracle.zero_set(m.density)).lebesgue() == 0.0
+
+
+def zero_set(model):
+    """{q' = 0} in the open interior, within the analysis window."""
+    zs = piecewise_oracle.zero_set(model.q_prime).intersect(BorelSet.make([model.window()]))
+    return zs.without_points([e for e in (model.lo, model.hi) if np.isfinite(e)])
 
 
 def integrate(m, region=None):

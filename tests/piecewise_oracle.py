@@ -4,9 +4,11 @@ segment's scalar call, every segment's zero rule runs on its own and makes
 its own ``BorelSet``, the sign pass cuts segment by segment, integrals run
 segment by segment over every interval, refinement looks up each new piece
 on its own, and the jumps of q' are read one breakpoint at a time.  The
-zero rules are the catalog's per kind, with one correction the grouped
+zero rules are the catalog's per kind, with two corrections the grouped
 pass makes too: a root at a piece end belongs to the zero set for every
-kind (``Exponential`` and ``Log`` once kept only interior roots).  The
+kind (``Exponential`` and ``Log`` once kept only interior roots), and a
+``Power`` root past every float is no root (it once raised
+``OverflowError``).  The
 integrals, over finite limits only, are the catalog's per-kind closed
 forms as each segment once wrote them on its own (``finite_integral``),
 not the grouped rules."""
@@ -172,7 +174,10 @@ def segment_zeros(seg, lo, hi):
             return root(seg.center) if seg.exponent > 0.0 else none
         if -seg.offset / seg.coeff <= 0.0:
             return none
-        return root(seg.center + seg.side * (-seg.offset / seg.coeff) ** (1.0 / seg.exponent))
+        try:
+            return root(seg.center + seg.side * (-seg.offset / seg.coeff) ** (1.0 / seg.exponent))
+        except OverflowError:  # a root past every float
+            return none
     if isinstance(seg, Exponential):
         a, b, c = seg.coeff, seg.rate, seg.offset
         if b == 0.0:

@@ -55,6 +55,24 @@ def test_holding_time_sticky_node():
     assert chain.m_cell[i] == pytest.approx(h + rho, abs=1e-14)
 
 
+def test_atom_outside_the_grid_is_outside_the_chain():
+    # the grid ends at 50.0; a speed atom at 50.02 lies past it, and the
+    # edge node holds as if the atom were far away
+    h = 0.05
+    near, far = (
+        build_chain(cat.sticky_model(xi=xi, rho=2.0, x0=0.0, r=0.1), h) for xi in (50.02, 60.0)
+    )
+    assert near.grid[-1] == far.grid[-1] == 50.0
+    assert np.array_equal(near.dt, far.dt) and np.array_equal(near.m_cell, far.m_cell)
+    assert near.dt[-1] == pytest.approx(h**2, abs=1e-12)
+    assert near.m_cell[-1] == pytest.approx(h / 2, abs=1e-12)
+    # an atom inside the grid is placed on its node, and one off the nodes
+    # raises rather than being skipped
+    assert chain_mod._atom_nodes(near.grid, h, [(0.5, 1.0)]) == [(near.index_of(0.5), 1.0)]
+    with pytest.raises(ValueError, match="not a grid node"):
+        chain_mod._atom_nodes(near.grid, h, [(0.52, 1.0)])
+
+
 def test_holding_times_nonuniform_speed():
     # quadrature oracle for the tent-kernel integral on a smooth speed density
     model = cat.reflected_model(mu=0.0, sigma=0.5, m1=0.0, u0=0.1, r=0.1)
@@ -113,8 +131,9 @@ def _per_node_tables(chain):
     m_ac = model.m_ac
     atom_mass = np.zeros(len(grid))
     for a, mass in model.m_atoms:
-        if grid[0] - h / 2 <= a <= grid[-1] + h / 2:
-            atom_mass[int(round((a - grid[0]) / h))] += mass
+        for i, u in enumerate(grid):
+            if abs(a - u) <= 1e-6 * h:
+                atom_mass[i] += mass
     dt = np.empty(len(grid))
     m_cell = np.empty(len(grid))
     for i, u in enumerate(grid):

@@ -1,10 +1,11 @@
 """nu is decomposed once per bundle: the one sign pass against the two-pass
-route of ``nu_oracle``, and call counts along the closed-form analysis."""
+route of ``nu_oracle``, call counts along the closed-form analysis, and the
+one decision that nu is nontrivial."""
 
 import dataclasses
-import functools
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,8 @@ from gdarb.arbitrage import (
 )
 from gdarb.borel import BorelSet
 from gdarb.measures import SignedMeasure, integrate, jordan_hahn, sign_sets
-from gdarb.model import UnsupportedModelError
+from gdarb.model import UnsupportedModelError, validate
+from gdarb.piecewise import PiecewiseFn
 from test_measures import _piecewise_fns
 
 MARKETS = [entry.name for entry in cat.catalog()]
@@ -57,11 +59,10 @@ def test_sign_pass_matches_two_passes(pw, cut, atoms):
                 nu_oracle.positive_set(pw, a, b),
                 nu_oracle.positive_set(pw.scaled(-1.0), a, b),
             )
-            assert sign_sets(pw, a, b) == want
+            assert sign_sets(pw, a, b)[:2] == want
         m = SignedMeasure(pw, atoms=tuple((pw.lo + x * width, mass) for x, mass in atoms))
         parts = jordan_hahn(m, domain=(lo, hi))
         assert parts == nu_oracle.jordan_hahn(m, domain=(lo, hi))
-    assert m.is_zero == nu_oracle.is_zero(m)
     for region in (None, parts[2], BorelSet.make([(lo, hi)])):
         got = _raises_or(integrate, m, region)
         want = _raises_or(nu_oracle.integrate, m, region)
@@ -125,42 +126,53 @@ def test_decomposition_matches_two_pass_route(market):
 
 
 def test_one_decomposition_per_bundle(monkeypatch):
-    # build_nu -> market_verdicts -> build_theta -> build_theta_bar ->
-    # check_strategy_conditions: one sign pass, over nu's density, one
-    # jordan_hahn, and is_zero computed once
-    passes, decompositions, zero_checks = [], [], []
+    # validate -> build_nu -> market_verdicts -> build_theta ->
+    # build_theta_bar -> check_strategy_conditions: one zero pass over each
+    # of q', the speed density and nu's density, and one jordan_hahn
+    passes, decompositions = [], []
 
-    sign_pass = measures.sign_sets
+    zero_parts = PiecewiseFn._zero_parts
 
-    def counted_pass(pw, lo, hi):
+    def counted_zero_parts(pw, *args):
         passes.append(pw)
-        return sign_pass(pw, lo, hi)
+        return zero_parts(pw, *args)
 
     def counted_jordan_hahn(*args, **kwargs):
         decompositions.append(args)
         return measures.jordan_hahn(*args, **kwargs)
 
-    is_zero = SignedMeasure.__dict__["is_zero"].func
-
-    def counted_is_zero(self):
-        zero_checks.append(self)
-        return is_zero(self)
-
-    counted = functools.cached_property(counted_is_zero)
-    counted.__set_name__(SignedMeasure, "is_zero")
-    monkeypatch.setattr(measures, "sign_sets", counted_pass)
+    monkeypatch.setattr(PiecewiseFn, "_zero_parts", counted_zero_parts)
     monkeypatch.setattr(arbitrage, "jordan_hahn", counted_jordan_hahn)
-    monkeypatch.setattr(SignedMeasure, "is_zero", counted)
 
-    model = cat.fat_cantor_model(depth=3, r=-0.2)
-    bundle = build_nu(model)
-    verdicts = market_verdicts(model, bundle)
-    theta = build_theta(bundle)
-    theta_bar = build_theta_bar(model, bundle)
-    report = check_strategy_conditions(model, bundle, theta)
+    models = [cat.fat_cantor_model(depth=3, r=-0.2)] + [e.build() for e in cat.catalog()]
+    for model in models:
+        passes.clear()
+        decompositions.clear()
+        validate(model)
+        bundle = build_nu(model)
+        verdicts = market_verdicts(model, bundle)
+        theta = build_theta(bundle)
+        theta_bar = build_theta_bar(model, bundle)
+        report = check_strategy_conditions(model, bundle, theta)
 
-    assert not verdicts.nip and not theta.is_zero and not theta_bar.is_zero and report.ok
-    # market_verdicts runs no pass over the speed density
-    assert len(passes) == 1 and passes[0] is bundle.nu.density
-    assert len(decompositions) == 1 and decompositions[0][0] is bundle.nu
-    assert len(zero_checks) == 1 and zero_checks[0] is bundle.nu
+        assert not verdicts.nip and not theta.is_zero and report.ok
+        assert theta_bar.is_zero == (bundle.qprime_zero.lebesgue() == 0.0)
+        functions = [model.q_prime, model.m_ac]
+        if bundle.nu.density is not None:
+            functions.append(bundle.nu.density)
+        assert len(passes) == len(functions)
+        assert all(any(pw is f for pw in passes) for f in functions)
+        assert len(decompositions) == 1 and decompositions[0][0] is bundle.nu
+
+
+@pytest.mark.parametrize("entry", cat.catalog(), ids=lambda e: e.name)
+def test_one_decision_that_nu_is_nontrivial(entry):
+    # theta, theta-bar and nip read build_nu's one decision; the oracle
+    # decides from nu's zero set, segment by segment
+    rng = np.random.default_rng(17)
+    for params in [{}] + [entry.sample_params(rng) for _ in range(200)]:
+        model = entry.build(**params)
+        bundle = build_nu(model)
+        verdicts = market_verdicts(model, bundle)
+        assert bundle.theta.is_zero == verdicts.nip == nu_oracle.is_zero(bundle.nu), params
+        assert build_theta_bar(model, bundle).is_zero or not verdicts.nip

@@ -1,6 +1,7 @@
 import pytest
 
 from gdarb.arbitrage import build_nu
+from gdarb.measures import ZERO_MEASURE
 from gdarb.model import to_natural_scale, validate
 from gdarb.modelfile import ModelFileError, parse_model_file, parse_model_text
 
@@ -78,7 +79,7 @@ def test_minimal_brownian():
     assert float(spec.scale(3.0)) == 3.0
     model = to_natural_scale(spec)
     assert validate(model).ok
-    assert build_nu(model).nu.is_zero
+    assert build_nu(model).nu == ZERO_MEASURE
 
 
 def test_sticky_atom_nu():

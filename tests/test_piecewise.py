@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from gdarb import catalog as cat
 from gdarb.borel import BorelSet
-from gdarb.measures import SignedMeasure
+from gdarb.measures import sign_sets
 from gdarb.piecewise import (
     Affine,
     Const,
@@ -18,6 +18,13 @@ from gdarb.piecewise import (
     Poly,
     Power,
 )
+
+
+def zero_set(f, lo, hi):
+    """{f = 0} on [lo, hi], the third set of the one sign pass, for a
+    segment or a piecewise function."""
+    pw = f if isinstance(f, PiecewiseFn) else PiecewiseFn.from_segment(f, lo, hi)
+    return sign_sets(pw, lo, hi)[2]
 
 
 def quad_oracle(f, lo, hi, c0=1.0, c1=0.0):
@@ -204,15 +211,15 @@ def test_power_negative_side_halfline_guard():
 
 def test_affine_zero_set():
     seg = Affine(-1.0, 2.0)
-    zs = seg.zero_set(0.0, 1.0)
+    zs = zero_set(seg, 0.0, 1.0)
     assert zs.points == (0.5,)
-    assert Const(0.0).zero_set(0.0, 1.0).intervals == ((0.0, 1.0),)
-    assert Const(1.0).zero_set(0.0, 1.0).is_empty
+    assert zero_set(Const(0.0), 0.0, 1.0).intervals == ((0.0, 1.0),)
+    assert zero_set(Const(1.0), 0.0, 1.0).is_empty
 
 
 def test_power_zero_set_at_center():
     seg = Power(3.0, 0.5, 2.0, 0.0, +1)
-    zs = seg.zero_set(0.5, 2.0)
+    zs = zero_set(seg, 0.5, 2.0)
     assert zs.points == (0.5,)
 
 
@@ -221,26 +228,25 @@ def test_constant_segment_zero_sets():
     # constant is 0, nothing otherwise
     zeros = [Exponential(1.0, 0.0, -1.0), Log(0.0, 1.0, 0.0, 0.0), Power(1.0, 0.0, 0.0, -1.0)]
     for seg in zeros:
-        assert seg.zero_set(0.1, 1.0) == BorelSet.make([(0.1, 1.0)])
-        assert SignedMeasure(PiecewiseFn.from_segment(seg, 0.1, 1.0)).is_zero
+        assert zero_set(seg, 0.1, 1.0) == BorelSet.make([(0.1, 1.0)])
     nonzeros = [Exponential(1.0, 0.0, 1.0), Log(0.0, 1.0, 0.0, 2.0), Power(1.0, 0.0, 0.0, 1.0)]
     for seg in nonzeros:
-        assert seg.zero_set(0.1, 1.0).is_empty
+        assert zero_set(seg, 0.1, 1.0).is_empty
 
 
 def test_sign_changes_bisection():
     seg = Exponential(1.0, 1.0, -np.e)  # root at x = 1
-    roots = seg.zero_set(0.0, 2.0).points
+    roots = zero_set(seg, 0.0, 2.0).points
     assert len(roots) == 1
     assert roots[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_poly_sign_changes():
     seg = Poly((-1.0, 0.0, 1.0))  # x^2 - 1
-    assert seg.zero_set(-2.0, 2.0).points == pytest.approx((-1.0, 1.0))
+    assert zero_set(seg, -2.0, 2.0).points == pytest.approx((-1.0, 1.0))
     # a leading term far below rounding on the interval keeps the roots
     seg = Poly((1.0, 0.0, -1.0, 2.2250738585072014e-308))
-    assert seg.zero_set(-2.0, 2.0).points == pytest.approx((-1.0, 1.0))
+    assert zero_set(seg, -2.0, 2.0).points == pytest.approx((-1.0, 1.0))
 
 
 @pytest.mark.parametrize("lo, hi", [(-np.inf, np.inf), (-2.0, np.inf), (-np.inf, 2.0)])
@@ -249,12 +255,12 @@ def test_poly_tiny_leading_term_unbounded(lo, hi):
     # near 1 / 2.2e-308, and the roots +-1 must survive beside it
     seg = Poly((1.0, 0.0, -1.0, 2.2250738585072014e-308))
     want = [x for x in (-1.0, 1.0, 1.0 / 2.2250738585072014e-308) if lo <= x <= hi]
-    assert seg.zero_set(lo, hi).points == pytest.approx(want, rel=1e-12)
+    assert zero_set(seg, lo, hi).points == pytest.approx(want, rel=1e-12)
     # a polynomial with no negligible term keeps the roots of the whole
     # polynomial
     seg = Poly((-1.0, 0.0, 1.0))
     want = [x for x in (-1.0, 1.0) if lo <= x <= hi]
-    assert seg.zero_set(lo, hi).points == pytest.approx(want)
+    assert zero_set(seg, lo, hi).points == pytest.approx(want)
 
 
 def dist_oracle(f_set, x):
@@ -273,7 +279,7 @@ def test_dist_to_set_segment():
     # integral over the gap: two triangles of base 1/8, height 1/8
     got = qp.integrate(0.375, 0.625)
     assert got == pytest.approx(2 * 0.5 * 0.125 * 0.125, abs=1e-12)
-    zs = qp.restricted(0.0, 1.0).zero_set()
+    zs = zero_set(qp, 0.0, 1.0)
     assert zs.lebesgue() == pytest.approx(0.75, abs=1e-15)
 
 
@@ -340,7 +346,7 @@ def test_piecewise_integrate_spans_segments():
 
 def test_piecewise_zero_set():
     f = make_pw()
-    zs = f.zero_set()
+    zs = zero_set(f, f.lo, f.hi)
     assert zs.intervals == ((0.0, 1.0),)
     assert -0.0 in zs
 

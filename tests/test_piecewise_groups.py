@@ -94,6 +94,13 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.uint64)
 
 
+def _zeros(pw, lo=-np.inf, hi=np.inf):
+    """The zero pass's raw parts as lists, (intervals, points), as the
+    oracle gives them."""
+    a, b, pts = pw._zero_parts(lo, hi)
+    return list(zip(a.tolist(), b.tolist())), pts.tolist()
+
+
 @settings(max_examples=60)
 @given(pw=_piecewise_fns(), cut=st.tuples(st.integers(0, 2), st.integers(0, 2)))
 @example(pw=cat.fat_cantor_model(depth=6).q_prime, cut=(1, 1))
@@ -109,14 +116,16 @@ def test_grouped_route_equals_per_segment_route(pw, cut):
     assert np.array_equal(_bits(left), _bits(want_left))
 
     # the zero pass, whole and cut to a window that splits pieces
-    assert pw.zeros() == oracle.zeros(pw)
-    assert pw.zero_set() == oracle.zero_set(pw)
+    assert _zeros(pw) == oracle.zeros(pw)
+    with np.errstate(all="ignore"):
+        assert sign_sets(pw, pw.lo, pw.hi)[2] == oracle.zero_set(pw)
     finite = [b for b in pw.breakpoints if np.isfinite(b)]
     lo = (finite[0] - 0.5, finite[0] + 0.1, -1e12)[cut[0]]
     hi = (finite[-1] + 0.5, finite[-1] - 0.1, 1e12)[cut[1]]
-    assert pw.zeros(lo, hi) == oracle.zeros(pw, lo, hi)
+    assert _zeros(pw, lo, hi) == oracle.zeros(pw, lo, hi)
     with np.errstate(all="ignore"):
-        assert sign_sets(pw, lo, hi) == oracle.sign_sets(pw, lo, hi)
+        want = (*oracle.sign_sets(pw, lo, hi), BorelSet.make(*oracle.zeros(pw, lo, hi)))
+        assert sign_sets(pw, lo, hi) == want
 
     # the jumps of q' read on both sides in one call
     model = NaturalScaleModel(
@@ -288,7 +297,7 @@ def test_table_is_built_once_where_the_function_is_made():
     q(np.array([0.1, 0.7]))
     q.sides(np.array([0.5]))
     q.integrate(0.0, 1.0)
-    q.zeros()
+    q._zero_parts()
     assert all(a is b for a, b in zip((q._bps, q._groups, q._group_of, q._row_of), table))
     assert len(q.segments) == 24 and "segments" in vars(q)
     # jordan_hahn's negative part is the density with its columns negated
@@ -298,7 +307,7 @@ def test_table_is_built_once_where_the_function_is_made():
     assert minus.segments == tuple(s.scaled(-1.0) for s in density.segments)
     # one piece runs its kernel and its zero rule directly
     one = PiecewiseFn.constant(0.0)
-    assert one.zeros(-1.0, 1.0) == ([(-1.0, 1.0)], [])
+    assert _zeros(one, -1.0, 1.0) == ([(-1.0, 1.0)], [])
 
 
 @pytest.mark.parametrize(
@@ -308,7 +317,6 @@ def test_table_is_built_once_where_the_function_is_made():
 def test_root_at_a_piece_end_is_in_the_zero_set(seg):
     # each of these vanishes at x = 0, the left end of [0, 1]
     assert float(seg(0.0)) == 0.0
-    pw = PiecewiseFn((0.0, 1.0), (seg,))
-    assert pw.zero_set() == BorelSet.make(points=[0.0])
-    assert PiecewiseFn((-1.0, 0.0), (seg,)).zero_set() == BorelSet.make(points=[0.0])
-    assert seg.zero_set(0.0, 1.0).points == (0.0,)
+    for lo, hi in ((0.0, 1.0), (-1.0, 0.0)):
+        zero = sign_sets(PiecewiseFn((lo, hi), (seg,)), lo, hi)[2]
+        assert zero == BorelSet.make(points=[0.0])
