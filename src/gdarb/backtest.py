@@ -8,11 +8,18 @@ the chain is split into a hold phase (state constant, clock running) and a
 jump phase (state moves, quadratic variation accrues); the split is what
 lets the ensemble's per-path flags (``hold_nonzero_*``,
 ``qv_growth_trigger_*``) tell local-time growth from quadratic-variation
-growth.  One group kernel, ``_steps``, books a block of holds of many paths
-at once, one row per path: one exp per hold, one gather of the per-node
-rows and each product in a fixed order.  The ensemble books the rounds of
-the group walker (``chain._walk``) and carries each path's sums from round
-to round in step order, so a path's statistics are the same bit for bit
+growth.  One group kernel, ``_steps``, books a round of holds of many paths
+at once, one row per path.  Every hold books what does not depend on the
+strategy H: the <S> growth of its jump, with its one exp, the time it
+spends at each tracked node and whether H has stopped.  The strategy rows
+(both value routes, the leaked exposure and the clock) are booked only on
+the holds where H is not zero, packed row by row into a block as long as
+the most any row has: elsewhere they would be signed zeros, which change no
+sum.  A recorded path books every hold, since its series prints the sign
+of a zero.  Each product is formed in a fixed order, so a hold books the
+same bits wherever it is packed.  The ensemble books the rounds of the
+group walker (``chain._walk``) and carries each path's sums from round to
+round in step order, so a path's statistics are the same bit for bit
 however the paths are grouped into rounds.  It keeps each path's sums,
 minima and flags, and for the first few ids, when asked, the value series
 themselves, taken from the same rounds: a series' increments are the ones
@@ -56,9 +63,6 @@ __all__ = [
 _ROUTE_FLOOR = 1e-8
 # a value decrement or a leaked martingale exposure below this counts as zero
 _TOL = 1e-12
-# holds summed per einsum call in an ensemble round: the step-order array
-# stays small
-_SUM_CELLS = 2**12
 
 
 @dataclass(frozen=True)
@@ -131,19 +135,23 @@ class EnsembleStats:
 # ---------------------------------------------------------------------------
 
 
-# the rows _steps books, one column per hold
-_INT_HOLD, _CF_HOLD, _INT_JUMP, _CF_JUMP, _DS, _LEAK, _CLOCK = range(7)
+# the rows of the strategy book, one column per hold where H is on
+_INT_HOLD, _CF_HOLD, _CLOCK, _LEAK, _INT_JUMP, _CF_JUMP, _DS = range(7)
 
 
 @dataclass(frozen=True)
 class _NodeTables:
-    # one column per node, rows: q, atom, the clock's jump rate
-    # [theta H > 0] |nu_ac| h^2, nu_ac, q', H and the clock's hold rate
-    # [theta H > 0] |atom|, in the order _steps overwrites them with its book;
-    # atom is nu({u}) / m_cell(u) at inner nodes (per unit local time) and
-    # nu({u}) at absorbing nodes (per unit of the post-absorption clock); the
-    # last column, one past the grid, is all zeros
+    # one column per node; the last, one past the grid, is zeros (False).
+    # rows: q, H atom, the clock's hold rate [theta H > 0] |atom|, the
+    # exposure (H q')^2 h^2 of a jump, the clock's jump rate
+    # [theta H > 0] |nu_ac| h^2, nu_ac and H, in the order _steps overwrites
+    # them with its book.  atom is nu({u}) / m_cell(u) at inner nodes (per
+    # unit local time) and nu({u}) at absorbing nodes (per unit of the
+    # post-absorption clock).  A product of two node values is formed here
+    # as each hold would form it, so it has the same bits.
     rows: np.ndarray
+    q_prime: np.ndarray
+    on: np.ndarray  # H != 0: the nodes whose holds book the strategy rows
     stop_idx: int | None
 
 
@@ -191,114 +199,177 @@ def _node_tables(chain: GridChain, bundle: NuBundle, H: FeedbackStrategy) -> _No
     stop_idx = None
     if H.stop_after_hitting is not None:
         stop_idx = chain.index_of(H.stop_after_hitting)
+    q_prime = np.asarray(model.q_prime(grid), dtype=float)
     clock_on = theta_val * H_val > 0.0  # H agrees in sign with theta
     rows = np.stack([
         np.asarray(model.q(grid), dtype=float),
-        atom,
+        H_val * atom,
+        clock_on * np.abs(atom),
+        np.square(H_val * q_prime) * chain.h**2,
         clock_on * (np.abs(nu_ac) * chain.h**2),
         nu_ac,
-        np.asarray(model.q_prime(grid), dtype=float),
         H_val,
-        clock_on * np.abs(atom),
     ])
-    return _NodeTables(rows=np.pad(rows, ((0, 0), (0, 1))), stop_idx=stop_idx)
+    return _NodeTables(
+        rows=np.pad(rows, ((0, 0), (0, 1))),
+        q_prime=np.append(q_prime, 0.0),
+        on=np.append(H_val != 0.0, False),
+        stop_idx=stop_idx,
+    )
 
 
 class _Steps(NamedTuple):
-    """What each hold books: the hold, then its jump.
+    """What the holds of a round book: every hold its <S> growth, the holds
+    where H is on their strategy rows.
 
-    ``book[:, r, c]`` holds the increments of row r's hold c in the rows
-    ``_INT_HOLD``, ``_CF_HOLD``, ``_INT_JUMP``, ``_CF_JUMP``, ``_DS`` (the <S>
-    growth of the jump), ``_LEAK`` (H^2 d<S> of the jump: the martingale
-    exposure of condition (i)) and ``_CLOCK`` (|nu| growth where H agrees in
-    sign with theta); a hold past the row's last books zeros.  ``nodes`` are
-    the hold nodes, one past the grid after the row's last hold, and
-    ``stopped`` says which rows have visited the strategy's stop node.
+    ``qv[0, r, c]`` is the <S> growth of the jump after row r's hold c, and
+    ``qv[1 + j, r, c]`` the time that hold spends at tracked node j; a hold
+    past the row's last books zeros.  ``book[:, r, k]`` holds the
+    increments of row r's k-th hold where H is on, in the rows
+    ``_INT_HOLD``, ``_CF_HOLD``, ``_CLOCK`` (|nu| growth where H agrees in
+    sign with theta), ``_LEAK`` (H^2 d<S> of the jump: the martingale
+    exposure of condition (i)), ``_INT_JUMP``, ``_CF_JUMP`` and ``_DS``;
+    past those holds it books zeros.  A hold where H is off, or past the
+    stop node, books signed zeros in the strategy rows, which change no
+    sum; a recorded path prints them, so each of its holds is in the book.
     """
 
+    qv: np.ndarray
     book: np.ndarray
-    nodes: np.ndarray
-    stopped: np.ndarray
 
 
 def _steps(
     chain: GridChain,
     tables: _NodeTables,
-    nodes: np.ndarray,
-    times: np.ndarray,
+    rnd: _Round,
     T: float,
-    n_hold: np.ndarray,
-    final: np.ndarray,
+    tracked: list[int],
+    recorded: int,
     stopped: np.ndarray,
     scratch: _Scratch,
 ) -> _Steps:
-    """Book the holds and jumps of a block of rows, by both routes.
+    """Book the holds and jumps of a round of the group walker.
 
     Row r holds at ``nodes[r, c]`` from ``times[r, c]`` to ``times[r, c + 1]``
     (capped at T) and then jumps to ``nodes[r, c + 1]``, for c < n_hold[r];
     where ``final[r]``, its last hold makes no jump.  An absorbed path's last
     hold is at its absorbing node, up to T; the atom row holds nu({u})
-    there, so that hold books the post-absorption clock.  ``stopped`` says
-    which rows visited the stop node in an earlier block.  Each product is
-    formed in the order its comment gives, so a hold books the same bits
-    whatever block it is in.  The returned arrays are views of ``scratch``.
+    there, so that hold books the post-absorption clock.  ``stopped[p]``
+    says whether path p has visited the stop node, and is updated for the
+    round's paths.  The holds where H is on, and every hold of the paths
+    with ids below ``recorded``, are packed row by row in step order into
+    the strategy book.  Each product is formed in the order its comment
+    gives, so a hold books the same bits whatever round it is in and
+    wherever it is packed.  The returned arrays are views of ``scratch``.
     """
     r, h2 = chain.model.rate, chain.h**2
-    R, B = n_hold.shape[0], nodes.shape[1] - 1
-    i = scratch("nodes", (R, B), np.intp)
-    np.copyto(i, nodes[:, :B])
-    short = np.flatnonzero(n_hold < B)
-    if len(short):
-        i[short] = np.where(np.arange(B) < n_hold[short, None], i[short], chain.n_nodes)
-    # every node row is overwritten by the increment booked in its place,
-    # after its last read; the column one past the grid is all zeros
-    book = tables.rows.take(i, axis=1, mode="clip", out=scratch("book", (7, R, B), per_cell=7))
-    q, atom, clock_jump, nu_ac, qp, Hv, clock_hold = book
-    int_hold, cf_hold, int_jump, cf_jump, dS, leak, clock = book
+    n_nodes = chain.n_nodes
+    n_hold = rnd.n_hold
+    R, B = n_hold.shape[0], rnd.nodes.shape[1] - 1
+    # the hold nodes, one past the grid from the row's last hold on, and in
+    # column B, which no hold reads
+    i = scratch("nodes", (R, B + 1), np.intp)
+    np.copyto(i, rnd.nodes)
+    i[:, B] = n_nodes
+    for row in np.flatnonzero(n_hold < B).tolist():
+        i[row, n_hold[row] :] = n_nodes
+    on = tables.on.take(i, mode="clip", out=scratch("on", (R, B + 1), bool))
+    off = None
     if tables.stop_idx is not None:  # H is off from the first visit on
         off = np.logical_or.accumulate(i == tables.stop_idx, axis=1)
-        off |= stopped[:, None]
-        stopped = off[:, -1]
-        np.multiply(Hv, 0.0, out=Hv, where=off)
-        clock_hold[off] = 0.0
-        clock_jump[off] = 0.0
+        off |= stopped[rnd.pid, None]
+        stopped[rnd.pid] = off[:, -1]
+        on &= ~off
+    if recorded:
+        for row in np.flatnonzero(rnd.pid < recorded).tolist():
+            on[row, : n_hold[row]] = True
 
-    # the scratch "pair" holds temporaries only
-    w, dq = scratch("pair", (2, R, B), per_cell=2)
-    disc = np.minimum(times, T, out=scratch("disc", times.shape))
-    if r == 0.0:
-        np.subtract(disc[:, 1:], disc[:, :-1], out=w)  # the integral of exp(-r s)
+    disc = np.minimum(rnd.times, T, out=scratch("disc", (R, B + 1)))
+    if r == 0.0 or tracked:
+        held = scratch("held", (R, B + 1))
+        np.subtract(disc[:, 1:], disc[:, :-1], out=held[:, :B])
+        held[:, B] = 0.0
     disc *= -r
     np.exp(disc, out=disc)  # one exp per hold: a hold ends where the next starts
-    disc0, disc1 = disc[:, :-1], disc[:, 1:]
-    tables.rows[0].take(nodes[:, 1:], mode="clip", out=dq)
+    qv = scratch("qv", (1 + len(tracked), R, B + 1), per_cell=1 + len(tracked))
+    dS = tables.q_prime.take(i, mode="clip", out=qv[0])
+    dS *= disc  # (disc0 q')^2 h^2
+    np.square(dS, out=dS)
+    dS *= h2
+    last = np.flatnonzero(rnd.final)
+    at = n_hold[last] - 1
+    dS[last, at] = 0.0  # the last hold makes no jump
+    for j, node in enumerate(tracked, 1):
+        np.multiply(held, i == node, out=qv[j])
+    qv = qv[:, :, :B]
+
+    # the flat positions of the holds booked in the strategy book, packed
+    # row by row; a pad is column B of row 0, one past the grid
+    flat = np.flatnonzero(on)
+    ends = np.searchsorted(flat, np.arange(1, R + 1) * (B + 1))
+    counts = ends.copy()
+    counts[1:] -= ends[:-1]
+    m = int(counts.max())
+    book = scratch("book", (7, R, m), per_cell=7)
+    if m == 0:
+        return _Steps(qv=qv, book=book)
+    pos = scratch("pos", (R, m), np.intp)
+    pos.fill(B)
+    for row, (start, end) in enumerate(zip([0, *ends[:-1].tolist()], ends.tolist())):
+        pos[row, : end - start] = flat[start:end]
+    node = scratch("node", (R, m), np.intp)
+    tables.rows.take(i.take(pos, mode="clip", out=node), axis=1, mode="clip", out=book)
+    q, H_atom, clock_hold, leak, clock_jump, nu_ac, Hv = book
+    int_hold, cf_hold, clock, leak, int_jump, cf_jump, dS_on = book
+    if off is not None:
+        off_on = off.take(pos, mode="clip", out=scratch("off", (R, m), bool))
+        for row in (H_atom, leak, Hv):
+            np.multiply(row, 0.0, out=row, where=off_on)
+        clock_hold[off_on] = 0.0
+        clock_jump[off_on] = 0.0
+    # where each hold starts, and where it ends: the flat arrays one entry
+    # on, clipped at the end for a pad of a one-row round
+    disc0, disc1, w, dq = scratch("packed", (4, R, m), per_cell=4)
+    disc.take(pos, mode="clip", out=disc0)
+    disc.reshape(-1)[1:].take(pos, mode="clip", out=disc1)
+    q_new = rnd.nodes.reshape(-1)[1:].take(pos, mode="clip", out=node)
+
+    tables.rows[0].take(q_new, mode="clip", out=dq)
     dq -= q  # q_new - q
     np.multiply(Hv, q, out=int_hold)  # Hv q (disc1 - disc0)
     if r == 0.0:
+        held.take(pos, mode="clip", out=w)  # the integral of exp(-r s)
         int_hold *= 0.0  # disc1 - disc0 is 1.0 - 1.0
     else:
         np.subtract(disc1, disc0, out=w)
         int_hold *= w
         w /= -r  # the integral of exp(-r s) over the hold
-    np.multiply(Hv, atom, out=cf_hold)  # Hv atom w
-    cf_hold *= w
-    last = np.flatnonzero(final)
-    at = n_hold[last] - 1
+    cf_hold *= w  # (Hv atom) w
+    # the packed column of each final row's last hold, where it is booked
+    last = last[on[last, at]]
+    at = counts[last] - 1
     clock_jump[last, at] = 0.0  # the last hold makes no jump
     # [theta Hv > 0] |atom| w + [theta Hv > 0] |nu_ac| h^2
-    np.multiply(clock_hold, w, out=clock)
+    clock *= w
     clock += clock_jump
     np.multiply(Hv, disc1, out=int_jump)  # Hv disc1 (q_new - q)
     int_jump *= dq
     np.multiply(Hv, disc0, out=dq)  # Hv disc0 nu_ac h^2
     np.multiply(dq, nu_ac, out=cf_jump)
     cf_jump *= h2
-    np.multiply(Hv, qp, out=leak)  # (Hv q')^2 h^2
-    np.multiply(disc0, qp, out=dS)  # (disc0 q')^2 h^2
-    np.square(book[_DS : _LEAK + 1], out=book[_DS : _LEAK + 1])
-    book[_DS : _LEAK + 1] *= h2
-    book[_INT_JUMP : _LEAK + 1, last, at] = 0.0
-    return _Steps(book=book, nodes=i, stopped=stopped)
+    book[_LEAK : _CF_JUMP + 1, last, at] = 0.0
+    dS.take(pos, mode="clip", out=dS_on)
+    return _Steps(qv=qv, book=book)
+
+
+def _step_sums(steps: np.ndarray) -> np.ndarray:
+    """The sum of each column of a C-ordered (n, C) array, adding its n
+    rows one after another from the first.  einsum adds them in that order
+    where C > 1, and pairwise where C == 1, so a single column is summed
+    beside a column of zeros."""
+    if steps.shape[1] == 1:
+        return np.einsum("ij->j", np.concatenate([steps, np.zeros_like(steps)], axis=1))[:1]
+    return np.einsum("ij->j", steps)
 
 
 # the row of the book that holds each route's value increments once the jumps
@@ -376,44 +447,34 @@ def _book_round(
     the rows ``route_rows``.  No view of ``scratch`` outlives the
     call, so a scratch array that grows frees its pages first."""
     pid = rnd.pid
-    st = _steps(
-        chain, tables, rnd.nodes, rnd.times, T, rnd.n_hold, rnd.final, stopped[pid], scratch
-    )
-    stopped[pid] = st.stopped
+    st = _steps(chain, tables, rnd, T, tracked, len(recordings), stopped, scratch)
     book = st.book
-    _, R, B = book.shape
-    K = sums.shape[1]
-    holds, jumps = book[_INT_HOLD : _CF_HOLD + 1], book[_INT_JUMP : _CF_JUMP + 1]
-    low = np.minimum(holds, jumps, out=scratch("pair", (2, R, B), per_cell=2)).min(axis=2)
-    min_inc[pid] = np.minimum(min_inc[pid], low.T)
-    nonzero = scratch("nonzero", (5, R, B), bool, per_cell=5)
-    np.not_equal(book[: _DS + 1], 0.0, out=nonzero)
-    flags[pid, :2] |= nonzero[: _CF_HOLD + 1].any(axis=2).T
-    nonzero[_INT_JUMP : _CF_JUMP + 1] &= nonzero[_DS]
-    flags[pid, 2:] |= nonzero[_INT_JUMP : _CF_JUMP + 1].any(axis=2).T
-    holds += jumps  # the value increments
-    if recordings:
-        for r in np.flatnonzero(pid < len(recordings)).tolist():
-            n = int(rnd.n_hold[r])
-            recordings[pid[r]].add(rnd.times[r, :n], holds[route_rows, r, :n])
-    if tracked:
-        t = np.minimum(rnd.times, T)
-        held = np.subtract(t[:, 1:], t[:, :-1], out=jumps[0])
-    # einsum adds up the rows of a C-ordered (holds + 1, K R) array one after
-    # another, so each column sums in step order; row 0 carries the sums of
-    # the path's earlier holds.  The holds go in chunks of about _SUM_CELLS.
-    total = sums[pid].T
-    n = max(_SUM_CELLS // R, 1)
-    for c in range(0, B, n):
-        cols, m = slice(c, c + n), min(n, B - c)
-        increments = scratch("increments", (m + 1, K, R), per_cell=K)
-        increments[0] = total
-        increments[1:, :2] = holds[:, :, cols].transpose(2, 0, 1)
-        increments[1:, 2:5] = book[_DS:, :, cols].transpose(2, 0, 1)
-        for j, node in enumerate(tracked):
-            np.multiply(held[:, cols], st.nodes[:, cols] == node, out=increments[1:, 5 + j].T)
-        total = np.einsum("ij->j", increments.reshape(m + 1, K * R)).reshape(K, R)
-    sums[pid] = total.T
+    _, R, m = book.shape
+    if m:
+        holds, jumps = book[_INT_HOLD : _CF_HOLD + 1], book[_INT_JUMP : _CF_JUMP + 1]
+        low = np.minimum(holds.min(axis=2), jumps.min(axis=2))
+        min_inc[pid] = np.minimum(min_inc[pid], low.T)
+        nonzero = scratch("nonzero", (5, R, m), bool, per_cell=5)
+        np.not_equal(holds, 0.0, out=nonzero[:2])
+        np.not_equal(book[_INT_JUMP:], 0.0, out=nonzero[2:])
+        nonzero[2:4] &= nonzero[4]  # a jump nonzero where <S> moves
+        flags[pid] |= nonzero[:4].any(axis=2).T
+        holds += jumps  # the value increments
+        if recordings:
+            for r in np.flatnonzero(pid < len(recordings)).tolist():
+                n = int(rnd.n_hold[r])
+                recordings[pid[r]].add(rnd.times[r, :n], holds[route_rows, r, :n])
+    # each sum adds the round's increments one after another to the sum of
+    # the path's earlier holds in row 0; a value sum adds zeros past the
+    # row's holds where H is on, which change no sum
+    qv = st.qv
+    K, B = sums.shape[1], qv.shape[2]
+    increments = scratch("increments", (B + 1, K, R), per_cell=K)
+    increments[0] = sums[pid].T
+    increments[1 : m + 1, :4] = book[: _LEAK + 1].transpose(2, 0, 1)
+    increments[m + 1 :, :4] = 0.0
+    increments[1:, 4:] = qv.transpose(2, 0, 1)
+    sums[pid] = _step_sums(increments.reshape(B + 1, K * R)).reshape(K, R).T
 
 
 def run_ensemble(
@@ -450,9 +511,9 @@ def run_ensemble(
     n_paths = config.n_paths
     tables = _node_tables(chain, bundle, H)
     tracked = [chain.index_of(u) for u in track_nodes]
-    K = 5 + len(tracked)
-    # v_int, v_cf, the rows _DS, _LEAK, _CLOCK, then the time at each tracked node
-    sums = np.zeros((n_paths, K))
+    # v_int, v_cf, the rows _CLOCK and _LEAK, the <S> growth, then the time at
+    # each tracked node
+    sums = np.zeros((n_paths, 5 + len(tracked)))
     min_inc = np.zeros((n_paths, 2))  # per route
     flags = np.zeros((n_paths, 4), dtype=bool)  # a hold nonzero, a jump nonzero where <S> moves
     stopped = np.zeros(n_paths, dtype=bool)
@@ -475,16 +536,19 @@ def run_ensemble(
         absorption_times[done] = np.where(rnd.absorbed[f], last, np.inf)
         window_hit[done] = rnd.window_hit[f]
         n_steps[done] = rnd.n_steps[f]
-    sums += 0.0  # a sum starts from 0.0: one of zeros is 0.0, never -0.0
+    # a sum starts from 0.0: one of zeros is 0.0, never -0.0; a minimum of
+    # zeros is 0.0 too, whichever zeros a round packs
+    sums += 0.0
+    min_inc += 0.0
     occupation = sums[:, 5:]
     return EnsembleStats(
         v_int=sums[:, 0],
         v_cf=sums[:, 1],
         min_inc_int=min_inc[:, 0],
         min_inc_cf=min_inc[:, 1],
-        clock=sums[:, 4],
+        clock=sums[:, 2],
         emp_cond_i=sums[:, 3],
-        qv_s=sums[:, 2],
+        qv_s=sums[:, 4],
         absorbed=absorbed,
         absorption_times=absorption_times,
         window_hit=window_hit,

@@ -19,7 +19,7 @@ def per_step_path(chain: GridChain, T: float, seed: int, path_id: int) -> PathSa
     any other node goes up iff the uniform is below 1/2.  A hold that
     reaches T ends the path, and the state it moves to is recorded; an
     absorbing node entered before T holds to T and enters nothing."""
-    rng = np.random.Generator(np.random.Philox(key=[seed, path_id]))
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, path_id], dtype=np.uint64)))
     i = chain.start_idx
     t = 0.0
     states, times = [i], [0.0]

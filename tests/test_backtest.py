@@ -319,6 +319,7 @@ def test_ensemble_sums_in_step_order(name):
 
 
 _SUMS = ("v_int", "v_cf", "qv_s", "emp_cond_i", "clock")
+_MINIMA = ("min_inc_int", "min_inc_cf")
 _STATS = tuple(f for f in backtest.EnsembleStats.__dataclass_fields__ if f != "series")
 
 
@@ -367,9 +368,10 @@ def test_ensemble_does_not_depend_on_batching(
     for other in (unrecorded, one_row):
         for field in _STATS:
             assert np.array_equal(getattr(stats, field), getattr(other, field)), field
-        for field in _SUMS:
-            bits = getattr(stats, field).view(np.uint64)
-            assert np.array_equal(bits, getattr(other, field).view(np.uint64)), field
+        for field in _SUMS + _MINIMA:
+            bits = np.ascontiguousarray(getattr(stats, field)).view(np.uint64)
+            other_bits = np.ascontiguousarray(getattr(other, field)).view(np.uint64)
+            assert np.array_equal(bits, other_bits), field
     assert len(stats.series) == len(one_row.series) == min(series_paths, n_paths)
     for series, other in zip(stats.series, one_row.series):
         assert [s.route for s in series] == [s.route for s in other] == list(ROUTES)
@@ -402,7 +404,58 @@ def test_ensemble_does_not_depend_on_batching(
                 want = book.values(s.route)
                 assert np.array_equal(s.values.view(np.uint64), want.view(np.uint64))
     for field in _SUMS:
-        assert np.array_equal(getattr(stats, field).view(np.uint64), alone[field].view(np.uint64))
+        bits = np.ascontiguousarray(getattr(stats, field)).view(np.uint64)
+        assert np.array_equal(bits, alone[field].view(np.uint64)), field
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 3, 7, 64, 600])
+@pytest.mark.parametrize("width", range(1, 9))
+def test_step_sums_add_rows_in_order(width, n_rows):
+    # the step-order sum of every ensemble statistic, bit for bit a loop
+    # over the rows; einsum alone sums a single column pairwise
+    rng = np.random.default_rng([width, n_rows])
+    rows = rng.standard_normal((n_rows, width)) * 10.0 ** rng.integers(-12, 12, (n_rows, width))
+    want = np.zeros(width)
+    for row in rows:
+        want = want + row
+    got = backtest._step_sums(rows)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+_ALIKE = ("qv_s", "n_steps", "absorbed", "absorption_times", "window_hit", "occupation")
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in cat.catalog()])
+@settings(max_examples=3)
+@given(draw=st.integers(0, 2**32 - 1), h=st.sampled_from([0.05, 0.02]))
+def test_what_does_not_depend_on_H_is_booked_alike(name, draw, h):
+    # <S>, the walk and the occupation are booked on every hold, the same
+    # bits whatever the strategy; the zero strategy books exact zeros
+    entry = cat.get_entry(name)
+    params = entry.sample_params(np.random.default_rng(draw))
+    try:
+        bundle, chain = _setup(entry.build(**params), h, radius=3.0)
+    except ModelError:  # a drawn start or atom off the grid: the defaults, at the drawn rate
+        bundle, chain = _setup(entry.build(**entry.params(r=params["r"])), h, radius=3.0)
+    theta = build_theta(bundle)
+    start = float(chain.grid[chain.start_idx])
+    strategies = (
+        theta,
+        FeedbackStrategy(plus_set=BorelSet.make([chain.window])),
+        FeedbackStrategy(),
+        FeedbackStrategy(theta.plus_set, theta.minus_set, stop_after_hitting=start),
+    )
+    cfg = MCConfig(n_paths=20, h=h, T=1.0, seed=draw)
+    track = (start, float(chain.grid[0]))
+    runs = [run_ensemble(chain, bundle, H, cfg, track_nodes=track) for H in strategies]
+    for field in _ALIKE:
+        want = np.ascontiguousarray(getattr(runs[0], field))
+        for other in runs[1:]:
+            got = np.ascontiguousarray(getattr(other, field))
+            assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), field
+    zero = runs[2]
+    for field in ("v_int", "v_cf", "clock", "emp_cond_i"):
+        assert not np.ascontiguousarray(getattr(zero, field)).view(np.uint64).any(), field
 
 
 def test_ensemble_occupation_tracking():
