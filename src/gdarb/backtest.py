@@ -280,12 +280,12 @@ def _steps(
         off |= stopped[rnd.pid, None]
         stopped[rnd.pid] = off[:, -1]
         on &= ~off
-    if recorded:
+    if recorded:  # a recorded series prints the sign of a zero
         for row in np.flatnonzero(rnd.pid < recorded).tolist():
             on[row, : n_hold[row]] = True
 
     disc = np.minimum(rnd.times, T, out=scratch("disc", (R, B + 1)))
-    if r == 0.0 or tracked:
+    if r == 0.0 or tracked:  # how long each hold lasts, up to T
         held = scratch("held", (R, B + 1))
         np.subtract(disc[:, 1:], disc[:, :-1], out=held[:, :B])
         held[:, B] = 0.0
