@@ -369,9 +369,8 @@ def test_ensemble_does_not_depend_on_batching(
         for field in _STATS:
             assert np.array_equal(getattr(stats, field), getattr(other, field)), field
         for field in _SUMS + _MINIMA:
-            bits = np.ascontiguousarray(getattr(stats, field)).view(np.uint64)
-            other_bits = np.ascontiguousarray(getattr(other, field)).view(np.uint64)
-            assert np.array_equal(bits, other_bits), field
+            bits = getattr(stats, field).view(np.uint64)
+            assert np.array_equal(bits, getattr(other, field).view(np.uint64)), field
     assert len(stats.series) == len(one_row.series) == min(series_paths, n_paths)
     for series, other in zip(stats.series, one_row.series):
         assert [s.route for s in series] == [s.route for s in other] == list(ROUTES)
@@ -404,8 +403,7 @@ def test_ensemble_does_not_depend_on_batching(
                 want = book.values(s.route)
                 assert np.array_equal(s.values.view(np.uint64), want.view(np.uint64))
     for field in _SUMS:
-        bits = np.ascontiguousarray(getattr(stats, field)).view(np.uint64)
-        assert np.array_equal(bits, alone[field].view(np.uint64)), field
+        assert np.array_equal(getattr(stats, field).view(np.uint64), alone[field].view(np.uint64))
 
 
 @pytest.mark.parametrize("n_rows", [1, 2, 3, 7, 64, 600])
@@ -439,11 +437,12 @@ def test_what_does_not_depend_on_H_is_booked_alike(name, draw, h):
         bundle, chain = _setup(entry.build(**entry.params(r=params["r"])), h, radius=3.0)
     theta = build_theta(bundle)
     start = float(chain.grid[chain.start_idx])
+    stop = float(chain.grid[min(chain.start_idx + 2, chain.n_nodes - 1)])
     strategies = (
         theta,
         FeedbackStrategy(plus_set=BorelSet.make([chain.window])),
         FeedbackStrategy(),
-        FeedbackStrategy(theta.plus_set, theta.minus_set, stop_after_hitting=start),
+        FeedbackStrategy(theta.plus_set, theta.minus_set, stop_after_hitting=stop),
     )
     cfg = MCConfig(n_paths=20, h=h, T=1.0, seed=draw)
     track = (start, float(chain.grid[0]))
