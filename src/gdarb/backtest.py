@@ -310,9 +310,12 @@ def _steps(
     counts = ends.copy()
     counts[1:] -= ends[:-1]
     m = int(counts.max())
-    book = scratch("book", (7, R, m), per_cell=7)
     if m == 0:
-        return _Steps(qv=qv, book=book)
+        return _Steps(qv=qv, book=scratch("book", (7, R, 0), per_cell=7))
+    # an odd width keeps the book's rows off a power-of-two stride, where
+    # copying them into the step-order layout runs at half speed
+    m |= 1
+    book = scratch("book", (7, R, m), per_cell=7)
     pos = scratch("pos", (R, m), np.intp)
     pos.fill(B)
     for row, (start, end) in enumerate(zip([0, *ends[:-1].tolist()], ends.tolist())):
@@ -469,9 +472,10 @@ def _book_round(
     # row's holds where H is on, which change no sum
     qv = st.qv
     K, B = sums.shape[1], qv.shape[2]
+    m = min(m, B)  # a column past B is a pad
     increments = scratch("increments", (B + 1, K, R), per_cell=K)
     increments[0] = sums[pid].T
-    increments[1 : m + 1, :4] = book[: _LEAK + 1].transpose(2, 0, 1)
+    increments[1 : m + 1, :4] = book[: _LEAK + 1, :, :m].transpose(2, 0, 1)
     increments[m + 1 :, :4] = 0.0
     increments[1:, 4:] = qv.transpose(2, 0, 1)
     sums[pid] = _step_sums(increments.reshape(B + 1, K * R)).reshape(K, R).T
