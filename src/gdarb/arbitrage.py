@@ -165,28 +165,24 @@ def build_nu(model: NaturalScaleModel) -> NuBundle:
         carrier = zs
         density = _nu_ac_density(model, carrier)
 
-    atoms = []
-    interior_locs = sorted(
-        {a for a, _ in model.q_second_atoms} | {a for a, _ in model.m_atoms if model.lo < a < model.hi}
-    )
-    for a in interior_locs:
-        qsi = next((m for loc, m in model.q_second_atoms if loc == a), 0.0)
-        msi = model.m_atom_mass(a)
-        mass = _net_mass(0.5 * qsi, model.rate * float(model.q(a)) * msi)
-        atoms.append((a, mass))
-
-    for e, y in model.absorbing_boundaries():
-        atoms.append((e, -model.rate * y))
+    # an atom of nu at each interior kink of q', interior speed atom and
+    # reflecting end: half the jump of q' there, with q' := 0 outside the
+    # state space, net of r q(u) m({u}); an absorbing end's is -r q(u).  So
+    # a reflecting end's jump is q'_+(lo), or -q'_-(hi) read on the piece
+    # left of hi, which q may run past
+    lo, hi = model.lo, model.hi
+    jump = dict(model.q_second_atoms)
     if model.left.is_reflecting:
-        e = model.lo
-        qpr = float(model.q_prime(e))
-        mass = _net_mass(0.5 * qpr, model.rate * model.y_value(e) * model.m_atom_mass(e))
-        atoms.append((e, mass))
+        jump[lo] = float(model.q_prime(lo))
     if model.right.is_reflecting:
-        e = model.hi
-        qpl = model._q_prime_left(e)
-        mass = _net_mass(-0.5 * qpl, model.rate * model.y_value(e) * model.m_atom_mass(e))
-        atoms.append((e, mass))
+        jump[hi] = -float(model.q_prime.sides(np.array([hi]))[0][0])
+    r = model.rate
+    locs = sorted(jump.keys() | {a for a, _ in model.m_atoms if lo < a < hi})
+    atoms = [
+        (u, _net_mass(0.5 * jump.get(u, 0.0), r * model.y_value(u) * model.m_atom_mass(u)))
+        for u in locs
+    ]
+    atoms += [(e, -r * y) for e, y in model.absorbing_boundaries()]
 
     nu = SignedMeasure(density=density, carrier=carrier, atoms=tuple(atoms))
     pos, neg, n_plus, n_minus = jordan_hahn(nu, domain=window)
@@ -237,7 +233,7 @@ def market_verdicts(model: NaturalScaleModel, bundle: NuBundle) -> MarketVerdict
         ac_tv = bundle.nu_ac_plus(window) + bundle.nu_ac_minus(window)
     tv = atom_tv + ac_tv
 
-    lam_zero = bundle.qprime_zero.intersect(window).lebesgue()
+    lam_zero = bundle.qprime_zero.lebesgue()  # zero_set cut it to the window
     qvip = model.rate != 0.0 and lam_zero > 0.0
     rp = lam_zero == 0.0
 

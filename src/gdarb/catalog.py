@@ -18,6 +18,7 @@ from .model import (
     BoundarySpec,
     DiffusionSpec,
     NaturalScaleModel,
+    _invert_segment,
     to_natural_scale,
 )
 from .piecewise import Affine, Const, Log, PiecewiseFn, Poly, Power
@@ -94,7 +95,7 @@ def reflected_spec(mu=0.0, sigma=0.5, m1=0.0, u0=0.1, r=0.1) -> DiffusionSpec:
     scale = PiecewiseFn.from_segment(scale_seg, 1.0, np.inf)
     speed_seg = Power(1.0 / sigma**2, 0.0, alpha - 2.0, 0.0, +1)
     atoms = ((1.0, m1),) if m1 > 0 else ()
-    x0 = float(_scale_inverse_at(scale_seg, u0))
+    x0 = float(_invert_segment(scale_seg, "catalog")(u0))
     return DiffusionSpec(
         lo=1.0,
         hi=np.inf,
@@ -107,12 +108,6 @@ def reflected_spec(mu=0.0, sigma=0.5, m1=0.0, u0=0.1, r=0.1) -> DiffusionSpec:
         start=x0,
         rate=r,
     )
-
-
-def _scale_inverse_at(scale_seg, u):
-    from .model import _invert_segment
-
-    return _invert_segment(scale_seg, "catalog")(u)
 
 
 def reflected_model(**params) -> NaturalScaleModel:

@@ -8,6 +8,14 @@ inward with probability one; absorbing endpoints are terminal.  Holding
 times make the chain's occupation measure match the speed measure, which
 is what every estimator here relies on.
 
+The grid runs through an included left end, else through the start, and
+covers the analysis window.  One node lookup (``_index_of``) places every
+point the chain holds: the start, and each speed atom, scale kink and
+included end inside the window, and later the atoms of nu, a stopping
+level or a tracked node.  A point within 1e-6 h of a node is on it; one
+in the window off the nodes raises a ``ModelError`` that names it, and one
+outside the window is not in the chain.
+
 Paths are walked in groups: one walker (``_walk``) advances many paths per
 numpy call, as the rows of a block of moves, and hands each block to its
 caller.  ``sample_paths`` records whole paths from those blocks and yields
@@ -96,11 +104,14 @@ class GridChain:
         return _index_of(self.grid, self.h, u)
 
 
-def _index_of(grid: np.ndarray, h: float, u: float) -> int:
-    """The node at u; raises unless u is one, to within h / 1000."""
+def _index_of(grid: np.ndarray, h: float, u: float, what: str = "point") -> int:
+    """The node at u, to within ``_COMMENSURATE_RTOL`` of h: the one rule
+    that puts a point of the model on the grid.  Raises unless u is a node."""
     idx = int(round((u - grid[0]) / h))
-    if not 0 <= idx < len(grid) or abs(grid[idx] - u) > h * 1e-3:
-        raise ValueError(f"{u} is not a grid node")
+    if not 0 <= idx < len(grid) or abs(grid[idx] - u) > h * _COMMENSURATE_RTOL:
+        raise ModelError(
+            f"{what} at {u} is not a grid node (first node {grid[0]}, spacing {h})"
+        )
     return idx
 
 
@@ -111,15 +122,6 @@ def _atom_nodes(grid: np.ndarray, h: float, atoms) -> list[tuple[int, float]]:
     return [(_index_of(grid, h, a), m) for a, m in atoms if grid[0] - tol <= a <= grid[-1] + tol]
 
 
-def _require_on_grid(u: float, anchor: float, h: float, what: str):
-    k = (u - anchor) / h
-    if abs(k - round(k)) > _COMMENSURATE_RTOL:
-        raise ModelError(
-            f"{what} at {u} is not commensurate with the grid "
-            f"(anchor {anchor}, spacing {h})"
-        )
-
-
 def build_chain(
     model: NaturalScaleModel, h: float, radius: float = DEFAULT_WINDOW
 ) -> GridChain:
@@ -127,18 +129,8 @@ def build_chain(
         raise ValueError("grid spacing must be positive")
     lo_w, hi_w = model.window(radius)
 
+    # the grid runs through an included left end, else through the start
     anchor = model.lo if (np.isfinite(model.lo) and model.left.included) else model.u0
-    _require_on_grid(model.u0, anchor, h, "start point")
-    for a, _ in model.m_atoms:
-        if lo_w <= a <= hi_w:
-            _require_on_grid(a, anchor, h, "speed atom")
-    for a, _ in model.q_second_atoms:
-        if lo_w <= a <= hi_w:
-            _require_on_grid(a, anchor, h, "scale kink")
-    for e, spec in ((model.lo, model.left), (model.hi, model.right)):
-        if np.isfinite(e) and spec.included:
-            _require_on_grid(e, anchor, h, "included endpoint")
-
     n_down = int(np.floor((anchor - lo_w) / h + _COMMENSURATE_RTOL))
     n_up = int(np.floor((hi_w - anchor) / h + _COMMENSURATE_RTOL))
     grid = anchor + h * np.arange(-n_down, n_up + 1)
@@ -146,20 +138,24 @@ def build_chain(
     if n < 3:
         raise ModelError("window too narrow for the requested spacing")
 
+    # the start, and each speed atom, scale kink and included end inside the
+    # window, must be nodes; a point outside the window is not in the chain
+    start_idx = _index_of(grid, h, model.u0, "start point")
+    ends = ((model.lo, model.left), (model.hi, model.right))
+    points = [("speed atom", a) for a, _ in model.m_atoms]
+    points += [("scale kink", a) for a, _ in model.q_second_atoms]
+    points += [("included endpoint", e) for e, spec in ends if spec.included]
+    nodes = {a: _index_of(grid, h, a, what) for what, a in points if lo_w <= a <= hi_w}
+
+    # an edge node on no included end is where the window cuts the state space
     node_type = np.full(n, INTERIOR, dtype=np.int8)
+    node_type[[0, -1]] = REFLECT_UP, REFLECT_DOWN
     window_edge = np.zeros(n, dtype=bool)
-    left_real = np.isfinite(model.lo) and abs(grid[0] - model.lo) <= h * 1e-6
-    right_real = np.isfinite(model.hi) and abs(grid[-1] - model.hi) <= h * 1e-6
-    if left_real and model.left.is_absorbing:
-        node_type[0] = ABSORBING
-    else:
-        node_type[0] = REFLECT_UP
-        window_edge[0] = not (left_real and model.left.is_reflecting)
-    if right_real and model.right.is_absorbing:
-        node_type[-1] = ABSORBING
-    else:
-        node_type[-1] = REFLECT_DOWN
-        window_edge[-1] = not (right_real and model.right.is_reflecting)
+    for i, (e, spec) in zip((0, n - 1), ends):
+        if not spec.included or nodes.get(e) != i:
+            window_edge[i] = True
+        elif spec.is_absorbing:
+            node_type[i] = ABSORBING
 
     m_ac = model.m_ac
     atom_mass = np.zeros(n)
@@ -191,7 +187,6 @@ def build_chain(
     if len(bad):
         raise ModelError(f"non-positive or infinite holding time at node {grid[bad[0]]}")
 
-    start_idx = int(round((model.u0 - grid[0]) / h))
     return GridChain(
         model=model,
         h=h,

@@ -138,10 +138,6 @@ class NaturalScaleModel:
         q' (``sign_sets``), run when first read."""
         return sign_sets(self.q_prime, self.lo, self.hi)
 
-    def _q_prime_left(self, a: float) -> float:
-        """q'_-(a), read on the segment to the left of a breakpoint."""
-        return float(self.q_prime.sides(np.array([a]))[0][0])
-
     def m_atom_mass(self, u: float) -> float:
         for a, mass in self.m_atoms:
             if a == u:

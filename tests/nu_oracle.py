@@ -149,7 +149,7 @@ def build_nu(model) -> NuBundle:
         )
     if model.right.is_reflecting:
         e = model.hi
-        qpl = model._q_prime_left(e)
+        qpl = float(model.q_prime.sides(np.array([e]))[0][0])  # q'_-(hi)
         atoms.append(
             (e, _net_mass(-0.5 * qpl, model.rate * model.y_value(e) * model.m_atom_mass(e)))
         )

@@ -581,6 +581,10 @@ def test_stop_after_hitting_strategy():
         else:
             assert np.array_equal(v.values, v_full.values)
     assert found
+    # a level off the nodes is refused, not moved to the nearest node
+    off = FeedbackStrategy(theta.plus_set, theta.minus_set, stop_after_hitting=0.50004)
+    with pytest.raises(ModelError, match="^point at 0.50004 is not a grid node"):
+        run_ensemble(chain, bundle, off, MCConfig(n_paths=1, h=0.05, T=2.0, seed=14))
 
 
 def test_ensemble_stop_matches_single_path():

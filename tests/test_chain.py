@@ -107,11 +107,20 @@ def test_absorbing_node():
 
 def test_commensurability_enforced():
     model = cat.sticky_model(xi=0.5, rho=2.0, x0=0.0, r=0.1)
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="^speed atom at 0.5 is not a grid node"):
         build_chain(model, h=0.3, radius=2.0)
+    # the one node rule looks points up to within 1e-6 h, not to the nearest node
+    chain = build_chain(model, h=0.05, radius=2.0)
+    assert chain.index_of(0.5 + 0.04 * chain_mod._COMMENSURATE_RTOL) == chain.index_of(0.5)
+    with pytest.raises(ModelError, match="^point at 0.50004 is not a grid node"):
+        chain.index_of(0.50004)
     model = cat.sticky_model(xi=0.5, rho=2.0, x0=0.013, r=0.1)
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="^speed atom at 0.5 is not a grid node"):
         build_chain(model, h=0.05, radius=2.0)
+    # a grid through an included end need not pass through the start
+    model = cat.reflected_model(mu=0.0, sigma=0.5, m1=0.0, u0=0.113, r=0.1)
+    with pytest.raises(ModelError, match="^start point at 0.11[0-9]* is not a grid node"):
+        build_chain(model, h=0.05, radius=1.0)
 
 
 def test_start_node():

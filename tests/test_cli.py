@@ -316,6 +316,38 @@ def test_model_file_outside_the_setting_fails_validation(tmp_path, capsys, field
     assert not out.exists()
 
 
+def test_included_end_outside_the_window_need_not_be_a_node(tmp_path):
+    # the right end, 1000.123, lies 950 units past the window the chain walks
+    model = tmp_path / "far.gdm"
+    model.write_text(REFLECTED_FILE.format(
+        lo=0, hi=1000.123, x0=0.5, scale_bps="0, 1000.123", scale="affine 0 1", speed="const 1",
+    ))
+    for command, paths in (("simulate", "2"), ("backtest", "20")):
+        argv = [command, "--model", str(model), "--h", "0.05", "--paths", paths]
+        assert main(["--quiet", "--out", str(tmp_path / command), *argv]) == 0
+
+
+@pytest.mark.parametrize("fields, point", [
+    (dict(x0=0.513), "start point at 0.513"),
+    (dict(speed="const 1\natom1 = 0.52 2"), "speed atom at 0.52"),
+    # s(x) = x up to 0.52 and 2x - 0.52 after: q' jumps at u = 0.52, and hi is 1.5
+    (dict(hi=1.01, scale_bps="0, 0.52, 1.01", scale="affine 0 1\nsegment2 = affine -0.52 2"),
+     "scale kink at 0.52"),
+    (dict(hi=1.03), "included endpoint at 1.03"),
+], ids=["start", "speed-atom", "scale-kink", "included-end"])
+def test_point_in_the_window_off_the_nodes_is_an_error(tmp_path, capsys, fields, point):
+    values = dict(lo=0, hi=1, x0=0.5, scale="affine 0 1", speed="const 1")
+    values.update(fields)
+    values.setdefault("scale_bps", f"{values['lo']}, {values['hi']}")
+    model = tmp_path / "off.gdm"
+    model.write_text(REFLECTED_FILE.format(**values))
+    out = tmp_path / "out"
+    argv = ["simulate", "--model", str(model), "--h", "0.05", "--paths", "2"]
+    assert main(["--quiet", "--out", str(out), *argv]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {point} is not a grid node")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scale_bps, scale", [
     # 0.2 + 1.3 * 0.1 = 0.31 + 0.2 * 0.1 = 0.33 in decimal; in floats the
     # two sides of q at u = 0.33 differ by 24 ulps
