@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 DEFAULT_WINDOW = 50.0
-_KINK_TOL = 1e-12
 
 
 class ModelError(ValueError):
@@ -126,7 +125,8 @@ class NaturalScaleModel:
             left, right = qp.sides(kinks)
             with np.errstate(invalid="ignore"):
                 jumps = right - left
-            big = np.abs(jumps) > _KINK_TOL
+                # kept unless the sides agree to rounding; inf - inf is no jump
+                big = np.isinf(jumps) | np.isfinite(jumps) & ~_agree(left, right)
             atoms = tuple(zip(kinks[big].tolist(), jumps[big].tolist()))
         object.__setattr__(self, "q_second_atoms", atoms)
 
@@ -145,8 +145,9 @@ class NaturalScaleModel:
         return 0.0
 
     def y_value(self, u: float) -> float:
-        """Original-coordinate value q(u), by limit at infinite endpoints."""
-        return float(self.q.limit(u))
+        """Original-coordinate value q(u); at an infinite end, the end piece's
+        kernel read there, which is q's limit (no piece of q is constant)."""
+        return float(self.q(u))
 
     def absorbing_boundaries(self) -> list[tuple[float, float]]:
         """(u location, original-coordinate value) per absorbing endpoint."""
@@ -260,8 +261,10 @@ def to_natural_scale(spec: DiffusionSpec) -> NaturalScaleModel:
     s = spec.scale.restricted(spec.lo, spec.hi)
     x_bps = list(s.breakpoints)
 
-    u_bps = [s.limit(x) for x in x_bps]
-    if any(b >= c for b, c in zip(u_bps, u_bps[1:])):
+    # a constant piece reads nan (0 * inf) at an infinite end, and fails too
+    with np.errstate(invalid="ignore"):
+        u_bps = [s(x) for x in x_bps]
+    if not all(b < c for b, c in zip(u_bps, u_bps[1:])):
         raise ModelError("scale is not strictly increasing across its breakpoints")
 
     q_segments = tuple(
@@ -283,9 +286,9 @@ def to_natural_scale(spec: DiffusionSpec) -> NaturalScaleModel:
             raise UnsupportedModelError(
                 f"speed density transform at {name}: a coefficient is out of floating-point range"
             ) from None
-    m_ac = PiecewiseFn(tuple(s.limit(x) for x in g.breakpoints), tuple(m_segs))
+    m_ac = PiecewiseFn(tuple(s(x) for x in g.breakpoints), tuple(m_segs))
 
-    m_atoms = tuple((float(s.limit(y)), mass) for y, mass in spec.speed.atoms)
+    m_atoms = tuple((s(y), mass) for y, mass in spec.speed.atoms)
 
     return NaturalScaleModel(
         lo=u_bps[0],

@@ -9,15 +9,18 @@ find its sign.  Integrals take finite limits only:
 ``PiecewiseFn.integrate``, the one entry to the integral rules, refuses an
 infinite one.
 
-A kind evaluates, integrates, finds its zeros and differentiates through
-one rule each (see ``Segment``), over the parameters of one segment or of
-many.  A ``PiecewiseFn`` is its group table: its breakpoints, one group of
-rows per kind, static parameters and row length, holding the rows'
-parameters as columns, and each piece's group and row there.  The table is
-built once, where the function is made: from segments (the catalog, the
-model-file parser, ``model``'s speed transform) or column by column
-(``catalog.fat_cantor_q``, ``arbitrage._nu_ac_density``), and never written
-after.  ``scaled`` and ``derivative`` map the columns and share the
+A kind has four rules: it evaluates, integrates, finds its zeros and
+differentiates through one rule each (see ``Segment``), over the parameters
+of one segment or of many.  A read at +-inf, or at a ``Power`` or ``Log``
+centre, is the kernel's IEEE value there: a non-constant piece reads its
+limit (+-inf, or the offset of a decaying tail), and a constant one may
+read nan (0 * inf).  A ``PiecewiseFn`` is its group table: its breakpoints,
+one group of rows per kind, static parameters and row length, holding the
+rows' parameters as columns, and each piece's group and row there.  The
+table is built once, where the function is made: from segments (the
+catalog, the model-file parser, ``model``'s speed transform) or column by
+column (``catalog.fat_cantor_q``, ``arbitrage._nu_ac_density``), and never
+written after.  ``scaled`` and ``derivative`` map the columns and share the
 breakpoints and piece maps; ``restricted`` and ``with_breakpoints`` share
 the groups and map the pieces, so two pieces may share a row.
 """
@@ -52,14 +55,15 @@ class Segment:
 
     A subclass names its parameters in ``_static`` (shared by its group)
     and ``_row`` (its own), and ``_scales`` picks those that scale with it.
-    Its rules are static methods: ``_kernel(x, *static, *row)`` evaluates
+    Its four rules are static methods: ``_kernel(x, *static, *row)`` evaluates
     it, ``_integral(lo, hi, c0, c1, *static, *row)`` integrates (c0 + c1*x)
     * f(x) over the finite [lo, hi], and ``_derivative(static, row)`` gives the
     derivative's kind and parameters; there the parameters are scalars or
     arrays.  ``_zeros(static, cols, lo, hi)`` takes a group's rows as
     columns, each on its interval [lo, hi], and gives the mask of the rows
     that vanish on the whole interval and the others' roots in it as (row
-    index, root) arrays.
+    index, root) arrays.  There is no other evaluation rule: a value at +-inf
+    or at a singular centre is ``_kernel``'s value there.
     """
 
     _static: tuple = ()
@@ -90,12 +94,6 @@ class Segment:
     def derivative_segment(self) -> "Segment":
         kind, static, row = self._derivative(self._static, self._row)
         return kind._of(static, row)
-
-    def limit(self, x: float) -> float:
-        """Limit of f at x (x may be +-inf)."""
-        if np.isfinite(x):
-            return float(self(x))
-        raise NotImplementedError
 
 
 _NO_ROOTS = (np.empty(0, dtype=np.intp), np.empty(0))
@@ -132,9 +130,6 @@ class Const(Segment):
     def _derivative(static, row):
         return Const, (), (0.0,)
 
-    def limit(self, x):
-        return float(self.value)
-
 
 @dataclass(frozen=True)
 class Affine(Segment):
@@ -165,19 +160,19 @@ class Affine(Segment):
     def _derivative(static, row):
         return Const, (), row[1:]
 
-    def limit(self, x):
-        if np.isfinite(x):
-            return float(self(x))
-        if self.slope == 0.0:
-            return self.intercept
-        return float(np.sign(self.slope) * x)
-
 
 @dataclass(frozen=True)
 class Poly(Segment):
-    """Polynomial with coefficients in ascending order."""
+    """Polynomial with coefficients in ascending order.  Trailing zeros go
+    when it is made, so the last coefficient leads at +-inf."""
 
     coeffs: tuple[float, ...]
+
+    def __post_init__(self):
+        n = len(self.coeffs)
+        while n > 1 and self.coeffs[n - 1] == 0.0:
+            n -= 1
+        object.__setattr__(self, "coeffs", self.coeffs[:n])
 
     @property
     def _row(self):
@@ -229,14 +224,6 @@ class Poly(Segment):
         if len(row) == 1:
             return Poly, (), (row[0] * 0,)
         return Poly, (), tuple(j * a for j, a in enumerate(row) if j)
-
-    def limit(self, x):
-        if np.isfinite(x):
-            return float(self(x))
-        lead = next((i for i in range(len(self.coeffs) - 1, -1, -1) if self.coeffs[i] != 0.0), 0)
-        if lead == 0:
-            return float(self.coeffs[0]) if self.coeffs else 0.0
-        return float(np.sign(self.coeffs[lead]) * (np.sign(x) ** lead) * np.inf)
 
 
 def _poly_roots(c, lo, hi):
@@ -369,22 +356,6 @@ class Power(Segment):
         coeff, center, _, side = row
         return Power, (exponent - 1.0,), (coeff * exponent * side, center, 0.0, side)
 
-    def limit(self, x):
-        if np.isfinite(x):
-            t = self.side * (x - self.center)
-            if t < 0.0:
-                raise ValueError("limit outside segment half-line")
-            if t == 0.0 and self.exponent < 0.0:
-                return float(np.sign(self.coeff) * np.inf)
-            return float(self(x))
-        if self.side * np.sign(x) < 0:
-            raise ValueError("limit outside segment half-line")
-        if self.exponent > 0.0:
-            return float(np.sign(self.coeff) * np.inf) if self.coeff != 0.0 else self.offset
-        if self.exponent == 0.0:
-            return self.coeff + self.offset
-        return float(self.offset)
-
 
 # 1 / (k! (k + 2)), the Taylor coefficients of the integral of t exp(z t) over
 # [0, 1]; 17 terms reach double precision for |z| < 1/2
@@ -460,13 +431,6 @@ class Exponential(Segment):
         coeff, rate, _ = row
         return Exponential, (), (coeff * rate, rate, 0.0)
 
-    def limit(self, x):
-        if np.isfinite(x):
-            return float(self(x))
-        if self.rate * np.sign(x) > 0:
-            return float(np.sign(self.coeff) * np.inf) if self.coeff != 0.0 else self.offset
-        return float(self.offset)
-
 
 @dataclass(frozen=True)
 class Log(Segment):
@@ -522,13 +486,6 @@ class Log(Segment):
     def _derivative(static, row):
         coeff, _, center, _ = row
         return Power, (-1.0,), (coeff, center, 0.0, 1.0)
-
-    def limit(self, x):
-        if np.isfinite(x):
-            if x == self.center:
-                return float(-np.sign(self.coeff) * np.inf)
-            return float(self(x))
-        return float(np.sign(self.coeff) * np.inf) if self.coeff != 0.0 else self.offset
 
 
 class _Group(NamedTuple):
@@ -879,10 +836,3 @@ class PiecewiseFn:
         cols = [np.concatenate(c) for c in zip(*parts)]
         ivs, pts = np.argsort(cols[0], kind="stable"), np.argsort(cols[3], kind="stable")
         return cols[1][ivs], cols[2][ivs], cols[4][pts]
-
-    def limit(self, x) -> float:
-        if x <= self.lo:
-            return self.segments[0].limit(x)
-        if x >= self.hi:
-            return self.segments[-1].limit(x)
-        return float(self(x))

@@ -11,10 +11,12 @@ kind (``Exponential`` and ``Log`` once kept only interior roots), and a
 ``OverflowError``).  The
 integrals, over finite limits only, are the catalog's per-kind closed
 forms as each segment once wrote them on its own (``finite_integral``),
-not the grouped rules."""
+not the grouped rules.  ``limit`` is the reference for a read at +-inf or
+at a centre, written from the term that leads there."""
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 
 import numpy as np
@@ -31,6 +33,8 @@ from gdarb.piecewise import (
     _half_line,
     _power_integral,
 )
+
+EPS = np.finfo(float).eps
 
 
 def segment_of(pw, x):
@@ -250,13 +254,35 @@ def sign_sets(pw, lo, hi, signs=(1.0, -1.0)):
 
 def q_second_atoms(model):
     """The jumps of q' at the interior breakpoints inside (lo, hi), each side
-    read by its own segment's scalar call."""
+    read by its own segment's scalar call.  A finite jump counts unless it is
+    within 64 ulps of |q'(u-)| + |q'(u+)|; an infinite one counts, and a nan
+    one (inf - inf) does not."""
     qp = model.q_prime
     atoms = []
     with np.errstate(all="ignore"):
         for i, a in enumerate(qp.breakpoints[1:-1]):
             if model.lo < a < model.hi:
-                jump = float(qp.segments[i + 1](a)) - float(qp.segments[i](a))
-                if abs(jump) > 1e-12:
+                left, right = float(qp.segments[i](a)), float(qp.segments[i + 1](a))
+                jump = right - left
+                if math.isinf(jump) or abs(jump) > 64 * EPS * (abs(left) + abs(right)):
                     atoms.append((float(a), jump))
     return tuple(atoms)
+
+
+def limit(seg, x):
+    """The limit of the non-constant segment seg at x, which is +-inf or the
+    centre of a ``Power`` or ``Log``, from the term that leads there: a term
+    that grows without bound gives its sign times inf, and one that decays
+    leaves the offset."""
+    if isinstance(seg, (Affine, Poly)):
+        coeffs = seg.coeffs if isinstance(seg, Poly) else (seg.intercept, seg.slope)
+        n = max(j for j, c in enumerate(coeffs) if c != 0.0)  # the degree, >= 1
+        return math.copysign(1.0, coeffs[n]) * math.copysign(1.0, x) ** n * math.inf
+    if isinstance(seg, Exponential):  # coeff * exp(rate * x)
+        return math.copysign(math.inf, seg.coeff) if seg.rate * x > 0.0 else seg.offset
+    if isinstance(seg, Power):  # coeff * t**exponent, t -> inf or t -> 0
+        grows = (seg.exponent > 0.0) == math.isinf(x)
+        return math.copysign(math.inf, seg.coeff) if grows else seg.offset
+    if isinstance(seg, Log):  # coeff * log t, t -> inf or t -> 0
+        return math.copysign(math.inf, seg.coeff if math.isinf(x) else -seg.coeff)
+    raise TypeError(f"no leading term for {seg!r}")

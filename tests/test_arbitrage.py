@@ -149,11 +149,16 @@ def test_nu_zero_for_brownian():
     assert theta.is_zero
 
 
+# exact boundary inputs that the draws miss: a skew point 1e-13 off 1/2
+# leaves q' a jump of 8e-13 at 0, and so nu an atom there
+_EDGE_PARAMS = {"bachelier-skew": [dict(kappa=0.5 + 1e-13, x0=0.0, r=0.1)]}
+
+
 @pytest.mark.parametrize("entry", cat.catalog(), ids=lambda e: e.name)
 def test_expected_nu_regression(entry):
     rng = np.random.default_rng(23)
-    for _ in range(20):
-        params = entry.sample_params(rng)
+    draws = [entry.sample_params(rng) for _ in range(20)]
+    for params in draws + _EDGE_PARAMS.get(entry.name, []):
         model = entry.build(**params)
         bundle = build_nu(model)
         expected = entry.expected_nu(**params)

@@ -396,6 +396,61 @@ def test_model_file_tiny_exponential_rate(tmp_path, capsys):
     assert float(nu[0]["mass"]) == pytest.approx(-0.1, abs=1e-14)
 
 
+def test_scale_poly_with_trailing_zero_reads_as_affine(tmp_path):
+    # poly 0 1 0 is s(x) = x: its ends read -inf and inf, as affine 0 1's do
+    text = STICKY_FILE.replace("x0 = 0.5", "x0 = 0")
+    outputs = []
+    for kind, scale in (("affine", "affine 0 1"), ("poly", "poly 0 1 0")):
+        (tmp_path / kind).mkdir()
+        model = tmp_path / kind / "line.gdm"
+        model.write_text(text.replace("segment1 = affine 0 1", f"segment1 = {scale}"))
+        out = tmp_path / kind / "out"
+        assert main(["--quiet", "--out", str(out), "analyze", "--model", str(model)]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("nu_report.csv", "verdicts.csv")])
+    assert outputs[0] == outputs[1]
+
+
+CONSTANT_SCALE_FILE = """
+[state_space]
+lo = {lo}
+hi = inf
+
+[scale]
+breakpoints = {lo}, inf
+segment1 = {scale}
+
+[speed]
+breakpoints = {lo}, inf
+segment1 = const 1
+
+[boundaries]
+left = {left}
+right = open
+
+[market]
+x0 = 1
+rate = 0.1
+"""
+
+
+@pytest.mark.parametrize("lo, scale", [
+    ("-inf", "affine 3 0"), ("-inf", "poly 3 0"), ("-inf", "exp 0 1 3"), ("-inf", "exp 2 0 3"),
+    ("0", "power 0 0 2 3 1"), ("0", "power 2 0 0 3 1"), ("0", "log 0 1 -1 3"),
+])
+def test_constant_scale_piece_is_refused(tmp_path, capsys, lo, scale):
+    # each piece reads 3 or 5 at a finite end and 3, 5 or nan (0 * inf) at inf
+    model = tmp_path / "flat.gdm"
+    left = "open" if lo == "-inf" else "reflecting"
+    model.write_text(CONSTANT_SCALE_FILE.format(lo=lo, scale=scale, left=left))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--quiet", "--out", str(out), "analyze", "--model", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: scale is not strictly increasing across its breakpoints\n"
+    assert not out.exists()
+
+
 def test_missing_model_file_error(tmp_path):
     rc = main(["--quiet", "--out", str(tmp_path), "analyze", "--model", "/no/such.gdm"])
     assert rc == 1

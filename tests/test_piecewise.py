@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import piecewise_oracle as oracle
 from gdarb import catalog as cat
 from gdarb.borel import BorelSet
 from gdarb.measures import sign_sets
@@ -203,12 +204,6 @@ def test_power_inverse_sqrt_integral():
     assert got == pytest.approx(2.0, abs=1e-10)
 
 
-def test_power_negative_side_halfline_guard():
-    seg = Power(1.0, 0.0, 2.0, 0.0, +1)
-    with pytest.raises(ValueError):
-        seg.limit(-1.0)
-
-
 def test_affine_zero_set():
     seg = Affine(-1.0, 2.0)
     zs = zero_set(seg, 0.0, 1.0)
@@ -305,10 +300,66 @@ def test_derivative_segments():
 
 
 def test_limits_at_infinity():
-    assert Exponential(1.0, -1.0, 0.3).limit(np.inf) == 0.3
-    assert Affine(0.0, 1.0).limit(np.inf) == np.inf
-    assert Power(1.0, 0.0, -1.0, 2.0, +1).limit(np.inf) == 2.0
-    assert Poly((1.0, 0.0, 1.0)).limit(-np.inf) == np.inf
+    # a function read at +-inf is its end piece's kernel there
+    cases = [
+        (Exponential(1.0, -1.0, 0.3), 0.0, np.inf, 0.3),
+        (Affine(0.0, 1.0), 0.0, np.inf, np.inf),
+        (Power(1.0, 0.0, -1.0, 2.0, +1), 0.0, np.inf, 2.0),
+        (Poly((1.0, 0.0, 1.0)), -np.inf, 0.0, np.inf),
+        # a trailing zero coefficient goes, so the read is not 0 * inf = nan
+        (Poly((1.0, 2.0, 0.0)), 0.0, np.inf, np.inf),
+    ]
+    for seg, lo, hi, want in cases:
+        end = hi if np.isinf(hi) else lo
+        assert PiecewiseFn.from_segment(seg, lo, hi)(end) == want, seg
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NONZERO = _FINITE.filter(lambda v: v != 0.0)
+
+
+@st.composite
+def _piece_and_end(draw):
+    """A non-constant segment on the line or a half-line, as a function, and
+    one of its ends that is +-inf or a power's or log's centre."""
+    kind = draw(st.sampled_from((Affine, Poly, Power, Exponential, Log)))
+    if kind in (Power, Log):
+        side, center = draw(st.sampled_from((1, -1))), draw(_FINITE)
+        lo, hi = (center, np.inf) if side == 1 else (-np.inf, center)
+        if kind is Power:
+            seg = Power(draw(_NONZERO), center, draw(_NONZERO), draw(_FINITE), side)
+        else:
+            scale = side * draw(st.floats(min_value=5e-324, allow_infinity=False))
+            seg = Log(draw(_NONZERO), scale, center, draw(_FINITE))
+        return PiecewiseFn.from_segment(seg, lo, hi), seg, draw(st.sampled_from((lo, hi)))
+    if kind is Affine:
+        seg = Affine(draw(_FINITE), draw(_NONZERO))
+    elif kind is Poly:
+        # a nonzero term of degree >= 1, and perhaps trailing zeros after it
+        coeffs = draw(st.lists(_FINITE, min_size=1, max_size=4)) + [draw(_NONZERO)]
+        seg = Poly(tuple(coeffs + draw(st.lists(st.sampled_from((0.0, -0.0)), max_size=2))))
+    else:
+        seg = Exponential(draw(_NONZERO), draw(_NONZERO), draw(_FINITE))
+    end = draw(st.sampled_from((-np.inf, np.inf)))
+    lo, hi = (-np.inf, 0.0) if end < 0 else (0.0, np.inf)
+    return PiecewiseFn.from_segment(seg, lo, hi), seg, end
+
+
+@settings(max_examples=300)
+@given(_piece_and_end())
+def test_read_at_an_end_is_the_leading_term_limit(drawn):
+    # the kernel's IEEE value at +-inf or at a centre is the piece's limit
+    pw, seg, end = drawn
+    assert pw(end) == oracle.limit(seg, end)
+    assert pw(np.array([end]))[0] == oracle.limit(seg, end)
+
+
+def test_poly_drops_trailing_zero_coefficients():
+    assert Poly((1.0, 2.0, 0.0)).coeffs == (1.0, 2.0)
+    assert Poly((1.0, 2.0, 0.0)) == Poly((1.0, 2.0))
+    assert Poly((0.0, 0.0)).coeffs == (0.0,)
+    assert Poly((1.0, 2.0, 0.0))(np.inf) == np.inf
+    assert Poly((1.0, 2.0, 0.0, -0.0))(-np.inf) == -np.inf
 
 
 def make_pw():
