@@ -21,11 +21,14 @@ numpy call, as the rows of a block of moves, and hands each block to its
 caller.  ``sample_paths`` records whole paths from those blocks and yields
 them in id order, holding at most one group of consecutive ids at a time.
 Path ``pid`` is the path that ``sample_paths`` yields for that id.  Its
-move n takes the n-th uniform of its own counter-based stream,
+move n takes output n of its own counter-based stream,
 ``Philox(key=[seed, pid])``, however the paths are grouped: it goes up iff
-that uniform is below 1/2, except at a reflecting edge, whose move goes
-inward whatever it draws.  So every path is the same bit for bit whether it
-is walked alone or with others.
+that 64-bit output is below 2**63, except at a reflecting edge, whose move
+goes inward whatever it draws.  Every stretch of such a stream follows from
+its key and counter alone, so one generator serves a whole walk: each
+round sets it to a row's key and to the counter of the row's next move.
+So every path is the same bit for bit whether it is walked alone or with
+others.
 """
 
 from __future__ import annotations
@@ -249,9 +252,11 @@ def _walk(chain: GridChain, T: float, seed: int, path_ids: range) -> Iterator[_R
 
     A round is a (rows, moves) block within the cell budget ``_CELLS``;
     rows whose path ended take the next path ids.  Each row takes the same
-    number of moves from its own stream, ``Philox(key=[seed, pid])``, through
-    a per-row generator that is re-keyed for each path and keeps the row's
-    unused draws for its next round.  Every move is a fair coin
+    number of moves from its own stream, ``Philox(key=[seed, pid])``: the
+    walk's one generator is set to that key and to the counter of the block
+    of four outputs that holds the row's next move, so a row draws only
+    its round's moves and what precedes them in that block, and nothing is
+    carried from round to round.  Every move is a fair coin
     except at the two edges, so a row's free positions are one cumulative
     sum.  The row's nearer edge, when it reflects and the row can reach it,
     is crossed in closed form: the walk whose moves from the wall are forced
@@ -259,7 +264,7 @@ def _walk(chain: GridChain, T: float, seed: int, path_ids: range) -> Iterator[_R
     overshoot past the wall (Skorokhod reflection).  A row stops at its first
     hold that reaches T (an absorbing node holds forever) and before its
     first visit to a farther reflecting edge, where its next round starts.
-    Move n of a path is the n-th draw of its stream whatever the rows,
+    Move n of a path is output n of its stream whatever the rows,
     rounds or moves per round, so a path does not depend on the others.
     """
     top = chain.n_nodes - 1
@@ -269,28 +274,28 @@ def _walk(chain: GridChain, T: float, seed: int, path_ids: range) -> Iterator[_R
     start = chain.start_idx
     lo, hi = _BLOCK
     rows_max = max(_CELLS // int(min(max(T / dt[start] + 2, lo), hi)), 1)
-    zeros = np.zeros(4, dtype=np.uint64)
-    no_draws = np.empty(0, dtype=bool)
-    # a fresh stream: counter 0, no buffered output
-    rekey = {
+    # one generator for every row, set before each round to the row's stream
+    # at the block of four outputs that holds its next move; the k-th block
+    # of a stream is made with counter k + 1, and none is buffered
+    gen = np.random.Philox(0)
+    key, counter = [seed, 0], [0, 0, 0, 0]
+    position = {
         "bit_generator": "Philox",
-        "state": {"counter": zeros, "key": zeros[:2]},
-        "buffer": zeros,
+        "state": {"counter": counter, "key": key},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    spare: list[np.random.Philox] = []
     # the rows in flight, first R entries: path id, node and time the row
-    # goes on from, its window hit, its recorded moves, generator and draws
+    # goes on from, its window hit and its recorded moves, which are the
+    # moves its stream has given
     R = taken = 0
     pid = np.empty(rows_max, dtype=np.int64)
     node = np.empty(rows_max, dtype=np.int64)
     t = np.empty(rows_max)
     window_hit = np.empty(rows_max, dtype=bool)
     n_steps = np.empty(rows_max, dtype=np.int64)
-    gens: list[np.random.Philox] = []
-    draws: list[np.ndarray] = []
     # the rounds' arrays are views of these, so that rounds reuse their pages
     cells = _round_cells()
     up_flat = np.empty(cells, dtype=bool)
@@ -300,12 +305,6 @@ def _walk(chain: GridChain, T: float, seed: int, path_ids: range) -> Iterator[_R
     while True:
         fresh = path_ids[taken : taken + rows_max - R]
         if len(fresh):
-            for p in fresh:
-                gen = spare.pop() if spare else np.random.Philox(0)
-                rekey["state"]["key"] = np.array([seed, p], dtype=np.uint64)
-                gen.state = rekey
-                gens.append(gen)
-                draws.append(no_draws)
             taken += len(fresh)
             new = slice(R, R + len(fresh))
             pid[new], node[new], t[new] = fresh, start, 0.0
@@ -316,11 +315,11 @@ def _walk(chain: GridChain, T: float, seed: int, path_ids: range) -> Iterator[_R
         B = int(min(max(((T - t[:R]) / dt[node[:R]]).max() + 2, lo), _CELLS // R))
         rows = np.arange(R)
 
-        for r, (gen, d) in enumerate(zip(gens, draws)):
-            if len(d) < B:  # draw ahead, so that a row draws about every other round
-                more = gen.random_raw(2 * B - len(d)) < _HALF
-                draws[r] = np.concatenate([d, more]) if len(d) else more
-        up = np.concatenate([d[:B] for d in draws], out=up_flat[: R * B]).reshape(R, B)
+        up = up_flat[: R * B].reshape(R, B)
+        for r, (key[1], s) in enumerate(zip(pid[:R].tolist(), n_steps[:R].tolist())):
+            counter[0], skip = divmod(s, 4)  # the row's move s is output skip of block s // 4
+            gen.state = position
+            np.less(gen.random_raw(skip + B)[skip:], _HALF, out=up[r])
         nodes = nodes_flat[: R * (B + 1)].reshape(R, B + 1)
         np.multiply(up, 2, out=nodes[:, 1:])
         nodes[:, 1:] -= 1
@@ -389,10 +388,6 @@ def _walk(chain: GridChain, T: float, seed: int, path_ids: range) -> Iterator[_R
 
         if taken == len(path_ids) and final.all():
             return
-        done = final.tolist()
-        spare += [gen for gen, end in zip(gens, done) if end]
-        gens = [gen for gen, end in zip(gens, done) if not end]
-        draws = [d[n:] for d, n, end in zip(draws, n_hold.tolist(), done) if not end]
         go = np.flatnonzero(~final)
         R = len(go)
         node[:R], t[:R] = nodes[go, n_hold[go]], times[go, n_hold[go]]

@@ -93,7 +93,10 @@ def sign_sets(pw: PiecewiseFn, lo: float, hi: float) -> tuple[BorelSet, BorelSet
     at = 0.5 * (c[:-1] + c[1:]) if len(c) > 2 else np.zeros(1)
     at[0], at[-1] = _inside(c[0], c[1]), _inside(c[-2], c[-1])
     finite = np.isfinite(c)
-    values = pw(np.concatenate([at, c[finite]]))
+    # a point far out on an unbounded piece may overflow to +-inf, which
+    # keeps the sign and is never read as a zero
+    with np.errstate(over="ignore"):
+        values = pw(np.concatenate([at, c[finite]]))
     mid, vanish = values[: len(at)], np.zeros(len(c), dtype=bool)
     vanish[finite] = values[len(at) :] == 0.0
     out = []

@@ -26,6 +26,7 @@ from .piecewise import (
     Poly,
     Power,
     Segment,
+    _off_half_line,
 )
 
 __all__ = [
@@ -250,6 +251,18 @@ def _compose_speed(qseg: Segment, gseg: Segment, name: str) -> Segment:
     )
 
 
+def _require_half_line(seg: Segment, a: float, b: float, what: str) -> None:
+    """Refuse a ``Power`` or ``Log`` piece whose gap [a, b] leaves its
+    half-line, t = side*(x - center) >= 0, where its kernel is not the
+    piece: the one domain rule of those pieces, for a spec built in Python
+    or read from a model file.  Other pieces, and an empty gap, pass."""
+    if a < b and isinstance(seg, (Power, Log)):
+        side = seg.side if isinstance(seg, Power) else (seg.scale > 0) - (seg.scale < 0)
+        if _off_half_line(min(side * (a - seg.center), side * (b - seg.center))):
+            kind = type(seg).__name__.lower()
+            raise ModelError(f"{what}, a {kind} piece, leaves its half-line on [{a}, {b}]")
+
+
 def to_natural_scale(spec: DiffusionSpec) -> NaturalScaleModel:
     """Canonicalize to U = s(Y) coordinates."""
     g = spec.speed.density
@@ -258,6 +271,10 @@ def to_natural_scale(spec: DiffusionSpec) -> NaturalScaleModel:
     for name, f in (("scale", spec.scale), ("speed density", g)):
         if not (f.lo <= spec.lo and spec.hi <= f.hi):
             raise ModelError(f"the {name} does not cover the state space [{spec.lo}, {spec.hi}]")
+        bps = f.breakpoints
+        for k, seg in enumerate(f.segments):
+            a, b = max(bps[k], spec.lo), min(bps[k + 1], spec.hi)
+            _require_half_line(seg, a, b, f"the {name}'s piece {k + 1}")
     s = spec.scale.restricted(spec.lo, spec.hi)
     x_bps = list(s.breakpoints)
 

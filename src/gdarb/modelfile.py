@@ -36,9 +36,9 @@ import math
 import re
 
 from .measures import SignedMeasure
-from .model import BoundarySpec, DiffusionSpec, ModelError
+from .model import BoundarySpec, DiffusionSpec, ModelError, _require_half_line
 from .piecewise import (
-    Affine, Const, Exponential, Log, PiecewiseFn, Poly, Power, Segment, _half_line
+    Affine, Const, Exponential, Log, PiecewiseFn, Poly, Power, Segment
 )
 
 __all__ = ["ModelFileError", "parse_model_file", "parse_model_text"]
@@ -155,15 +155,10 @@ def _parse_piecewise(section: dict, section_name: str, lo: float, hi: float) -> 
     for k in range(1, len(bps)):
         text, line = _take(section, f"segment{k}", section_name)
         seg = _parse_segment(text, line)
-        a, b = max(bps[k - 1], lo), min(bps[k], hi)
-        if isinstance(seg, (Power, Log)) and a < b:
-            kind = "power" if isinstance(seg, Power) else "log"
-            side = seg.side if kind == "power" else (seg.scale > 0) - (seg.scale < 0)
-            try:
-                _half_line(a, b, side, seg.center, kind)
-            except ValueError:
-                msg = f"{kind} segment leaves its half-line on [{a}, {b}]"
-                raise ModelFileError(msg, line) from None
+        try:
+            _require_half_line(seg, max(bps[k - 1], lo), min(bps[k], hi), f"segment{k}")
+        except ModelError as err:
+            raise ModelFileError(str(err), line) from None
         segments.append(seg)
     return PiecewiseFn(bps, tuple(segments))
 

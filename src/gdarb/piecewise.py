@@ -254,13 +254,19 @@ def _poly_roots(c, lo, hi):
     return [float(rt.real) for rt in roots if abs(rt.imag) < 1e-12 and lo <= rt.real <= hi]
 
 
+def _off_half_line(t):
+    """Whether t = side*(x - center) lies off the half-line t >= 0 by more
+    than rounding: the domain rule of ``Power`` and ``Log`` pieces."""
+    return t < -1e-12
+
+
 def _half_line(lo, hi, side, center, kind):
     """Limits of t = side*(x - center) >= 0 for x in [lo, hi], sorted (which
     absorbs the Jacobian sign of the substitution) and clipped at 0."""
     ta = side * (np.asarray(lo, dtype=float) - center)
     tb = side * (np.asarray(hi, dtype=float) - center)
     t0, t1 = np.minimum(ta, tb), np.maximum(ta, tb)
-    if np.any(t0 < -1e-12):
+    if np.any(_off_half_line(t0)):
         raise ValueError(f"{kind} segment evaluated outside its half-line")
     return np.maximum(t0, 0.0), t1
 

@@ -8,8 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from gdarb import backtest
 from gdarb import catalog as cat
 from gdarb import chain as chain_mod
+from gdarb.arbitrage import FeedbackStrategy, build_nu
+from gdarb.backtest import EnsembleStats, MCConfig, run_ensemble
+from gdarb.borel import BorelSet
 from gdarb.chain import (
     ABSORBING,
     INTERIOR,
@@ -306,6 +310,55 @@ def test_sample_paths_match_per_step_loop(name, h, T, seed, first_id, n_ids, cel
     assert [p.path_id for p in paths] == list(ids)
     for p in paths:
         _assert_same_path(p, per_step_path(chain, T, seed, p.path_id))
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("T", [0.3, 1.0])
+def test_rows_resume_inside_a_philox_block(monkeypatch, seed, T):
+    # both edges of an 8-node window reflect, so rows are cut before their
+    # first visit to the farther edge and read the moves past the cut again
+    # in their next round; the edges lie 2 and 5 moves from the start, so a
+    # row resumes at every place in a block of four outputs
+    model = cat.get_entry("bessel-sticky").build()
+    chain = build_chain(model, h=0.05, radius=0.25)
+    assert chain.n_nodes == 8 and chain.start_idx == 2
+    assert tuple(chain.node_type[[0, -1]]) == (REFLECT_UP, REFLECT_DOWN)
+    philox, walk = np.random.Philox, chain_mod._walk
+    made, per_walk, resumed_at, cut = [], [], set(), []
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return philox(*args, **kwargs)
+
+    def recorded(*args):
+        before = len(made)
+        for rnd in walk(*args):
+            go = ~rnd.final
+            resumed_at.update((rnd.n_steps[go] % 4).tolist())  # the next move's place in its block
+            cut.extend((rnd.n_hold[go] < rnd.nodes.shape[1] - 1).tolist())
+            yield rnd
+        per_walk.append(len(made) - before)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    monkeypatch.setattr(chain_mod, "_walk", recorded)
+    monkeypatch.setattr(backtest, "_walk", recorded)
+    ids = range(2**32 + 7, 2**32 + 19)
+    H = FeedbackStrategy(plus_set=BorelSet.make([chain.window]))
+    cfg = MCConfig(n_paths=12, h=chain.h, T=T, seed=seed)
+    track = tuple(chain.grid[[0, chain.start_idx, -1]].tolist())
+    ensembles = []
+    for cells in (chain_mod._CELLS, 128):
+        monkeypatch.setattr(chain_mod, "_CELLS", cells)
+        paths = list(sample_paths(chain, T, seed, ids))
+        ensembles.append(run_ensemble(chain, build_nu(model), H, cfg, track))
+        assert [p.path_id for p in paths] == list(ids)
+        for p in paths:
+            _assert_same_path(p, per_step_path(chain, T, seed, p.path_id))
+    for field in dataclasses.fields(EnsembleStats)[:-1]:  # all but the unrecorded series
+        a, b = (getattr(stats, field.name) for stats in ensembles)
+        assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), field.name
+    assert per_walk == [1] * 4  # one generator per walk
+    assert resumed_at == {0, 1, 2, 3} and any(cut)
 
 
 def test_step_budget(monkeypatch):

@@ -20,7 +20,7 @@ from gdarb.model import (
     validate,
     zero_set,
 )
-from gdarb.piecewise import Affine, Const, PiecewiseFn, Poly, Power
+from gdarb.piecewise import Affine, Const, Log, PiecewiseFn, Poly, Power
 
 
 def brownian_spec():
@@ -315,6 +315,43 @@ def test_functions_must_cover_the_state_space(part):
     )
     with pytest.raises(ModelError, match=f"the {part} does not cover the state space"):
         to_natural_scale(bad)
+
+
+@pytest.mark.parametrize("part", ["scale", "speed density"])
+@pytest.mark.parametrize("seg, kind", [
+    # sqrt(x - 0.5) and log(0.5 - x), each read on [0, 1], across its center
+    (Power(1.0, 0.5, 0.5), "power"),
+    (Log(1.0, -1.0, 0.5), "log"),
+])
+def test_pieces_must_stay_on_their_half_lines(part, seg, kind):
+    # a Python-built spec, not only a model file: a kernel read off its
+    # half-line clips t at 0 or reads nan, so the piece is refused by name
+    fn = PiecewiseFn((-1.0, 0.0, 1.0), (Affine(1.0, 1.0), seg))
+    ok = PiecewiseFn.from_segment(Affine(1.0, 1.0), -1.0, 1.0)
+    spec = dataclasses.replace(
+        brownian_spec(),
+        lo=-1.0,
+        hi=1.0,
+        scale=fn if part == "scale" else ok,
+        speed=SignedMeasure(density=fn if part == "speed density" else ok),
+    )
+    msg = f"the {part}'s piece 2, a {kind} piece, leaves its half-line on [0.0, 1.0]"
+    with pytest.raises(ModelError, match=re.escape(msg)):
+        to_natural_scale(spec)
+
+
+def test_a_half_line_is_read_where_its_piece_meets_the_state_space():
+    # sqrt(x + 1) is defined from -1 on: its piece reaches to -2, where it
+    # would leave its half-line, but the state space [-1, 1] does not
+    spec = dataclasses.replace(
+        brownian_spec(),
+        lo=-1.0,
+        hi=1.0,
+        scale=PiecewiseFn.from_segment(Power(1.0, -1.0, 0.5), -2.0, 1.0),
+        speed=SignedMeasure(density=PiecewiseFn.constant(1.0, -2.0, 1.0)),
+    )
+    model = to_natural_scale(spec)
+    assert (model.lo, model.hi, model.u0) == (0.0, np.sqrt(2.0), 1.0)
 
 
 @pytest.mark.parametrize("coeff", [1e-3, 262.4])
