@@ -16,7 +16,7 @@ import numpy as np
 from .borel import EMPTY, BorelSet
 from .measures import SignedMeasure, jordan_hahn
 from .model import NaturalScaleModel, UnsupportedModelError, _agree, zero_set
-from .piecewise import Const, PiecewiseFn, _scaled_cols
+from .piecewise import PiecewiseFn, Poly, _scaled_cols
 
 __all__ = [
     "NuBundle",
@@ -123,7 +123,7 @@ def _nu_ac_density(model: NaturalScaleModel, carrier: BorelSet) -> PiecewiseFn:
         """The mask of fn's constant pieces, and their values (nan elsewhere)."""
         const, value = np.zeros(len(fn._row_of), dtype=bool), np.full(len(fn._row_of), np.nan)
         for g, group in enumerate(fn._groups):
-            if group.kind is Const:
+            if group.kind is Poly and len(group.cols) == 1:
                 mine = fn._group_of == g
                 const |= mine
                 value[mine] = group.cols[0, fn._row_of[mine]]
@@ -141,7 +141,7 @@ def _nu_ac_density(model: NaturalScaleModel, carrier: BorelSet) -> PiecewiseFn:
         if overlap.lebesgue() > 0:
             raise UnsupportedModelError(f"cannot form q*m_ac product density on [{a}, {b}]")
     if len(rest):
-        parts.append((Const, (), rest, np.zeros((1, len(rest)))))
+        parts.append((Poly, (), rest, np.zeros((1, len(rest)))))
     return PiecewiseFn._from_columns(bps, parts)
 
 

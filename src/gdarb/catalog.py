@@ -21,7 +21,7 @@ from .model import (
     _invert_segment,
     to_natural_scale,
 )
-from .piecewise import Affine, Const, Log, PiecewiseFn, Poly, Power
+from .piecewise import Log, PiecewiseFn, Poly, Power
 
 __all__ = ["CatalogEntry", "catalog", "get_entry", "fat_cantor_model"]
 
@@ -165,7 +165,7 @@ def sticky_spec(xi=0.5, rho=2.0, x0=0.0, r=0.1) -> DiffusionSpec:
         hi=np.inf,
         left=BoundarySpec("left", included=False),
         right=BoundarySpec("right", included=False),
-        scale=PiecewiseFn.from_segment(Affine(0.0, 1.0), -np.inf, np.inf),
+        scale=PiecewiseFn.from_segment(Poly((0.0, 1.0)), -np.inf, np.inf),
         speed=SignedMeasure(
             density=PiecewiseFn.constant(1.0, -np.inf, np.inf), atoms=atoms
         ),
@@ -189,10 +189,10 @@ def skew_spec(kappa=0.75, x0=0.0, r=0.1) -> DiffusionSpec:
     if not 0.0 < kappa < 1.0:
         raise ValueError("skewness kappa must be in (0, 1)")
     scale = PiecewiseFn(
-        (-np.inf, 0.0, np.inf), (Affine(0.0, kappa), Affine(0.0, 1.0 - kappa))
+        (-np.inf, 0.0, np.inf), (Poly((0.0, kappa)), Poly((0.0, 1.0 - kappa)))
     )
     speed = PiecewiseFn(
-        (-np.inf, 0.0, np.inf), (Const(1.0 / kappa), Const(1.0 / (1.0 - kappa)))
+        (-np.inf, 0.0, np.inf), (Poly((1.0 / kappa,)), Poly((1.0 / (1.0 - kappa),)))
     )
     return DiffusionSpec(
         lo=-np.inf,
@@ -240,7 +240,7 @@ def fat_cantor_q(depth=4) -> tuple[PiecewiseFn, BorelSet]:
     rising[:, 1::2] = np.stack([np.full(n - 1, -0.5), lo[1:], acc[1:], -np.ones(n - 1)])
     parts = [
         (Poly, (), [0], np.array([[0.0], [0.0], [-0.5]])),
-        (Const, (), np.arange(1, 3 * n, 3), acc[None, :]),
+        (Poly, (), np.arange(1, 3 * n, 3), acc[None, :]),
         (Power, (2.0,), np.delete(np.arange(2, 3 * n), slice(2, None, 3)), rising),
     ]
     return PiecewiseFn._from_columns(bps, parts), f_set

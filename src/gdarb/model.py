@@ -18,8 +18,6 @@ import numpy as np
 from .borel import BorelSet
 from .measures import SignedMeasure, _inside, sign_sets
 from .piecewise import (
-    Affine,
-    Const,
     Exponential,
     Log,
     PiecewiseFn,
@@ -168,17 +166,15 @@ class NaturalScaleModel:
 
 
 def _invert_segment(seg: Segment, name: str) -> Segment:
-    if isinstance(seg, Affine):
-        if seg.slope == 0.0:
-            raise ModelError(f"scale segment {name} is constant, not invertible")
-        return Affine(-seg.intercept / seg.slope, 1.0 / seg.slope)
     if isinstance(seg, Poly):
-        nz = [i for i, c in enumerate(seg.coeffs) if i > 0 and c != 0.0]
-        if nz == [1]:
-            return Affine(-seg.coeffs[0] / seg.coeffs[1], 1.0 / seg.coeffs[1])
-        raise UnsupportedModelError(
-            f"scale segment {name}: polynomial of degree > 1 has no catalog inverse"
-        )
+        if len(seg.coeffs) == 1:
+            raise ModelError(f"scale segment {name} is constant, not invertible")
+        if len(seg.coeffs) > 2:
+            raise UnsupportedModelError(
+                f"scale segment {name}: polynomial of degree > 1 has no catalog inverse"
+            )
+        a, b = seg.coeffs
+        return Poly((-a / b, 1.0 / b))
     if isinstance(seg, Power):
         a, c, p, b, side = seg.coeff, seg.center, seg.exponent, seg.offset, seg.side
         if a == 0.0 or p == 0.0:
@@ -215,12 +211,10 @@ def _invert_segment(seg: Segment, name: str) -> Segment:
 
 def _compose_speed(qseg: Segment, gseg: Segment, name: str) -> Segment:
     qprime = qseg.derivative_segment()
-    if isinstance(gseg, Const):
-        return qprime.scaled(gseg.value)
-    if isinstance(qseg, Affine):
-        al, be = qseg.intercept, qseg.slope
-        if isinstance(gseg, Affine):
-            return Affine(gseg.intercept + gseg.slope * al, gseg.slope * be).scaled(be)
+    if isinstance(gseg, Poly) and len(gseg.coeffs) == 1:
+        return qprime.scaled(gseg.coeffs[0])
+    if isinstance(qseg, Poly) and len(qseg.coeffs) == 2:  # q(u) = al + be*u
+        al, be = qseg.coeffs
         if isinstance(gseg, Poly):
             comp = np.polynomial.Polynomial(gseg.coeffs)(
                 np.polynomial.Polynomial((al, be))
@@ -278,7 +272,8 @@ def to_natural_scale(spec: DiffusionSpec) -> NaturalScaleModel:
     s = spec.scale.restricted(spec.lo, spec.hi)
     x_bps = list(s.breakpoints)
 
-    # a constant piece reads nan (0 * inf) at an infinite end, and fails too
+    # at an infinite end a constant piece reads its value (a degree-0 poly)
+    # or nan (0 * inf, another kind), and fails either way
     with np.errstate(invalid="ignore"):
         u_bps = [s(x) for x in x_bps]
     if not all(b < c for b, c in zip(u_bps, u_bps[1:])):

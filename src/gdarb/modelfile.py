@@ -24,9 +24,10 @@ A model file describes a diffusion market in original coordinates:
     rate = 0.05
 
 Segments are listed in order (segment1, segment2, ...), one per breakpoint
-gap.  Supported kinds: ``const c``, ``affine intercept slope``,
-``poly c0 c1 ...``, ``power coeff center exponent offset side``,
-``exp coeff rate offset``, ``log coeff scale center offset``.
+gap.  Supported kinds: ``poly c0 c1 ...``, ``power coeff center exponent
+offset side``, ``exp coeff rate offset``, ``log coeff scale center
+offset``; ``const c`` and ``affine intercept slope`` are spellings of a
+``poly`` of one and of two coefficients.
 ``#`` starts a comment.  Errors carry the offending line number.
 """
 
@@ -37,9 +38,7 @@ import re
 
 from .measures import SignedMeasure
 from .model import BoundarySpec, DiffusionSpec, ModelError, _require_half_line
-from .piecewise import (
-    Affine, Const, Exponential, Log, PiecewiseFn, Poly, Power, Segment
-)
+from .piecewise import Exponential, Log, PiecewiseFn, Poly, Power, Segment
 
 __all__ = ["ModelFileError", "parse_model_file", "parse_model_text"]
 
@@ -78,12 +77,9 @@ def _parse_segment(text: str, line: int) -> Segment:
                 f"segment kind {kind!r} takes {n} arguments, got {len(args)}", line
             )
 
-    if kind == "const":
-        need(1)
-        return Const(args[0])
-    if kind == "affine":
-        need(2)
-        return Affine(args[0], args[1])
+    if kind in ("const", "affine"):
+        need(1 if kind == "const" else 2)
+        return Poly(tuple(args))
     if kind == "poly":
         if not args:
             raise ModelFileError("poly needs at least one coefficient", line)

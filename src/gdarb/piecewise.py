@@ -1,5 +1,6 @@
-"""Piecewise functions built from a closed catalog of six segment kinds:
-``Const``, ``Affine``, ``Poly``, ``Power``, ``Exponential`` and ``Log``.
+"""Piecewise functions built from a closed catalog of four segment kinds:
+``Poly``, ``Power``, ``Exponential`` and ``Log``.  A constant is a ``Poly``
+of one coefficient, and a line one of two.
 
 Each segment supports point evaluation, a closed-form derivative, exact
 integration against affine weights (over arrays of limits and weights as
@@ -13,8 +14,10 @@ A kind has four rules: it evaluates, integrates, finds its zeros and
 differentiates through one rule each (see ``Segment``), over the parameters
 of one segment or of many.  A read at +-inf, or at a ``Power`` or ``Log``
 centre, is the kernel's IEEE value there: a non-constant piece reads its
-limit (+-inf, or the offset of a decaying tail), and a constant one may
-read nan (0 * inf).  A ``PiecewiseFn`` is its group table: its breakpoints,
+limit (+-inf, or the offset of a decaying tail), a one-coefficient
+``Poly`` reads its value, and any other constant piece (a zero
+coefficient or rate, or a line of slope 0 made by columns) may read nan
+(0 * inf).  A ``PiecewiseFn`` is its group table: its breakpoints,
 one group of rows per kind, static parameters and row length, holding the
 rows' parameters as columns, and each piece's group and row there.  The
 table is built once, where the function is made: from segments (the
@@ -40,8 +43,6 @@ from .borel import _unique
 
 __all__ = [
     "Segment",
-    "Const",
-    "Affine",
     "Poly",
     "Power",
     "Exponential",
@@ -51,7 +52,7 @@ __all__ = [
 
 
 class Segment:
-    """Base class; subclasses are immutable value objects.
+    """Base class of the four kinds; subclasses are immutable value objects.
 
     A subclass names its parameters in ``_static`` (shared by its group)
     and ``_row`` (its own), and ``_scales`` picks those that scale with it.
@@ -107,64 +108,15 @@ def _roots_inside(whole, roots, lo, hi):
 
 
 @dataclass(frozen=True)
-class Const(Segment):
-    value: float
-
-    @property
-    def _row(self):
-        return (self.value,)
-
-    @staticmethod
-    def _kernel(x, value):
-        return np.full(x.shape, value, dtype=float)
-
-    @staticmethod
-    def _zeros(static, cols, lo, hi):
-        return (cols[0] == 0.0, *_NO_ROOTS)
-
-    @staticmethod
-    def _integral(lo, hi, c0, c1, value):
-        return value * (c0 * (hi - lo) + 0.5 * c1 * (hi * hi - lo * lo))
-
-    @staticmethod
-    def _derivative(static, row):
-        return Const, (), (0.0,)
-
-
-@dataclass(frozen=True)
-class Affine(Segment):
-    intercept: float
-    slope: float
-
-    @property
-    def _row(self):
-        return (self.intercept, self.slope)
-
-    @staticmethod
-    def _kernel(x, intercept, slope):
-        return intercept + slope * x
-
-    @staticmethod
-    def _zeros(static, cols, lo, hi):
-        intercept, slope = cols
-        flat = slope == 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            roots = np.where(flat, np.nan, -intercept / slope)
-        return _roots_inside(flat & (intercept == 0.0), roots, lo, hi)
-
-    @staticmethod
-    def _integral(lo, hi, c0, c1, intercept, slope):
-        return Poly._integral(lo, hi, c0, c1, intercept, slope)
-
-    @staticmethod
-    def _derivative(static, row):
-        return Const, (), row[1:]
-
-
-@dataclass(frozen=True)
 class Poly(Segment):
     """Polynomial with coefficients in ascending order.  Trailing zeros go
-    when it is made, so the last coefficient leads at +-inf."""
+    when it is made, so the last coefficient leads at +-inf.  Rows group by
+    length.  A constant (one coefficient) and a line (two) find their zeros
+    in one vectorized step, not a companion matrix per row, and a constant
+    keeps a kernel and an integral of its own, whose bits Horner's rule
+    would change.  A row made by columns (``scaled(0)``, ``derivative``,
+    ``_from_columns``) keeps its length, so a line's rules take a slope of
+    0 too."""
 
     coeffs: tuple[float, ...]
 
@@ -180,15 +132,25 @@ class Poly(Segment):
 
     @staticmethod
     def _kernel(x, *coeffs):
-        # Horner's rule, in the order of numpy's polyval; the first step
-        # adds x * 0, a zero with the sign of x, to take x's shape
-        out = coeffs[-1] + np.copysign(0.0, x)
-        for c in coeffs[-2::-1]:
+        # a constant fills x's shape; a longer row runs Horner's rule in the
+        # order of numpy's polyval from its first product on
+        if len(coeffs) == 1:
+            return np.full(x.shape, coeffs[0], dtype=float)
+        out = coeffs[-2] + coeffs[-1] * x
+        for c in coeffs[-3::-1]:
             out = c + out * x
         return out
 
     @staticmethod
     def _zeros(static, cols, lo, hi):
+        if len(cols) == 1:
+            return (cols[0] == 0.0, *_NO_ROOTS)
+        if len(cols) == 2:
+            intercept, slope = cols
+            flat = slope == 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                roots = np.where(flat, np.nan, -intercept / slope)
+            return _roots_inside(flat & (intercept == 0.0), roots, lo, hi)
         # each row's roots on their own: one companion matrix per row
         rows = cols.T
         whole = ~rows.any(axis=1)
@@ -205,6 +167,8 @@ class Poly(Segment):
 
     @staticmethod
     def _integral(lo, hi, c0, c1, *coeffs):
+        if len(coeffs) == 1:
+            return coeffs[0] * (c0 * (hi - lo) + 0.5 * c1 * (hi * hi - lo * lo))
         # the antiderivatives of f and of x f as numpy's polyint and polymulx
         # form them, read at the limits in the Horner steps of its polyval
 
@@ -220,10 +184,9 @@ class Poly(Segment):
 
     @staticmethod
     def _derivative(static, row):
-        # the coefficients j * a_j, as numpy's polyder forms them
-        if len(row) == 1:
-            return Poly, (), (row[0] * 0,)
-        return Poly, (), tuple(j * a for j, a in enumerate(row) if j)
+        # the coefficients j * a_j, as numpy's polyder forms them; a
+        # constant's is 0
+        return Poly, (), tuple(j * a for j, a in enumerate(row) if j) or (0.0,)
 
 
 def _poly_roots(c, lo, hi):
@@ -429,7 +392,7 @@ class Exponential(Segment):
         # a rate-0 row is the constant a + c
         flat = b == 0.0
         if np.any(flat):
-            value = np.where(flat, Const._integral(lo, hi, c0, c1, a + c), value)
+            value = np.where(flat, Poly._integral(lo, hi, c0, c1, a + c), value)
         return value
 
     @staticmethod
@@ -610,7 +573,7 @@ class PiecewiseFn:
 
     @staticmethod
     def constant(value, lo=-np.inf, hi=np.inf):
-        return PiecewiseFn((lo, hi), (Const(value),))
+        return PiecewiseFn((lo, hi), (Poly((value,)),))
 
     @staticmethod
     def from_segment(seg, lo, hi):

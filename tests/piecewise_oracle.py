@@ -23,8 +23,6 @@ import numpy as np
 
 from gdarb.borel import EMPTY, BorelSet
 from gdarb.piecewise import (
-    Affine,
-    Const,
     Exponential,
     Log,
     Poly,
@@ -49,11 +47,12 @@ def evaluate(pw, xs):
     return np.array([float(segment_of(pw, x)(x)) for x in np.asarray(xs, dtype=float).tolist()])
 
 
-def integrate(pw, lo, hi, c0=1.0, c1=0.0):
+def integrate(pw, lo, hi, c0=1.0, c1=0.0, rows=None):
     """The integral of (c0 + c1*x) pw(x) over each finite [lo, hi] (hi < lo
     flips the sign), segment by segment: each segment's own closed form over
     its part of every interval it meets, added to the interval's total from
-    0.0 in segment order."""
+    0.0 in segment order.  Given ``rows``, each piece is the polynomial of
+    its row there, as its table holds it."""
     lo, hi, c0, c1 = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (lo, hi, c0, c1))
     )
@@ -65,26 +64,48 @@ def integrate(pw, lo, hi, c0=1.0, c1=0.0):
         a, b = np.maximum(lo, bps[i]), np.minimum(hi, bps[i + 1])
         on = b > a
         if on.any():
-            total[on] += finite_integral(seg, a[on], b[on], c0[on], c1[on])
+            if rows is None:
+                total[on] += finite_integral(seg, a[on], b[on], c0[on], c1[on])
+            else:
+                total[on] += poly_integral(rows[i], a[on], b[on], c0[on], c1[on])
     return sign * total
+
+
+def poly_integral(coeffs, lo, hi, c0, c1):
+    """The integral of (c0 + c1*x) times the polynomial with ascending
+    coefficients ``coeffs`` over each finite [lo, hi]: a constant's as the
+    constant kind once wrote it, value * (c0 (hi - lo) + c1 (hi^2 - lo^2) / 2),
+    and a longer row's by numpy's polyint, polymulx and polyval."""
+    if len(coeffs) == 1:
+        return coeffs[0] * (c0 * (hi - lo) + 0.5 * c1 * (hi * hi - lo * lo))
+    pp = np.polynomial.polynomial
+
+    def moment(cs):
+        anti = pp.polyint(cs)
+        return pp.polyval(hi, anti) - pp.polyval(lo, anti)
+
+    return c0 * moment(coeffs) + c1 * moment(pp.polymulx(coeffs))
+
+
+def short_row_kernel(row, x):
+    """A constant's or a line's value at x as the constant and line kinds
+    once read it: the constant itself (at +-inf too), and intercept +
+    slope*x."""
+    return row[0] if len(row) == 1 else row[0] + row[1] * x
+
+
+def short_row_derivative(row):
+    """A constant's derivative row, (0.0,), and a line's, (slope,)."""
+    return (0.0,) if len(row) == 1 else (row[1],)
 
 
 def finite_integral(seg, lo, hi, c0, c1):
     """The integral of (c0 + c1*x) seg(x) over each finite [lo, hi], by the
-    kind's closed form as the segment once wrote it on its own: numpy's
-    polyint, polymulx and polyval for a polynomial, a rate-0 exponential as
-    the constant coeff + offset."""
-    if isinstance(seg, Const):
-        return seg.value * (c0 * (hi - lo) + 0.5 * c1 * (hi * hi - lo * lo))
-    if isinstance(seg, (Affine, Poly)):
-        pp = np.polynomial.polynomial
-        coeffs = seg.coeffs if isinstance(seg, Poly) else (seg.intercept, seg.slope)
-
-        def moment(cs):
-            anti = pp.polyint(cs)
-            return pp.polyval(hi, anti) - pp.polyval(lo, anti)
-
-        return c0 * moment(coeffs) + c1 * moment(pp.polymulx(coeffs))
+    kind's closed form as the segment once wrote it on its own
+    (``poly_integral`` for a polynomial), a rate-0 exponential as the
+    constant coeff + offset."""
+    if isinstance(seg, Poly):
+        return poly_integral(seg.coeffs, lo, hi, c0, c1)
     if isinstance(seg, Power):
         s, c, p, a, b = seg.side, seg.center, seg.exponent, seg.coeff, seg.offset
         t0, t1 = _half_line(lo, hi, s, c, "power")
@@ -96,7 +117,7 @@ def finite_integral(seg, lo, hi, c0, c1):
     if isinstance(seg, Exponential):
         a, b, c = seg.coeff, seg.rate, seg.offset
         if b == 0.0:
-            return finite_integral(Const(a + c), lo, hi, c0, c1)
+            return poly_integral((a + c,), lo, hi, c0, c1)
         d = hi - lo
         x0, side = (hi, -1.0) if b > 0.0 else (lo, 1.0)
         e1, e2 = _exp_moments(-abs(b) * d)
@@ -148,6 +169,16 @@ def _poly_roots(coeffs, lo, hi):
     return [float(rt.real) for rt in roots if abs(rt.imag) < 1e-12 and lo <= rt.real <= hi]
 
 
+def short_row_zeros(row, lo, hi):
+    """A constant's or a line's zero rule on [lo, hi], raw, as the constant
+    and line kinds once wrote it: a line of slope 0 is the constant
+    intercept."""
+    if len(row) == 2 and row[1] != 0.0:
+        root = -row[0] / row[1]
+        return ([], [float(root)]) if lo <= root <= hi else ([], [])
+    return ([(lo, hi)], []) if row[0] == 0.0 else ([], [])
+
+
 def segment_zeros(seg, lo, hi):
     """One segment's zero rule on [lo, hi], raw: (intervals, points)."""
     whole = ([(lo, hi)], [])
@@ -159,13 +190,9 @@ def segment_zeros(seg, lo, hi):
     def root(x):
         return ([], [float(x)]) if lo <= x <= hi else none
 
-    if isinstance(seg, Const):
-        return constant(seg.value)
-    if isinstance(seg, Affine):
-        if seg.slope == 0.0:
-            return constant(seg.intercept)
-        return root(-seg.intercept / seg.slope)
     if isinstance(seg, Poly):
+        if len(seg.coeffs) <= 2:
+            return short_row_zeros(seg.coeffs, lo, hi)
         if all(a == 0.0 for a in seg.coeffs):
             return whole
         return [], _poly_roots(seg.coeffs, lo, hi)
@@ -274,8 +301,8 @@ def limit(seg, x):
     centre of a ``Power`` or ``Log``, from the term that leads there: a term
     that grows without bound gives its sign times inf, and one that decays
     leaves the offset."""
-    if isinstance(seg, (Affine, Poly)):
-        coeffs = seg.coeffs if isinstance(seg, Poly) else (seg.intercept, seg.slope)
+    if isinstance(seg, Poly):
+        coeffs = seg.coeffs
         n = max(j for j, c in enumerate(coeffs) if c != 0.0)  # the degree, >= 1
         return math.copysign(1.0, coeffs[n]) * math.copysign(1.0, x) ** n * math.inf
     if isinstance(seg, Exponential):  # coeff * exp(rate * x)

@@ -18,7 +18,7 @@ from gdarb.borel import BorelSet, svc_measure
 from gdarb.measures import SignedMeasure, integrate
 from gdarb.model import BoundarySpec, NaturalScaleModel, to_natural_scale, validate
 from gdarb.modelfile import parse_model_text
-from gdarb.piecewise import Const, PiecewiseFn, Poly
+from gdarb.piecewise import PiecewiseFn, Poly
 
 
 def nu_matches(built, expected, lo=-10.0, hi=10.0, tol=1e-10):
@@ -353,10 +353,10 @@ def test_nu_nontrivial_despite_zero_piece_outside_window():
             (-np.inf, -200.0, -100.0, -50.0, 0.0, 1.0, np.inf),
             (
                 Poly((-20000.0, -200.0, -0.5)),
-                Const(0.0),
+                Poly((0.0,)),
                 Poly((2.0, 0.04, 0.0002)),
                 Poly((1.0, 0.0, -0.0002)),
-                Const(1.0),
+                Poly((1.0,)),
                 Poly((1.5, -1.0, 0.5)),
             ),
         ),

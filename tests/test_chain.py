@@ -24,7 +24,7 @@ from gdarb.chain import (
     sample_paths,
 )
 from gdarb.model import ModelError
-from gdarb.piecewise import Const, PiecewiseFn
+from gdarb.piecewise import PiecewiseFn, Poly
 from path_oracles import hitting_time, local_time_total, occupation, per_step_path, qv_series
 
 
@@ -190,7 +190,7 @@ def test_build_chain_matches_per_node_loop(name, h):
 def test_vanishing_speed_density_names_the_node():
     # no speed mass on [0, 1]: the first node whose whole tent lies there
     # holds for no time
-    gap = PiecewiseFn((-np.inf, 0.0, 1.0, np.inf), (Const(1.0), Const(0.0), Const(1.0)))
+    gap = PiecewiseFn((-np.inf, 0.0, 1.0, np.inf), (Poly((1.0,)), Poly((0.0,)), Poly((1.0,))))
     model = dataclasses.replace(brownian_model(), m_ac=gap)
     with pytest.raises(ModelError, match=r"non-positive or infinite holding time at node 0\.1$"):
         build_chain(model, h=0.1, radius=2.0)

@@ -397,17 +397,25 @@ def test_model_file_tiny_exponential_rate(tmp_path, capsys):
 
 
 def test_scale_poly_with_trailing_zero_reads_as_affine(tmp_path):
-    # poly 0 1 0 is s(x) = x: its ends read -inf and inf, as affine 0 1's do
+    # poly 0 1 0 is s(x) = x: its ends read -inf and inf, as affine 0 1's do;
+    # affine 0 1 and const 1 spell poly 0 1 and poly 1
     text = STICKY_FILE.replace("x0 = 0.5", "x0 = 0")
+    spellings = [
+        ("affine 0 1", "const 1"), ("poly 0 1 0", "const 1"),
+        ("poly 0 1", "const 1"), ("affine 0 1", "poly 1"),
+    ]
     outputs = []
-    for kind, scale in (("affine", "affine 0 1"), ("poly", "poly 0 1 0")):
-        (tmp_path / kind).mkdir()
-        model = tmp_path / kind / "line.gdm"
-        model.write_text(text.replace("segment1 = affine 0 1", f"segment1 = {scale}"))
-        out = tmp_path / kind / "out"
+    for i, (scale, speed) in enumerate(spellings):
+        (tmp_path / str(i)).mkdir()
+        model = tmp_path / str(i) / "line.gdm"
+        model.write_text(
+            text.replace("segment1 = affine 0 1", f"segment1 = {scale}")
+            .replace("segment1 = const 1", f"segment1 = {speed}")
+        )
+        out = tmp_path / str(i) / "out"
         assert main(["--quiet", "--out", str(out), "analyze", "--model", str(model)]) == 0
         outputs.append([(out / name).read_bytes() for name in ("nu_report.csv", "verdicts.csv")])
-    assert outputs[0] == outputs[1]
+    assert all(output == outputs[0] for output in outputs)
 
 
 CONSTANT_SCALE_FILE = """
@@ -470,6 +478,17 @@ def test_near_log_scale_exponent_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "exponent 0.00381094 is nearly logarithmic" in err
     assert not (tmp_path / "verdicts.csv").exists()
+
+
+def test_scale_line_of_infinite_slope_is_an_error(tmp_path):
+    # affine 0 inf inverts to a line of slope 1/inf = 0, a constant q
+    model = tmp_path / "steep.gdm"
+    model.write_text(
+        STICKY_FILE.replace("segment1 = affine 0 1", "segment1 = affine 0 inf")
+        .replace("segment1 = const 1", "segment1 = affine 1 1")
+    )
+    assert main(["--quiet", "--out", str(tmp_path / "out"), "analyze", "--model", str(model)]) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_demo_pass_and_params(capsys):

@@ -13,7 +13,7 @@ from gdarb.measures import (
     jordan_hahn,
     sign_sets,
 )
-from gdarb.piecewise import Affine, Const, Exponential, Log, PiecewiseFn, Poly, Power
+from gdarb.piecewise import Exponential, Log, PiecewiseFn, Poly, Power
 
 
 def test_atom_dedupe_and_zero_drop():
@@ -51,13 +51,14 @@ def _coef(draw):
 
 @st.composite
 def _segment_on(draw, a, b):
-    """A segment of one of six kinds, valid on [a, b]: a power or log
-    segment's half-line starts at a (or ends at b) or a gap beyond it."""
+    """A segment of one of the six model-file spellings, valid on [a, b]: a
+    power or log segment's half-line starts at a (or ends at b) or a gap
+    beyond it."""
     kind = draw(st.sampled_from(["const", "affine", "poly", "power", "exp", "log"]))
     if kind == "const":
-        return Const(_coef(draw))
+        return Poly((_coef(draw),))
     if kind == "affine":
-        return Affine(_coef(draw), _coef(draw))
+        return Poly((_coef(draw), _coef(draw)))
     if kind == "poly":
         return Poly(tuple(_coef(draw) for _ in range(draw(st.integers(1, 5)))))
     if kind == "exp":
@@ -73,14 +74,14 @@ def _segment_on(draw, a, b):
 
 @st.composite
 def _constant_segment_on(draw, a, b):
-    """A Const, Exponential, Log or Power segment that is constant on [a, b]
+    """A Poly, Exponential, Log or Power segment that is constant on [a, b]
     (rate, log coefficient or exponent 0), and often identically 0."""
     kind = draw(st.sampled_from(["const", "exp", "log", "power"]))
     value, coeff = _coef(draw), _coef(draw)
     side = draw(st.sampled_from([1, -1]))
     center = (a if side == 1 else b) - side * draw(st.just(0.0) | st.floats(0.0, 1.0))
     if kind == "const":
-        return Const(value)
+        return Poly((value,))
     if kind == "exp":
         return Exponential(coeff, 0.0, value - coeff)
     if kind == "log":
@@ -102,7 +103,7 @@ def _piecewise_fns(draw, segment_on=_segment_on):
 @given(pw=_piecewise_fns())
 # a leading coefficient at the smallest normal double once lost the roots +-1
 @example(pw=PiecewiseFn(
-    (-3.0, -2.0, 0.0), (Const(0.0), Poly((1.0, 0.0, -1.0, 2.2250738585072014e-308)))
+    (-3.0, -2.0, 0.0), (Poly((0.0,)), Poly((1.0, 0.0, -1.0, 2.2250738585072014e-308)))
 ))
 def test_positive_set_matches_sign(pw):
     # cutting each segment at its zero set finds every sign change: away
@@ -220,7 +221,7 @@ def test_jordan_hahn_zero_measure():
 
 
 def test_jordan_hahn_mixed_density():
-    pw = PiecewiseFn.from_segment(Affine(0.0, 1.0), -1.0, 1.0)  # density x
+    pw = PiecewiseFn.from_segment(Poly((0.0, 1.0)), -1.0, 1.0)  # density x
     nu = SignedMeasure(density=pw, atoms=((2.0, -1.0),))
     pos, neg, n_plus, n_minus = jordan_hahn(nu, domain=(-1.0, 3.0))
     assert integrate(pos) == pytest.approx(0.5, abs=1e-12)
@@ -255,7 +256,7 @@ def test_jordan_reconstruction_random():
 
 def test_total_variation():
     nu = SignedMeasure(
-        density=PiecewiseFn.from_segment(Affine(0.0, 1.0), -1.0, 1.0),
+        density=PiecewiseFn.from_segment(Poly((0.0, 1.0)), -1.0, 1.0),
         atoms=((0.5, -2.0),),
     )
     region = BorelSet.make([(-1.0, 1.0)])

@@ -20,7 +20,7 @@ from gdarb.model import (
     validate,
     zero_set,
 )
-from gdarb.piecewise import Affine, Const, Log, PiecewiseFn, Poly, Power
+from gdarb.piecewise import Log, PiecewiseFn, Poly, Power
 
 
 def brownian_spec():
@@ -29,7 +29,7 @@ def brownian_spec():
         hi=np.inf,
         left=BoundarySpec("left"),
         right=BoundarySpec("right"),
-        scale=PiecewiseFn.from_segment(Affine(0.0, 1.0), -np.inf, np.inf),
+        scale=PiecewiseFn.from_segment(Poly((0.0, 1.0)), -np.inf, np.inf),
         speed=SignedMeasure(density=PiecewiseFn.constant(1.0, -np.inf, np.inf)),
         start=0.0,
         rate=0.0,
@@ -156,7 +156,7 @@ def test_validate_catches_decreasing_q():
         hi=np.inf,
         left=BoundarySpec("left"),
         right=BoundarySpec("right"),
-        q=PiecewiseFn.from_segment(Affine(0.0, -1.0), -np.inf, np.inf),
+        q=PiecewiseFn.from_segment(Poly((0.0, -1.0)), -np.inf, np.inf),
         m_ac=PiecewiseFn.constant(1.0, -np.inf, np.inf),
         u0=0.0,
         rate=0.0,
@@ -175,8 +175,8 @@ def test_validate_catches_speed_gap():
         hi=np.inf,
         left=BoundarySpec("left"),
         right=BoundarySpec("right"),
-        q=PiecewiseFn.from_segment(Affine(0.0, 1.0), -np.inf, np.inf),
-        m_ac=PiecewiseFn((-np.inf, 2.0, 12.0, np.inf), (Const(1.0), Const(0.0), Const(1.0))),
+        q=PiecewiseFn.from_segment(Poly((0.0, 1.0)), -np.inf, np.inf),
+        m_ac=PiecewiseFn((-np.inf, 2.0, 12.0, np.inf), (Poly((1.0,)), Poly((0.0,)), Poly((1.0,)))),
         m_atoms=((5.0, 1.0),),
         u0=0.0,
         rate=0.1,
@@ -199,7 +199,7 @@ def test_validate_speed_finite_on_compacts():
         hi=np.inf,
         left=BoundarySpec("left", included=True, behavior="reflecting"),
         right=BoundarySpec("right"),
-        q=PiecewiseFn.from_segment(Affine(0.0, 1.0), 0.0, np.inf),
+        q=PiecewiseFn.from_segment(Poly((0.0, 1.0)), 0.0, np.inf),
         m_ac=PiecewiseFn.from_segment(Power(1.0, 0.0, -1.5), 0.0, np.inf),
         u0=1.0,
     )
@@ -208,7 +208,7 @@ def test_validate_speed_finite_on_compacts():
     assert report.failures[0].detail == "the speed measure is not finite at u in [0, 1] (x in [0, 1])"
     absorbing = BoundarySpec("left", included=True, behavior="absorbing")
     assert validate(dataclasses.replace(m, left=absorbing)).ok
-    kink = PiecewiseFn((-np.inf, 0.0, np.inf), (Const(1.0), Power(1.0, 0.0, -1.5)))
+    kink = PiecewiseFn((-np.inf, 0.0, np.inf), (Poly((1.0,)), Power(1.0, 0.0, -1.5)))
     report = validate(dataclasses.replace(m, lo=-np.inf, left=BoundarySpec("left"), m_ac=kink))
     assert [c.name for c in report.failures] == ["speed-finite-on-compacts"]
     assert report.failures[0].detail.startswith("the speed measure is not finite at u in [0, 1]")
@@ -289,7 +289,7 @@ def test_unsupported_scale_segment():
         hi=spec.hi,
         left=spec.left,
         right=spec.right,
-        scale=PiecewiseFn.from_segment(Const(1.0), -np.inf, np.inf),
+        scale=PiecewiseFn.from_segment(Poly((1.0,)), -np.inf, np.inf),
         speed=spec.speed,
         start=0.0,
         rate=0.0,
@@ -303,8 +303,8 @@ def test_functions_must_cover_the_state_space(part):
     # on the state space [0, 2], a scale or a speed density that stops at 1
     # was once cut short silently: the scale to [0, 1], the density to its own
     spec = brownian_spec()
-    short = PiecewiseFn.from_segment(Affine(0.0, 1.0), 0.0, 1.0)
-    whole = PiecewiseFn.from_segment(Affine(0.0, 1.0), 0.0, 2.0)
+    short = PiecewiseFn.from_segment(Poly((0.0, 1.0)), 0.0, 1.0)
+    whole = PiecewiseFn.from_segment(Poly((0.0, 1.0)), 0.0, 2.0)
     bad = dataclasses.replace(
         spec,
         lo=0.0,
@@ -326,8 +326,8 @@ def test_functions_must_cover_the_state_space(part):
 def test_pieces_must_stay_on_their_half_lines(part, seg, kind):
     # a Python-built spec, not only a model file: a kernel read off its
     # half-line clips t at 0 or reads nan, so the piece is refused by name
-    fn = PiecewiseFn((-1.0, 0.0, 1.0), (Affine(1.0, 1.0), seg))
-    ok = PiecewiseFn.from_segment(Affine(1.0, 1.0), -1.0, 1.0)
+    fn = PiecewiseFn((-1.0, 0.0, 1.0), (Poly((1.0, 1.0)), seg))
+    ok = PiecewiseFn.from_segment(Poly((1.0, 1.0)), -1.0, 1.0)
     spec = dataclasses.replace(
         brownian_spec(),
         lo=-1.0,

@@ -11,8 +11,6 @@ from gdarb import catalog as cat
 from gdarb.borel import BorelSet
 from gdarb.measures import sign_sets
 from gdarb.piecewise import (
-    Affine,
-    Const,
     Exponential,
     Log,
     PiecewiseFn,
@@ -34,8 +32,8 @@ def quad_oracle(f, lo, hi, c0=1.0, c1=0.0):
 
 
 SEGMENTS = [
-    (Const(2.5), -1.0, 3.0),
-    (Affine(1.0, -0.5), -2.0, 2.0),
+    (Poly((2.5,)), -1.0, 3.0),
+    (Poly((1.0, -0.5)), -2.0, 2.0),
     (Poly((1.0, 0.0, -2.0, 0.5)), -1.5, 1.5),
     (Power(2.0, 1.0, 1.5, -0.3, +1), 1.0, 4.0),
     (Power(1.0, 2.0, 2.0, 0.0, -1), -1.0, 2.0),
@@ -205,11 +203,11 @@ def test_power_inverse_sqrt_integral():
 
 
 def test_affine_zero_set():
-    seg = Affine(-1.0, 2.0)
+    seg = Poly((-1.0, 2.0))
     zs = zero_set(seg, 0.0, 1.0)
     assert zs.points == (0.5,)
-    assert zero_set(Const(0.0), 0.0, 1.0).intervals == ((0.0, 1.0),)
-    assert zero_set(Const(1.0), 0.0, 1.0).is_empty
+    assert zero_set(Poly((0.0,)), 0.0, 1.0).intervals == ((0.0, 1.0),)
+    assert zero_set(Poly((1.0,)), 0.0, 1.0).is_empty
 
 
 def test_power_zero_set_at_center():
@@ -290,7 +288,7 @@ def test_dist_to_set_integrate_vs_quad():
 
 
 def test_derivative_segments():
-    assert Affine(1.0, 3.0).derivative_segment() == Const(3.0)
+    assert Poly((1.0, 3.0)).derivative_segment() == Poly((3.0,))
     d = Power(2.0, 1.0, 3.0, 5.0, +1).derivative_segment()
     assert d(2.0) == pytest.approx(6.0)
     d = Exponential(2.0, -1.0, 3.0).derivative_segment()
@@ -303,7 +301,7 @@ def test_limits_at_infinity():
     # a function read at +-inf is its end piece's kernel there
     cases = [
         (Exponential(1.0, -1.0, 0.3), 0.0, np.inf, 0.3),
-        (Affine(0.0, 1.0), 0.0, np.inf, np.inf),
+        (Poly((0.0, 1.0)), 0.0, np.inf, np.inf),
         (Power(1.0, 0.0, -1.0, 2.0, +1), 0.0, np.inf, 2.0),
         (Poly((1.0, 0.0, 1.0)), -np.inf, 0.0, np.inf),
         # a trailing zero coefficient goes, so the read is not 0 * inf = nan
@@ -322,7 +320,7 @@ _NONZERO = _FINITE.filter(lambda v: v != 0.0)
 def _piece_and_end(draw):
     """A non-constant segment on the line or a half-line, as a function, and
     one of its ends that is +-inf or a power's or log's centre."""
-    kind = draw(st.sampled_from((Affine, Poly, Power, Exponential, Log)))
+    kind = draw(st.sampled_from((Poly, Power, Exponential, Log)))
     if kind in (Power, Log):
         side, center = draw(st.sampled_from((1, -1))), draw(_FINITE)
         lo, hi = (center, np.inf) if side == 1 else (-np.inf, center)
@@ -332,9 +330,7 @@ def _piece_and_end(draw):
             scale = side * draw(st.floats(min_value=5e-324, allow_infinity=False))
             seg = Log(draw(_NONZERO), scale, center, draw(_FINITE))
         return PiecewiseFn.from_segment(seg, lo, hi), seg, draw(st.sampled_from((lo, hi)))
-    if kind is Affine:
-        seg = Affine(draw(_FINITE), draw(_NONZERO))
-    elif kind is Poly:
+    if kind is Poly:
         # a nonzero term of degree >= 1, and perhaps trailing zeros after it
         coeffs = draw(st.lists(_FINITE, min_size=1, max_size=4)) + [draw(_NONZERO)]
         seg = Poly(tuple(coeffs + draw(st.lists(st.sampled_from((0.0, -0.0)), max_size=2))))
@@ -366,7 +362,7 @@ def make_pw():
     # f(x) = x^2 on [-1,0], 0 on [0,1], (x-1)^2 on [1,2]
     return PiecewiseFn(
         (-1.0, 0.0, 1.0, 2.0),
-        (Poly((0.0, 0.0, 1.0)), Const(0.0), Power(1.0, 1.0, 2.0, 0.0, +1)),
+        (Poly((0.0, 0.0, 1.0)), Poly((0.0,)), Power(1.0, 1.0, 2.0, 0.0, +1)),
     )
 
 
@@ -380,7 +376,7 @@ def test_piecewise_eval_vectorized():
 def test_piecewise_one_sided_deriv():
     # the derivative takes a breakpoint's right segment (q'_+); the left
     # segment holds the left derivative there
-    f = PiecewiseFn((-1.0, 0.0, 1.0), (Affine(0.0, -1.0), Affine(0.0, 2.0)))
+    f = PiecewiseFn((-1.0, 0.0, 1.0), (Poly((0.0, -1.0)), Poly((0.0, 2.0))))
     d = f.derivative()
     assert d(0.0) == 2.0
     assert d.segments[0](0.0) == -1.0

@@ -17,8 +17,6 @@ from gdarb.borel import BorelSet
 from gdarb.measures import sign_sets
 from gdarb.model import BoundarySpec, NaturalScaleModel, validate
 from gdarb.piecewise import (
-    Affine,
-    Const,
     Exponential,
     Log,
     PiecewiseFn,
@@ -27,7 +25,7 @@ from gdarb.piecewise import (
     Segment,
 )
 
-KINDS = (Const, Affine, Poly, Power, Exponential, Log)
+KINDS = (Poly, Power, Exponential, Log)
 
 # exact zeros, ones and a spread of magnitudes: zeros make constant,
 # one-term and identically zero segments, and equal draws make roots
@@ -44,13 +42,12 @@ def _segment_on(draw, a, b, integrable=False):
     [a, b] exists: its half-line holds all of [a, b], and a power of
     exponent <= -1 keeps a gap from its center."""
     value = st.sampled_from(_VALUES)
-    kind = draw(st.sampled_from(KINDS))
-    if kind is Const:
-        return Const(draw(value))
-    if kind is Affine:
-        return Affine(draw(value), draw(value))
+    # a polynomial is drawn as often as the other kinds together, most
+    # often a constant or a line (row length 1 or 2)
+    kind = draw(st.sampled_from((Poly, Poly, Poly, *KINDS[1:])))
     if kind is Poly:
-        return Poly(tuple(draw(value) for _ in range(draw(st.integers(1, 5)))))
+        length = draw(st.sampled_from((1, 2)) | st.integers(1, 5))
+        return Poly(tuple(draw(value) for _ in range(length)))
     if kind is Exponential:
         rate = draw(st.sampled_from((0.0, 1.0, -1.0, 0.3, -2.0)))
         return Exponential(draw(value), rate, draw(value))
@@ -81,9 +78,12 @@ def _piecewise_fns(draw, integrable=False):
 
 
 def _points(pw):
-    """The breakpoints, points between and beyond them, and +-inf."""
+    """The breakpoints, points between and beyond them, and +-inf; a
+    function of one piece on the whole line takes 0 as its breakpoint."""
     bps = np.array(pw.breakpoints)
     finite = bps[np.isfinite(bps)]
+    if not len(finite):
+        finite = np.zeros(1)
     return np.concatenate([
         finite, 0.5 * (finite[:-1] + finite[1:]), finite + 0.01,
         [finite[0] - 2.0, finite[-1] + 2.0, -np.inf, np.inf, -0.0, 0.0],
@@ -197,6 +197,66 @@ def test_integral_rule_equals_closed_form_of_its_kind(data):
     assert np.array([one]).tobytes() == one_want.tobytes()
 
 
+@st.composite
+def _constants_or_lines(draw):
+    """A function of constants or of lines on the line or a half-line, and
+    its rows as its table holds them: made from segments (a line of slope
+    0 becomes a constant), or column by column, perhaps then scaled by 0.0
+    or -0.0 (every row keeps its length and some turn to signed zeros)."""
+    length, n = draw(st.sampled_from((1, 2))), draw(st.integers(1, 5))
+    rows = [tuple(draw(_WEIGHTS) for _ in range(length)) for _ in range(n)]
+    bps = [-1.0 + 0.75 * k for k in range(n + 1)]
+    bps[0] = draw(st.sampled_from((-np.inf, bps[0])))
+    bps[-1] = draw(st.sampled_from((np.inf, bps[-1])))
+    made = draw(st.sampled_from(("segments", "columns", "scaled")))
+    if made == "segments":
+        rows = [Poly(row).coeffs for row in rows]
+        return PiecewiseFn(bps, [Poly(row) for row in rows]), rows
+    pw = PiecewiseFn._from_columns(np.array(bps), [(Poly, (), np.arange(n), np.array(rows).T)])
+    if made == "scaled":
+        c = draw(st.sampled_from((0.0, -0.0)))
+        pw, rows = pw.scaled(c), [tuple(v * c for v in row) for row in rows]
+    return pw, rows
+
+
+@settings(max_examples=150)
+@given(drawn=_constants_or_lines(), data=st.data())
+def test_constants_and_lines_keep_their_closed_forms(drawn, data):
+    # a Poly row of length 1 or 2 reads, vanishes, integrates and
+    # differentiates bit for bit as the closed forms of the constant and
+    # line kinds it replaced, at +-inf and at signed zeros too
+    pw, rows = drawn
+    xs = _points(pw)
+    piece = np.array(pw.breakpoints[1:-1]).searchsorted(xs, "right").tolist()
+    with np.errstate(all="ignore"):
+        want = [oracle.short_row_kernel(rows[i], x) for i, x in zip(piece, xs.tolist())]
+        assert np.array_equal(_bits(pw(xs)), _bits(want))
+        assert np.array_equal(_bits([pw(x) for x in xs.tolist()]), _bits(want))
+
+    for lo, hi in ((-np.inf, np.inf), (-0.5, 0.5)):
+        ivs, pts = [], []
+        for row, a, b in zip(rows, pw.breakpoints, pw.breakpoints[1:]):
+            if min(hi, b) > max(lo, a):
+                i, p = oracle.short_row_zeros(row, max(lo, a), min(hi, b))
+                ivs, pts = ivs + i, pts + p
+        assert repr(_zeros(pw, lo, hi)) == repr((ivs, pts))
+
+    lo, hi, c0, c1 = data.draw(_limits(pw))
+    with np.errstate(all="ignore"):
+        want = oracle.integrate(pw, lo, hi, c0, c1, rows=rows)
+        got = pw.integrate(lo, hi, c0, c1)
+    assert got.tobytes() == want.tobytes()
+
+    d = pw.derivative()
+    got = [d._groups[g].cols[:, r] for g, r in zip(d._group_of.tolist(), d._row_of.tolist())]
+    want = [oracle.short_row_derivative(row) for row in rows]
+    assert np.array_equal(_bits(np.concatenate(got)), _bits(np.concatenate(want)))
+    for row in rows:
+        if len(Poly(row).coeffs) == len(row):
+            want = oracle.short_row_derivative(row)
+            assert _bits(Poly(row).derivative_segment().coeffs).tolist() == _bits(want).tolist()
+
+
 @settings(max_examples=30)
 @given(data=st.data(), pw=_piecewise_fns())
 def test_with_breakpoints_matches_per_point_lookup(data, pw):
@@ -251,8 +311,8 @@ def _calls(monkeypatch, run):
 
 
 def test_fat_cantor_analysis_runs_per_group_not_per_segment(monkeypatch):
-    # the depth-6 q' has 192 segments in three groups (a degree-1 Poly,
-    # Const, and Power with exponent 1), depth 1 has 6 in the same groups:
+    # the depth-6 q' has 192 segments in three groups (Poly rows of lengths
+    # 2 and 1, and Power with exponent 1), depth 1 has 6 in the same groups:
     # building, validating and decomposing nu calls no segment on its own,
     # and makes as many sets and kernel calls at either depth
     deep = _calls(monkeypatch, lambda: _analyze(6))
@@ -260,7 +320,9 @@ def test_fat_cantor_analysis_runs_per_group_not_per_segment(monkeypatch):
     assert len(cat.fat_cantor_model(depth=6).q_prime.segments) == 192
     assert deep["Segment.__call__"] == 0
     assert deep == shallow
-    assert deep["Power"] > 0 and deep["Const"] > 0
+    assert deep["Power"] > 0 and deep["Poly"] > 0
+    groups = cat.fat_cantor_model(depth=6).q_prime._groups
+    assert [(g.kind, len(g.cols)) for g in groups] == [(Poly, 2), (Poly, 1), (Power, 4)]
 
     # the whole analysis integrates nu's density over its carrier with
     # each group's integral rule, never segment by segment: as many rule
@@ -284,7 +346,7 @@ def test_table_is_built_once_where_the_function_is_made():
     # fat_cantor_q fills its three groups' columns directly, with no
     # segment objects; they are built from the table when first read
     q = cat.fat_cantor_model(depth=3).q
-    assert [g.kind for g in q._groups] == [Poly, Const, Power]
+    assert [(g.kind, len(g.cols)) for g in q._groups] == [(Poly, 3), (Poly, 1), (Power, 4)]
     assert "segments" not in vars(q)
     table = (q._bps, q._groups, q._group_of, q._row_of)
     # scaling and differentiating map the columns and share the
